@@ -10,7 +10,7 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "core/pipeline.h"
+#include "core/stage_engine.h"
 
 namespace twimob {
 namespace {
@@ -21,14 +21,17 @@ int Run() {
     std::fprintf(stderr, "corpus failed: %s\n", table.status().ToString().c_str());
     return 1;
   }
-  auto estimator = core::PopulationEstimator::Build(*table);
+  core::AnalysisContext ctx;
+  const tweetdb::TweetDataset dataset =
+      tweetdb::TweetDataset::FromTable(std::move(*table));
+  auto estimator = core::PopulationEstimator::Build(dataset, &ctx.pool());
   if (!estimator.ok()) {
     std::fprintf(stderr, "estimator failed: %s\n",
                  estimator.status().ToString().c_str());
     return 1;
   }
   const core::ScaleSpec national = core::MakeScaleSpec(census::Scale::kNational);
-  auto mob = core::Pipeline::AnalyzeMobility(*table, *estimator, national);
+  auto mob = core::AnalyzeScaleMobility(dataset, national, *estimator, ctx.pool());
   if (!mob.ok()) {
     std::fprintf(stderr, "mobility failed: %s\n", mob.status().ToString().c_str());
     return 1;

@@ -26,8 +26,11 @@ int Run() {
     return 1;
   }
 
-  // Paper definition: any user with a tweet inside the radius.
-  auto estimator = core::PopulationEstimator::Build(*table);
+  // Paper definition: any user with a tweet inside the radius. The index
+  // copies the rows, so the table goes back out for home inference.
+  tweetdb::TweetDataset dataset = tweetdb::TweetDataset::FromTable(std::move(*table));
+  auto estimator = core::PopulationEstimator::Build(dataset);
+  *table = std::move(dataset).ReleaseTable();
   if (!estimator.ok()) {
     std::fprintf(stderr, "estimator failed: %s\n",
                  estimator.status().ToString().c_str());

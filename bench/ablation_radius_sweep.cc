@@ -20,7 +20,8 @@ int Run() {
     std::fprintf(stderr, "corpus failed: %s\n", table.status().ToString().c_str());
     return 1;
   }
-  auto estimator = core::PopulationEstimator::Build(*table);
+  auto estimator = core::PopulationEstimator::Build(
+      tweetdb::TweetDataset::FromTable(std::move(*table)));
   if (!estimator.ok()) {
     std::fprintf(stderr, "estimator failed: %s\n",
                  estimator.status().ToString().c_str());

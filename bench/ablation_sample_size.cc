@@ -36,7 +36,8 @@ int Run() {
     });
     subset.SealActive();
 
-    auto estimator = core::PopulationEstimator::Build(subset);
+    auto estimator = core::PopulationEstimator::Build(
+        tweetdb::TweetDataset::FromTable(std::move(subset)));
     if (!estimator.ok()) {
       std::fprintf(stderr, "estimator failed: %s\n",
                    estimator.status().ToString().c_str());

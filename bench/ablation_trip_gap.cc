@@ -11,7 +11,7 @@
 #include "common/table_printer.h"
 #include "core/population_estimator.h"
 #include "core/scales.h"
-#include "geo/geodesic.h"
+#include "core/stage_engine.h"
 #include "mobility/gravity_model.h"
 #include "mobility/model_eval.h"
 #include "mobility/radiation_model.h"
@@ -26,7 +26,10 @@ int Run() {
     std::fprintf(stderr, "corpus failed: %s\n", table.status().ToString().c_str());
     return 1;
   }
-  auto estimator = core::PopulationEstimator::Build(*table);
+  core::AnalysisContext ctx;
+  const tweetdb::TweetDataset dataset =
+      tweetdb::TweetDataset::FromTable(std::move(*table));
+  auto estimator = core::PopulationEstimator::Build(dataset, &ctx.pool());
   if (!estimator.ok()) {
     std::fprintf(stderr, "estimator failed: %s\n",
                  estimator.status().ToString().c_str());
@@ -39,16 +42,7 @@ int Run() {
     masses.push_back(static_cast<double>(
         estimator->CountUniqueUsers(a.center, spec.radius_m)));
   }
-  const size_t n = spec.areas.size();
-  std::vector<double> distances(n * n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      if (i != j) {
-        distances[i * n + j] =
-            geo::HaversineMeters(spec.areas[i].center, spec.areas[j].center);
-      }
-    }
-  }
+  const std::vector<double> distances = core::PairwiseDistances(spec.areas, ctx.pool());
 
   struct GapCase {
     const char* label;
@@ -65,8 +59,8 @@ int Run() {
     mobility::TripOptions options;
     options.max_gap_seconds = c.seconds;
     mobility::ExtractionStats stats;
-    auto od = mobility::ExtractTrips(*table, spec.areas, spec.radius_m, &stats,
-                                     options);
+    auto od = mobility::ExtractTrips(dataset, spec.areas, spec.radius_m,
+                                     ctx.pool(), &stats, options);
     if (!od.ok()) {
       std::fprintf(stderr, "extract failed: %s\n", od.status().ToString().c_str());
       return 1;

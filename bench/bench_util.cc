@@ -180,12 +180,15 @@ Result<tweetdb::TweetTable> LoadOrGenerateCorpus() {
   return table;
 }
 
-Status RunAnalysisStages(core::AnalysisContext& ctx, core::PipelineState& state) {
-  const core::StageList stages = core::StageEngine::AnalysisStages(state.config);
-  TWIMOB_RETURN_IF_ERROR(core::StageEngine::Run(ctx, stages, state));
+Result<core::AnalysisSnapshot> AnalyzeCorpus(core::AnalysisContext& ctx,
+                                             tweetdb::TweetTable table,
+                                             const core::PipelineConfig& config) {
+  auto snapshot = core::AnalysisSnapshot::Analyze(
+      tweetdb::TweetDataset::FromTable(std::move(table)), config, {}, &ctx);
+  if (!snapshot.ok()) return snapshot.status();
   std::fprintf(stderr, "[bench] %zu threads\n%s", ctx.num_threads(),
-               core::RenderTraceTable(state.result.trace).c_str());
-  return Status::OK();
+               core::RenderTraceTable(snapshot->result().trace).c_str());
+  return snapshot;
 }
 
 }  // namespace twimob::bench

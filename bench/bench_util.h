@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/analysis_snapshot.h"
 #include "core/stage_engine.h"
 #include "synth/tweet_generator.h"
 #include "tweetdb/table.h"
@@ -73,12 +74,15 @@ Result<tweetdb::TweetTable> LoadOrGenerateCorpus();
 /// Cache file path for the current scale/seed.
 std::string CorpusCachePath();
 
-/// Runs the staged engine's analysis stages for `state.config` over
-/// `state` on `ctx`'s pool, then prints the per-stage trace table to
-/// stderr. The benches compose their experiments on top of the resulting
-/// `state.result` (and, e.g., `state.estimator`) instead of hand-wiring
-/// the corpus → population → trips → fit sequence.
-Status RunAnalysisStages(core::AnalysisContext& ctx, core::PipelineState& state);
+/// Analyses `table` — wrapped as a single-shard dataset, bytes preserved —
+/// with the staged engine's analysis stages for `config` on `ctx`'s pool
+/// (AnalysisSnapshot::Analyze), then prints the per-stage trace table to
+/// stderr. The benches compose their experiments on top of the snapshot's
+/// result and estimator instead of hand-wiring the corpus → population →
+/// trips → fit sequence.
+Result<core::AnalysisSnapshot> AnalyzeCorpus(core::AnalysisContext& ctx,
+                                             tweetdb::TweetTable table,
+                                             const core::PipelineConfig& config);
 
 }  // namespace twimob::bench
 

@@ -19,7 +19,7 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "core/pipeline.h"
+#include "core/stage_engine.h"
 #include "epi/scenario_sweep.h"
 
 namespace twimob {
@@ -51,7 +51,10 @@ int Run(const char* json_path) {
     std::fprintf(stderr, "corpus failed: %s\n", table.status().ToString().c_str());
     return 1;
   }
-  auto estimator = core::PopulationEstimator::Build(*table);
+  core::AnalysisContext ctx;
+  const tweetdb::TweetDataset dataset =
+      tweetdb::TweetDataset::FromTable(std::move(*table));
+  auto estimator = core::PopulationEstimator::Build(dataset, &ctx.pool());
   if (!estimator.ok()) {
     std::fprintf(stderr, "estimator failed: %s\n",
                  estimator.status().ToString().c_str());
@@ -59,7 +62,7 @@ int Run(const char* json_path) {
   }
 
   const core::ScaleSpec national = core::MakeScaleSpec(census::Scale::kNational);
-  auto mobility = core::Pipeline::AnalyzeMobility(*table, *estimator, national);
+  auto mobility = core::AnalyzeScaleMobility(dataset, national, *estimator, ctx.pool());
   if (!mobility.ok()) {
     std::fprintf(stderr, "mobility failed: %s\n",
                  mobility.status().ToString().c_str());

@@ -9,8 +9,7 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "core/pipeline.h"
-#include "geo/geodesic.h"
+#include "core/stage_engine.h"
 #include "mobility/constrained_gravity.h"
 #include "mobility/intervening_opportunities.h"
 #include "mobility/model_eval.h"
@@ -43,7 +42,10 @@ int Run() {
     std::fprintf(stderr, "corpus failed: %s\n", table.status().ToString().c_str());
     return 1;
   }
-  auto estimator = core::PopulationEstimator::Build(*table);
+  core::AnalysisContext ctx;
+  const tweetdb::TweetDataset dataset =
+      tweetdb::TweetDataset::FromTable(std::move(*table));
+  auto estimator = core::PopulationEstimator::Build(dataset, &ctx.pool());
   if (!estimator.ok()) {
     std::fprintf(stderr, "estimator failed: %s\n",
                  estimator.status().ToString().c_str());
@@ -52,7 +54,7 @@ int Run() {
 
   for (const core::ScaleSpec& spec : core::PaperScales()) {
     // Paper pipeline pieces: trips, masses, distances, observations.
-    auto mob = core::Pipeline::AnalyzeMobility(*table, *estimator, spec);
+    auto mob = core::AnalyzeScaleMobility(dataset, spec, *estimator, ctx.pool());
     if (!mob.ok()) {
       std::fprintf(stderr, "mobility failed: %s\n",
                    mob.status().ToString().c_str());
@@ -67,15 +69,8 @@ int Run() {
           static_cast<double>(estimator->CountUniqueUsers(a.center, spec.radius_m)));
     }
     const size_t n = spec.areas.size();
-    std::vector<double> distances(n * n, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        if (i != j) {
-          distances[i * n + j] =
-              geo::HaversineMeters(spec.areas[i].center, spec.areas[j].center);
-        }
-      }
-    }
+    const std::vector<double> distances =
+        core::PairwiseDistances(spec.areas, ctx.pool());
     auto observed_od = mobility::OdMatrix::Create(n);
     for (const auto& o : mob->observations) {
       observed_od->SetFlow(o.src, o.dst, o.flow);

@@ -26,6 +26,8 @@ int Run() {
     return 1;
   }
 
+  const tweetdb::TweetDataset corpus =
+      tweetdb::TweetDataset::FromTable(std::move(*table));
   const int window_days[] = {7, 14, 30, 60, 120, 242};
   TablePrinter tp({"window", "tweets", "National r", "State r", "Metro r",
                    "pooled r [95% CI]"});
@@ -33,7 +35,12 @@ int Run() {
     // Truncate to the first `days` of the collection window.
     tweetdb::ScanSpec spec;
     spec.max_time = kCollectionStart + static_cast<int64_t>(days) * kSecondsPerDay;
-    tweetdb::TweetTable prefix = tweetdb::FilterTable(*table, spec);
+    tweetdb::TweetDataset prefix(tweetdb::PartitionSpec::Single(),
+                                 corpus.block_capacity());
+    tweetdb::ScanDataset(corpus, spec, [&prefix](const tweetdb::Tweet& t) {
+      (void)prefix.Append(t);
+    });
+    prefix.SealAll();
 
     auto estimator = core::PopulationEstimator::Build(prefix);
     if (!estimator.ok()) {

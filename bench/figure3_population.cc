@@ -24,25 +24,25 @@ int Run() {
   core::AnalysisContext ctx;
   core::PipelineConfig config;
   config.run_mobility = false;  // population-only: compact → index → population
-  core::PipelineState state(config);
-  state.external_table = &*table;
-  Status run = bench::RunAnalysisStages(ctx, state);
-  if (!run.ok()) {
-    std::fprintf(stderr, "pipeline failed: %s\n", run.ToString().c_str());
+  auto snapshot = bench::AnalyzeCorpus(ctx, std::move(*table), config);
+  if (!snapshot.ok()) {
+    std::fprintf(stderr, "pipeline failed: %s\n",
+                 snapshot.status().ToString().c_str());
     return 1;
   }
+  const core::PipelineResult& result = snapshot->result();
 
   // Part (a): the three paper scales.
-  for (const core::PopulationEstimateResult& result : state.result.population) {
-    std::printf("%s\n", core::RenderAreaTable(result).c_str());
+  for (const core::PopulationEstimateResult& scale : result.population) {
+    std::printf("%s\n", core::RenderAreaTable(scale).c_str());
   }
-  std::printf("%s\n", core::RenderPopulationReport(state.result).c_str());
+  std::printf("%s\n", core::RenderPopulationReport(result).c_str());
 
   // Part (b): shrink the metropolitan search radius to 0.5 km — the paper
   // reports a significant error increase. Reuses the run's spatial index.
   const core::ScaleSpec tight =
       core::MakeScaleSpec(census::Scale::kMetropolitan, 500.0);
-  auto tight_result = state.estimator->Estimate(tight, &ctx.pool());
+  auto tight_result = snapshot->estimator().Estimate(tight, &ctx.pool());
   if (!tight_result.ok()) {
     std::fprintf(stderr, "0.5km estimate failed: %s\n",
                  tight_result.status().ToString().c_str());
@@ -52,7 +52,7 @@ int Run() {
       "=== FIGURE 3(b): Metropolitan with radius 0.5 km ===\n"
       "r(2.0km) = %.3f vs r(0.5km) = %.3f  — the paper reports a significant "
       "error increase at 0.5 km\n",
-      state.result.population[2].correlation.r, tight_result->correlation.r);
+      result.population[2].correlation.r, tight_result->correlation.r);
   return 0;
 }
 

@@ -24,15 +24,15 @@ int Run() {
   }
 
   core::AnalysisContext ctx;
-  core::PipelineState state{core::PipelineConfig{}};
-  state.external_table = &*table;
-  Status run = bench::RunAnalysisStages(ctx, state);
-  if (!run.ok()) {
-    std::fprintf(stderr, "pipeline failed: %s\n", run.ToString().c_str());
+  auto snapshot =
+      bench::AnalyzeCorpus(ctx, std::move(*table), core::PipelineConfig{});
+  if (!snapshot.ok()) {
+    std::fprintf(stderr, "pipeline failed: %s\n",
+                 snapshot.status().ToString().c_str());
     return 1;
   }
 
-  for (const core::ScaleMobilityResult& result : state.result.mobility) {
+  for (const core::ScaleMobilityResult& result : snapshot->result().mobility) {
     std::printf("%s", core::RenderMobilityScale(result).c_str());
 
     // A deterministic sample of the grey crosses (largest observed flows).

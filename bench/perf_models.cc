@@ -115,8 +115,9 @@ void BM_OlsSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_OlsSolve)->Arg(1000)->Arg(100000);
 
-/// A corpus-shaped table: users hopping among national city centres.
-tweetdb::TweetTable TripTable(size_t rows, const std::vector<census::Area>& areas) {
+/// A corpus-shaped dataset: users hopping among national city centres.
+tweetdb::TweetDataset TripDataset(size_t rows,
+                                  const std::vector<census::Area>& areas) {
   random::Xoshiro256 rng(9);
   tweetdb::TweetTable table;
   uint64_t user = 1;
@@ -134,15 +135,16 @@ tweetdb::TweetTable TripTable(size_t rows, const std::vector<census::Area>& area
     ++user;
   }
   table.CompactByUserTime();
-  return table;
+  return tweetdb::TweetDataset::FromTable(std::move(table));
 }
 
 void BM_TripExtraction(benchmark::State& state) {
   const auto areas = census::AreasForScale(census::Scale::kNational);
   const size_t rows = static_cast<size_t>(state.range(0));
-  const tweetdb::TweetTable table = TripTable(rows, areas);
+  const tweetdb::TweetDataset dataset = TripDataset(rows, areas);
+  ThreadPool pool(1);
   for (auto _ : state) {
-    auto od = ExtractTrips(table, areas, 50000.0);
+    auto od = ExtractTrips(dataset, areas, 50000.0, pool);
     benchmark::DoNotOptimize(od.ok());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
@@ -223,9 +225,10 @@ int RunJsonProfile(const char* json_path) {
 
   // Trip extraction and the (now batched-haversine) distance matrix.
   const size_t kTripRows = 100000;
-  const tweetdb::TweetTable table = TripTable(kTripRows, areas);
+  const tweetdb::TweetDataset dataset = TripDataset(kTripRows, areas);
+  ThreadPool pool(1);
   const double trips_s = BestOfSeconds(3, [&] {
-    auto od = ExtractTrips(table, areas, 50000.0);
+    auto od = ExtractTrips(dataset, areas, 50000.0, pool);
     benchmark::DoNotOptimize(od.ok());
   });
   const double dist_matrix_s = BestOfSeconds(5, [&] {

@@ -6,8 +6,8 @@
 // engine contract:
 //   1. thread-count invariance — the 1-thread and N-thread runs produce
 //      byte-identical results, including on a multi-shard dataset;
-//   2. shard-count invariance — Pipeline::Run at a fixed seed produces
-//      byte-identical results for 1, 4 and 16 time shards.
+//   2. shard-count invariance — AnalysisSnapshot::Build at a fixed seed
+//      produces byte-identical results for 1, 4 and 16 time shards.
 //
 // `--json <path>` additionally writes the machine-readable profile
 // (per-stage wall times, thread/shard counts, speedup ratios, corpus size,
@@ -20,7 +20,7 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "core/pipeline.h"
+#include "core/analysis_snapshot.h"
 #include "core/report.h"
 #include "tweetdb/binary_codec.h"
 
@@ -98,38 +98,45 @@ int Run(const char* json_path) {
     return 1;
   }
 
+  const size_t num_tweets = table->num_rows();
   const core::PipelineConfig config;
   core::AnalysisContext serial_ctx(1);
-  core::PipelineState serial_state(config);
-  serial_state.external_table = &*table;
   std::fprintf(stderr, "[perf_pipeline] serial run (1 thread)...\n");
-  Status serial = bench::RunAnalysisStages(serial_ctx, serial_state);
+  auto serial = bench::AnalyzeCorpus(serial_ctx, std::move(*table), config);
   if (!serial.ok()) {
-    std::fprintf(stderr, "serial run failed: %s\n", serial.ToString().c_str());
+    std::fprintf(stderr, "serial run failed: %s\n",
+                 serial.status().ToString().c_str());
     return 1;
   }
 
+  // The pooled run analyses a second load of the (cached, compacted) corpus.
+  table = bench::LoadOrGenerateCorpus();
+  if (!table.ok()) {
+    std::fprintf(stderr, "corpus failed: %s\n", table.status().ToString().c_str());
+    return 1;
+  }
   core::AnalysisContext pooled_ctx;  // TWIMOB_THREADS or hardware_concurrency
-  core::PipelineState pooled_state(config);
-  pooled_state.external_table = &*table;
   std::fprintf(stderr, "[perf_pipeline] pooled run (%zu threads)...\n",
                pooled_ctx.num_threads());
-  Status pooled = bench::RunAnalysisStages(pooled_ctx, pooled_state);
+  auto pooled = bench::AnalyzeCorpus(pooled_ctx, std::move(*table), config);
   if (!pooled.ok()) {
-    std::fprintf(stderr, "pooled run failed: %s\n", pooled.ToString().c_str());
+    std::fprintf(stderr, "pooled run failed: %s\n",
+                 pooled.status().ToString().c_str());
     return 1;
   }
+  const core::PipelineResult& serial_result = serial->result();
+  const core::PipelineResult& pooled_result = pooled->result();
 
   std::printf("PIPELINE STAGE TIMES — 1 thread vs %zu threads (%zu tweets)\n",
-              pooled_ctx.num_threads(), table->num_rows());
+              pooled_ctx.num_threads(), num_tweets);
   TablePrinter tp({"Stage", "1 thread", StrFormat("%zu threads",
                                                   pooled_ctx.num_threads()),
                    "Speedup"});
   double serial_mobility = 0.0, pooled_mobility = 0.0;
   double serial_total = 0.0, pooled_total = 0.0;
-  for (const core::StageRecord& r : serial_state.result.trace.stages()) {
+  for (const core::StageRecord& r : serial_result.trace.stages()) {
     if (r.name.find('/') != std::string::npos) continue;  // per-model subs
-    const core::StageRecord* p = pooled_state.result.trace.Find(r.name);
+    const core::StageRecord* p = pooled_result.trace.Find(r.name);
     if (p == nullptr) continue;
     tp.AddRow({r.name, StrFormat("%8.1f ms", r.wall_seconds * 1e3),
                StrFormat("%8.1f ms", p->wall_seconds * 1e3),
@@ -149,7 +156,7 @@ int Run(const char* json_path) {
   json.Field("bench", "pipeline");
   json.BeginObject("corpus")
       .Field("users", bench::BenchUserCount())
-      .Field("tweets", table->num_rows())
+      .Field("tweets", num_tweets)
       .Field("seed", bench::BenchSeed())
       .Field("format_version", static_cast<uint64_t>(tweetdb::kBinaryFormatVersion))
       .EndObject();
@@ -158,9 +165,9 @@ int Run(const char* json_path) {
       .Field("pooled", pooled_ctx.num_threads())
       .EndObject();
   json.BeginArray("stages");
-  for (const core::StageRecord& r : serial_state.result.trace.stages()) {
+  for (const core::StageRecord& r : serial_result.trace.stages()) {
     if (r.name.find('/') != std::string::npos) continue;  // per-model subs
-    const core::StageRecord* p = pooled_state.result.trace.Find(r.name);
+    const core::StageRecord* p = pooled_result.trace.Find(r.name);
     if (p == nullptr) continue;
     json.BeginObject()
         .Field("name", r.name)
@@ -187,7 +194,7 @@ int Run(const char* json_path) {
       .EndObject();
 
   const bool identical =
-      ResultsIdentical(serial_state.result, pooled_state.result);
+      ResultsIdentical(serial_result, pooled_result);
   std::printf("DETERMINISM: 1-thread and %zu-thread results bitwise %s\n",
               pooled_ctx.num_threads(),
               identical ? "IDENTICAL (contract holds)" : "DIFFERENT (BUG)");
@@ -208,13 +215,13 @@ int Run(const char* json_path) {
     core::AnalysisContext ctx;
     std::fprintf(stderr, "[perf_pipeline] shard sweep: %zu users, %zu shards\n",
                  shard_users, kShardCounts[i]);
-    auto result = core::Pipeline::Run(shard_config, &ctx);
-    if (!result.ok()) {
+    auto snapshot = core::AnalysisSnapshot::Build(shard_config, &ctx);
+    if (!snapshot.ok()) {
       std::fprintf(stderr, "%zu-shard run failed: %s\n", kShardCounts[i],
-                   result.status().ToString().c_str());
+                   snapshot.status().ToString().c_str());
       return 1;
     }
-    shard_results[i] = std::move(*result);
+    shard_results[i] = snapshot->result();
   }
   const bool shards_invariant =
       ResultsIdentical(shard_results[0], shard_results[1]) &&
@@ -225,14 +232,15 @@ int Run(const char* json_path) {
 
   shard_config.num_shards = 16;
   core::AnalysisContext sharded_serial_ctx(1);
-  auto sharded_serial = core::Pipeline::Run(shard_config, &sharded_serial_ctx);
+  auto sharded_serial =
+      core::AnalysisSnapshot::Build(shard_config, &sharded_serial_ctx);
   if (!sharded_serial.ok()) {
     std::fprintf(stderr, "16-shard serial run failed: %s\n",
                  sharded_serial.status().ToString().c_str());
     return 1;
   }
   const bool sharded_threads_invariant =
-      ResultsIdentical(*sharded_serial, shard_results[2]);
+      ResultsIdentical(sharded_serial->result(), shard_results[2]);
   std::printf(
       "SHARD DETERMINISM: 16-shard 1-thread vs pooled results bitwise %s\n",
       sharded_threads_invariant ? "IDENTICAL (contract holds)"

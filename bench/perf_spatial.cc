@@ -1,6 +1,6 @@
 // Ablation A3: spatial-index comparison for the ε-radius queries the
-// population pipeline performs — sealed CSR grid vs unsealed grid vs k-d
-// tree vs linear scan at the paper's radii (0.5 / 2 / 25 / 50 km), over a
+// population pipeline performs — sealed CSR grid vs unsealed grid vs
+// linear scan at the paper's radii (0.5 / 2 / 25 / 50 km), over a
 // clustered synthetic point set (default 1M points; override with
 // TWIMOB_SPATIAL_POINTS).
 //
@@ -29,7 +29,6 @@
 #include "geo/bbox.h"
 #include "geo/geodesic.h"
 #include "geo/grid_index.h"
-#include "geo/kdtree.h"
 #include "geo/sealed_grid_index.h"
 #include "random/rng.h"
 #include "tweetdb/binary_codec.h"
@@ -136,13 +135,9 @@ int Run(const char* json_path) {
   const geo::SealedGridIndex sealed = index->Seal();
   const double seal_ms = (MonotonicSeconds() - t) * 1e3;
 
-  t = MonotonicSeconds();
-  const geo::KdTree tree = geo::KdTree::Build(pts);
-  const double kdtree_build_ms = (MonotonicSeconds() - t) * 1e3;
-
   std::printf("SPATIAL INDEX PERF — %zu points, cell %.2f°\n", n, kCellDegrees);
-  std::printf("build: insert %.1f ms, seal %.1f ms (%zu cells), k-d tree %.1f ms\n",
-              insert_ms, seal_ms, sealed.num_nonempty_cells(), kdtree_build_ms);
+  std::printf("build: insert %.1f ms, seal %.1f ms (%zu cells)\n", insert_ms,
+              seal_ms, sealed.num_nonempty_cells());
 
   // Geodesic kernel micro-profile: batched-origin haversine over the SoA
   // columns vs the pairwise scalar call, and the SIMD-dispatched lat-band
@@ -211,11 +206,10 @@ int Run(const char* json_path) {
   json.BeginObject("build")
       .Field("insert_ms", insert_ms)
       .Field("seal_ms", seal_ms)
-      .Field("kdtree_build_ms", kdtree_build_ms)
       .Field("nonempty_cells", sealed.num_nonempty_cells())
       .EndObject();
 
-  TablePrinter tp({"Radius", "Count", "Unsealed", "Sealed", "KdTree", "Linear",
+  TablePrinter tp({"Radius", "Count", "Unsealed", "Sealed", "Linear",
                    "Speedup", "Interior cells"});
   bool all_identical = true;
   double speedup_50km = 0.0;
@@ -239,8 +233,6 @@ int Run(const char* json_path) {
         TimePerCallUs([&] { return index->CountRadius(kQueryCenter, radius); });
     const double sealed_us =
         TimePerCallUs([&] { return sealed.CountRadius(kQueryCenter, radius); });
-    const double kdtree_us =
-        TimePerCallUs([&] { return tree.CountRadius(kQueryCenter, radius); });
     const double linear_us = TimePerCallUs(
         [&] {
           size_t c = 0;
@@ -260,7 +252,7 @@ int Run(const char* json_path) {
 
     tp.AddRow({StrFormat("%.1f km", radius / 1000.0), StrFormat("%zu", count),
                StrFormat("%9.1f us", unsealed_us), StrFormat("%9.1f us", sealed_us),
-               StrFormat("%9.1f us", kdtree_us), StrFormat("%9.1f us", linear_us),
+               StrFormat("%9.1f us", linear_us),
                StrFormat("%.1fx", speedup),
                StrFormat("%zu/%zu", profile.cells_interior,
                          profile.cells_candidate)});
@@ -270,7 +262,6 @@ int Run(const char* json_path) {
         .Field("count", count)
         .Field("unsealed_us", unsealed_us)
         .Field("sealed_us", sealed_us)
-        .Field("kdtree_us", kdtree_us)
         .Field("linear_us", linear_us)
         .Field("distinct_unsealed_us", distinct_unsealed_us)
         .Field("distinct_sealed_us", distinct_sealed_us)

@@ -178,13 +178,14 @@ BENCHMARK(BM_Crc32c)->Arg(100000);
 // The A4 question: zone-map pruning vs full scan for a selective predicate.
 void BM_ScanUserFilter(benchmark::State& state) {
   const bool compacted = state.range(1) != 0;
-  TweetTable table = BuildTable(static_cast<size_t>(state.range(0)), compacted);
+  const TweetDataset dataset = TweetDataset::FromTable(
+      BuildTable(static_cast<size_t>(state.range(0)), compacted));
   ScanSpec spec;
   spec.user_id = 777;
   size_t pruned = 0, total = 0;
   for (auto _ : state) {
     size_t count = 0;
-    ScanStatistics stats = CountMatching(table, spec, &count);
+    ScanStatistics stats = CountMatching(dataset, spec, &count);
     pruned = stats.blocks_pruned;
     total = stats.blocks_total;
     benchmark::DoNotOptimize(count);
@@ -198,13 +199,13 @@ BENCHMARK(BM_ScanUserFilter)
     ->Args({1000000, 1});  // compacted: zone maps prune nearly everything
 
 void BM_ParallelScanBbox(benchmark::State& state) {
-  TweetTable table = BuildTable(1000000, false);
+  const TweetDataset dataset = TweetDataset::FromTable(BuildTable(1000000, false));
   ThreadPool pool(static_cast<size_t>(state.range(0)));
   ScanSpec spec;
   spec.bbox = geo::BoundingBox{-35.0, 150.0, -33.0, 152.0};
   for (auto _ : state) {
     size_t count = 0;
-    ParallelCountMatching(table, spec, pool, &count);
+    CountMatching(dataset, spec, &count, &pool);
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(state.iterations() * 1000000);
@@ -212,12 +213,12 @@ void BM_ParallelScanBbox(benchmark::State& state) {
 BENCHMARK(BM_ParallelScanBbox)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ScanBboxFilter(benchmark::State& state) {
-  TweetTable table = BuildTable(1000000, false);
+  const TweetDataset dataset = TweetDataset::FromTable(BuildTable(1000000, false));
   ScanSpec spec;
   spec.bbox = geo::BoundingBox{-35.0, 150.0, -33.0, 152.0};  // Sydney box
   for (auto _ : state) {
     size_t count = 0;
-    CountMatching(table, spec, &count);
+    CountMatching(dataset, spec, &count);
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(state.iterations() * 1000000);
@@ -332,8 +333,10 @@ int RunJsonProfile(const char* json_path, size_t users) {
   ScanSpec selective;
   selective.user_id = 777;
   size_t selective_count = 0;
+  TweetDataset wrapped = TweetDataset::FromTable(std::move(table));
   const ScanStatistics scan_stats =
-      CountMatching(table, selective, &selective_count);
+      CountMatching(wrapped, selective, &selective_count);
+  table = std::move(wrapped).ReleaseTable();
   const double prune_rate =
       scan_stats.blocks_total > 0
           ? static_cast<double>(scan_stats.blocks_pruned) /
@@ -359,23 +362,15 @@ int RunJsonProfile(const char* json_path, size_t users) {
   const double eager_open_scan_s = BestOfSeconds(3, [&] {
     auto ds = ReadDatasetFiles(ds_path);
     if (!ds.ok()) std::abort();
-    eager_count = 0;
-    for (size_t i = 0; i < ds->num_shards(); ++i) {
-      size_t c = 0;
-      CountMatching(ds->shard(i), selective, &c);
-      eager_count += c;
-    }
+    CountMatching(*ds, selective, &eager_count);
     benchmark::DoNotOptimize(eager_count);
   });
   const double mapped_open_scan_s = BestOfSeconds(3, [&] {
     auto mapped = MapDatasetFiles(ds_path);
     if (!mapped.ok()) std::abort();
-    mapped_count = 0;
+    CountMatching(mapped->dataset, selective, &mapped_count);
     for (size_t i = 0; i < mapped->dataset.num_shards(); ++i) {
-      size_t c = 0;
-      CountMatching(mapped->dataset.shard(i), selective, &c);
       if (!mapped->dataset.shard(i).LazyDecodeStatus().ok()) std::abort();
-      mapped_count += c;
     }
     benchmark::DoNotOptimize(mapped_count);
   });

@@ -22,14 +22,14 @@ int Run() {
   }
 
   core::AnalysisContext ctx;
-  core::PipelineState state{core::PipelineConfig{}};
-  state.external_table = &*table;
-  Status run = bench::RunAnalysisStages(ctx, state);
-  if (!run.ok()) {
-    std::fprintf(stderr, "pipeline failed: %s\n", run.ToString().c_str());
+  auto snapshot =
+      bench::AnalyzeCorpus(ctx, std::move(*table), core::PipelineConfig{});
+  if (!snapshot.ok()) {
+    std::fprintf(stderr, "pipeline failed: %s\n",
+                 snapshot.status().ToString().c_str());
     return 1;
   }
-  const core::PipelineResult& result = state.result;
+  const core::PipelineResult& result = snapshot->result();
 
   std::printf("%s\n", core::RenderTableII(result).c_str());
   std::printf(

@@ -8,9 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/pipeline.h"
 #include "core/population_estimator.h"
 #include "core/report.h"
+#include "core/stage_engine.h"
 
 using namespace twimob;
 
@@ -51,7 +51,10 @@ int main(int argc, char** argv) {
     queensland.areas.push_back(std::move(a));
   }
 
-  auto estimator = core::PopulationEstimator::Build(*table);
+  core::AnalysisContext ctx;
+  const tweetdb::TweetDataset dataset =
+      tweetdb::TweetDataset::FromTable(std::move(*table));
+  auto estimator = core::PopulationEstimator::Build(dataset, &ctx.pool());
   if (!estimator.ok()) return 1;
 
   // Population estimation over the custom areas.
@@ -65,7 +68,7 @@ int main(int argc, char** argv) {
               population->correlation.r, population->correlation.p_value);
 
   // Mobility estimation and the three-model comparison on the same areas.
-  auto mobility = core::Pipeline::AnalyzeMobility(*table, *estimator, queensland);
+  auto mobility = core::AnalyzeScaleMobility(dataset, queensland, *estimator, ctx.pool());
   if (!mobility.ok()) {
     std::fprintf(stderr, "%s\n", mobility.status().ToString().c_str());
     return 1;

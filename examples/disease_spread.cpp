@@ -11,8 +11,8 @@
 #include <string>
 
 #include "common/string_util.h"
-#include "core/pipeline.h"
 #include "core/population_estimator.h"
+#include "core/stage_engine.h"
 #include "epi/seir.h"
 
 using namespace twimob;
@@ -41,13 +41,16 @@ int main(int argc, char** argv) {
               table->CountDistinctUsers());
 
   // 2. Estimate mobility between the 20 national cities.
-  auto estimator = core::PopulationEstimator::Build(*table);
+  core::AnalysisContext ctx;
+  const tweetdb::TweetDataset dataset =
+      tweetdb::TweetDataset::FromTable(std::move(*table));
+  auto estimator = core::PopulationEstimator::Build(dataset, &ctx.pool());
   if (!estimator.ok()) {
     std::fprintf(stderr, "%s\n", estimator.status().ToString().c_str());
     return 1;
   }
   const core::ScaleSpec national = core::MakeScaleSpec(census::Scale::kNational);
-  auto mobility = core::Pipeline::AnalyzeMobility(*table, *estimator, national);
+  auto mobility = core::AnalyzeScaleMobility(dataset, national, *estimator, ctx.pool());
   if (!mobility.ok()) {
     std::fprintf(stderr, "%s\n", mobility.status().ToString().c_str());
     return 1;

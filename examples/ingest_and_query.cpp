@@ -50,14 +50,17 @@ int main(int argc, char** argv) {
   std::printf("compacted into %zu blocks of up to %zu rows\n",
               table->num_blocks(), table->block_capacity());
 
-  // 3. Scans with predicate push-down. Zone maps prune whole blocks.
+  // 3. Scans with predicate push-down. Zone maps prune whole blocks. Scans
+  //    run over datasets; a table is wrapped as a zero-copy single shard.
+  tweetdb::TweetDataset dataset =
+      tweetdb::TweetDataset::FromTable(std::move(*table));
   tweetdb::ScanSpec sydney_jan;
   sydney_jan.bbox = geo::BoundingBox{-34.2, 150.5, -33.4, 151.5};
   sydney_jan.min_time = 1388534400;  // 2014-01-01
   sydney_jan.max_time = 1391212800;  // 2014-02-01
   size_t count = 0;
   tweetdb::ScanStatistics stats =
-      tweetdb::CountMatching(*table, sydney_jan, &count);
+      tweetdb::CountMatching(dataset, sydney_jan, &count);
   std::printf(
       "January tweets in greater Sydney: %zu (scanned %zu rows, pruned "
       "%zu/%zu blocks via zone maps)\n",
@@ -66,12 +69,16 @@ int main(int argc, char** argv) {
   tweetdb::ScanSpec one_user;
   one_user.user_id = 42;
   std::vector<tweetdb::Tweet> rows;
-  stats = tweetdb::CollectMatching(*table, one_user, &rows);
+  stats = tweetdb::ScanDataset(dataset, one_user, [&rows](const tweetdb::Tweet& t) {
+    rows.push_back(t);
+  });
   std::printf("user 42 has %zu tweets (pruned %zu/%zu blocks)\n", rows.size(),
               stats.blocks_pruned, stats.blocks_total);
   for (size_t i = 0; i < rows.size() && i < 3; ++i) {
     std::printf("  %s\n", rows[i].ToString().c_str());
   }
+
+  *table = std::move(dataset).ReleaseTable();
 
   // 4. Persist the compact binary format and load it back.
   const std::string bin_path = "/tmp/twimob_example_tweets.twdb";

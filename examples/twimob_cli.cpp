@@ -10,17 +10,18 @@
 //   twimob_cli predict <corpus> <seed_city> [gravity|radiation|twitter]
 //
 // Corpus files ending in .csv use the CSV codec, anything else the binary
-// codec.
+// codec. Malformed arguments (non-numeric counts or coordinates, a
+// non-finite or non-positive radius, an unknown flow source) print the
+// usage text and exit 2.
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/string_util.h"
-#include "core/pipeline.h"
 #include "core/predictor.h"
 #include "core/report.h"
+#include "core/stage_engine.h"
 #include "mobility/home_inference.h"
 #include "stats/descriptive.h"
 #include "synth/tweet_generator.h"
@@ -53,12 +54,39 @@ Result<tweetdb::TweetTable> LoadCorpus(const std::string& path) {
   return IsCsv(path) ? tweetdb::ReadCsv(path) : tweetdb::ReadBinaryFile(path);
 }
 
+/// The corpus at `path`, compacted by (user, time) and wrapped as a
+/// one-shard dataset — the input of the mobility analysis.
+Result<tweetdb::TweetDataset> LoadCompacted(const std::string& path) {
+  auto table = LoadCorpus(path);
+  if (!table.ok()) return table.status();
+  table->CompactByUserTime();
+  return tweetdb::TweetDataset::FromTable(std::move(*table));
+}
+
+/// Parses `arg` as a finite double into `*out`; false when it is not one.
+bool ParseFiniteArg(const char* arg, double* out) {
+  auto v = ParseDouble(arg);
+  if (!v.ok() || !std::isfinite(*v)) return false;
+  *out = *v;
+  return true;
+}
+
+/// Parses `arg` as an integer >= `min` into `*out`; false when it is not one.
+template <typename T>
+bool ParseIntArg(const char* arg, int64_t min, T* out) {
+  auto v = ParseInt64(arg);
+  if (!v.ok() || *v < min) return false;
+  *out = static_cast<T>(*v);
+  return true;
+}
+
 int Generate(int argc, char** argv) {
   if (argc < 3) return Usage();
   const std::string out = argv[2];
   synth::CorpusConfig config;
-  config.num_users = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 50000;
-  if (argc > 4) config.seed = std::strtoull(argv[4], nullptr, 10);
+  config.num_users = 50000;
+  if (argc > 3 && !ParseIntArg(argv[3], 1, &config.num_users)) return Usage();
+  if (argc > 4 && !ParseIntArg(argv[4], 0, &config.seed)) return Usage();
 
   auto generator = synth::TweetGenerator::Create(config);
   if (!generator.ok()) {
@@ -109,15 +137,19 @@ int Stats(const std::string& path) {
 
 int Population(int argc, char** argv) {
   if (argc < 3) return Usage();
+  const std::string which = argc > 3 ? ToLower(argv[3]) : "all";
+  double radius_km = 0.0;  // 0 keeps each scale's default ε
+  if (argc > 4 && !(ParseFiniteArg(argv[4], &radius_km) && radius_km > 0.0)) {
+    return Usage();
+  }
   auto table = LoadCorpus(argv[2]);
   if (!table.ok()) {
     std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
     return 1;
   }
-  const std::string which = argc > 3 ? ToLower(argv[3]) : "all";
-  const double radius_km = argc > 4 ? std::strtod(argv[4], nullptr) : 0.0;
 
-  auto estimator = core::PopulationEstimator::Build(*table);
+  auto estimator = core::PopulationEstimator::Build(
+      tweetdb::TweetDataset::FromTable(std::move(*table)));
   if (!estimator.ok()) {
     std::fprintf(stderr, "%s\n", estimator.status().ToString().c_str());
     return 1;
@@ -146,20 +178,20 @@ int Population(int argc, char** argv) {
 }
 
 int Mobility(const std::string& path) {
-  auto table = LoadCorpus(path);
-  if (!table.ok()) {
-    std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
+  auto dataset = LoadCompacted(path);
+  if (!dataset.ok()) {
+    std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  table->CompactByUserTime();
-  auto estimator = core::PopulationEstimator::Build(*table);
+  core::AnalysisContext ctx;
+  auto estimator = core::PopulationEstimator::Build(*dataset, &ctx.pool());
   if (!estimator.ok()) {
     std::fprintf(stderr, "%s\n", estimator.status().ToString().c_str());
     return 1;
   }
   core::PipelineResult result;
   for (const core::ScaleSpec& spec : core::PaperScales()) {
-    auto mob = core::Pipeline::AnalyzeMobility(*table, *estimator, spec);
+    auto mob = core::AnalyzeScaleMobility(*dataset, spec, *estimator, ctx.pool());
     if (!mob.ok()) {
       std::fprintf(stderr, "%s: %s\n", spec.name.c_str(),
                    mob.status().ToString().c_str());
@@ -174,6 +206,10 @@ int Mobility(const std::string& path) {
 
 int Query(int argc, char** argv) {
   if (argc < 7) return Usage();
+  double bounds[4];
+  for (int i = 0; i < 4; ++i) {
+    if (!ParseFiniteArg(argv[3 + i], &bounds[i])) return Usage();
+  }
   auto table = LoadCorpus(argv[2]);
   if (!table.ok()) {
     std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
@@ -181,18 +217,15 @@ int Query(int argc, char** argv) {
   }
   table->SealActive();
   tweetdb::ScanSpec spec;
-  geo::BoundingBox box;
-  box.min_lat = std::strtod(argv[3], nullptr);
-  box.min_lon = std::strtod(argv[4], nullptr);
-  box.max_lat = std::strtod(argv[5], nullptr);
-  box.max_lon = std::strtod(argv[6], nullptr);
+  const geo::BoundingBox box{bounds[0], bounds[1], bounds[2], bounds[3]};
   if (!box.IsValid()) {
     std::fprintf(stderr, "invalid bounding box %s\n", box.ToString().c_str());
     return 1;
   }
   spec.bbox = box;
   size_t count = 0;
-  tweetdb::ScanStatistics stats = tweetdb::CountMatching(*table, spec, &count);
+  tweetdb::ScanStatistics stats = tweetdb::CountMatching(
+      tweetdb::TweetDataset::FromTable(std::move(*table)), spec, &count);
   std::printf("%zu tweets in %s (scanned %zu rows, pruned %zu/%zu blocks)\n",
               count, box.ToString().c_str(), stats.rows_scanned,
               stats.blocks_pruned, stats.blocks_total);
@@ -229,19 +262,32 @@ int Homes(const std::string& path) {
 
 int Predict(int argc, char** argv) {
   if (argc < 4) return Usage();
-  auto table = LoadCorpus(argv[2]);
-  if (!table.ok()) {
-    std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
+  core::PredictorConfig config;
+  config.outbreak_trials = 50;
+  if (argc > 4) {
+    const std::string source = ToLower(argv[4]);
+    if (source == "radiation") {
+      config.source = core::FlowSource::kRadiation;
+    } else if (source == "twitter") {
+      config.source = core::FlowSource::kExtracted;
+    } else if (source != "gravity") {
+      return Usage();
+    }
+  }
+  auto dataset = LoadCompacted(argv[2]);
+  if (!dataset.ok()) {
+    std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  table->CompactByUserTime();
-  auto estimator = core::PopulationEstimator::Build(*table);
+  core::AnalysisContext ctx;
+  auto estimator = core::PopulationEstimator::Build(*dataset, &ctx.pool());
   if (!estimator.ok()) {
     std::fprintf(stderr, "%s\n", estimator.status().ToString().c_str());
     return 1;
   }
   const core::ScaleSpec national = core::MakeScaleSpec(census::Scale::kNational);
-  auto mobility = core::Pipeline::AnalyzeMobility(*table, *estimator, national);
+  auto mobility =
+      core::AnalyzeScaleMobility(*dataset, national, *estimator, ctx.pool());
   if (!mobility.ok()) {
     std::fprintf(stderr, "%s\n", mobility.status().ToString().c_str());
     return 1;
@@ -250,13 +296,6 @@ int Predict(int argc, char** argv) {
   if (!predictor.ok()) {
     std::fprintf(stderr, "%s\n", predictor.status().ToString().c_str());
     return 1;
-  }
-  core::PredictorConfig config;
-  config.outbreak_trials = 50;
-  if (argc > 4) {
-    const std::string source = ToLower(argv[4]);
-    if (source == "radiation") config.source = core::FlowSource::kRadiation;
-    if (source == "twitter") config.source = core::FlowSource::kExtracted;
   }
   auto prediction = predictor->Predict(argv[3], config);
   if (!prediction.ok()) {

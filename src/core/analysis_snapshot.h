@@ -130,9 +130,6 @@ class AnalysisSnapshot {
     return scenario_sweep_;
   }
 
-  /// Moves the pipeline result out (Pipeline::Run's thin-consumer path).
-  PipelineResult TakeResult() && { return std::move(result_); }
-
  private:
   AnalysisSnapshot() = default;
 

@@ -166,8 +166,8 @@ Result<IncrementalAnalysis> DeltaAccumulator::Refresh(AnalysisContext* ctx) {
     if (!pop.ok()) return pop.status();
     out.population.push_back(std::move(*pop));
 
-    // Masses are the per-area unique-user counts — exactly what
-    // CountAreaMasses computes from the sealed index.
+    // Masses are the per-area unique-user counts — exactly what the staged
+    // trips stage takes from the population stage's estimate.
     std::vector<double> masses(n, 0.0);
     for (size_t i = 0; i < n; ++i) {
       masses[i] = static_cast<double>(unique_users[i]);

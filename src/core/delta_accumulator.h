@@ -48,7 +48,7 @@ struct IncrementalAnalysis {
 ///
 /// Trip semantics are the pipeline's defaults (TripOptions{}: unlimited
 /// gap). Per-user tweet sequences are kept in (time, lat, lon) order — the
-/// same total order a compacted dataset's merged iteration yields — and a
+/// same total order a globally compacted table stores — and a
 /// batch touching a user replays only that user's sequence (subtract old
 /// contributions, merge rows, add new ones).
 ///

@@ -63,41 +63,9 @@ struct PipelineConfig {
   bool run_mobility = true;
   /// Number of time shards the synthesized corpus is partitioned into
   /// (PartitionSpec::ForWindow over the collection window). 0 or 1 keeps
-  /// the single-shard layout, byte-identical to the monolithic-table path;
-  /// results are byte-identical for every value (DESIGN.md §3.2).
+  /// the single-shard layout; results are byte-identical for every value
+  /// (DESIGN.md §3.2).
   size_t num_shards = 1;
-};
-
-/// The paper's full pipeline: synthesize corpus → columnar store → compact
-/// → population estimation at three scales → trip extraction → model
-/// fitting → metrics.
-///
-/// A thin facade over the staged execution engine (stage_engine.h): each
-/// call assembles the named stages (`synthesize`, `compact`, `index`,
-/// `population`, `trips@<scale>`, `fit@<scale>`) and runs them on the
-/// context's thread pool. The corpus lives in a time-partitioned
-/// tweetdb::TweetDataset (config.num_shards shards); every parallel stage
-/// uses fixed chunking and ordered merges, so results are byte-identical
-/// for any thread count and any shard count.
-class Pipeline {
- public:
-  /// Generates a corpus per `config.corpus` and analyses it. When `ctx` is
-  /// null a context with the default thread count is created for the call;
-  /// otherwise the run executes on `ctx`'s pool and appends to its trace.
-  static Result<PipelineResult> Run(const PipelineConfig& config,
-                                    AnalysisContext* ctx = nullptr);
-
-  /// Analyses an existing table (e.g. loaded from CSV/binary). The table
-  /// is compacted in place when not already sorted.
-  static Result<PipelineResult> RunOnTable(tweetdb::TweetTable& table,
-                                           const PipelineConfig& config,
-                                           AnalysisContext* ctx = nullptr);
-
-  /// The mobility stage alone, for one scale. `estimator` supplies the
-  /// per-area masses (unique Twitter users, as the paper uses).
-  static Result<ScaleMobilityResult> AnalyzeMobility(
-      const tweetdb::TweetTable& table, const PopulationEstimator& estimator,
-      const ScaleSpec& spec, AnalysisContext* ctx = nullptr);
 };
 
 }  // namespace twimob::core

@@ -15,63 +15,10 @@ constexpr double kIndexCellDegrees = 0.05;
 }  // namespace
 
 Result<PopulationEstimator> PopulationEstimator::Build(
-    const tweetdb::TweetTable& table, ThreadPool* pool,
+    const tweetdb::TweetDataset& dataset, ThreadPool* pool,
     tweetdb::ScanStatistics* scan_stats) {
   // Bounds: the Australian study box, extended to cover stray points so no
   // tweet is clamped into a wrong cell's neighbourhood.
-  geo::BoundingBox bounds = geo::AustraliaBoundingBox();
-
-  if (pool != nullptr && table.fully_sealed()) {
-    // Block-parallel gather into per-block buffers; the merge below walks
-    // blocks in order, so the index contents match the serial build.
-    const size_t num_blocks = table.num_blocks();
-    std::vector<std::vector<geo::IndexedPoint>> per_block(num_blocks);
-    std::vector<geo::BoundingBox> per_block_bounds(num_blocks, bounds);
-    const tweetdb::ScanSpec match_all;
-    tweetdb::ScanStatistics stats = tweetdb::ParallelScanTable(
-        table, match_all, *pool,
-        [&per_block, &per_block_bounds](size_t b, const tweetdb::Tweet& t) {
-          per_block[b].push_back(geo::IndexedPoint{t.pos, t.user_id});
-          per_block_bounds[b].ExtendToInclude(t.pos);
-        });
-    if (scan_stats != nullptr) *scan_stats = stats;
-
-    for (const geo::BoundingBox& bb : per_block_bounds) {
-      bounds.ExtendToInclude(geo::LatLon{bb.min_lat, bb.min_lon});
-      bounds.ExtendToInclude(geo::LatLon{bb.max_lat, bb.max_lon});
-    }
-    auto index = geo::GridIndex::Create(bounds, kIndexCellDegrees);
-    if (!index.ok()) return index.status();
-    geo::GridIndex grid = std::move(*index);
-    for (const std::vector<geo::IndexedPoint>& points : per_block) {
-      grid.InsertAll(points);
-    }
-    return PopulationEstimator(std::make_unique<geo::SealedGridIndex>(grid.Seal()));
-  }
-
-  table.ForEachRow(
-      [&bounds](const tweetdb::Tweet& t) { bounds.ExtendToInclude(t.pos); });
-  auto index = geo::GridIndex::Create(bounds, kIndexCellDegrees);
-  if (!index.ok()) return index.status();
-  geo::GridIndex grid = std::move(*index);
-  table.ForEachRow([&grid](const tweetdb::Tweet& t) {
-    grid.Insert(geo::IndexedPoint{t.pos, t.user_id});
-  });
-  if (scan_stats != nullptr) {
-    *scan_stats = tweetdb::ScanStatistics{};
-    scan_stats->blocks_total = table.num_blocks();
-    scan_stats->rows_scanned = table.num_rows();
-    scan_stats->rows_matched = table.num_rows();
-  }
-  return PopulationEstimator(std::make_unique<geo::SealedGridIndex>(grid.Seal()));
-}
-
-Result<PopulationEstimator> PopulationEstimator::Build(
-    const tweetdb::TweetDataset& dataset, ThreadPool* pool,
-    tweetdb::ScanStatistics* scan_stats) {
-  if (dataset.num_shards() == 1) {
-    return Build(dataset.shard(0), pool, scan_stats);
-  }
   geo::BoundingBox bounds = geo::AustraliaBoundingBox();
 
   if (pool != nullptr && dataset.fully_sealed()) {

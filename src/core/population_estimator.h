@@ -11,8 +11,8 @@
 #include "geo/grid_index.h"
 #include "geo/sealed_grid_index.h"
 #include "stats/correlation.h"
+#include "tweetdb/dataset.h"
 #include "tweetdb/query.h"
-#include "tweetdb/table.h"
 
 namespace twimob::core {
 
@@ -45,24 +45,18 @@ struct PopulationEstimateResult {
 /// each area centre. Build once per corpus, estimate at any scale/radius.
 class PopulationEstimator {
  public:
-  /// Indexes every tweet of `table` into a uniform grid (cell ≈ 0.05°).
-  /// The table must outlive nothing — all data is copied into the index.
+  /// Indexes every tweet of `dataset` into a uniform grid (cell ≈ 0.05°);
+  /// all data is copied into the index, so the dataset need not outlive
+  /// the estimator. A table is indexed by wrapping it with the zero-copy
+  /// TweetDataset::FromTable.
   ///
-  /// With a `pool` and a fully-sealed table, rows are gathered with a
-  /// block-parallel scan (per-block buffers merged in block order, so the
-  /// index is identical to the serial build); otherwise a serial row scan
-  /// is used. `scan_stats`, when non-null, receives the merged storage-scan
-  /// statistics of the build.
-  static Result<PopulationEstimator> Build(
-      const tweetdb::TweetTable& table, ThreadPool* pool = nullptr,
-      tweetdb::ScanStatistics* scan_stats = nullptr);
-
-  /// Cross-shard build: indexes every tweet of a partitioned dataset. With
-  /// a pool and fully-sealed shards, rows are gathered with a (shard,
-  /// block)-parallel scan merged in global block order; a single-shard
-  /// dataset delegates to the table build exactly. Counting queries are
-  /// insertion-order-independent, so estimates are byte-identical for any
-  /// shard count.
+  /// With a `pool` and fully-sealed shards, rows are gathered with a
+  /// (shard, block)-parallel scan merged in global block order; otherwise a
+  /// serial row scan is used. Either way the index holds the same points in
+  /// the same order, and counting queries are insertion-order-independent,
+  /// so estimates are byte-identical for any thread or shard count.
+  /// `scan_stats`, when non-null, receives the storage-scan statistics of
+  /// the build.
   static Result<PopulationEstimator> Build(
       const tweetdb::TweetDataset& dataset, ThreadPool* pool = nullptr,
       tweetdb::ScanStatistics* scan_stats = nullptr);

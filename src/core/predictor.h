@@ -64,7 +64,7 @@ struct PredictorConfig {
 class DiseaseSpreadPredictor {
  public:
   /// Builds the predictor from an already-computed national mobility
-  /// analysis (see Pipeline::AnalyzeMobility). The spec must be the scale
+  /// analysis (see AnalyzeScaleMobility). The spec must be the scale
   /// the mobility result was computed on.
   static Result<DiseaseSpreadPredictor> Create(const ScaleSpec& spec,
                                                const ScaleMobilityResult& mobility);

@@ -200,33 +200,19 @@ class TripsStage : public Stage {
 
   Status Run(AnalysisContext& ctx, PipelineState& state,
              StageRecord& record) override {
-    if (!state.estimator.has_value()) {
-      return Status::FailedPrecondition(
-          "trips stage requires the index stage to run first");
-    }
     EnsureSpecs(state);
     if (scale_pos_ >= state.specs.size()) {
       return Status::InvalidArgument("trips stage: no such scale");
     }
-    const ScaleSpec& spec = state.specs[scale_pos_];
-
-    ScaleMobilityResult scale_result;
-    scale_result.scale_name = spec.name;
-    scale_result.radius_m = spec.radius_m;
-    auto od = mobility::ExtractTripsDataset(state.dataset, spec.areas,
-                                            spec.radius_m, ctx.pool(),
-                                            &scale_result.extraction);
-    if (!od.ok()) return od.status();
-
-    PipelineState::ScaleWork work;
-    work.masses = CountAreaMasses(*state.estimator, spec, ctx.pool());
-    work.distances = PairwiseDistances(spec.areas, ctx.pool());
-    scale_result.observations =
-        mobility::BuildObservations(*od, work.masses, work.distances);
-    work.observed.reserve(scale_result.observations.size());
-    for (const auto& o : scale_result.observations) {
-      work.observed.push_back(o.flow);
+    if (scale_pos_ >= state.result.population.size()) {
+      return Status::FailedPrecondition(
+          "trips stage requires the population stage to run first");
     }
+    ScaleMobilityResult scale_result;
+    ScaleWork work;
+    TWIMOB_RETURN_IF_ERROR(ExtractScaleTrips(
+        state.dataset, state.specs[scale_pos_],
+        state.result.population[scale_pos_], ctx.pool(), &scale_result, &work));
 
     // The extraction is itself a full storage scan; surface it alongside
     // the extraction counters.
@@ -269,7 +255,7 @@ class FitStage : public Stage {
     }
     EnsureSpecs(state);
     ScaleMobilityResult& scale_result = state.result.mobility[scale_pos_];
-    const PipelineState::ScaleWork& work = state.scale_work[scale_pos_];
+    const ScaleWork& work = state.scale_work[scale_pos_];
 
     double per_model_seconds[3] = {0.0, 0.0, 0.0};
     auto models = FitPaperModels(scale_result.observations,
@@ -323,14 +309,6 @@ StageList StageEngine::AnalysisStages(const PipelineConfig& config) {
 
 Status StageEngine::Run(AnalysisContext& ctx, const StageList& stages,
                         PipelineState& state) {
-  // Adopt a caller-supplied table as a single-shard dataset for the run
-  // (blocks and sort flag preserved exactly — the bytes the monolithic
-  // path analysed) and hand it back afterwards, even when a stage fails,
-  // so callers can inspect or reuse the compacted table.
-  tweetdb::TweetTable* external = state.external_table;
-  if (external != nullptr) {
-    state.dataset = tweetdb::TweetDataset::FromTable(std::move(*external));
-  }
   // A run over a recovered dataset starts with the recovery's own record;
   // when the recovery was degraded (salvaged data), every stage of the run
   // is flagged as having analysed partial data.
@@ -354,10 +332,6 @@ Status StageEngine::Run(AnalysisContext& ctx, const StageList& stages,
     state.result.trace.Append(std::move(record));
     if (!status.ok()) break;
   }
-  if (external != nullptr) {
-    *external = std::move(state.dataset).ReleaseTable();
-    state.dataset = tweetdb::TweetDataset();
-  }
   return status;
 }
 
@@ -375,16 +349,6 @@ std::vector<ScaleSpec> ResolveScaleSpecs(const PipelineConfig& config) {
     }
   }
   return specs;
-}
-
-std::vector<double> CountAreaMasses(const PopulationEstimator& estimator,
-                                    const ScaleSpec& spec, ThreadPool& pool) {
-  std::vector<double> masses(spec.areas.size(), 0.0);
-  pool.ParallelFor(spec.areas.size(), [&estimator, &spec, &masses](size_t i) {
-    masses[i] = static_cast<double>(
-        estimator.CountUniqueUsers(spec.areas[i].center, spec.radius_m));
-  });
-  return masses;
 }
 
 std::vector<double> PairwiseDistances(const std::vector<census::Area>& areas,
@@ -443,6 +407,53 @@ Result<std::vector<ModelSummary>> FitPaperModels(
     if (per_model_seconds != nullptr) per_model_seconds[m] = seconds[m];
   }
   return models;
+}
+
+Status ExtractScaleTrips(const tweetdb::TweetDataset& dataset,
+                         const ScaleSpec& spec,
+                         const PopulationEstimateResult& population,
+                         ThreadPool& pool, ScaleMobilityResult* scale,
+                         ScaleWork* work) {
+  if (population.areas.size() != spec.areas.size()) {
+    return Status::InvalidArgument(
+        "ExtractScaleTrips: population estimate must parallel spec.areas");
+  }
+  scale->scale_name = spec.name;
+  scale->radius_m = spec.radius_m;
+  auto od = mobility::ExtractTrips(dataset, spec.areas, spec.radius_m, pool,
+                                   &scale->extraction);
+  if (!od.ok()) return od.status();
+
+  work->masses.clear();
+  work->masses.reserve(population.areas.size());
+  for (const AreaPopulationEstimate& area : population.areas) {
+    work->masses.push_back(static_cast<double>(area.unique_users));
+  }
+  work->distances = PairwiseDistances(spec.areas, pool);
+  scale->observations =
+      mobility::BuildObservations(*od, work->masses, work->distances);
+  work->observed.clear();
+  work->observed.reserve(scale->observations.size());
+  for (const mobility::FlowObservation& o : scale->observations) {
+    work->observed.push_back(o.flow);
+  }
+  return Status::OK();
+}
+
+Result<ScaleMobilityResult> AnalyzeScaleMobility(
+    const tweetdb::TweetDataset& dataset, const ScaleSpec& spec,
+    const PopulationEstimator& estimator, ThreadPool& pool) {
+  auto population = estimator.Estimate(spec, &pool);
+  if (!population.ok()) return population.status();
+  ScaleMobilityResult result;
+  ScaleWork work;
+  TWIMOB_RETURN_IF_ERROR(
+      ExtractScaleTrips(dataset, spec, *population, pool, &result, &work));
+  auto models = FitPaperModels(result.observations, spec.areas, work.masses,
+                               work.observed, pool);
+  if (!models.ok()) return models.status();
+  result.models = std::move(*models);
+  return result;
 }
 
 }  // namespace twimob::core

@@ -10,9 +10,17 @@
 #include "core/analysis_context.h"
 #include "core/pipeline.h"
 #include "tweetdb/dataset.h"
-#include "tweetdb/table.h"
 
 namespace twimob::core {
+
+/// The per-scale intermediates of one mobility analysis, handed from trip
+/// extraction to the model fits.
+struct ScaleWork {
+  std::vector<double> masses;     ///< per-area Twitter population
+  std::vector<double> distances;  ///< flat row-major pairwise matrix
+  std::vector<double> observed;   ///< observed flows, parallel to the
+                                  ///< scale result's observations
+};
 
 /// Mutable state shared by the stages of one pipeline run. Create one per
 /// run; stages fill it in sequence, and `result` holds the final output.
@@ -24,15 +32,9 @@ struct PipelineState {
 
   PipelineConfig config;
 
-  /// Caller-supplied table (RunOnTable-style runs). When non-null,
-  /// StageEngine::Run adopts it into `dataset` as a single shard for the
-  /// run and hands it back — compacted — when the run finishes (also on
-  /// stage failure), so callers can inspect or reuse it.
-  tweetdb::TweetTable* external_table = nullptr;
-
   /// The partitioned store this run analyses: filled by the `synthesize`
-  /// stage (streaming ingest, config.num_shards time shards) or adopted
-  /// from `external_table` by the engine.
+  /// stage (streaming ingest, config.num_shards time shards) or moved in
+  /// by the caller (AnalysisSnapshot::Analyze).
   tweetdb::TweetDataset dataset;
 
   /// Recovery outcome of loading `dataset` from storage, set by the caller
@@ -53,12 +55,6 @@ struct PipelineState {
 
   /// Intermediates handed from `trips@<scale>` to `fit@<scale>`, one entry
   /// per completed trips stage (parallel to `result.mobility`).
-  struct ScaleWork {
-    std::vector<double> masses;     ///< per-area Twitter population
-    std::vector<double> distances;  ///< flat row-major pairwise matrix
-    std::vector<double> observed;   ///< observed flows, parallel to
-                                    ///< result.mobility[i].observations
-  };
   std::vector<ScaleWork> scale_work;
 
   PipelineResult result;
@@ -92,7 +88,7 @@ class StageEngine {
   /// The full paper pipeline: synthesize, then AnalysisStages().
   static StageList FullPipeline(const PipelineConfig& config);
 
-  /// The analysis stages for an existing table: `compact`, `index`,
+  /// The analysis stages for an existing dataset: `compact`, `index`,
   /// `population`, and (when config.run_mobility) `trips@<scale>` +
   /// `fit@<scale>` per paper scale.
   static StageList AnalysisStages(const PipelineConfig& config);
@@ -110,11 +106,6 @@ class StageEngine {
 /// (core::DeltaAccumulator) so both see identical specs.
 std::vector<ScaleSpec> ResolveScaleSpecs(const PipelineConfig& config);
 
-/// Pool-parallel per-area masses (unique Twitter users within the scale's
-/// radius), in area order — what the paper fits the models on.
-std::vector<double> CountAreaMasses(const PopulationEstimator& estimator,
-                                    const ScaleSpec& spec, ThreadPool& pool);
-
 /// Pool-parallel flat row-major pairwise great-circle distance matrix of
 /// the area centres. Each pair is computed once (upper triangle) and
 /// mirrored, matching the serial evaluation exactly.
@@ -129,6 +120,27 @@ Result<std::vector<ModelSummary>> FitPaperModels(
     const std::vector<census::Area>& areas, const std::vector<double>& masses,
     const std::vector<double>& observed, ThreadPool& pool,
     double* per_model_seconds = nullptr);
+
+/// Trip extraction of one scale — the `trips@<scale>` stage's work: extracts
+/// the OD matrix from the compacted `dataset`, then builds the off-diagonal
+/// observations with `population`'s unique users as the per-area masses
+/// (the paper's Twitter population) and the pairwise centre distances.
+/// `population` must be the estimate of `spec`. Fills `scale` (name,
+/// radius, extraction counters, observations) and `work`.
+Status ExtractScaleTrips(const tweetdb::TweetDataset& dataset,
+                         const ScaleSpec& spec,
+                         const PopulationEstimateResult& population,
+                         ThreadPool& pool, ScaleMobilityResult* scale,
+                         ScaleWork* work);
+
+/// The mobility analysis of one scale outside a staged run (custom scales,
+/// experiments): `estimator`'s estimate of `spec`, then ExtractScaleTrips
+/// and FitPaperModels — the helpers the `population`, `trips@<scale>` and
+/// `fit@<scale>` stages run, so the result equals the staged run's for the
+/// same dataset and spec. `estimator` must index `dataset`.
+Result<ScaleMobilityResult> AnalyzeScaleMobility(
+    const tweetdb::TweetDataset& dataset, const ScaleSpec& spec,
+    const PopulationEstimator& estimator, ThreadPool& pool);
 
 }  // namespace twimob::core
 

@@ -6,34 +6,15 @@
 #include <utility>
 
 #include "geo/geodesic.h"
+#include "tweetdb/query.h"
 
 namespace twimob::mobility {
 
 namespace {
 
-Status ValidateArgs(const tweetdb::TweetTable& table,
-                    const std::vector<census::Area>& areas, double radius_m,
-                    const TripOptions& options) {
-  if (areas.empty()) {
-    return Status::InvalidArgument("ExtractTrips requires at least one area");
-  }
-  if (!(radius_m > 0.0)) {
-    return Status::InvalidArgument("ExtractTrips requires a positive radius");
-  }
-  if (options.max_gap_seconds < 0) {
-    return Status::InvalidArgument("ExtractTrips requires max_gap_seconds >= 0");
-  }
-  if (!table.sorted_by_user_time()) {
-    return Status::FailedPrecondition(
-        "ExtractTrips requires a table compacted by (user, time); call "
-        "CompactByUserTime() first");
-  }
-  return Status::OK();
-}
-
-// The per-row state machine shared by the serial and block-parallel paths:
-// feeding the same rows in the same order produces the same flows and
-// counters wherever the machine runs.
+// The per-row state machine every extraction chunk runs: feeding the same
+// rows in the same order produces the same flows and counters wherever the
+// machine runs.
 class TripAccumulator {
  public:
   TripAccumulator(const std::vector<census::Area>& areas, double radius_m,
@@ -67,8 +48,6 @@ class TripAccumulator {
     prev_area_ = area;
     have_prev_ = true;
   }
-
-  void Process(const tweetdb::Tweet& t) { Process(t.user_id, t.timestamp, t.pos); }
 
   const ExtractionStats& stats() const { return stats_; }
 
@@ -177,109 +156,10 @@ std::optional<size_t> AssignToArea(const geo::LatLon& pos,
   return AreaAssigner(areas, radius_m).Assign(pos);
 }
 
-Result<OdMatrix> ExtractTrips(const tweetdb::TweetTable& table,
+Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
                               const std::vector<census::Area>& areas,
-                              double radius_m, ExtractionStats* stats,
-                              const TripOptions& options) {
-  TWIMOB_RETURN_IF_ERROR(ValidateArgs(table, areas, radius_m, options));
-
-  auto od = OdMatrix::Create(areas.size());
-  if (!od.ok()) return od.status();
-
-  TripAccumulator acc(areas, radius_m, options, &*od);
-  if (table.fully_sealed()) {
-    for (size_t b = 0; b < table.num_blocks(); ++b) {
-      const tweetdb::Block& block = table.block(b);
-      FeedBlockRows(block, 0, block.num_rows(), acc);
-    }
-  } else {
-    // Rows in the active tail are invisible to block iteration.
-    table.ForEachRow([&acc](const tweetdb::Tweet& t) { acc.Process(t); });
-  }
-
-  if (stats != nullptr) *stats = acc.stats();
-  return std::move(*od);
-}
-
-Result<OdMatrix> ExtractTripsParallel(const tweetdb::TweetTable& table,
-                                      const std::vector<census::Area>& areas,
-                                      double radius_m, ThreadPool& pool,
-                                      ExtractionStats* stats,
-                                      const TripOptions& options) {
-  TWIMOB_RETURN_IF_ERROR(ValidateArgs(table, areas, radius_m, options));
-  if (!table.fully_sealed()) {
-    // Rows in the active tail are invisible to block iteration.
-    return ExtractTrips(table, areas, radius_m, stats, options);
-  }
-
-  const size_t num_blocks = table.num_blocks();
-  std::vector<std::unique_ptr<OdMatrix>> partial(num_blocks);
-  std::vector<ExtractionStats> partial_stats(num_blocks);
-
-  pool.ParallelFor(num_blocks, [&](size_t b) {
-    const tweetdb::Block& block = table.block(b);
-    const size_t rows = block.num_rows();
-    if (rows == 0) return;
-
-    // Head rows continuing the run of the previous non-empty block's last
-    // user belong to that run's owner; skip them here.
-    size_t start = 0;
-    for (size_t pb = b; pb-- > 0;) {
-      const tweetdb::Block& prev = table.block(pb);
-      if (prev.num_rows() == 0) continue;
-      start = UserRunEnd(block, 0, prev.user_ids().back());
-      break;
-    }
-    if (start == rows) return;  // the whole block continues an earlier run
-
-    auto od = OdMatrix::Create(areas.size());  // cannot fail: areas validated
-    TripAccumulator acc(areas, radius_m, options, &*od);
-    FeedBlockRows(block, start, rows, acc);
-
-    // Follow the last run owned by this block across block boundaries; the
-    // next blocks' own tasks skip these rows.
-    const uint64_t run_user = block.user_ids().back();
-    for (size_t nb = b + 1; nb < num_blocks; ++nb) {
-      const tweetdb::Block& next = table.block(nb);
-      const size_t end = UserRunEnd(next, 0, run_user);
-      FeedBlockRows(next, 0, end, acc);
-      if (end < next.num_rows()) break;  // the run ended inside this block
-    }
-
-    partial_stats[b] = acc.stats();
-    partial[b] = std::make_unique<OdMatrix>(std::move(*od));
-  });
-
-  // Ordered merge: block order regardless of scheduling, so the totals are
-  // identical to the serial extractor's for any thread count.
-  auto merged = OdMatrix::Create(areas.size());
-  if (!merged.ok()) return merged.status();
-  ExtractionStats total;
-  const size_t n = areas.size();
-  for (size_t b = 0; b < num_blocks; ++b) {
-    MergeStats(partial_stats[b], &total);
-    if (partial[b] == nullptr) continue;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        const double flow = partial[b]->Flow(i, j);
-        if (flow > 0.0) merged->AddFlow(i, j, flow);
-      }
-    }
-  }
-  if (stats != nullptr) *stats = total;
-  return std::move(*merged);
-}
-
-Result<OdMatrix> ExtractTripsDataset(const tweetdb::TweetDataset& dataset,
-                                     const std::vector<census::Area>& areas,
-                                     double radius_m, ThreadPool& pool,
-                                     ExtractionStats* stats,
-                                     const TripOptions& options) {
-  if (dataset.num_shards() == 1) {
-    // The single-shard layout must reproduce the monolithic path exactly.
-    return ExtractTripsParallel(dataset.shard(0), areas, radius_m, pool, stats,
-                                options);
-  }
+                              double radius_m, ThreadPool& pool,
+                              ExtractionStats* stats, const TripOptions& options) {
   if (areas.empty()) {
     return Status::InvalidArgument("ExtractTrips requires at least one area");
   }
@@ -289,25 +169,16 @@ Result<OdMatrix> ExtractTripsDataset(const tweetdb::TweetDataset& dataset,
   if (options.max_gap_seconds < 0) {
     return Status::InvalidArgument("ExtractTrips requires max_gap_seconds >= 0");
   }
-  if (dataset.num_shards() == 0) {
-    if (stats != nullptr) *stats = ExtractionStats{};
-    return OdMatrix::Create(areas.size());
-  }
   if (!dataset.sorted_by_user_time() || !dataset.fully_sealed()) {
     return Status::FailedPrecondition(
-        "ExtractTripsDataset requires every shard compacted by (user, time); "
-        "call CompactShards() first");
+        "ExtractTrips requires every shard compacted by (user, time); call "
+        "CompactShards() first");
   }
 
   // Fixed chunking by (shard, block) in shard-key-major order.
   const size_t num_shards = dataset.num_shards();
-  std::vector<std::pair<size_t, size_t>> chunks;
-  chunks.reserve(dataset.num_blocks());
-  for (size_t s = 0; s < num_shards; ++s) {
-    for (size_t b = 0; b < dataset.shard(s).num_blocks(); ++b) {
-      chunks.emplace_back(s, b);
-    }
-  }
+  const std::vector<std::pair<size_t, size_t>> chunks =
+      tweetdb::DatasetBlockMap(dataset);
 
   std::vector<std::unique_ptr<OdMatrix>> partial(chunks.size());
   std::vector<ExtractionStats> partial_stats(chunks.size());

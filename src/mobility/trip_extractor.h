@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 #include "mobility/od_matrix.h"
 #include "tweetdb/dataset.h"
-#include "tweetdb/table.h"
 
 namespace twimob::mobility {
 
@@ -64,48 +63,27 @@ struct TripOptions {
 
 /// Extracts the Twitter mobility matrix (paper §IV): every pair of
 /// consecutive tweets of the same user whose first tweet maps to area i and
-/// second to area j (i ≠ j) contributes one trip to flow (i, j).
+/// second to area j (i ≠ j) contributes one trip to flow (i, j). `radius_m`
+/// is the scale's search radius ε. A table is analysed by wrapping it with
+/// the zero-copy TweetDataset::FromTable.
 ///
-/// `table` must be compacted by (user, time) — CompactByUserTime() — so
-/// that each user's tweets are contiguous and time-ordered; otherwise
-/// FailedPrecondition. `radius_m` is the scale's search radius ε.
-Result<OdMatrix> ExtractTrips(const tweetdb::TweetTable& table,
+/// Every shard must be compacted by (user, time) — CompactShards() — so
+/// that each user's rows are contiguous and time-ordered within a shard;
+/// otherwise FailedPrecondition. Because the shards partition time, a
+/// user's merged row sequence is their per-shard runs in shard-key order.
+///
+/// Work is chunked by (shard, block) and distributed over `pool`: a chunk
+/// owns the user runs starting in it whose user appears in no earlier
+/// shard (head rows continuing the previous block's last run belong to
+/// that run's owner), and follows each owned run across block boundaries
+/// and through later shards (located by zone-map binary search). Partial
+/// OD matrices and counters merge in global (shard, block) order, so the
+/// result is byte-identical for any thread count and any shard count.
+Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
                               const std::vector<census::Area>& areas,
-                              double radius_m, ExtractionStats* stats = nullptr,
+                              double radius_m, ThreadPool& pool,
+                              ExtractionStats* stats = nullptr,
                               const TripOptions& options = TripOptions{});
-
-/// Block-parallel ExtractTrips: storage blocks are distributed over `pool`;
-/// each task owns the user runs *starting* in its block (head rows
-/// continuing a run from an earlier block are skipped and processed by that
-/// run's owner, which follows its last run across block boundaries).
-/// Per-block OD matrices and counters are merged in block order, so the
-/// result is byte-identical to the serial extractor for any thread count —
-/// chunking is per block, never per thread.
-///
-/// Same preconditions as ExtractTrips; additionally falls back to the
-/// serial path when the table has unsealed rows.
-Result<OdMatrix> ExtractTripsParallel(const tweetdb::TweetTable& table,
-                                      const std::vector<census::Area>& areas,
-                                      double radius_m, ThreadPool& pool,
-                                      ExtractionStats* stats = nullptr,
-                                      const TripOptions& options = TripOptions{});
-
-/// Cross-shard ExtractTripsParallel over a time-partitioned dataset. Every
-/// shard must be compacted by (user, time) and sealed. Because the shards
-/// partition time, a user's merged row sequence is their per-shard runs in
-/// shard-key order; a task owns the user runs starting in its (shard,
-/// block) chunk whose user appears in no earlier shard, and follows each
-/// owned run through later blocks and later shards (located by zone-map
-/// binary search). Partial OD matrices and counters merge in global
-/// (shard, block) order, so the result is byte-identical to a single
-/// globally-compacted table's extraction for any thread count and any
-/// shard count. A single-shard dataset delegates to ExtractTripsParallel
-/// exactly.
-Result<OdMatrix> ExtractTripsDataset(const tweetdb::TweetDataset& dataset,
-                                     const std::vector<census::Area>& areas,
-                                     double radius_m, ThreadPool& pool,
-                                     ExtractionStats* stats = nullptr,
-                                     const TripOptions& options = TripOptions{});
 
 }  // namespace twimob::mobility
 

@@ -16,7 +16,7 @@ namespace twimob::tweetdb {
 /// time windows anchored at `origin`. Key k covers
 /// [origin + k*width_seconds, origin + (k+1)*width_seconds). A width of 0
 /// means "unpartitioned" — every row maps to key 0 (the single-shard
-/// layout, byte-identical to the monolithic TweetTable path).
+/// layout).
 struct PartitionSpec {
   int64_t origin = 0;
   int64_t width_seconds = 0;
@@ -211,13 +211,6 @@ class TweetDataset {
     for (const Shard& s : shards_) s.table.ForEachRow(fn);
   }
 
-  /// Invokes `fn(const Tweet&)` for every row in global (user, time, lat,
-  /// lon) order via a k-way merge of the shards — the cross-shard per-user
-  /// iteration. Requires every shard compacted and sealed; the merged
-  /// sequence equals what one globally compacted table would store.
-  template <typename Fn>
-  void ForEachRowMerged(Fn&& fn) const;
-
   /// Distinct user count across all shards.
   size_t CountDistinctUsers() const;
 
@@ -254,59 +247,6 @@ class TweetDataset {
   size_t block_capacity_;
   std::vector<Shard> shards_;  ///< ascending key order
 };
-
-template <typename Fn>
-void TweetDataset::ForEachRowMerged(Fn&& fn) const {
-  // Cursors over the shards, min-heap ordered by (user, time, lat, lon).
-  // Ties across shards break by shard order; fully equal rows are
-  // interchangeable, and rows with equal (user, time) but different
-  // coordinates are totally ordered by UserTimeLess, so the sequence is a
-  // deterministic total order.
-  struct Cursor {
-    const TweetTable* table;
-    size_t shard_idx;
-    size_t block = 0;
-    size_t row = 0;
-
-    bool AtEnd() const { return block >= table->num_blocks(); }
-    Tweet Get() const { return table->block(block).GetRow(row); }
-    void Advance() {
-      ++row;
-      while (block < table->num_blocks() &&
-             row >= table->block(block).num_rows()) {
-        ++block;
-        row = 0;
-      }
-    }
-  };
-
-  std::vector<Cursor> cursors;
-  cursors.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Cursor c{&shards_[s].table, s};
-    if (!c.AtEnd() && c.table->block(0).num_rows() == 0) c.Advance();
-    if (!c.AtEnd()) cursors.push_back(c);
-  }
-  auto cursor_greater = [](const Cursor& a, const Cursor& b) {
-    const Tweet ta = a.Get();
-    const Tweet tb = b.Get();
-    if (UserTimeLess(tb, ta)) return true;
-    if (UserTimeLess(ta, tb)) return false;
-    return a.shard_idx > b.shard_idx;
-  };
-  std::make_heap(cursors.begin(), cursors.end(), cursor_greater);
-  while (!cursors.empty()) {
-    std::pop_heap(cursors.begin(), cursors.end(), cursor_greater);
-    Cursor& top = cursors.back();
-    fn(top.Get());
-    top.Advance();
-    if (top.AtEnd()) {
-      cursors.pop_back();
-    } else {
-      std::push_heap(cursors.begin(), cursors.end(), cursor_greater);
-    }
-  }
-}
 
 }  // namespace twimob::tweetdb
 

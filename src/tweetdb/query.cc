@@ -170,6 +170,17 @@ void FilterBlockColumnarScalar(const Block& block, const ScanSpec& spec,
                           filter_internal::ScalarFilterKernels());
 }
 
+std::vector<std::pair<size_t, size_t>> DatasetBlockMap(const TweetDataset& dataset) {
+  std::vector<std::pair<size_t, size_t>> block_map;
+  block_map.reserve(dataset.num_blocks());
+  for (size_t s = 0; s < dataset.num_shards(); ++s) {
+    for (size_t b = 0; b < dataset.shard(s).num_blocks(); ++b) {
+      block_map.emplace_back(s, b);
+    }
+  }
+  return block_map;
+}
+
 const char* FilterKernelsImplementation() {
   return filter_internal::ActiveFilterKernels().name;
 }
@@ -214,107 +225,21 @@ size_t CountBlockColumnar(const Block& block, const ScanSpec& spec,
 
 }  // namespace internal
 
-ScanStatistics CountMatching(const TweetTable& table, const ScanSpec& spec,
-                             size_t* count) {
-  ScanStatistics stats;
-  stats.blocks_total = table.num_blocks();
-  std::vector<uint32_t> sel = internal::AcquireSelectionScratch();
+ScanStatistics CountMatching(const TweetDataset& dataset, const ScanSpec& spec,
+                             size_t* count, ThreadPool* pool) {
+  std::vector<size_t> per_block(dataset.num_blocks(), 0);
+  const ScanStatistics stats = internal::ForEachCandidateBlock(
+      dataset, spec, pool,
+      [&spec, &per_block](size_t g, const Block& block,
+                          ScanStatistics& block_stats) {
+        std::vector<uint32_t> sel = internal::AcquireSelectionScratch();
+        per_block[g] = internal::CountBlockColumnar(block, spec, sel, block_stats);
+        internal::ReleaseSelectionScratch(std::move(sel));
+      });
   size_t n = 0;
-  for (size_t b = 0; b < table.num_blocks(); ++b) {
-    if (!spec.MayMatchBlock(table.block_stats(b))) {
-      ++stats.blocks_pruned;
-      continue;
-    }
-    n += internal::CountBlockColumnar(table.block(b), spec, sel, stats);
-  }
-  internal::ReleaseSelectionScratch(std::move(sel));
+  for (const size_t c : per_block) n += c;
   *count = n;
   return stats;
-}
-
-ScanStatistics CollectMatching(const TweetTable& table, const ScanSpec& spec,
-                               std::vector<Tweet>* out) {
-  // Zone-map size hint: a match can only come from a non-pruned block.
-  size_t may_rows = 0;
-  for (size_t b = 0; b < table.num_blocks(); ++b) {
-    if (spec.MayMatchBlock(table.block_stats(b))) {
-      may_rows += table.block_stats(b).num_rows;
-    }
-  }
-  out->reserve(out->size() + may_rows);
-  return ScanTable(table, spec, [out](const Tweet& t) { out->push_back(t); });
-}
-
-TweetTable FilterTable(const TweetTable& table, const ScanSpec& spec) {
-  TweetTable out(table.block_capacity());
-  ScanTable(table, spec, [&out](const Tweet& t) { (void)out.Append(t); });
-  out.SealActive();
-  if (table.sorted_by_user_time()) out.MarkSortedByUserTime();
-  return out;
-}
-
-ScanStatistics ParallelCountMatching(const TweetTable& table, const ScanSpec& spec,
-                                     ThreadPool& pool, size_t* count) {
-  std::vector<size_t> per_count(table.num_blocks(), 0);
-  std::vector<ScanStatistics> per_stats(table.num_blocks());
-  pool.ParallelFor(table.num_blocks(), [&](size_t b) {
-    if (!spec.MayMatchBlock(table.block_stats(b))) {
-      ++per_stats[b].blocks_pruned;
-      return;
-    }
-    std::vector<uint32_t> sel = internal::AcquireSelectionScratch();
-    per_count[b] =
-        internal::CountBlockColumnar(table.block(b), spec, sel, per_stats[b]);
-    internal::ReleaseSelectionScratch(std::move(sel));
-  });
-  ScanStatistics total;
-  total.blocks_total = table.num_blocks();
-  size_t n = 0;
-  for (size_t b = 0; b < table.num_blocks(); ++b) {
-    total.blocks_pruned += per_stats[b].blocks_pruned;
-    total.rows_scanned += per_stats[b].rows_scanned;
-    total.rows_matched += per_stats[b].rows_matched;
-    n += per_count[b];
-  }
-  *count = n;
-  return total;
-}
-
-ScanStatistics ParallelCountMatchingDataset(const TweetDataset& dataset,
-                                            const ScanSpec& spec,
-                                            ThreadPool& pool, size_t* count) {
-  std::vector<std::pair<size_t, size_t>> block_map;
-  block_map.reserve(dataset.num_blocks());
-  for (size_t s = 0; s < dataset.num_shards(); ++s) {
-    for (size_t b = 0; b < dataset.shard(s).num_blocks(); ++b) {
-      block_map.emplace_back(s, b);
-    }
-  }
-  std::vector<size_t> per_count(block_map.size(), 0);
-  std::vector<ScanStatistics> per_stats(block_map.size());
-  pool.ParallelFor(block_map.size(), [&](size_t g) {
-    const auto [s, b] = block_map[g];
-    const TweetTable& table = dataset.shard(s);
-    if (!spec.MayMatchBlock(table.block_stats(b))) {
-      ++per_stats[g].blocks_pruned;
-      return;
-    }
-    std::vector<uint32_t> sel = internal::AcquireSelectionScratch();
-    per_count[g] =
-        internal::CountBlockColumnar(table.block(b), spec, sel, per_stats[g]);
-    internal::ReleaseSelectionScratch(std::move(sel));
-  });
-  ScanStatistics total;
-  total.blocks_total = block_map.size();
-  size_t n = 0;
-  for (size_t g = 0; g < block_map.size(); ++g) {
-    total.blocks_pruned += per_stats[g].blocks_pruned;
-    total.rows_scanned += per_stats[g].rows_scanned;
-    total.rows_matched += per_stats[g].rows_matched;
-    n += per_count[g];
-  }
-  *count = n;
-  return total;
 }
 
 }  // namespace twimob::tweetdb

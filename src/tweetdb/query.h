@@ -67,6 +67,11 @@ void FilterBlockColumnarScalar(const Block& block, const ScanSpec& spec,
 /// "sse4.2", or "scalar"), resolved once per process.
 const char* FilterKernelsImplementation();
 
+/// Global block index -> (shard, block) of every sealed block of `dataset`,
+/// in (shard key, block) order — the fixed chunking of every dataset scan
+/// and of trip extraction.
+std::vector<std::pair<size_t, size_t>> DatasetBlockMap(const TweetDataset& dataset);
+
 namespace internal {
 
 /// Takes the calling thread's cached selection-list scratch vector (empty,
@@ -117,137 +122,31 @@ void ScanBlockColumnar(const Block& block, const ScanSpec& spec,
 size_t CountBlockColumnar(const Block& block, const ScanSpec& spec,
                           std::vector<uint32_t>& sel_scratch, ScanStatistics& stats);
 
-/// ScanTable body with a caller-provided selection scratch, so multi-table
-/// scans (ScanDataset) reuse one allocation across every shard.
-template <typename Fn>
-ScanStatistics ScanTableWithScratch(const TweetTable& table, const ScanSpec& spec,
-                                    std::vector<uint32_t>& sel, Fn&& fn) {
-  ScanStatistics stats;
-  stats.blocks_total = table.num_blocks();
-  for (size_t b = 0; b < table.num_blocks(); ++b) {
-    if (!spec.MayMatchBlock(table.block_stats(b))) {
-      ++stats.blocks_pruned;
-      continue;
-    }
-    ScanBlockColumnar(table.block(b), spec, sel, stats, fn);
-  }
-  return stats;
-}
-
-}  // namespace internal
-
-/// Scans `table` (sealed blocks and the active tail must be sealed first —
-/// call table.SealActive()), invoking `fn(const Tweet&)` on every match.
-/// Returns pruning statistics.
-template <typename Fn>
-ScanStatistics ScanTable(const TweetTable& table, const ScanSpec& spec, Fn&& fn) {
-  std::vector<uint32_t> sel = internal::AcquireSelectionScratch();
-  const ScanStatistics stats =
-      internal::ScanTableWithScratch(table, spec, sel, fn);
-  internal::ReleaseSelectionScratch(std::move(sel));
-  return stats;
-}
-
-/// Counts matching rows.
-ScanStatistics CountMatching(const TweetTable& table, const ScanSpec& spec,
-                             size_t* count);
-
-/// Materialises matching rows. Reserves `out` capacity from the zone maps
-/// (total rows of the non-pruned blocks).
-ScanStatistics CollectMatching(const TweetTable& table, const ScanSpec& spec,
-                               std::vector<Tweet>* out);
-
-/// Data-parallel scan: blocks are distributed over `pool`; `fn` is invoked
-/// as fn(block_index, const Tweet&) for every match and MUST be safe to
-/// call concurrently from different blocks (e.g. write into per-block
-/// slots). Zone-map pruning applies per block. Returns merged statistics.
-template <typename Fn>
-ScanStatistics ParallelScanTable(const TweetTable& table, const ScanSpec& spec,
-                                 ThreadPool& pool, Fn&& fn) {
-  const size_t num_blocks = table.num_blocks();
-  std::vector<ScanStatistics> per_block(num_blocks);
-  pool.ParallelFor(num_blocks, [&table, &spec, &per_block, &fn](size_t b) {
-    ScanStatistics& stats = per_block[b];
-    if (!spec.MayMatchBlock(table.block_stats(b))) {
-      ++stats.blocks_pruned;
-      return;
-    }
-    std::vector<uint32_t> sel = internal::AcquireSelectionScratch();
-    internal::ScanBlockColumnar(table.block(b), spec, sel, stats,
-                                [&fn, b](const Tweet& t) { fn(b, t); });
-    internal::ReleaseSelectionScratch(std::move(sel));
-  });
-  ScanStatistics total;
-  total.blocks_total = num_blocks;
-  for (const ScanStatistics& s : per_block) {
-    total.blocks_pruned += s.blocks_pruned;
-    total.rows_scanned += s.rows_scanned;
-    total.rows_matched += s.rows_matched;
-  }
-  return total;
-}
-
-/// Parallel count of matching rows.
-ScanStatistics ParallelCountMatching(const TweetTable& table, const ScanSpec& spec,
-                                     ThreadPool& pool, size_t* count);
-
-/// Serial cross-shard scan: shards are visited in ascending key order, each
-/// with the block-pruned ScanTable path; `fn(const Tweet&)` runs on every
-/// match. Statistics merge across shards.
-template <typename Fn>
-ScanStatistics ScanDataset(const TweetDataset& dataset, const ScanSpec& spec,
-                           Fn&& fn) {
-  ScanStatistics total;
-  // One selection scratch for the whole dataset: the first block grows it
-  // to its row count and every later block (in every shard) reuses the
-  // capacity.
-  std::vector<uint32_t> sel = internal::AcquireSelectionScratch();
-  for (size_t s = 0; s < dataset.num_shards(); ++s) {
-    const ScanStatistics stats =
-        internal::ScanTableWithScratch(dataset.shard(s), spec, sel, fn);
-    total.blocks_total += stats.blocks_total;
-    total.blocks_pruned += stats.blocks_pruned;
-    total.rows_scanned += stats.rows_scanned;
-    total.rows_matched += stats.rows_matched;
-  }
-  internal::ReleaseSelectionScratch(std::move(sel));
-  return total;
-}
-
-/// Data-parallel cross-shard scan. Chunking is fixed by (shard, block):
-/// every sealed block of every shard gets a global index in (shard key,
-/// block) order and `fn` is invoked as fn(global_block_index, const Tweet&)
-/// for every match. `fn` MUST be safe to call concurrently from different
-/// blocks (e.g. write into per-global-block slots). The merge of the
-/// statistics runs in global block order, so results are identical for any
-/// thread count, and a single-shard dataset reproduces ParallelScanTable
-/// exactly.
-template <typename Fn>
-ScanStatistics ParallelScanDataset(const TweetDataset& dataset,
-                                   const ScanSpec& spec, ThreadPool& pool,
-                                   Fn&& fn) {
-  // Global block index -> (shard, block) map, in shard-major order.
-  std::vector<std::pair<size_t, size_t>> block_map;
-  block_map.reserve(dataset.num_blocks());
-  for (size_t s = 0; s < dataset.num_shards(); ++s) {
-    for (size_t b = 0; b < dataset.shard(s).num_blocks(); ++b) {
-      block_map.emplace_back(s, b);
-    }
-  }
+/// The one dataset scan loop: runs `block_fn(global_block_index, block,
+/// stats)` on every block whose zone map may match `spec` (pruned blocks
+/// only count as pruned), on `pool` when it is non-null and serially in
+/// global block order otherwise. Per-block statistics merge in global block
+/// order, so the totals are identical for any thread count.
+template <typename BlockFn>
+ScanStatistics ForEachCandidateBlock(const TweetDataset& dataset,
+                                     const ScanSpec& spec, ThreadPool* pool,
+                                     BlockFn&& block_fn) {
+  const std::vector<std::pair<size_t, size_t>> block_map = DatasetBlockMap(dataset);
   std::vector<ScanStatistics> per_block(block_map.size());
-  pool.ParallelFor(block_map.size(), [&](size_t g) {
+  const auto visit = [&](size_t g) {
     const auto [s, b] = block_map[g];
     const TweetTable& table = dataset.shard(s);
-    ScanStatistics& stats = per_block[g];
     if (!spec.MayMatchBlock(table.block_stats(b))) {
-      ++stats.blocks_pruned;
+      ++per_block[g].blocks_pruned;
       return;
     }
-    std::vector<uint32_t> sel = internal::AcquireSelectionScratch();
-    internal::ScanBlockColumnar(table.block(b), spec, sel, stats,
-                                [&fn, g](const Tweet& t) { fn(g, t); });
-    internal::ReleaseSelectionScratch(std::move(sel));
-  });
+    block_fn(g, table.block(b), per_block[g]);
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(block_map.size(), visit);
+  } else {
+    for (size_t g = 0; g < block_map.size(); ++g) visit(g);
+  }
   ScanStatistics total;
   total.blocks_total = block_map.size();
   for (const ScanStatistics& s : per_block) {
@@ -258,17 +157,54 @@ ScanStatistics ParallelScanDataset(const TweetDataset& dataset,
   return total;
 }
 
-/// Parallel cross-shard count of matching rows.
-ScanStatistics ParallelCountMatchingDataset(const TweetDataset& dataset,
-                                            const ScanSpec& spec,
-                                            ThreadPool& pool, size_t* count);
+}  // namespace internal
 
-/// Materialises the rows matching `spec` into a fresh table, preserving
-/// scan order. When the source is compacted by (user, time) the result is
-/// too (the scan visits rows in storage order), so downstream trip
-/// extraction works without re-sorting. Used by the temporal analyses to
-/// slice the collection window.
-TweetTable FilterTable(const TweetTable& table, const ScanSpec& spec);
+/// Serial cross-shard scan: shards are visited in ascending key order, each
+/// in block order with zone-map pruning; `fn(const Tweet&)` runs on every
+/// match. Only sealed blocks are scanned (seal first). A table is scanned
+/// by wrapping it with the zero-copy TweetDataset::FromTable.
+template <typename Fn>
+ScanStatistics ScanDataset(const TweetDataset& dataset, const ScanSpec& spec,
+                           Fn&& fn) {
+  // One selection scratch for the whole dataset: the first block grows it
+  // to its row count and every later block (in every shard) reuses the
+  // capacity.
+  std::vector<uint32_t> sel = internal::AcquireSelectionScratch();
+  const ScanStatistics stats = internal::ForEachCandidateBlock(
+      dataset, spec, nullptr,
+      [&spec, &sel, &fn](size_t, const Block& block, ScanStatistics& block_stats) {
+        internal::ScanBlockColumnar(block, spec, sel, block_stats, fn);
+      });
+  internal::ReleaseSelectionScratch(std::move(sel));
+  return stats;
+}
+
+/// Data-parallel cross-shard scan. Chunking is fixed by (shard, block):
+/// every sealed block of every shard gets a global index in (shard key,
+/// block) order and `fn` is invoked as fn(global_block_index, const Tweet&)
+/// for every match. `fn` MUST be safe to call concurrently from different
+/// blocks (e.g. write into per-global-block slots). The merge of the
+/// statistics runs in global block order, so results are identical for any
+/// thread count.
+template <typename Fn>
+ScanStatistics ParallelScanDataset(const TweetDataset& dataset,
+                                   const ScanSpec& spec, ThreadPool& pool,
+                                   Fn&& fn) {
+  return internal::ForEachCandidateBlock(
+      dataset, spec, &pool,
+      [&spec, &fn](size_t g, const Block& block, ScanStatistics& block_stats) {
+        std::vector<uint32_t> sel = internal::AcquireSelectionScratch();
+        internal::ScanBlockColumnar(block, spec, sel, block_stats,
+                                    [&fn, g](const Tweet& t) { fn(g, t); });
+        internal::ReleaseSelectionScratch(std::move(sel));
+      });
+}
+
+/// Counts the rows of `dataset` matching `spec` without gathering them;
+/// block-parallel on `pool` when it is non-null. The count and statistics
+/// are identical either way.
+ScanStatistics CountMatching(const TweetDataset& dataset, const ScanSpec& spec,
+                             size_t* count, ThreadPool* pool = nullptr);
 
 }  // namespace twimob::tweetdb
 

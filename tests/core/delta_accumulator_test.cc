@@ -142,7 +142,7 @@ class DeltaAccumulatorTest : public ::testing::Test {
     rows_ = new std::vector<tweetdb::Tweet>();
     snapshot->dataset().ForEachRow(
         [](const tweetdb::Tweet& t) { rows_->push_back(t); });
-    reference_ = new PipelineResult(std::move(*snapshot).TakeResult());
+    reference_ = new PipelineResult(snapshot->result());
   }
   static void TearDownTestSuite() {
     delete rows_;
@@ -206,8 +206,7 @@ TEST_F(DeltaAccumulatorTest, MatchesRebuildAtEveryShardCount) {
   // match it no matter how the merged corpus would be partitioned.
   auto sharded = AnalysisSnapshot::Build(Config(4));
   ASSERT_TRUE(sharded.ok()) << sharded.status();
-  ExpectMatchesReference(IngestAndRefresh(rows(), 3000),
-                         std::move(*sharded).TakeResult());
+  ExpectMatchesReference(IngestAndRefresh(rows(), 3000), sharded->result());
 }
 
 TEST_F(DeltaAccumulatorTest, RepeatedRefreshIsIdempotent) {

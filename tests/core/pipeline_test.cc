@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "core/analysis_snapshot.h"
 #include "tweetdb/csv_codec.h"
 
 #include <gtest/gtest.h>
@@ -17,9 +18,9 @@ class PipelineTest : public ::testing::Test {
     PipelineConfig config;
     config.corpus.num_users = 40000;
     config.corpus.seed = 7;
-    auto run = Pipeline::Run(config);
+    auto run = AnalysisSnapshot::Build(config);
     ASSERT_TRUE(run.ok()) << run.status();
-    result_ = new PipelineResult(std::move(*run));
+    result_ = new PipelineResult(run->result());
   }
   static void TearDownTestSuite() {
     delete result_;
@@ -108,10 +109,10 @@ TEST(PipelineConfigTest, MetroRadiusOverridePropagates) {
   config.corpus.seed = 11;
   config.metro_radius_override_m = 500.0;
   config.run_mobility = false;
-  auto run = Pipeline::Run(config);
+  auto run = AnalysisSnapshot::Build(config);
   ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_DOUBLE_EQ(run->population[2].radius_m, 500.0);
-  EXPECT_TRUE(run->mobility.empty());
+  EXPECT_DOUBLE_EQ(run->result().population[2].radius_m, 500.0);
+  EXPECT_TRUE(run->result().mobility.empty());
 }
 
 TEST(PipelineConfigTest, DeterministicAcrossRuns) {
@@ -119,22 +120,24 @@ TEST(PipelineConfigTest, DeterministicAcrossRuns) {
   config.corpus.num_users = 4000;
   config.corpus.seed = 321;
   config.run_mobility = false;
-  auto a = Pipeline::Run(config);
-  auto b = Pipeline::Run(config);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_DOUBLE_EQ(a->pooled_population_correlation.r,
-                   b->pooled_population_correlation.r);
+  auto run_a = AnalysisSnapshot::Build(config);
+  auto run_b = AnalysisSnapshot::Build(config);
+  ASSERT_TRUE(run_a.ok());
+  ASSERT_TRUE(run_b.ok());
+  const PipelineResult& a = run_a->result();
+  const PipelineResult& b = run_b->result();
+  EXPECT_DOUBLE_EQ(a.pooled_population_correlation.r,
+                   b.pooled_population_correlation.r);
   for (size_t s = 0; s < 3; ++s) {
-    ASSERT_EQ(a->population[s].areas.size(), b->population[s].areas.size());
-    for (size_t i = 0; i < a->population[s].areas.size(); ++i) {
-      EXPECT_EQ(a->population[s].areas[i].unique_users,
-                b->population[s].areas[i].unique_users);
+    ASSERT_EQ(a.population[s].areas.size(), b.population[s].areas.size());
+    for (size_t i = 0; i < a.population[s].areas.size(); ++i) {
+      EXPECT_EQ(a.population[s].areas[i].unique_users,
+                b.population[s].areas[i].unique_users);
     }
   }
 }
 
-TEST(PipelineConfigTest, RunOnTableCompactsWhenNeeded) {
+TEST(PipelineConfigTest, AnalyzeCompactsWhenNeeded) {
   synth::CorpusConfig corpus;
   corpus.num_users = 2000;
   corpus.seed = 13;
@@ -147,64 +150,11 @@ TEST(PipelineConfigTest, RunOnTableCompactsWhenNeeded) {
   PipelineConfig config;
   config.corpus = corpus;
   config.run_mobility = false;
-  auto run = Pipeline::RunOnTable(*table, config);
-  ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_TRUE(table->sorted_by_user_time());
-  EXPECT_EQ(run->population.size(), 3u);
-}
-
-TEST(PipelineShardingTest, ResultsInvariantAcrossShardCounts) {
-  // The same seed analysed as 1, 4 and 16 time shards must produce
-  // byte-identical results end to end — population counts, extracted
-  // trips, and fitted model parameters (DESIGN.md §3.2).
-  PipelineConfig config;
-  config.corpus.num_users = 4000;
-  config.corpus.seed = 99;
-
-  config.num_shards = 1;
-  auto baseline = Pipeline::Run(config);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-
-  for (size_t shards : {4u, 16u}) {
-    config.num_shards = shards;
-    auto run = Pipeline::Run(config);
-    ASSERT_TRUE(run.ok()) << run.status();
-
-    EXPECT_EQ(run->generation.num_tweets, baseline->generation.num_tweets);
-    ASSERT_EQ(run->population.size(), baseline->population.size());
-    for (size_t s = 0; s < baseline->population.size(); ++s) {
-      const auto& pa = baseline->population[s];
-      const auto& pb = run->population[s];
-      ASSERT_EQ(pa.areas.size(), pb.areas.size());
-      for (size_t i = 0; i < pa.areas.size(); ++i) {
-        EXPECT_EQ(pa.areas[i].unique_users, pb.areas[i].unique_users)
-            << shards << " shards, scale " << s << " area " << i;
-        EXPECT_EQ(pa.areas[i].tweet_count, pb.areas[i].tweet_count);
-      }
-      EXPECT_EQ(pa.correlation.r, pb.correlation.r);
-    }
-    ASSERT_EQ(run->mobility.size(), baseline->mobility.size());
-    for (size_t s = 0; s < baseline->mobility.size(); ++s) {
-      const auto& ma = baseline->mobility[s];
-      const auto& mb = run->mobility[s];
-      EXPECT_EQ(ma.extraction.tweets_seen, mb.extraction.tweets_seen);
-      EXPECT_EQ(ma.extraction.consecutive_pairs, mb.extraction.consecutive_pairs);
-      EXPECT_EQ(ma.extraction.inter_area_trips, mb.extraction.inter_area_trips);
-      ASSERT_EQ(ma.observations.size(), mb.observations.size());
-      for (size_t i = 0; i < ma.observations.size(); ++i) {
-        EXPECT_EQ(ma.observations[i].src, mb.observations[i].src);
-        EXPECT_EQ(ma.observations[i].dst, mb.observations[i].dst);
-        EXPECT_EQ(ma.observations[i].flow, mb.observations[i].flow);
-      }
-      ASSERT_EQ(ma.models.size(), mb.models.size());
-      for (size_t m = 0; m < ma.models.size(); ++m) {
-        EXPECT_EQ(ma.models[m].metrics.pearson_r, mb.models[m].metrics.pearson_r);
-        EXPECT_EQ(ma.models[m].alpha, mb.models[m].alpha);
-        EXPECT_EQ(ma.models[m].beta, mb.models[m].beta);
-        EXPECT_EQ(ma.models[m].gamma, mb.models[m].gamma);
-      }
-    }
-  }
+  auto snapshot = AnalysisSnapshot::Analyze(
+      tweetdb::TweetDataset::FromTable(std::move(*table)), config);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  EXPECT_TRUE(snapshot->dataset().sorted_by_user_time());
+  EXPECT_EQ(snapshot->result().population.size(), 3u);
 }
 
 TEST(PipelineShardingTest, PerShardTraceRowsOnlyWhenPartitioned) {
@@ -213,17 +163,17 @@ TEST(PipelineShardingTest, PerShardTraceRowsOnlyWhenPartitioned) {
   config.corpus.seed = 17;
   config.run_mobility = false;
 
-  auto single = Pipeline::Run(config);
+  auto single = AnalysisSnapshot::Build(config);
   ASSERT_TRUE(single.ok());
-  for (const StageRecord& r : single->trace.stages()) {
+  for (const StageRecord& r : single->result().trace.stages()) {
     EXPECT_EQ(r.name.find("/shard"), std::string::npos) << r.name;
   }
 
   config.num_shards = 4;
-  auto sharded = Pipeline::Run(config);
+  auto sharded = AnalysisSnapshot::Build(config);
   ASSERT_TRUE(sharded.ok());
   size_t compact_subs = 0, index_subs = 0;
-  for (const StageRecord& r : sharded->trace.stages()) {
+  for (const StageRecord& r : sharded->result().trace.stages()) {
     if (r.name.rfind("compact/shard", 0) == 0) ++compact_subs;
     if (r.name.rfind("index/shard", 0) == 0) ++index_subs;
   }
@@ -253,19 +203,21 @@ TEST(PipelineIntegrationTest, CsvRoundTripPreservesAnalysis) {
 
   PipelineConfig config;
   config.run_mobility = false;
-  auto a = Pipeline::RunOnTable(*direct, config);
-  auto b = Pipeline::RunOnTable(*ingested, config);
+  auto a = AnalysisSnapshot::Analyze(
+      tweetdb::TweetDataset::FromTable(std::move(*direct)), config);
+  auto b = AnalysisSnapshot::Analyze(
+      tweetdb::TweetDataset::FromTable(std::move(*ingested)), config);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (size_t s = 0; s < 3; ++s) {
     for (size_t i = 0; i < 20; ++i) {
-      EXPECT_EQ(a->population[s].areas[i].unique_users,
-                b->population[s].areas[i].unique_users)
+      EXPECT_EQ(a->result().population[s].areas[i].unique_users,
+                b->result().population[s].areas[i].unique_users)
           << s << "/" << i;
     }
   }
-  EXPECT_DOUBLE_EQ(a->pooled_population_correlation.r,
-                   b->pooled_population_correlation.r);
+  EXPECT_DOUBLE_EQ(a->result().pooled_population_correlation.r,
+                   b->result().pooled_population_correlation.r);
 }
 
 }  // namespace

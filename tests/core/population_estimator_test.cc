@@ -22,7 +22,8 @@ TEST(PopulationEstimatorTest, CountsUniqueUsersNotTweets) {
   // User 3 tweets in Perth.
   ASSERT_TRUE(table.Append(At(3, geo::LatLon{-31.95, 115.86}, 5)).ok());
 
-  auto est = PopulationEstimator::Build(table);
+  auto est = PopulationEstimator::Build(
+      tweetdb::TweetDataset::FromTable(std::move(table)));
   ASSERT_TRUE(est.ok());
   EXPECT_EQ(est->num_indexed_tweets(), 5u);
   EXPECT_EQ(est->CountUniqueUsers(sydney, 2000.0), 2u);
@@ -36,7 +37,8 @@ TEST(PopulationEstimatorTest, RadiusBoundaryInclusive) {
   const geo::LatLon center{-33.0, 151.0};
   const geo::LatLon at_2km = geo::DestinationPoint(center, 45.0, 2000.0);
   ASSERT_TRUE(table.Append(At(1, at_2km)).ok());
-  auto est = PopulationEstimator::Build(table);
+  auto est = PopulationEstimator::Build(
+      tweetdb::TweetDataset::FromTable(std::move(table)));
   ASSERT_TRUE(est.ok());
   EXPECT_EQ(est->CountUniqueUsers(center, 2001.0), 1u);
   EXPECT_EQ(est->CountUniqueUsers(center, 1990.0), 0u);
@@ -45,7 +47,8 @@ TEST(PopulationEstimatorTest, RadiusBoundaryInclusive) {
 TEST(PopulationEstimatorTest, EstimateValidatesSpec) {
   tweetdb::TweetTable table;
   ASSERT_TRUE(table.Append(At(1, geo::LatLon{-33.0, 151.0})).ok());
-  auto est = PopulationEstimator::Build(table);
+  auto est = PopulationEstimator::Build(
+      tweetdb::TweetDataset::FromTable(std::move(table)));
   ASSERT_TRUE(est.ok());
   ScaleSpec empty;
   EXPECT_TRUE(est->Estimate(empty).status().IsInvalidArgument());
@@ -66,7 +69,8 @@ TEST(PopulationEstimatorTest, EstimateComputesRescaleAndCorrelation) {
       ASSERT_TRUE(table.Append(At(next_user++, a.center)).ok());
     }
   }
-  auto est = PopulationEstimator::Build(table);
+  auto est = PopulationEstimator::Build(
+      tweetdb::TweetDataset::FromTable(std::move(table)));
   ASSERT_TRUE(est.ok());
   auto result = est->Estimate(spec);
   ASSERT_TRUE(result.ok());

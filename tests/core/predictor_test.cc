@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/population_estimator.h"
+#include "core/stage_engine.h"
 #include "synth/tweet_generator.h"
 
 namespace twimob::core {
@@ -22,10 +23,13 @@ class PredictorTest : public ::testing::Test {
     auto table = gen->Generate();
     ASSERT_TRUE(table.ok());
     table->CompactByUserTime();
-    auto estimator = PopulationEstimator::Build(*table);
+    const tweetdb::TweetDataset dataset =
+        tweetdb::TweetDataset::FromTable(std::move(*table));
+    ThreadPool pool(2);
+    auto estimator = PopulationEstimator::Build(dataset, &pool);
     ASSERT_TRUE(estimator.ok());
     spec_ = new ScaleSpec(MakeScaleSpec(census::Scale::kNational));
-    auto mobility = Pipeline::AnalyzeMobility(*table, *estimator, *spec_);
+    auto mobility = AnalyzeScaleMobility(dataset, *spec_, *estimator, pool);
     ASSERT_TRUE(mobility.ok()) << mobility.status();
     mobility_ = new ScaleMobilityResult(std::move(*mobility));
   }

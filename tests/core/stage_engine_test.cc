@@ -1,9 +1,8 @@
 #include "core/stage_engine.h"
 
-#include <cstring>
-
 #include <gtest/gtest.h>
 
+#include "core/analysis_snapshot.h"
 #include "core/report.h"
 
 namespace twimob::core {
@@ -16,18 +15,14 @@ PipelineConfig SmallConfig() {
   return config;
 }
 
-bool BitEq(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
 class StageEngineTest : public ::testing::Test {
  protected:
   // One shared full run for the trace-shape assertions.
   static const PipelineResult& SharedResult() {
     static const PipelineResult result = [] {
-      auto run = Pipeline::Run(SmallConfig());
+      auto run = AnalysisSnapshot::Build(SmallConfig());
       EXPECT_TRUE(run.ok()) << run.status().ToString();
-      return std::move(*run);
+      return run->result();
     }();
     return result;
   }
@@ -99,80 +94,29 @@ TEST_F(StageEngineTest, RenderTraceTableShowsEveryStage) {
   }
 }
 
-TEST_F(StageEngineTest, ThreadCountDoesNotChangeResults) {
-  const PipelineConfig config = SmallConfig();
-  AnalysisContext serial_ctx(1);
-  auto serial = Pipeline::Run(config, &serial_ctx);
-  ASSERT_TRUE(serial.ok());
-  AnalysisContext pooled_ctx(4);
-  auto pooled = Pipeline::Run(config, &pooled_ctx);
-  ASSERT_TRUE(pooled.ok());
-
-  ASSERT_EQ(pooled->population.size(), serial->population.size());
-  for (size_t s = 0; s < serial->population.size(); ++s) {
-    const auto& a = serial->population[s];
-    const auto& b = pooled->population[s];
-    EXPECT_TRUE(BitEq(b.correlation.r, a.correlation.r)) << s;
-    EXPECT_TRUE(BitEq(b.rescale_factor, a.rescale_factor)) << s;
-    ASSERT_EQ(b.areas.size(), a.areas.size());
-    for (size_t i = 0; i < a.areas.size(); ++i) {
-      EXPECT_EQ(b.areas[i].unique_users, a.areas[i].unique_users) << s;
-      EXPECT_EQ(b.areas[i].tweet_count, a.areas[i].tweet_count) << s;
-    }
-  }
-  EXPECT_TRUE(BitEq(pooled->pooled_population_correlation.r,
-                    serial->pooled_population_correlation.r));
-
-  ASSERT_EQ(pooled->mobility.size(), serial->mobility.size());
-  for (size_t s = 0; s < serial->mobility.size(); ++s) {
-    const auto& a = serial->mobility[s];
-    const auto& b = pooled->mobility[s];
-    EXPECT_EQ(b.extraction.inter_area_trips, a.extraction.inter_area_trips);
-    ASSERT_EQ(b.observations.size(), a.observations.size()) << s;
-    for (size_t i = 0; i < a.observations.size(); ++i) {
-      EXPECT_EQ(b.observations[i].src, a.observations[i].src);
-      EXPECT_EQ(b.observations[i].dst, a.observations[i].dst);
-      EXPECT_TRUE(BitEq(b.observations[i].flow, a.observations[i].flow));
-      EXPECT_TRUE(BitEq(b.observations[i].d_meters, a.observations[i].d_meters));
-    }
-    ASSERT_EQ(b.models.size(), a.models.size());
-    for (size_t m = 0; m < a.models.size(); ++m) {
-      EXPECT_TRUE(
-          BitEq(b.models[m].metrics.pearson_r, a.models[m].metrics.pearson_r))
-          << s << "/" << m;
-      EXPECT_TRUE(
-          BitEq(b.models[m].metrics.hit_rate, a.models[m].metrics.hit_rate));
-      ASSERT_EQ(b.models[m].estimated.size(), a.models[m].estimated.size());
-      for (size_t i = 0; i < a.models[m].estimated.size(); ++i) {
-        EXPECT_TRUE(BitEq(b.models[m].estimated[i], a.models[m].estimated[i]));
-      }
-    }
-  }
-}
-
 TEST_F(StageEngineTest, MetroOverrideAppliesToMetropolitanOnly) {
   PipelineConfig config = SmallConfig();
   config.metro_radius_override_m = 500.0;
   config.run_mobility = false;
-  auto result = Pipeline::Run(config);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->population.size(), 3u);
+  auto snapshot = AnalysisSnapshot::Build(config);
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_EQ(snapshot->result().population.size(), 3u);
   // The override must land on the metropolitan scale — found by its enum,
   // not by position — and leave the other radii alone.
-  EXPECT_DOUBLE_EQ(result->population[0].radius_m, 50000.0);
-  EXPECT_DOUBLE_EQ(result->population[1].radius_m, 25000.0);
-  EXPECT_DOUBLE_EQ(result->population[2].radius_m, 500.0);
-  EXPECT_EQ(result->population[2].scale_name, "Metropolitan");
+  EXPECT_DOUBLE_EQ(snapshot->result().population[0].radius_m, 50000.0);
+  EXPECT_DOUBLE_EQ(snapshot->result().population[1].radius_m, 25000.0);
+  EXPECT_DOUBLE_EQ(snapshot->result().population[2].radius_m, 500.0);
+  EXPECT_EQ(snapshot->result().population[2].scale_name, "Metropolitan");
 }
 
 TEST_F(StageEngineTest, ContextTraceAccumulatesAcrossRuns) {
   PipelineConfig config = SmallConfig();
   config.run_mobility = false;
   AnalysisContext ctx(1);
-  ASSERT_TRUE(Pipeline::Run(config, &ctx).ok());
+  ASSERT_TRUE(AnalysisSnapshot::Build(config, &ctx).ok());
   const size_t after_first = ctx.trace().size();
   EXPECT_EQ(after_first, 4u);  // synthesize, compact, index, population
-  ASSERT_TRUE(Pipeline::Run(config, &ctx).ok());
+  ASSERT_TRUE(AnalysisSnapshot::Build(config, &ctx).ok());
   EXPECT_EQ(ctx.trace().size(), 2 * after_first);
 }
 

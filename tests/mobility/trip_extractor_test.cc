@@ -46,20 +46,37 @@ TEST(AssignToAreaTest, OverlappingAreasResolveToClosest) {
   EXPECT_EQ(*got, 1u);
 }
 
-TEST(ExtractTripsTest, RequiresCompactedTable) {
-  tweetdb::TweetTable table;
-  ASSERT_TRUE(table.Append(At(1, 1, geo::LatLon{-33.0, 151.0})).ok());
-  EXPECT_TRUE(ExtractTrips(table, TwoAreas(), 50000.0)
-                  .status()
-                  .IsFailedPrecondition());
+/// `rows` routed into `shards` equal time shards over [start, end) with
+/// the given block capacity, each shard compacted by (user, time) unless
+/// `compact` is false.
+tweetdb::TweetDataset MakeDataset(const std::vector<tweetdb::Tweet>& rows,
+                                  size_t shards, int64_t start, int64_t end,
+                                  size_t block_capacity = tweetdb::kDefaultBlockCapacity,
+                                  bool compact = true) {
+  tweetdb::TweetDataset dataset(
+      tweetdb::PartitionSpec::ForWindow(start, end, shards), block_capacity);
+  for (const tweetdb::Tweet& t : rows) EXPECT_TRUE(dataset.Append(t).ok());
+  dataset.SealAll();
+  if (compact) dataset.CompactShards();
+  return dataset;
+}
+
+/// `rows` as one compacted shard.
+tweetdb::TweetDataset OneShard(const std::vector<tweetdb::Tweet>& rows) {
+  return MakeDataset(rows, 1, 0, 1000000);
 }
 
 TEST(ExtractTripsTest, ValidatesArguments) {
-  tweetdb::TweetTable table;
-  table.CompactByUserTime();
-  EXPECT_TRUE(ExtractTrips(table, {}, 1000.0).status().IsInvalidArgument());
+  const tweetdb::TweetDataset dataset = OneShard({});
+  ThreadPool pool(2);
+  EXPECT_TRUE(ExtractTrips(dataset, {}, 1000.0, pool).status().IsInvalidArgument());
   EXPECT_TRUE(
-      ExtractTrips(table, TwoAreas(), 0.0).status().IsInvalidArgument());
+      ExtractTrips(dataset, TwoAreas(), 0.0, pool).status().IsInvalidArgument());
+  TripOptions bad;
+  bad.max_gap_seconds = -1;
+  EXPECT_TRUE(ExtractTrips(dataset, TwoAreas(), 50000.0, pool, nullptr, bad)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(ExtractTripsTest, CountsDirectedConsecutivePairs) {
@@ -67,19 +84,15 @@ TEST(ExtractTripsTest, CountsDirectedConsecutivePairs) {
   const geo::LatLon alpha{-33.0, 151.0};
   const geo::LatLon beta{-37.0, 145.0};
 
-  tweetdb::TweetTable table;
-  // User 1: alpha -> beta -> alpha  (trips: A->B, B->A)
-  ASSERT_TRUE(table.Append(At(1, 100, alpha)).ok());
-  ASSERT_TRUE(table.Append(At(1, 200, beta)).ok());
-  ASSERT_TRUE(table.Append(At(1, 300, alpha)).ok());
-  // User 2: beta -> beta (intra-area, no trip), then alpha (B->A).
-  ASSERT_TRUE(table.Append(At(2, 100, beta)).ok());
-  ASSERT_TRUE(table.Append(At(2, 150, beta)).ok());
-  ASSERT_TRUE(table.Append(At(2, 400, alpha)).ok());
-  table.CompactByUserTime();
+  const tweetdb::TweetDataset dataset = OneShard({
+      // User 1: alpha -> beta -> alpha  (trips: A->B, B->A)
+      At(1, 100, alpha), At(1, 200, beta), At(1, 300, alpha),
+      // User 2: beta -> beta (intra-area, no trip), then alpha (B->A).
+      At(2, 100, beta), At(2, 150, beta), At(2, 400, alpha)});
 
+  ThreadPool pool(2);
   ExtractionStats stats;
-  auto od = ExtractTrips(table, areas, 50000.0, &stats);
+  auto od = ExtractTrips(dataset, areas, 50000.0, pool, &stats);
   ASSERT_TRUE(od.ok());
   EXPECT_DOUBLE_EQ(od->Flow(0, 1), 1.0);  // A->B from user 1
   EXPECT_DOUBLE_EQ(od->Flow(1, 0), 2.0);  // B->A from users 1 and 2
@@ -91,198 +104,117 @@ TEST(ExtractTripsTest, CountsDirectedConsecutivePairs) {
 }
 
 TEST(ExtractTripsTest, UserBoundaryPairsDoNotCount) {
-  const auto areas = TwoAreas();
-  const geo::LatLon alpha{-33.0, 151.0};
-  const geo::LatLon beta{-37.0, 145.0};
-  tweetdb::TweetTable table;
   // User 1 ends at alpha; user 2 begins at beta — must not count as a trip.
-  ASSERT_TRUE(table.Append(At(1, 100, alpha)).ok());
-  ASSERT_TRUE(table.Append(At(2, 200, beta)).ok());
-  table.CompactByUserTime();
-  auto od = ExtractTrips(table, areas, 50000.0);
+  const tweetdb::TweetDataset dataset = OneShard(
+      {At(1, 100, geo::LatLon{-33.0, 151.0}), At(2, 200, geo::LatLon{-37.0, 145.0})});
+  ThreadPool pool(2);
+  auto od = ExtractTrips(dataset, TwoAreas(), 50000.0, pool);
   ASSERT_TRUE(od.ok());
   EXPECT_DOUBLE_EQ(od->TotalFlow(), 0.0);
 }
 
 TEST(ExtractTripsTest, TweetsOutsideAllAreasBreakChains) {
-  const auto areas = TwoAreas();
-  const geo::LatLon alpha{-33.0, 151.0};
-  const geo::LatLon beta{-37.0, 145.0};
-  const geo::LatLon nowhere{-20.0, 120.0};
-  tweetdb::TweetTable table;
   // alpha -> nowhere -> beta: neither consecutive pair maps to two areas.
-  ASSERT_TRUE(table.Append(At(1, 100, alpha)).ok());
-  ASSERT_TRUE(table.Append(At(1, 200, nowhere)).ok());
-  ASSERT_TRUE(table.Append(At(1, 300, beta)).ok());
-  table.CompactByUserTime();
+  const tweetdb::TweetDataset dataset = OneShard({At(1, 100, geo::LatLon{-33.0, 151.0}),
+                                                  At(1, 200, geo::LatLon{-20.0, 120.0}),
+                                                  At(1, 300, geo::LatLon{-37.0, 145.0})});
+  ThreadPool pool(2);
   ExtractionStats stats;
-  auto od = ExtractTrips(table, areas, 50000.0, &stats);
+  auto od = ExtractTrips(dataset, TwoAreas(), 50000.0, pool, &stats);
   ASSERT_TRUE(od.ok());
   EXPECT_DOUBLE_EQ(od->TotalFlow(), 0.0);
   EXPECT_EQ(stats.tweets_in_some_area, 2u);
   EXPECT_EQ(stats.consecutive_pairs, 2u);
 }
 
-TEST(ExtractTripsTest, MaxGapFiltersStaleTransitions) {
+TEST(ExtractTripsTest, RadiusControlsAssignment) {
+  const auto areas = TwoAreas();
+  // ~11 km east of Alpha's centre.
+  const tweetdb::TweetDataset dataset = OneShard(
+      {At(1, 100, geo::LatLon{-33.0, 151.12}), At(1, 200, geo::LatLon{-37.0, 145.0})});
+  ThreadPool pool(2);
+
+  auto wide = ExtractTrips(dataset, areas, 25000.0, pool);
+  ASSERT_TRUE(wide.ok());
+  EXPECT_DOUBLE_EQ(wide->Flow(0, 1), 1.0);
+
+  auto narrow = ExtractTrips(dataset, areas, 2000.0, pool);
+  ASSERT_TRUE(narrow.ok());
+  EXPECT_DOUBLE_EQ(narrow->TotalFlow(), 0.0);
+}
+
+// The extractor's edge cases at one shard and at three time shards (users
+// whose runs continue across shard boundaries).
+class ExtractTripsShardsTest : public ::testing::TestWithParam<size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Shards, ExtractTripsShardsTest, ::testing::Values(1, 3));
+
+TEST_P(ExtractTripsShardsTest, RequiresCompactedInput) {
+  const tweetdb::TweetDataset dataset =
+      MakeDataset({At(2, 1, geo::LatLon{-33.0, 151.0}),
+                   At(1, 900, geo::LatLon{-37.0, 145.0})},
+                  GetParam(), 0, 1000, tweetdb::kDefaultBlockCapacity,
+                  /*compact=*/false);
+  ThreadPool pool(2);
+  EXPECT_TRUE(ExtractTrips(dataset, TwoAreas(), 50000.0, pool)
+                  .status()
+                  .IsFailedPrecondition());
+}
+
+TEST_P(ExtractTripsShardsTest, MaxGapFiltersStaleTransitions) {
   const auto areas = TwoAreas();
   const geo::LatLon alpha{-33.0, 151.0};
   const geo::LatLon beta{-37.0, 145.0};
-  tweetdb::TweetTable table;
   // Quick hop (1 h apart) then a stale transition (40 days apart).
-  ASSERT_TRUE(table.Append(At(1, 0, alpha)).ok());
-  ASSERT_TRUE(table.Append(At(1, 3600, beta)).ok());
-  ASSERT_TRUE(table.Append(At(1, 3600 + 40 * 86400, alpha)).ok());
-  table.CompactByUserTime();
+  const int64_t stale = 3600 + 40 * 86400;
+  const tweetdb::TweetDataset dataset =
+      MakeDataset({At(1, 0, alpha), At(1, 3600, beta), At(1, stale, alpha)},
+                  GetParam(), 0, stale + 1, /*block_capacity=*/2);
 
   TripOptions day_cap;
   day_cap.max_gap_seconds = 86400;
+  ThreadPool pool(3);
   ExtractionStats stats;
-  auto od = ExtractTrips(table, areas, 50000.0, &stats, day_cap);
+  auto od = ExtractTrips(dataset, areas, 50000.0, pool, &stats, day_cap);
   ASSERT_TRUE(od.ok());
   EXPECT_DOUBLE_EQ(od->Flow(0, 1), 1.0);
   EXPECT_DOUBLE_EQ(od->Flow(1, 0), 0.0);  // stale pair dropped
   EXPECT_EQ(stats.gap_filtered_pairs, 1u);
 
   // Default (unlimited gap) keeps both — the paper's definition.
-  auto unlimited = ExtractTrips(table, areas, 50000.0);
+  auto unlimited = ExtractTrips(dataset, areas, 50000.0, pool);
   ASSERT_TRUE(unlimited.ok());
   EXPECT_DOUBLE_EQ(unlimited->Flow(1, 0), 1.0);
-
-  TripOptions bad;
-  bad.max_gap_seconds = -1;
-  EXPECT_TRUE(
-      ExtractTrips(table, areas, 50000.0, nullptr, bad).status().IsInvalidArgument());
 }
 
-TEST(ExtractTripsTest, RadiusControlsAssignment) {
+TEST_P(ExtractTripsShardsTest, RunSpanningManyBlocksStaysWithOwner) {
   const auto areas = TwoAreas();
-  // ~11 km east of Alpha's centre.
-  const geo::LatLon near_alpha{-33.0, 151.12};
-  tweetdb::TweetTable table;
-  ASSERT_TRUE(table.Append(At(1, 100, near_alpha)).ok());
-  ASSERT_TRUE(table.Append(At(1, 200, geo::LatLon{-37.0, 145.0})).ok());
-  table.CompactByUserTime();
+  const geo::LatLon alpha{-33.0, 151.0};
+  const geo::LatLon beta{-37.0, 145.0};
 
-  auto wide = ExtractTrips(table, areas, 25000.0);
-  ASSERT_TRUE(wide.ok());
-  EXPECT_DOUBLE_EQ(wide->Flow(0, 1), 1.0);
+  // Block capacity 2: user 1's alternating run covers four blocks (and, at
+  // three shards, all three shards); user 2 starts mid-block. The trips
+  // across every block and shard boundary must count exactly once.
+  std::vector<tweetdb::Tweet> rows;
+  for (int k = 0; k < 7; ++k) rows.push_back(At(1, 100 * k, k % 2 == 0 ? alpha : beta));
+  rows.push_back(At(2, 100, beta));
+  rows.push_back(At(2, 200, alpha));
+  const tweetdb::TweetDataset dataset =
+      MakeDataset(rows, GetParam(), 0, 700, /*block_capacity=*/2);
+  ASSERT_GE(dataset.num_blocks(), 4u);
+  ASSERT_EQ(dataset.num_shards(), GetParam());
 
-  auto narrow = ExtractTrips(table, areas, 2000.0);
-  ASSERT_TRUE(narrow.ok());
-  EXPECT_DOUBLE_EQ(narrow->TotalFlow(), 0.0);
-}
-
-void ExpectSameFlowsAndStats(const OdMatrix& serial, const ExtractionStats& s,
-                             const OdMatrix& parallel,
-                             const ExtractionStats& p) {
-  ASSERT_EQ(parallel.num_areas(), serial.num_areas());
-  for (size_t i = 0; i < serial.num_areas(); ++i) {
-    for (size_t j = 0; j < serial.num_areas(); ++j) {
-      EXPECT_DOUBLE_EQ(parallel.Flow(i, j), serial.Flow(i, j)) << i << "," << j;
-    }
-  }
-  EXPECT_EQ(p.tweets_seen, s.tweets_seen);
-  EXPECT_EQ(p.tweets_in_some_area, s.tweets_in_some_area);
-  EXPECT_EQ(p.consecutive_pairs, s.consecutive_pairs);
-  EXPECT_EQ(p.inter_area_trips, s.inter_area_trips);
-  EXPECT_EQ(p.intra_area_pairs, s.intra_area_pairs);
-  EXPECT_EQ(p.gap_filtered_pairs, s.gap_filtered_pairs);
-}
-
-TEST(ExtractTripsParallelTest, MatchesSerialAcrossPoolSizes) {
-  const auto areas = TwoAreas();
-  const geo::LatLon spots[] = {{-33.0, 151.0}, {-37.0, 145.0}, {-20.0, 120.0}};
-
-  // Small blocks force many user runs to span block boundaries, which is
-  // exactly what the run-ownership rules must get right.
-  tweetdb::TweetTable table(16);
-  random::Xoshiro256 rng(99);
-  for (uint64_t user = 0; user < 40; ++user) {
-    const size_t run = 3 + rng.NextUint64(10);
-    for (size_t k = 0; k < run; ++k) {
-      ASSERT_TRUE(table
-                      .Append(At(user, static_cast<int64_t>(100 * k),
-                                 spots[rng.NextUint64(3)]))
-                      .ok());
-    }
-  }
-  table.CompactByUserTime();
-  ASSERT_GT(table.num_blocks(), 4u);
-
-  ExtractionStats serial_stats;
-  auto serial = ExtractTrips(table, areas, 50000.0, &serial_stats);
-  ASSERT_TRUE(serial.ok());
-
-  for (size_t threads : {1u, 2u, 5u}) {
+  for (size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
-    ExtractionStats parallel_stats;
-    auto parallel =
-        ExtractTripsParallel(table, areas, 50000.0, pool, &parallel_stats);
-    ASSERT_TRUE(parallel.ok()) << threads << " threads";
-    ExpectSameFlowsAndStats(*serial, serial_stats, *parallel, parallel_stats);
+    ExtractionStats stats;
+    auto od = ExtractTrips(dataset, areas, 50000.0, pool, &stats);
+    ASSERT_TRUE(od.ok());
+    EXPECT_DOUBLE_EQ(od->Flow(0, 1), 3.0);  // user 1: A->B x3
+    EXPECT_DOUBLE_EQ(od->Flow(1, 0), 4.0);  // user 1: B->A x3, user 2: x1
+    EXPECT_EQ(stats.tweets_seen, 9u);
+    EXPECT_EQ(stats.consecutive_pairs, 7u);
+    EXPECT_EQ(stats.inter_area_trips, 7u);
   }
-}
-
-TEST(ExtractTripsParallelTest, RunSpanningManyBlocksStaysWithOwner) {
-  const auto areas = TwoAreas();
-  const geo::LatLon alpha{-33.0, 151.0};
-  const geo::LatLon beta{-37.0, 145.0};
-
-  // block capacity 2: user 1's alternating run covers four blocks; user 2
-  // starts mid-block. The trips across every block boundary must count
-  // exactly once.
-  tweetdb::TweetTable table(2);
-  for (int k = 0; k < 7; ++k) {
-    ASSERT_TRUE(table.Append(At(1, 100 * k, k % 2 == 0 ? alpha : beta)).ok());
-  }
-  ASSERT_TRUE(table.Append(At(2, 100, beta)).ok());
-  ASSERT_TRUE(table.Append(At(2, 200, alpha)).ok());
-  table.CompactByUserTime();
-  ASSERT_GE(table.num_blocks(), 4u);
-
-  ExtractionStats serial_stats;
-  auto serial = ExtractTrips(table, areas, 50000.0, &serial_stats);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_DOUBLE_EQ(serial->Flow(0, 1), 3.0);  // user 1: A->B x3
-  EXPECT_DOUBLE_EQ(serial->Flow(1, 0), 4.0);  // user 1: B->A x3, user 2: x1
-
-  ThreadPool pool(4);
-  ExtractionStats parallel_stats;
-  auto parallel =
-      ExtractTripsParallel(table, areas, 50000.0, pool, &parallel_stats);
-  ASSERT_TRUE(parallel.ok());
-  ExpectSameFlowsAndStats(*serial, serial_stats, *parallel, parallel_stats);
-}
-
-TEST(ExtractTripsParallelTest, OptionsApplyOnTheParallelPath) {
-  const auto areas = TwoAreas();
-  const geo::LatLon alpha{-33.0, 151.0};
-  const geo::LatLon beta{-37.0, 145.0};
-  tweetdb::TweetTable table(2);
-  ASSERT_TRUE(table.Append(At(1, 0, alpha)).ok());
-  ASSERT_TRUE(table.Append(At(1, 3600, beta)).ok());
-  ASSERT_TRUE(table.Append(At(1, 3600 + 40 * 86400, alpha)).ok());
-  table.CompactByUserTime();
-
-  TripOptions day_cap;
-  day_cap.max_gap_seconds = 86400;
-  ThreadPool pool(3);
-  ExtractionStats stats;
-  auto od =
-      ExtractTripsParallel(table, areas, 50000.0, pool, &stats, day_cap);
-  ASSERT_TRUE(od.ok());
-  EXPECT_DOUBLE_EQ(od->Flow(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(od->Flow(1, 0), 0.0);  // stale pair dropped
-  EXPECT_EQ(stats.gap_filtered_pairs, 1u);
-}
-
-TEST(ExtractTripsParallelTest, UncompactedTableFailsLikeSerial) {
-  tweetdb::TweetTable table;
-  ASSERT_TRUE(table.Append(At(1, 1, geo::LatLon{-33.0, 151.0})).ok());
-  ThreadPool pool(2);
-  EXPECT_TRUE(ExtractTripsParallel(table, TwoAreas(), 50000.0, pool)
-                  .status()
-                  .IsFailedPrecondition());
 }
 
 /// Reference assignment with no prefilters: nearest centre within radius,

@@ -1,0 +1,416 @@
+// The staged analysis against the brute-force paper oracle. Every corpus is
+// stored at a random thread count (1-8), shard count (1-16) and block
+// capacity, analysed by AnalysisSnapshot::Analyze, and compared bit for bit
+// with reference::AnalyzeRows over the same stored rows. Beside seeded
+// random corpora the sweep runs adversarial ones: points exactly at ε,
+// points on the bisector of two centres, users whose runs span shards and
+// blocks, and duplicate (user, time) rows. A second sweep drives the one
+// trip extractor, the population index and AnalyzeScaleMobility on a
+// custom scale built for exact ties and a max-gap option. When the two
+// sides disagree the program is wrong, never the oracle.
+
+#include "reference/paper_oracle.h"
+
+#include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/string_util.h"
+#include "common/thread_pool.h"
+#include "core/analysis_snapshot.h"
+#include "core/population_estimator.h"
+#include "core/stage_engine.h"
+#include "geo/geodesic.h"
+#include "random/rng.h"
+
+namespace twimob::reference {
+namespace {
+
+using tweetdb::Tweet;
+
+constexpr int64_t kStart = 1400000000;
+constexpr int64_t kWindow = 60 * 86400;
+
+/// `p` moved onto the store's fixed-point grid, offset by whole grid steps.
+geo::LatLon Quantised(const geo::LatLon& p, int dlat = 0, int dlon = 0) {
+  return geo::LatLon{geo::FixedToDegrees(geo::DegreesToFixed(p.lat) + dlat),
+                     geo::FixedToDegrees(geo::DegreesToFixed(p.lon) + dlon)};
+}
+
+// The dumps print every compared field, doubles in exact hex notation, one
+// record per line: two results agree bit for bit iff their dumps are equal,
+// and a disagreement shows up as a line diff.
+
+std::string DumpStats(const mobility::ExtractionStats& s) {
+  return StrFormat("seen=%zu in_area=%zu pairs=%zu trips=%zu intra=%zu gap=%zu\n",
+                   s.tweets_seen, s.tweets_in_some_area, s.consecutive_pairs,
+                   s.inter_area_trips, s.intra_area_pairs, s.gap_filtered_pairs);
+}
+
+std::string DumpTrips(const mobility::OdMatrix& od, const mobility::ExtractionStats& s) {
+  std::string out = DumpStats(s);
+  for (size_t i = 0; i < od.num_areas(); ++i) {
+    for (size_t j = 0; j < od.num_areas(); ++j) {
+      if (od.Flow(i, j) != 0.0) out += StrFormat("%zu->%zu %a\n", i, j, od.Flow(i, j));
+    }
+  }
+  return out;
+}
+
+std::string DumpCorrelation(const stats::CorrelationResult& c) {
+  return StrFormat("r=%a t=%a p=%a n=%zu\n", c.r, c.t_stat, c.p_value, c.n);
+}
+
+std::string DumpScale(const core::ScaleMobilityResult& scale) {
+  std::string out = StrFormat("%s eps=%a ", scale.scale_name.c_str(), scale.radius_m) +
+                    DumpStats(scale.extraction);
+  for (const mobility::FlowObservation& o : scale.observations) {
+    out += StrFormat("  %zu->%zu m=%a n=%a d=%a flow=%a\n", o.src, o.dst, o.m, o.n,
+                     o.d_meters, o.flow);
+  }
+  for (const core::ModelSummary& m : scale.models) {
+    out += StrFormat("  %s c=%a a=%a b=%a g=%a r=%a hit=%a rmsle=%a log_r=%a n=%zu\n",
+                     m.model_name.c_str(), m.log10_c, m.alpha, m.beta, m.gamma,
+                     m.metrics.pearson_r, m.metrics.hit_rate, m.metrics.rmsle,
+                     m.metrics.log_pearson_r, m.metrics.n);
+    for (const double e : m.estimated) out += StrFormat("    %a\n", e);
+  }
+  return out;
+}
+
+std::string Dump(const core::PipelineResult& result) {
+  std::string out;
+  for (const core::PopulationEstimateResult& p : result.population) {
+    out += StrFormat("%s eps=%a C=%a median=%a ", p.scale_name.c_str(), p.radius_m,
+                     p.rescale_factor, p.median_users) +
+           DumpCorrelation(p.correlation);
+    for (const core::AreaPopulationEstimate& a : p.areas) {
+      out += StrFormat("  %s users=%zu tweets=%zu estimate=%a\n", a.name.c_str(),
+                       a.unique_users, a.tweet_count, a.rescaled_estimate);
+    }
+  }
+  out += "pooled " + DumpCorrelation(result.pooled_population_correlation);
+  for (const core::ScaleMobilityResult& scale : result.mobility) out += DumpScale(scale);
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Corpora.
+
+struct Corpus {
+  std::string name;
+  std::vector<Tweet> rows;
+  double metro_radius_override_m = 0.0;
+};
+
+/// Users wandering among the areas of one random paper scale each, at
+/// random times in the window, within about ε of the centres they visit.
+void AddRandomUsers(random::Xoshiro256& rng, size_t max_rows, uint64_t first_user,
+                    std::vector<Tweet>* rows) {
+  const std::vector<core::ScaleSpec> specs = core::PaperScales();
+  for (uint64_t user = first_user; rows->size() < max_rows; ++user) {
+    const core::ScaleSpec& spec = specs[rng.NextUint64(specs.size())];
+    const size_t tweets = 1 + rng.NextUint64(25);
+    for (size_t k = 0; k < tweets && rows->size() < max_rows; ++k) {
+      const census::Area& area = spec.areas[rng.NextUint64(spec.areas.size())];
+      const double dist = std::fabs(rng.NextGaussian()) * spec.radius_m * 0.8;
+      rows->push_back(Tweet{
+          user, kStart + static_cast<int64_t>(rng.NextUint64(kWindow)),
+          geo::DestinationPoint(area.center, rng.NextUniform(0.0, 360.0), dist)});
+    }
+  }
+}
+
+/// Hands `points` to random users at random times.
+void AddPointsAsUsers(random::Xoshiro256& rng, const std::vector<geo::LatLon>& points,
+                      uint64_t first_user, size_t num_users, std::vector<Tweet>* rows) {
+  for (const geo::LatLon& p : points) {
+    rows->push_back(Tweet{first_user + rng.NextUint64(num_users),
+                          kStart + static_cast<int64_t>(rng.NextUint64(kWindow)), p});
+  }
+}
+
+Corpus RandomCorpus(uint64_t seed) {
+  random::Xoshiro256 rng(seed);
+  Corpus corpus{"random seed " + std::to_string(seed), {}, 0.0};
+  AddRandomUsers(rng, 1500 + rng.NextUint64(3000), 1, &corpus.rows);
+  return corpus;
+}
+
+/// Points on the fixed-point grid straddling ε around centres of every
+/// scale, plus a metro radius chosen so one stored point is exactly at ε.
+Corpus AtEpsilonCorpus() {
+  random::Xoshiro256 rng(11);
+  Corpus corpus{"points at epsilon", {}, 0.0};
+  AddRandomUsers(rng, 1200, 1, &corpus.rows);
+
+  const core::ScaleSpec metro = core::MakeScaleSpec(census::Scale::kMetropolitan);
+  const geo::LatLon exact =
+      Quantised(geo::DestinationPoint(metro.areas[0].center, 30.0, 2000.0));
+  corpus.metro_radius_override_m = geo::HaversineMeters(metro.areas[0].center, exact);
+
+  std::vector<geo::LatLon> points{exact};
+  for (core::ScaleSpec spec : core::PaperScales()) {
+    if (spec.scale == census::Scale::kMetropolitan) {
+      spec.radius_m = corpus.metro_radius_override_m;
+    }
+    for (size_t a = 0; a < spec.areas.size(); a += 3) {
+      for (const double bearing : {0.0, 90.0, 225.0}) {
+        const geo::LatLon edge =
+            geo::DestinationPoint(spec.areas[a].center, bearing, spec.radius_m);
+        for (int dlat = -1; dlat <= 1; ++dlat) {
+          for (int dlon = -1; dlon <= 1; ++dlon) {
+            points.push_back(Quantised(edge, dlat, dlon));
+          }
+        }
+      }
+    }
+  }
+  AddPointsAsUsers(rng, points, 100000, 120, &corpus.rows);
+  return corpus;
+}
+
+/// Points on the perpendicular bisector of pairs of metro centres, with a
+/// metro radius wide enough that both centres reach them.
+Corpus BisectorCorpus() {
+  random::Xoshiro256 rng(13);
+  Corpus corpus{"points between centres", {}, 6000.0};
+  AddRandomUsers(rng, 1200, 1, &corpus.rows);
+  const core::ScaleSpec metro = core::MakeScaleSpec(census::Scale::kMetropolitan);
+  std::vector<geo::LatLon> points;
+  for (size_t i = 0; i < metro.areas.size(); ++i) {
+    for (size_t j = i + 1; j < metro.areas.size(); ++j) {
+      const geo::LatLon a = metro.areas[i].center;
+      const geo::LatLon b = metro.areas[j].center;
+      if (geo::HaversineMeters(a, b) > 10000.0) continue;
+      const geo::LatLon mid{(a.lat + b.lat) / 2.0, (a.lon + b.lon) / 2.0};
+      for (int dlat = -1; dlat <= 1; ++dlat) {
+        for (int dlon = -1; dlon <= 1; ++dlon) {
+          points.push_back(Quantised(mid, dlat, dlon));
+        }
+      }
+    }
+  }
+  AddPointsAsUsers(rng, points, 100000, 80, &corpus.rows);
+  return corpus;
+}
+
+/// A few users with long runs over the whole window, so their rows cross
+/// every shard and many blocks.
+Corpus SpanningCorpus() {
+  random::Xoshiro256 rng(17);
+  Corpus corpus{"users spanning shards and blocks", {}, 0.0};
+  AddRandomUsers(rng, 1000, 1, &corpus.rows);
+  for (const core::ScaleSpec& spec : core::PaperScales()) {
+    for (uint64_t u = 0; u < 3; ++u) {
+      const uint64_t user = 200000 + u * 10 + static_cast<uint64_t>(spec.scale);
+      for (size_t k = 0; k < 300; ++k) {
+        const census::Area& area = spec.areas[rng.NextUint64(spec.areas.size())];
+        corpus.rows.push_back(Tweet{
+            user, kStart + static_cast<int64_t>(k * (kWindow / 300)),
+            geo::DestinationPoint(area.center, rng.NextUniform(0.0, 360.0),
+                                  rng.NextUniform(0.0, spec.radius_m))});
+      }
+    }
+  }
+  return corpus;
+}
+
+/// Exact duplicate rows, and rows sharing a (user, time) with an existing
+/// row but landing in another area — their order is decided by position.
+Corpus DuplicatesCorpus() {
+  random::Xoshiro256 rng(19);
+  Corpus corpus{"duplicate (user, time) rows", {}, 0.0};
+  AddRandomUsers(rng, 2500, 1, &corpus.rows);
+  const std::vector<core::ScaleSpec> specs = core::PaperScales();
+  const size_t base = corpus.rows.size();
+  for (size_t k = 0; k < 600; ++k) {
+    Tweet t = corpus.rows[rng.NextUint64(base)];
+    if (k % 2 == 1) {
+      const core::ScaleSpec& spec = specs[rng.NextUint64(specs.size())];
+      t.pos = spec.areas[rng.NextUint64(spec.areas.size())].center;
+    }
+    corpus.rows.push_back(t);
+  }
+  return corpus;
+}
+
+// ---------------------------------------------------------------------------
+// The staged analysis against the oracle.
+
+struct Layout {
+  size_t threads;
+  size_t shards;
+  size_t block_capacity;
+};
+
+tweetdb::TweetDataset Store(const std::vector<Tweet>& rows, const Layout& layout) {
+  tweetdb::TweetDataset dataset(
+      tweetdb::PartitionSpec::ForWindow(kStart, kStart + kWindow, layout.shards),
+      layout.block_capacity);
+  for (const Tweet& t : rows) EXPECT_TRUE(dataset.Append(t).ok());
+  return dataset;
+}
+
+std::string Describe(const Corpus& corpus, const Layout& layout) {
+  return corpus.name + " (" + std::to_string(layout.threads) + " threads, " +
+         std::to_string(layout.shards) + " shards, blocks of " +
+         std::to_string(layout.block_capacity) + ")";
+}
+
+void CheckAgainstOracle(const Corpus& corpus, uint64_t layout_seed) {
+  ASSERT_LE(corpus.rows.size(), 5000u) << corpus.name;
+  core::PipelineConfig config;
+  config.metro_radius_override_m = corpus.metro_radius_override_m;
+  const std::vector<core::ScaleSpec> specs = core::ResolveScaleSpecs(config);
+
+  random::Xoshiro256 rng(layout_seed);
+  const size_t kBlockCapacities[] = {3, 17, 256, tweetdb::kDefaultBlockCapacity};
+  std::optional<core::PipelineResult> oracle;
+  for (int trial = 0; trial < 2; ++trial) {
+    const Layout layout{1 + rng.NextUint64(8), 1 + rng.NextUint64(16),
+                        kBlockCapacities[rng.NextUint64(4)]};
+    const std::string where = Describe(corpus, layout);
+    tweetdb::TweetDataset dataset = Store(corpus.rows, layout);
+    if (!oracle.has_value()) {
+      auto reference = AnalyzeRows(StoredRows(dataset), specs);
+      ASSERT_TRUE(reference.ok()) << where << ": " << reference.status();
+      oracle = std::move(*reference);
+    }
+    core::AnalysisContext ctx(layout.threads);
+    auto snapshot =
+        core::AnalysisSnapshot::Analyze(std::move(dataset), config, {}, &ctx);
+    ASSERT_TRUE(snapshot.ok()) << where << ": " << snapshot.status();
+    EXPECT_EQ(Dump(*oracle), Dump(snapshot->result())) << where;
+  }
+}
+
+class SeededCorpusTest : public ::testing::TestWithParam<uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SeededCorpusTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST_P(SeededCorpusTest, AnalysisMatchesOracle) {
+  CheckAgainstOracle(RandomCorpus(GetParam()), 1000 + GetParam());
+}
+
+TEST(AdversarialCorpusTest, PointsAtEpsilonMatchOracle) {
+  CheckAgainstOracle(AtEpsilonCorpus(), 21);
+}
+
+TEST(AdversarialCorpusTest, PointsBetweenCentresMatchOracle) {
+  CheckAgainstOracle(BisectorCorpus(), 22);
+}
+
+TEST(AdversarialCorpusTest, UsersSpanningShardsAndBlocksMatchOracle) {
+  CheckAgainstOracle(SpanningCorpus(), 23);
+}
+
+TEST(AdversarialCorpusTest, DuplicateUserTimeRowsMatchOracle) {
+  CheckAgainstOracle(DuplicatesCorpus(), 24);
+}
+
+// ---------------------------------------------------------------------------
+// A custom scale built for exact ties: the west/east centres mirror about
+// the 150°E meridian, so every stored point on it is bitwise equidistant
+// from both; the north/south centres mirror about (33.5°S, 150°E), which
+// ties all four. Radii equal to the distances of that point put it exactly
+// at ε of two centres at once.
+
+core::ScaleSpec TieScale(double radius_m) {
+  core::ScaleSpec spec;
+  spec.name = "Ties";
+  spec.radius_m = radius_m;
+  const geo::LatLon centres[] = {{-33.5, 149.75}, {-33.5, 150.25}, {-34.0, 150.0},
+                                 {-33.0, 150.0},  {-37.8, 145.0}};
+  for (uint32_t i = 0; i < 5; ++i) {
+    spec.areas.push_back(census::Area{i, "tie" + std::to_string(i), centres[i],
+                                      1000.0 * (i + 1)});
+  }
+  return spec;
+}
+
+std::vector<Tweet> TieRows(uint64_t seed) {
+  random::Xoshiro256 rng(seed);
+  std::vector<geo::LatLon> points{{-33.5, 150.0}};
+  for (int k = -40; k <= 40; ++k) {
+    points.push_back({-33.5 + 0.0125 * k, 150.0});  // west/east ties
+    points.push_back({-33.5, 150.0 + 0.0125 * k});
+  }
+  for (int k = 0; k < 40; ++k) {
+    points.push_back(geo::DestinationPoint({-37.8, 145.0}, rng.NextUniform(0.0, 360.0),
+                                           rng.NextUniform(0.0, 20000.0)));
+  }
+  std::vector<Tweet> rows;
+  AddPointsAsUsers(rng, points, 1, 25, &rows);
+  AddPointsAsUsers(rng, points, 1, 25, &rows);
+  // Short hops too, so a max-gap cap has pairs on both sides of it.
+  for (size_t k = 0; k + 1 < rows.size(); k += 7) {
+    rows.push_back(Tweet{rows[k].user_id, rows[k].timestamp + 1800, rows[k + 1].pos});
+  }
+  return rows;
+}
+
+TEST(ExactTieTest, ExtractorIndexAndScaleAnalysisMatchOracle) {
+  const geo::LatLon tie{-33.5, 150.0};
+  const double west_east = geo::HaversineMeters(tie, geo::LatLon{-33.5, 149.75});
+  const double north_south = geo::HaversineMeters(tie, geo::LatLon{-34.0, 150.0});
+  ASSERT_EQ(west_east, geo::HaversineMeters(tie, geo::LatLon{-33.5, 150.25}));
+  ASSERT_EQ(north_south, geo::HaversineMeters(tie, geo::LatLon{-33.0, 150.0}));
+
+  random::Xoshiro256 rng(31);
+  const std::vector<Tweet> rows = TieRows(37);
+  ASSERT_LE(rows.size(), 5000u);
+  for (const double radius : {west_east, north_south, 30000.0}) {
+    const core::ScaleSpec spec = TieScale(radius);
+    for (int trial = 0; trial < 2; ++trial) {
+      const Layout layout{1 + rng.NextUint64(8), 1 + rng.NextUint64(16),
+                          static_cast<size_t>(2 + rng.NextUint64(40))};
+      const std::string where =
+          "radius " + std::to_string(radius) + ", " + Describe({"ties", {}, 0.0}, layout);
+      tweetdb::TweetDataset dataset = Store(rows, layout);
+      const std::vector<Tweet> stored = StoredRows(dataset);
+      dataset.CompactShards();
+      ThreadPool pool(layout.threads);
+
+      const PopulationCounts counts = CountPopulation(stored, spec.areas, radius);
+      auto estimator = core::PopulationEstimator::Build(dataset, &pool);
+      ASSERT_TRUE(estimator.ok()) << where;
+      for (size_t i = 0; i < spec.areas.size(); ++i) {
+        EXPECT_EQ(counts.unique_users[i],
+                  estimator->CountUniqueUsers(spec.areas[i].center, radius))
+            << where << " area " << i;
+        EXPECT_EQ(counts.tweets[i], estimator->CountTweets(spec.areas[i].center, radius))
+            << where << " area " << i;
+      }
+
+      for (const int64_t max_gap : {int64_t{0}, int64_t{3600}, int64_t{86400}}) {
+        mobility::TripOptions options;
+        options.max_gap_seconds = max_gap;
+        mobility::ExtractionStats want_stats, got_stats;
+        const mobility::OdMatrix want =
+            CountTrips(stored, spec.areas, radius, options, &want_stats);
+        auto got = mobility::ExtractTrips(dataset, spec.areas, radius, pool,
+                                          &got_stats, options);
+        ASSERT_TRUE(got.ok()) << where;
+        EXPECT_EQ(DumpTrips(want, want_stats), DumpTrips(*got, got_stats))
+            << where << ", max gap " << max_gap;
+      }
+
+      mobility::ExtractionStats extraction;
+      const mobility::OdMatrix od =
+          CountTrips(stored, spec.areas, radius, mobility::TripOptions{}, &extraction);
+      auto want = FitScale(spec, od, extraction, counts);
+      auto got = core::AnalyzeScaleMobility(dataset, spec, *estimator, pool);
+      ASSERT_TRUE(want.ok()) << where << ": " << want.status();
+      ASSERT_TRUE(got.ok()) << where << ": " << got.status();
+      EXPECT_EQ(DumpScale(*want), DumpScale(*got)) << where;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace twimob::reference

@@ -1,7 +1,7 @@
 // The columnar scan kernels' contract: FilterBlockColumnar selects exactly
 // the rows the per-row ScanSpec::Matches predicate accepts, in ascending
-// order, and every scan path built on the kernels (serial/parallel,
-// table/dataset) reproduces the row-at-a-time reference bit for bit.
+// order, and every scan path built on the kernels (serial/parallel, one or
+// many shards) reproduces the row-at-a-time reference bit for bit.
 
 #include <algorithm>
 #include <cmath>
@@ -135,7 +135,7 @@ TEST(FilterBlockColumnarTest, InvertedAndNanBoxesSelectNothing) {
   EXPECT_TRUE(sel.empty());
   // Matches the row-at-a-time Contains semantics.
   size_t count = 0;
-  CountMatching(table, nan_box, &count);
+  CountMatching(TweetDataset::FromTable(RandomTable(300, 128, 3)), nan_box, &count);
   EXPECT_EQ(count, 0u);
 }
 
@@ -273,11 +273,12 @@ TEST_P(ZoneMapBoundaryTest, BoundarySpecsAgreeWithPerRowReference) {
     specs.push_back(combined);
   }
 
+  const TweetDataset dataset = TweetDataset::FromTable(std::move(table));
   for (size_t spec_idx = 0; spec_idx < specs.size(); ++spec_idx) {
     const ScanSpec& spec = specs[spec_idx];
-    const std::vector<Tweet> expected = BruteForceMatches(table, spec);
+    const std::vector<Tweet> expected = BruteForceMatches(dataset.shard(0), spec);
     std::vector<Tweet> scanned;
-    ScanTable(table, spec, [&scanned](const Tweet& t) { scanned.push_back(t); });
+    ScanDataset(dataset, spec, [&scanned](const Tweet& t) { scanned.push_back(t); });
     ASSERT_EQ(expected.size(), scanned.size()) << "spec " << spec_idx;
     for (size_t i = 0; i < expected.size(); ++i) {
       EXPECT_TRUE(SameTweet(expected[i], scanned[i]))
@@ -297,80 +298,76 @@ TEST(ZoneMapBoundaryTest, PersistedZoneMapsPruneExactlyLikeInMemoryOnes) {
   table.CompactByUserTime();
   auto decoded = DecodeTable(EncodeTable(table));
   ASSERT_TRUE(decoded.ok());
+  const TweetDataset mem = TweetDataset::FromTable(std::move(table));
+  const TweetDataset disk = TweetDataset::FromTable(std::move(*decoded));
 
   for (const ScanSpec& spec : SpecZoo()) {
-    const std::vector<Tweet> expected = BruteForceMatches(table, spec);
+    const std::vector<Tweet> expected = BruteForceMatches(mem.shard(0), spec);
     std::vector<Tweet> scanned;
-    const ScanStatistics mem_stats = ScanTable(
-        table, spec, [](const Tweet&) {});
-    const ScanStatistics disk_stats = ScanTable(
-        *decoded, spec, [&scanned](const Tweet& t) { scanned.push_back(t); });
+    const ScanStatistics mem_stats = ScanDataset(mem, spec, [](const Tweet&) {});
+    const ScanStatistics disk_stats = ScanDataset(
+        disk, spec, [&scanned](const Tweet& t) { scanned.push_back(t); });
     ExpectSameRows(expected, scanned);
     EXPECT_EQ(mem_stats.blocks_pruned, disk_stats.blocks_pruned);
     EXPECT_EQ(mem_stats.rows_scanned, disk_stats.rows_scanned);
   }
 }
 
-TEST(ScanPathsTest, AllFourPathsMatchForEachRowReference) {
+TEST(ScanPathsTest, DatasetScansMatchForEachRowReference) {
   TweetTable table = RandomTable(5000, 256, 21);
   table.CompactByUserTime();
 
-  TweetDataset dataset(PartitionSpec::ForWindow(0, 100000, 4));
-  table.ForEachRow([&dataset](const Tweet& t) {
-    ASSERT_TRUE(dataset.Append(t).ok());
+  TweetDataset sharded(PartitionSpec::ForWindow(0, 100000, 4));
+  table.ForEachRow([&sharded](const Tweet& t) {
+    ASSERT_TRUE(sharded.Append(t).ok());
   });
-  dataset.SealAll();
+  sharded.SealAll();
+  const TweetDataset single = TweetDataset::FromTable(std::move(table));
 
   ThreadPool pool(4);
-  for (const ScanSpec& spec : SpecZoo()) {
-    const std::vector<Tweet> expected = BruteForceMatches(table, spec);
+  for (const TweetDataset* dataset :
+       std::initializer_list<const TweetDataset*>{&single, &sharded}) {
+    for (const ScanSpec& spec : SpecZoo()) {
+      // Reference: the per-row filter over each shard in key order.
+      std::vector<Tweet> expected;
+      for (size_t s = 0; s < dataset->num_shards(); ++s) {
+        const auto shard_rows = BruteForceMatches(dataset->shard(s), spec);
+        expected.insert(expected.end(), shard_rows.begin(), shard_rows.end());
+      }
 
-    // 1. Serial table scan.
-    std::vector<Tweet> serial;
-    const ScanStatistics serial_stats =
-        ScanTable(table, spec, [&serial](const Tweet& t) { serial.push_back(t); });
-    ExpectSameRows(expected, serial);
-    EXPECT_EQ(serial_stats.rows_matched, expected.size());
+      std::vector<Tweet> serial;
+      const ScanStatistics serial_stats = ScanDataset(
+          *dataset, spec, [&serial](const Tweet& t) { serial.push_back(t); });
+      ExpectSameRows(expected, serial);
+      EXPECT_EQ(serial_stats.rows_matched, expected.size());
 
-    // 2. Parallel table scan: per-block slots, ordered merge.
-    std::vector<std::vector<Tweet>> slots(table.num_blocks());
-    ParallelScanTable(table, spec, pool,
-                      [&slots](size_t b, const Tweet& t) { slots[b].push_back(t); });
-    std::vector<Tweet> pooled;
-    for (const auto& slot : slots) pooled.insert(pooled.end(), slot.begin(), slot.end());
-    ExpectSameRows(expected, pooled);
+      // Per-global-block slots, ordered merge.
+      std::vector<std::vector<Tweet>> slots(dataset->num_blocks());
+      const ScanStatistics pooled_stats = ParallelScanDataset(
+          *dataset, spec, pool, [&slots](size_t g, const Tweet& t) {
+            slots[g].push_back(t);
+          });
+      std::vector<Tweet> pooled;
+      for (const auto& slot : slots) {
+        pooled.insert(pooled.end(), slot.begin(), slot.end());
+      }
+      ExpectSameRows(expected, pooled);
 
-    // 3. Serial dataset scan (shards ascending — same global order because
-    // the dataset partitions by time, and we compare as a multiset via the
-    // dataset's own reference).
-    std::vector<Tweet> ds_expected;
-    for (size_t s = 0; s < dataset.num_shards(); ++s) {
-      const auto shard_rows = BruteForceMatches(dataset.shard(s), spec);
-      ds_expected.insert(ds_expected.end(), shard_rows.begin(), shard_rows.end());
+      // The count agrees with the gathering scans, serial and pooled, and
+      // every path prunes and scans exactly the same blocks and rows.
+      size_t count = 0;
+      const ScanStatistics count_stats = CountMatching(*dataset, spec, &count);
+      EXPECT_EQ(count, expected.size());
+      const ScanStatistics pooled_count_stats =
+          CountMatching(*dataset, spec, &count, &pool);
+      EXPECT_EQ(count, expected.size());
+      for (const ScanStatistics& stats : {pooled_stats, count_stats, pooled_count_stats}) {
+        EXPECT_EQ(stats.blocks_total, serial_stats.blocks_total);
+        EXPECT_EQ(stats.blocks_pruned, serial_stats.blocks_pruned);
+        EXPECT_EQ(stats.rows_scanned, serial_stats.rows_scanned);
+        EXPECT_EQ(stats.rows_matched, serial_stats.rows_matched);
+      }
     }
-    std::vector<Tweet> ds_serial;
-    ScanDataset(dataset, spec, [&ds_serial](const Tweet& t) { ds_serial.push_back(t); });
-    ExpectSameRows(ds_expected, ds_serial);
-
-    // 4. Parallel dataset scan: per-global-block slots, ordered merge.
-    std::vector<std::vector<Tweet>> ds_slots(dataset.num_blocks());
-    ParallelScanDataset(dataset, spec, pool, [&ds_slots](size_t g, const Tweet& t) {
-      ds_slots[g].push_back(t);
-    });
-    std::vector<Tweet> ds_pooled;
-    for (const auto& slot : ds_slots) {
-      ds_pooled.insert(ds_pooled.end(), slot.begin(), slot.end());
-    }
-    ExpectSameRows(ds_expected, ds_pooled);
-
-    // Counting kernels agree with the gathering ones.
-    size_t count = 0;
-    CountMatching(table, spec, &count);
-    EXPECT_EQ(count, expected.size());
-    ParallelCountMatching(table, spec, pool, &count);
-    EXPECT_EQ(count, expected.size());
-    ParallelCountMatchingDataset(dataset, spec, pool, &count);
-    EXPECT_EQ(count, ds_expected.size());
   }
 }
 
@@ -380,24 +377,31 @@ TEST(ScanPathsTest, PrunedAndEmptyBlocksContributeNothing) {
   // their rows entirely.
   TweetTable table = RandomTable(5000, 128, 7);
   table.CompactByUserTime();
+  const TweetDataset dataset = TweetDataset::FromTable(std::move(table));
 
   ScanSpec spec;
   spec.user_id = 10;
   std::vector<Tweet> rows;
   const ScanStatistics stats =
-      ScanTable(table, spec, [&rows](const Tweet& t) { rows.push_back(t); });
+      ScanDataset(dataset, spec, [&rows](const Tweet& t) { rows.push_back(t); });
   EXPECT_GT(stats.blocks_pruned, 0u);
   EXPECT_LT(stats.rows_scanned, 5000u);
-  ExpectSameRows(BruteForceMatches(table, spec), rows);
+  ExpectSameRows(BruteForceMatches(dataset.shard(0), spec), rows);
 
   // An empty (sealed, zero-row) table scans to nothing without touching the
   // kernels.
   TweetTable empty(64);
   empty.SealActive();
-  size_t count = 1;
-  const ScanStatistics empty_stats = CountMatching(empty, spec, &count);
-  EXPECT_EQ(count, 0u);
-  EXPECT_EQ(empty_stats.rows_scanned, 0u);
+  const TweetDataset empty_dataset = TweetDataset::FromTable(std::move(empty));
+  ThreadPool pool(2);
+  for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    size_t count = 1;
+    const ScanStatistics empty_stats =
+        CountMatching(empty_dataset, ScanSpec{}, &count, workers);
+    EXPECT_EQ(count, 0u);
+    EXPECT_EQ(empty_stats.blocks_total, 0u);
+    EXPECT_EQ(empty_stats.rows_scanned, 0u);
+  }
 }
 
 }  // namespace

@@ -116,31 +116,6 @@ TEST(TweetDatasetTest, FromTableSinglePartitionAdoptsWholesale) {
   }
 }
 
-TEST(TweetDatasetTest, MergedIterationEqualsGlobalCompaction) {
-  const std::vector<Tweet> tweets = RandomTweets(5000, 23, 80, 50'000);
-
-  TweetTable reference(256);
-  for (const Tweet& t : tweets) ASSERT_TRUE(reference.Append(t).ok());
-  reference.CompactByUserTime();
-  const std::vector<Tweet> expected = Rows(reference);
-
-  for (int64_t width : {500, 5000, 25000}) {
-    TweetDataset dataset(PartitionSpec{0, width}, 256);
-    ASSERT_TRUE(dataset.AppendBatch(tweets).ok());
-    dataset.CompactShards();
-    ASSERT_TRUE(dataset.sorted_by_user_time());
-    ASSERT_TRUE(dataset.fully_sealed());
-
-    std::vector<Tweet> merged;
-    dataset.ForEachRowMerged([&merged](const Tweet& t) { merged.push_back(t); });
-    ASSERT_EQ(merged.size(), expected.size()) << "width " << width;
-    for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_TRUE(SameTweet(expected[i], merged[i]))
-          << "width " << width << " row " << i;
-    }
-  }
-}
-
 TEST(TweetDatasetTest, ReleaseTableMergesShardsIntoGlobalOrder) {
   const std::vector<Tweet> tweets = RandomTweets(3000, 24, 60, 40'000);
 

@@ -82,12 +82,12 @@ TEST(MappedReadTest, MappedEqualsEagerRowForRow) {
   // Selective scans agree too (and the deferred decodes all succeeded).
   ScanSpec spec;
   spec.user_id = 7;
-  for (size_t i = 0; i < eager->num_shards(); ++i) {
-    size_t eager_count = 0;
-    size_t mapped_count = 0;
-    CountMatching(eager->shard(i), spec, &eager_count);
-    CountMatching(mapped->dataset.shard(i), spec, &mapped_count);
-    EXPECT_EQ(eager_count, mapped_count);
+  size_t eager_count = 0;
+  size_t mapped_count = 0;
+  CountMatching(*eager, spec, &eager_count);
+  CountMatching(mapped->dataset, spec, &mapped_count);
+  EXPECT_EQ(eager_count, mapped_count);
+  for (size_t i = 0; i < mapped->dataset.num_shards(); ++i) {
     EXPECT_TRUE(mapped->dataset.shard(i).LazyDecodeStatus().ok());
   }
 }

@@ -51,9 +51,9 @@ TEST(ScanSpecTest, MatchesEachPredicate) {
   EXPECT_FALSE(box.Matches(t));
 }
 
-TEST(ScanTableTest, MatchesBruteForce) {
-  TweetTable table = RandomTable(5000, 256, 5);
-  auto all = table.ToVector();
+TEST(ScanDatasetTest, MatchesBruteForce) {
+  const TweetDataset dataset = TweetDataset::FromTable(RandomTable(5000, 256, 5));
+  const auto all = dataset.shard(0).ToVector();
 
   ScanSpec spec;
   spec.min_time = 20000;
@@ -65,33 +65,34 @@ TEST(ScanTableTest, MatchesBruteForce) {
     if (spec.Matches(t)) ++expected;
   }
   size_t actual = 0;
-  ScanStatistics stats = CountMatching(table, spec, &actual);
+  ScanStatistics stats = CountMatching(dataset, spec, &actual);
   EXPECT_EQ(actual, expected);
   EXPECT_EQ(stats.rows_matched, expected);
-  EXPECT_EQ(stats.blocks_total, table.num_blocks());
+  EXPECT_EQ(stats.blocks_total, dataset.num_blocks());
 }
 
-TEST(ScanTableTest, UserFilterPrunesBlocksAfterCompaction) {
+TEST(ScanDatasetTest, UserFilterPrunesBlocksAfterCompaction) {
   TweetTable table = RandomTable(5000, 128, 7);
   table.CompactByUserTime();
+  const TweetDataset dataset = TweetDataset::FromTable(std::move(table));
 
   ScanSpec spec;
   spec.user_id = 10;
   size_t count = 0;
-  ScanStatistics stats = CountMatching(table, spec, &count);
+  ScanStatistics stats = CountMatching(dataset, spec, &count);
   EXPECT_GT(count, 0u);
   // After (user,time) compaction a single user spans few blocks; the zone
   // maps must prune most of the ~40 blocks.
   EXPECT_GT(stats.blocks_pruned, stats.blocks_total / 2);
   // Pruning must not lose matches.
   size_t brute = 0;
-  for (const Tweet& t : table.ToVector()) {
+  dataset.ForEachRow([&brute](const Tweet& t) {
     if (t.user_id == 10) ++brute;
-  }
+  });
   EXPECT_EQ(count, brute);
 }
 
-TEST(ScanTableTest, TimeRangePruningIsLossless) {
+TEST(ScanDatasetTest, TimeRangePruningIsLossless) {
   TweetTable table(64);
   // Three time-disjoint batches -> time-clustered blocks.
   for (int batch = 0; batch < 3; ++batch) {
@@ -101,18 +102,19 @@ TEST(ScanTableTest, TimeRangePruningIsLossless) {
     }
   }
   table.SealActive();
+  const TweetDataset dataset = TweetDataset::FromTable(std::move(table));
 
   ScanSpec spec;
   spec.min_time = 100000;
   spec.max_time = 200000;
   size_t count = 0;
-  ScanStatistics stats = CountMatching(table, spec, &count);
+  ScanStatistics stats = CountMatching(dataset, spec, &count);
   EXPECT_EQ(count, 64u);
   EXPECT_EQ(stats.blocks_pruned, 2u);
   EXPECT_EQ(stats.rows_scanned, 64u);
 }
 
-TEST(ScanTableTest, BboxPruningSkipsFarBlocks) {
+TEST(ScanDatasetTest, BboxPruningSkipsFarBlocks) {
   TweetTable table(32);
   // Sydney block then Perth block.
   for (int i = 0; i < 32; ++i) {
@@ -122,169 +124,27 @@ TEST(ScanTableTest, BboxPruningSkipsFarBlocks) {
     ASSERT_TRUE(table.Append(MakeTweet(i, i, -31.9, 115.9)).ok());
   }
   table.SealActive();
+  const TweetDataset dataset = TweetDataset::FromTable(std::move(table));
 
   ScanSpec spec;
   spec.bbox = geo::BoundingBox{-35.0, 150.0, -32.0, 153.0};  // Sydney only
   std::vector<Tweet> out;
-  ScanStatistics stats = CollectMatching(table, spec, &out);
+  ScanStatistics stats =
+      ScanDataset(dataset, spec, [&out](const Tweet& t) { out.push_back(t); });
   EXPECT_EQ(out.size(), 32u);
   EXPECT_EQ(stats.blocks_pruned, 1u);
 }
 
-TEST(ScanTableTest, EmptySpecMatchesEverything) {
-  TweetTable table = RandomTable(1000, 100, 9);
+TEST(ScanDatasetTest, EmptySpecMatchesEverything) {
+  const TweetDataset dataset = TweetDataset::FromTable(RandomTable(1000, 100, 9));
   size_t count = 0;
-  CountMatching(table, ScanSpec{}, &count);
+  CountMatching(dataset, ScanSpec{}, &count);
   EXPECT_EQ(count, 1000u);
 }
 
 TEST(MayMatchBlockTest, EmptyBlockNeverMatches) {
   BlockStats empty;
   EXPECT_FALSE(ScanSpec{}.MayMatchBlock(empty));
-}
-
-TEST(FilterTableTest, KeepsOnlyMatchesAndPreservesSortedness) {
-  TweetTable table = RandomTable(3000, 128, 31);
-  table.CompactByUserTime();
-
-  ScanSpec spec;
-  spec.min_time = 20000;
-  spec.max_time = 60000;
-  TweetTable filtered = FilterTable(table, spec);
-  EXPECT_TRUE(filtered.sorted_by_user_time());
-
-  size_t expected = 0;
-  CountMatching(table, spec, &expected);
-  EXPECT_EQ(filtered.num_rows(), expected);
-  filtered.ForEachRow([&spec](const Tweet& t) { EXPECT_TRUE(spec.Matches(t)); });
-}
-
-TEST(FilterTableTest, UnsortedSourceYieldsUnsortedResult) {
-  TweetTable table = RandomTable(500, 64, 33);
-  table.SealActive();
-  ASSERT_FALSE(table.sorted_by_user_time());
-  TweetTable filtered = FilterTable(table, ScanSpec{});
-  EXPECT_FALSE(filtered.sorted_by_user_time());
-  EXPECT_EQ(filtered.num_rows(), 500u);
-}
-
-TEST(ParallelScanTest, MatchesSerialScan) {
-  TweetTable table = RandomTable(20000, 512, 21);
-  ThreadPool pool(4);
-
-  ScanSpec spec;
-  spec.min_time = 10000;
-  spec.max_time = 90000;
-  spec.bbox = geo::BoundingBox{-40.0, 140.0, -25.0, 153.0};
-
-  size_t serial = 0;
-  ScanStatistics serial_stats = CountMatching(table, spec, &serial);
-  size_t parallel = 0;
-  ScanStatistics parallel_stats =
-      ParallelCountMatching(table, spec, pool, &parallel);
-
-  EXPECT_EQ(parallel, serial);
-  EXPECT_EQ(parallel_stats.rows_matched, serial_stats.rows_matched);
-  EXPECT_EQ(parallel_stats.blocks_total, serial_stats.blocks_total);
-  EXPECT_EQ(parallel_stats.blocks_pruned, serial_stats.blocks_pruned);
-}
-
-TEST(ParallelScanTest, EmptyTableAndEmptyResult) {
-  TweetTable table;
-  table.SealActive();
-  ThreadPool pool(2);
-  size_t count = 99;
-  ScanStatistics stats = ParallelCountMatching(table, ScanSpec{}, pool, &count);
-  EXPECT_EQ(count, 0u);
-  EXPECT_EQ(stats.blocks_total, 0u);
-}
-
-TEST(ParallelScanTest, FullyPrunedBlocksMatchSerial) {
-  // A bbox far outside the data prunes every block via the zone maps; the
-  // parallel scan must report the same (all-pruned) statistics as the
-  // serial one and visit no rows.
-  TweetTable table = RandomTable(5000, 256, 25);
-  table.CompactByUserTime();
-  ThreadPool pool(4);
-
-  ScanSpec spec;
-  spec.bbox = geo::BoundingBox{40.0, -10.0, 60.0, 10.0};  // Europe: no data
-
-  size_t serial = 99;
-  ScanStatistics serial_stats = CountMatching(table, spec, &serial);
-  size_t parallel = 99;
-  ScanStatistics parallel_stats =
-      ParallelCountMatching(table, spec, pool, &parallel);
-
-  EXPECT_EQ(serial, 0u);
-  EXPECT_EQ(parallel, 0u);
-  EXPECT_EQ(serial_stats.blocks_pruned, serial_stats.blocks_total);
-  EXPECT_EQ(parallel_stats.blocks_pruned, parallel_stats.blocks_pruned);
-  EXPECT_EQ(parallel_stats.blocks_total, serial_stats.blocks_total);
-  EXPECT_EQ(parallel_stats.rows_scanned, 0u);
-  EXPECT_EQ(serial_stats.rows_scanned, 0u);
-}
-
-TEST(ParallelScanTest, MixOfPrunedAndScannedBlocksMatchesSerial) {
-  // (user,time) compaction clusters users into blocks, so a single-user
-  // spec prunes most blocks and scans a few — the merged parallel
-  // statistics and the visited rows must match the serial scan exactly.
-  TweetTable table = RandomTable(8000, 128, 27);
-  table.CompactByUserTime();
-  ThreadPool pool(4);
-
-  ScanSpec spec;
-  spec.user_id = 17;
-
-  size_t serial = 0;
-  ScanStatistics serial_stats = CountMatching(table, spec, &serial);
-  ASSERT_GT(serial, 0u);
-  ASSERT_GT(serial_stats.blocks_pruned, 0u);
-  ASSERT_LT(serial_stats.blocks_pruned, serial_stats.blocks_total);
-
-  size_t parallel = 0;
-  ScanStatistics parallel_stats =
-      ParallelCountMatching(table, spec, pool, &parallel);
-  EXPECT_EQ(parallel, serial);
-  EXPECT_EQ(parallel_stats.rows_scanned, serial_stats.rows_scanned);
-  EXPECT_EQ(parallel_stats.rows_matched, serial_stats.rows_matched);
-  EXPECT_EQ(parallel_stats.blocks_pruned, serial_stats.blocks_pruned);
-  EXPECT_EQ(parallel_stats.blocks_total, serial_stats.blocks_total);
-
-  // Per-block buffers flattened in block order must equal the serial
-  // visit order (the ordered-merge pattern the engine's index build uses).
-  std::vector<Tweet> serial_rows;
-  CollectMatching(table, spec, &serial_rows);
-  std::vector<std::vector<Tweet>> per_block(table.num_blocks());
-  ParallelScanTable(table, spec, pool,
-                    [&per_block](size_t block, const Tweet& t) {
-                      per_block[block].push_back(t);  // safe: one task per block
-                    });
-  std::vector<Tweet> merged;
-  for (const auto& rows : per_block) {
-    merged.insert(merged.end(), rows.begin(), rows.end());
-  }
-  ASSERT_EQ(merged.size(), serial_rows.size());
-  for (size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i].user_id, serial_rows[i].user_id) << i;
-    EXPECT_EQ(merged[i].timestamp, serial_rows[i].timestamp) << i;
-  }
-}
-
-TEST(ParallelScanTest, PerBlockCallbackSeesOwnBlockIndex) {
-  TweetTable table = RandomTable(2000, 128, 23);
-  ThreadPool pool(4);
-  std::vector<size_t> per_block(table.num_blocks(), 0);
-  ParallelScanTable(table, ScanSpec{}, pool,
-                    [&per_block](size_t block, const Tweet&) {
-                      ++per_block[block];  // safe: one task per block
-                    });
-  size_t total = 0;
-  for (size_t c : per_block) total += c;
-  EXPECT_EQ(total, 2000u);
-  for (size_t b = 0; b < table.num_blocks(); ++b) {
-    EXPECT_EQ(per_block[b], table.block(b).num_rows()) << b;
-  }
 }
 
 }  // namespace

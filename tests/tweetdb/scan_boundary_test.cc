@@ -2,7 +2,7 @@
 // the edges the predicate semantics define (min_time inclusive, max_time
 // exclusive, user and bbox ranges inclusive) — one off-by-one either way
 // is a pruned match or a wasted decode. The sweeps also pin the agreement
-// of the four scan paths (serial / parallel, table / cross-shard dataset).
+// of the scan paths (serial / parallel, one shard / many shards).
 
 #include <algorithm>
 #include <vector>
@@ -71,46 +71,31 @@ void ExpectSameRows(std::vector<Tweet> a, std::vector<Tweet> b) {
   }
 }
 
-// Runs `spec` through all four scan paths and checks each against the
+// Runs `spec` through the serial and the parallel scan of both the
+// single-shard and the multi-shard dataset and checks each against the
 // brute-force row filter. Returns the matched count.
-size_t CheckAllPathsAgree(const TweetTable& table, const TweetDataset& dataset,
+size_t CheckAllPathsAgree(const TweetDataset& single, const TweetDataset& sharded,
                           const ScanSpec& spec) {
-  const std::vector<Tweet> expected = BruteForce(table, spec);
+  const std::vector<Tweet> expected = BruteForce(single.shard(0), spec);
   ThreadPool pool(3);
+  for (const TweetDataset* dataset : {&single, &sharded}) {
+    std::vector<Tweet> serial;
+    const ScanStatistics serial_stats = ScanDataset(
+        *dataset, spec, [&serial](const Tweet& t) { serial.push_back(t); });
+    ExpectSameRows(expected, serial);
+    EXPECT_EQ(serial_stats.rows_matched, expected.size());
 
-  std::vector<Tweet> serial;
-  const ScanStatistics serial_stats =
-      ScanTable(table, spec, [&serial](const Tweet& t) { serial.push_back(t); });
-  ExpectSameRows(expected, serial);
-  EXPECT_EQ(serial_stats.rows_matched, expected.size());
-
-  std::vector<std::vector<Tweet>> per_block(table.num_blocks());
-  ParallelScanTable(table, spec, pool, [&per_block](size_t b, const Tweet& t) {
-    per_block[b].push_back(t);
-  });
-  std::vector<Tweet> parallel;
-  for (const auto& rows : per_block) {
-    parallel.insert(parallel.end(), rows.begin(), rows.end());
+    std::vector<std::vector<Tweet>> per_global(dataset->num_blocks());
+    ParallelScanDataset(*dataset, spec, pool,
+                        [&per_global](size_t g, const Tweet& t) {
+                          per_global[g].push_back(t);
+                        });
+    std::vector<Tweet> parallel;
+    for (const auto& rows : per_global) {
+      parallel.insert(parallel.end(), rows.begin(), rows.end());
+    }
+    ExpectSameRows(expected, parallel);
   }
-  ExpectSameRows(expected, parallel);
-
-  std::vector<Tweet> sharded;
-  const ScanStatistics sharded_stats = ScanDataset(
-      dataset, spec, [&sharded](const Tweet& t) { sharded.push_back(t); });
-  ExpectSameRows(expected, sharded);
-  EXPECT_EQ(sharded_stats.rows_matched, expected.size());
-
-  std::vector<std::vector<Tweet>> per_global(dataset.num_blocks());
-  ParallelScanDataset(dataset, spec, pool,
-                      [&per_global](size_t g, const Tweet& t) {
-                        per_global[g].push_back(t);
-                      });
-  std::vector<Tweet> sharded_parallel;
-  for (const auto& rows : per_global) {
-    sharded_parallel.insert(sharded_parallel.end(), rows.begin(), rows.end());
-  }
-  ExpectSameRows(expected, sharded_parallel);
-
   return expected.size();
 }
 
@@ -183,7 +168,7 @@ TEST(MayMatchBlockTest, BboxTouchingAnEdgeStillMatches) {
 
 // --------------------------------------------------------------------------
 // Boundary sweeps on real blocks: rows exactly at the spec edges, across
-// all four scan paths.
+// every scan path.
 
 class ScanBoundarySweep : public ::testing::TestWithParam<int64_t> {};
 
@@ -192,7 +177,8 @@ INSTANTIATE_TEST_SUITE_P(Offsets, ScanBoundarySweep,
 
 TEST_P(ScanBoundarySweep, TimeWindowEdges) {
   const int64_t offset = GetParam();
-  const TweetTable table = BoundaryTable();
+  const TweetDataset single = TweetDataset::FromTable(BoundaryTable());
+  const TweetTable& table = single.shard(0);
   const TweetDataset dataset = BoundaryDataset(table);
   // Sweep min_time and max_time around every block boundary of the data.
   for (size_t b = 0; b < table.num_blocks(); ++b) {
@@ -200,35 +186,37 @@ TEST_P(ScanBoundarySweep, TimeWindowEdges) {
     for (int64_t base : {stats.min_time, stats.max_time}) {
       ScanSpec lower;
       lower.min_time = base + offset;
-      CheckAllPathsAgree(table, dataset, lower);
+      CheckAllPathsAgree(single, dataset, lower);
 
       ScanSpec upper;
       upper.max_time = base + offset;
-      CheckAllPathsAgree(table, dataset, upper);
+      CheckAllPathsAgree(single, dataset, upper);
 
       ScanSpec window;  // one-second window straddling the edge
       window.min_time = base + offset;
       window.max_time = base + offset + 1;
-      CheckAllPathsAgree(table, dataset, window);
+      CheckAllPathsAgree(single, dataset, window);
     }
   }
 }
 
 TEST_P(ScanBoundarySweep, UserEdges) {
   const int64_t offset = GetParam();
-  const TweetTable table = BoundaryTable();
+  const TweetDataset single = TweetDataset::FromTable(BoundaryTable());
+  const TweetTable& table = single.shard(0);
   const TweetDataset dataset = BoundaryDataset(table);
   for (uint64_t base : {uint64_t{1}, uint64_t{8}}) {  // the user id range
     const int64_t shifted = static_cast<int64_t>(base) + offset;
     if (shifted < 0) continue;
     ScanSpec spec;
     spec.user_id = static_cast<uint64_t>(shifted);
-    CheckAllPathsAgree(table, dataset, spec);
+    CheckAllPathsAgree(single, dataset, spec);
   }
 }
 
 TEST(ScanBoundaryTest, ZeroAreaBboxAtAStoredPointMatchesIt) {
-  const TweetTable table = BoundaryTable();
+  const TweetDataset single = TweetDataset::FromTable(BoundaryTable());
+  const TweetTable& table = single.shard(0);
   const TweetDataset dataset = BoundaryDataset(table);
   // Use the exact stored (quantised) coordinates of one row as a zero-area
   // query box: the row sits on all four edges and must match.
@@ -236,7 +224,7 @@ TEST(ScanBoundaryTest, ZeroAreaBboxAtAStoredPointMatchesIt) {
   ScanSpec spec;
   spec.bbox = geo::BoundingBox{probe.pos.lat, probe.pos.lon, probe.pos.lat,
                                probe.pos.lon};
-  const size_t matched = CheckAllPathsAgree(table, dataset, spec);
+  const size_t matched = CheckAllPathsAgree(single, dataset, spec);
   EXPECT_GE(matched, 1u);
 }
 
