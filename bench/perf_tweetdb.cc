@@ -1,12 +1,12 @@
 // Ablation A4 / storage micro-benchmarks (google-benchmark): ingest
-// throughput, block codec speed, checksum (CRC32C) overhead, and the
+// throughput, block codec speed, checksum (CRC32C) throughput, and the
 // effect of zone-map pruning on scans.
 //
 // `--json <path>` skips google-benchmark and instead writes the
 // machine-readable checksum/codec profile (`BENCH_tweetdb.json`: format
 // version, DescribeTable storage accounting, CRC32C / encode / decode
-// throughput, verify-vs-no-verify overhead, v6 compression ratio,
-// zone-map prune rate and the mapped-vs-eager selective scan speedup)
+// throughput, compression ratio, zone-map prune rate and the
+// mapped-vs-eager selective scan speedup)
 // via bench::JsonWriter. CI's perf-smoke job uploads it as an artifact
 // and asserts on the compression/prune fields. `--users N` scales the
 // profile corpus (10 rows per user; default 100,000 users = 1M rows, or
@@ -143,24 +143,19 @@ void BM_EncodeTable(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeTable)->Arg(100000);
 
-// Decode with checksum verification on (the default) vs off — the cost of
-// the v4 integrity guarantee on the read path.
+// Verified decode: payload CRC32C, decompression and zone-map check.
 void BM_DecodeTable(benchmark::State& state) {
   TweetTable table = BuildTable(static_cast<size_t>(state.range(0)), true);
   const std::string bytes = EncodeTable(table);
-  DecodeOptions options;
-  options.verify_checksums = state.range(1) != 0;
   state.counters["bytes_per_row"] =
       static_cast<double>(bytes.size()) / static_cast<double>(state.range(0));
   for (auto _ : state) {
-    auto decoded = DecodeTable(bytes, options);
+    auto decoded = DecodeTable(bytes);
     benchmark::DoNotOptimize(decoded.ok());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_DecodeTable)
-    ->Args({100000, 1})   // verify_checksums = true (production default)
-    ->Args({100000, 0});  // verification off: upper bound on decode speed
+BENCHMARK(BM_DecodeTable)->Arg(100000);
 
 // Raw CRC32C throughput over the encoded table blob (slice-by-8).
 void BM_Crc32c(benchmark::State& state) {
@@ -251,12 +246,8 @@ int RunJsonProfile(const char* json_path, size_t users) {
   }
   TweetTable table = std::move(*corpus);
   const TableDescription desc = DescribeTable(table);
-  const TableDescription desc_raw = DescribeTable(table, /*compress=*/false);
   const std::string bytes = EncodeTable(table);
-  const std::string bytes_raw = EncodeTable(table, /*compress=*/false);
   const double mib = static_cast<double>(bytes.size()) / (1024.0 * 1024.0);
-  const double mib_raw =
-      static_cast<double>(bytes_raw.size()) / (1024.0 * 1024.0);
 
   const double crc_s = BestOfSeconds(5, [&] {
     uint32_t crc = Crc32c(bytes.data(), bytes.size());
@@ -305,27 +296,11 @@ int RunJsonProfile(const char* json_path, size_t users) {
     std::string encoded = EncodeTable(table);
     benchmark::DoNotOptimize(encoded.size());
   });
-  DecodeOptions no_verify;
-  no_verify.verify_checksums = false;
   const double decode_verify_s = BestOfSeconds(3, [&] {
     auto decoded = DecodeTable(bytes);
     if (!decoded.ok()) std::abort();
     benchmark::DoNotOptimize(decoded->num_rows());
   });
-  const double decode_raw_s = BestOfSeconds(3, [&] {
-    auto decoded = DecodeTable(bytes, no_verify);
-    if (!decoded.ok()) std::abort();
-    benchmark::DoNotOptimize(decoded->num_rows());
-  });
-  const double decode_uncompressed_s = BestOfSeconds(3, [&] {
-    auto decoded = DecodeTable(bytes_raw);
-    if (!decoded.ok()) std::abort();
-    benchmark::DoNotOptimize(decoded->num_rows());
-  });
-  const double overhead_pct =
-      decode_raw_s > 0.0
-          ? 100.0 * (decode_verify_s - decode_raw_s) / decode_raw_s
-          : 0.0;
 
   // Zone-map pruning on the v6 directory: the selective scan the paper's
   // per-user workloads issue (point user filter over the (user,time)-
@@ -393,17 +368,16 @@ int RunJsonProfile(const char* json_path, size_t users) {
       filter_simd_s > 0.0 ? filter_scalar_s / filter_simd_s : 1.0;
   std::fprintf(stderr,
                "[perf_tweetdb] crc32c %s %.2f GiB/s (scalar %.2f, %.1fx) | "
-               "encode %.0f MiB/s | decode %.0f MiB/s verified, %.0f MiB/s raw "
-               "(overhead %.1f%%) | filter %s %.1fx scalar\n",
+               "encode %.0f MiB/s | decode %.0f MiB/s verified | filter %s "
+               "%.1fx scalar\n",
                Crc32cImplementation(), gib / crc_s, gib / crc_scalar_s,
                crc_speedup, mib / encode_s, mib / decode_verify_s,
-               mib / decode_raw_s, overhead_pct, FilterKernelsImplementation(),
-               filter_speedup);
+               FilterKernelsImplementation(), filter_speedup);
   std::fprintf(stderr,
-               "[perf_tweetdb] v6: %.2fx compression (%.1f B/row vs %.1f "
-               "uncompressed) | unpack %s | prune rate %.3f | mapped selective "
-               "open+scan %.1fx eager (%.1f ms vs %.1f ms)\n",
-               desc.compression_ratio, desc.bytes_per_row, desc_raw.bytes_per_row,
+               "[perf_tweetdb] v%u: %.2fx compression (%.1f B/row) | unpack %s "
+               "| prune rate %.3f | mapped selective open+scan %.1fx eager "
+               "(%.1f ms vs %.1f ms)\n",
+               kBinaryFormatVersion, desc.compression_ratio, desc.bytes_per_row,
                ActiveUnpackKernels().name, prune_rate, selective_scan_speedup,
                1e3 * mapped_open_scan_s, 1e3 * eager_open_scan_s);
 
@@ -430,7 +404,6 @@ int RunJsonProfile(const char* json_path, size_t users) {
       .Field("blocks", static_cast<uint64_t>(desc.num_blocks))
       .Field("encoded_bytes", static_cast<uint64_t>(desc.encoded_bytes))
       .Field("bytes_per_row", desc.bytes_per_row)
-      .Field("uncompressed_bytes_per_row", desc_raw.bytes_per_row)
       .Field("compression_ratio", desc.compression_ratio)
       .EndObject();
   json.BeginObject("checksum")
@@ -438,9 +411,6 @@ int RunJsonProfile(const char* json_path, size_t users) {
       .Field("encode_mib_per_s", mib / encode_s)
       .Field("decode_verify_mib_per_s", mib / decode_verify_s)
       .Field("decode_verified_mibps", mib / decode_verify_s)
-      .Field("decode_no_verify_mib_per_s", mib / decode_raw_s)
-      .Field("decode_uncompressed_mibps", mib_raw / decode_uncompressed_s)
-      .Field("verify_overhead_pct", overhead_pct)
       .EndObject();
   json.BeginObject("zone_maps")
       .Field("scan", "user_eq_777")

@@ -75,6 +75,10 @@ Result<PopulationAnswer> QueryService::Population(
   if (!(radius_m > 0.0)) {
     return Status::InvalidArgument("population query: radius must be > 0");
   }
+  if (!center.IsValid()) {
+    return Status::InvalidArgument("population query: invalid centre " +
+                                   center.ToString());
+  }
   if (options.deadline.HasExpired()) return DeadlinePassed("population");
   const std::shared_ptr<const core::AnalysisSnapshot> snapshot = Acquire();
   PopulationAnswer answer;
@@ -108,6 +112,10 @@ Result<PointAnswer> QueryService::PointEstimate(size_t scale,
                                                 const QueryOptions& options) const {
   const AdmissionSlot slot(*this);
   if (!slot.admitted()) return ShedStatus();
+  if (!pos.IsValid()) {
+    return Status::InvalidArgument("point query: invalid position " +
+                                   pos.ToString());
+  }
   if (options.deadline.HasExpired()) return DeadlinePassed("point");
   const std::shared_ptr<const core::AnalysisSnapshot> snapshot = Acquire();
   if (scale >= snapshot->specs().size()) {

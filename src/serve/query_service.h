@@ -138,13 +138,15 @@ class QueryService {
   explicit QueryService(const SnapshotCatalog* catalog, ServiceLimits limits = {});
 
   /// Distinct users and tweets within `radius_m` of `center` (the paper's
-  /// population primitive at caller-chosen ε). The deadline is checked
-  /// before each of the two radius scans — an answer that comes back is
-  /// never partial.
+  /// population primitive at caller-chosen ε). A non-positive radius or an
+  /// invalid centre (non-finite or out-of-range lat/lon) is
+  /// InvalidArgument before any scan. The deadline is checked before each
+  /// of the two radius scans — an answer that comes back is never partial.
   Result<PopulationAnswer> Population(const geo::LatLon& center, double radius_m,
                                       const QueryOptions& options = {}) const;
 
-  /// Maps one point to its area at scale `scale` (index into specs()).
+  /// Maps one point to its area at scale `scale` (index into specs()). An
+  /// invalid position is InvalidArgument.
   Result<PointAnswer> PointEstimate(size_t scale, const geo::LatLon& pos,
                                     const QueryOptions& options = {}) const;
 

@@ -24,14 +24,11 @@ constexpr char kManifestMagic[4] = {'T', 'W', 'D', 'M'};
 constexpr uint64_t kMaxManifestShards = 1u << 20;
 // Same guard for the delta list (compaction keeps it short in practice).
 constexpr uint64_t kMaxManifestDeltas = 1u << 20;
-// magic + version + flags + block count — the CRC-guarded table header
-// prefix (v6; v5 had no flags word and a 16-byte prefix).
-constexpr size_t kTableHeaderPrefix = 20;
+// magic + version + block count — the CRC-guarded table header prefix.
+constexpr size_t kTableHeaderPrefix = 16;
 // Fixed on-disk size of one zone-map directory record: rows + user range +
 // time range as fixed64, the four fixed-point coordinate bounds as fixed32.
 constexpr size_t kZoneMapEntrySize = 56;
-// Flag bits a v6 decoder understands; anything else is version-skew-like.
-constexpr uint32_t kKnownTableFlags = kTableFlagCompressed;
 
 void PutDouble(std::string* dst, double value) {
   uint64_t bits;
@@ -46,25 +43,9 @@ bool GetDouble(std::string_view* src, double* value) {
   return true;
 }
 
-size_t VarintLength(uint64_t value) {
-  size_t n = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-/// The decoded v6 table header.
-struct TableHeader {
-  uint64_t num_blocks = 0;
-  uint32_t flags = 0;
-};
-
-/// Validates the v6 table header (magic, version, flags, header CRC) and
-/// leaves `*bytes` positioned at the zone-map directory. `verify_crc`
-/// false skips only the checksum comparison, not the structural checks.
-Result<TableHeader> DecodeTableHeader(std::string_view* bytes, bool verify_crc) {
+/// Validates the table header (magic, version, header CRC), returns its
+/// block count and leaves `*bytes` positioned at the zone-map directory.
+Result<uint64_t> DecodeTableHeader(std::string_view* bytes) {
   const std::string_view full = *bytes;
   if (bytes->size() < 4 || std::string_view(bytes->data(), 4) !=
                                std::string_view(kMagic, 4)) {
@@ -78,22 +59,15 @@ Result<TableHeader> DecodeTableHeader(std::string_view* bytes, bool verify_crc) 
                            std::to_string(version) + " (expected " +
                            std::to_string(kBinaryFormatVersion) + ")");
   }
-  TableHeader header;
-  if (!GetFixed32(bytes, &header.flags)) return Status::IOError("truncated header");
-  if ((header.flags & ~kKnownTableFlags) != 0) {
-    return Status::IOError("unsupported table flags " +
-                           std::to_string(header.flags));
-  }
-  if (!GetFixed64(bytes, &header.num_blocks)) {
+  uint64_t num_blocks;
+  uint32_t stored_crc;
+  if (!GetFixed64(bytes, &num_blocks) || !GetFixed32(bytes, &stored_crc)) {
     return Status::IOError("truncated header");
   }
-  uint32_t stored_crc;
-  if (!GetFixed32(bytes, &stored_crc)) return Status::IOError("truncated header");
-  if (verify_crc &&
-      stored_crc != Crc32c(full.data(), kTableHeaderPrefix)) {
+  if (stored_crc != Crc32c(full.data(), kTableHeaderPrefix)) {
     return Status::IOError("table header checksum mismatch");
   }
-  return header;
+  return num_blocks;
 }
 
 // ---------------------------------------------------------------------------
@@ -173,13 +147,10 @@ bool DecodeZoneMapEntry(std::string_view* src, ZoneMapEntry* e) {
 /// Consumes the directory (records + trailing CRC32C) from the front of
 /// `*bytes`. A Status error means the directory region is truncated and
 /// the block frames cannot even be located; `*crc_ok` reports whether the
-/// records can be trusted (always true when `verify_crc` is off) —
-/// salvage keeps walking frames with an untrusted directory, strict
-/// decoders fail.
+/// records can be trusted — salvage keeps walking frames with an
+/// untrusted directory, strict decoders fail.
 Status ReadZoneMapDirectory(std::string_view* bytes, uint64_t num_blocks,
-                            bool verify_crc, std::vector<ZoneMapEntry>* entries,
-                            bool* crc_ok) {
-  entries->clear();
+                            std::vector<ZoneMapEntry>* entries, bool* crc_ok) {
   if (num_blocks > bytes->size() / kZoneMapEntrySize) {
     return Status::IOError("truncated zone-map directory");
   }
@@ -190,13 +161,11 @@ Status ReadZoneMapDirectory(std::string_view* bytes, uint64_t num_blocks,
   if (!GetFixed32(bytes, &stored_crc)) {
     return Status::IOError("truncated zone-map directory checksum");
   }
-  *crc_ok = !verify_crc || stored_crc == Crc32c(dir.data(), dir.size());
-  entries->reserve(num_blocks);
+  *crc_ok = stored_crc == Crc32c(dir.data(), dir.size());
+  entries->resize(num_blocks);
   std::string_view cursor = dir;
-  for (uint64_t b = 0; b < num_blocks; ++b) {
-    ZoneMapEntry e;
+  for (ZoneMapEntry& e : *entries) {
     (void)DecodeZoneMapEntry(&cursor, &e);  // length checked above
-    entries->push_back(e);
   }
   return Status::OK();
 }
@@ -218,58 +187,134 @@ BlockStats StatsFromZoneMap(const ZoneMapEntry& e) {
   return s;
 }
 
-/// The "fail decode, not misprune" contract: a decoded block whose columns
-/// disagree with its directory record is an error, because scans already
-/// pruned (or failed to prune) on that record.
-Status VerifyZoneMap(const Block& block, const ZoneMapEntry& expected) {
-  if (ComputeZoneMap(block) != expected) {
+// ---------------------------------------------------------------------------
+// The one table-file walker and the one verified-block decode. DecodeTable,
+// DecodeTableSalvage and MapDatasetFiles all parse a file through
+// ParseTableLayout and turn each frame into a block through
+// DecodeVerifiedBlock; they differ only in what they do with a failure and
+// in when the decode runs (eagerly, or lazily on first touch).
+
+/// One located block frame: the payload bytes and their stored CRC32C.
+struct BlockFrame {
+  std::string_view payload;
+  uint32_t stored_crc = 0;
+};
+
+/// A table file after one pass over its framing. No payload byte has been
+/// hashed or decoded yet.
+struct TableLayout {
+  uint64_t num_blocks = 0;              ///< block count the header declared
+  std::vector<ZoneMapEntry> zone_maps;  ///< empty when the directory is cut
+  bool directory_ok = false;  ///< directory complete and its CRC32C verified
+  std::vector<BlockFrame> frames;  ///< every frame located, in file order
+  /// The first framing failure — a truncated directory or frame, or bytes
+  /// after the last frame — or OK when the file frames exactly.
+  Status framing = Status::OK();
+  bool truncated = false;  ///< framing ended before num_blocks frames
+};
+
+/// Parses the header, the zone-map directory and every block frame. Only a
+/// bad header is an error: without it the framing cannot be trusted at
+/// all. Anything later is recorded in the layout for the caller's policy.
+Result<TableLayout> ParseTableLayout(std::string_view bytes) {
+  TableLayout layout;
+  TWIMOB_ASSIGN_OR_RETURN(layout.num_blocks, DecodeTableHeader(&bytes));
+  layout.framing = ReadZoneMapDirectory(&bytes, layout.num_blocks,
+                                        &layout.zone_maps, &layout.directory_ok);
+  if (!layout.framing.ok()) {
+    layout.truncated = true;
+    return layout;
+  }
+  // The directory check above bounds num_blocks by the file size.
+  layout.frames.reserve(layout.num_blocks);
+  for (uint64_t b = 0; b < layout.num_blocks; ++b) {
+    BlockFrame frame;
+    uint64_t len;
+    if (!GetVarint64(&bytes, &len) || !GetFixed32(&bytes, &frame.stored_crc)) {
+      layout.framing = Status::IOError("truncated block frame");
+    } else if (len > bytes.size()) {
+      layout.framing = Status::IOError("block length exceeds remaining bytes");
+    }
+    if (!layout.framing.ok()) {
+      // The length prefix itself is gone, so every later frame boundary is
+      // unknowable.
+      layout.truncated = true;
+      return layout;
+    }
+    frame.payload = bytes.substr(0, len);
+    bytes.remove_prefix(len);
+    layout.frames.push_back(frame);
+  }
+  if (!bytes.empty()) {
+    layout.framing = Status::IOError("trailing bytes after the last block");
+  }
+  return layout;
+}
+
+/// What strict readers require of a layout: exact framing and a trusted
+/// directory.
+Status CheckIntact(const TableLayout& layout) {
+  TWIMOB_RETURN_IF_ERROR(layout.framing);
+  if (!layout.directory_ok) {
+    return Status::IOError("zone-map directory checksum mismatch");
+  }
+  return Status::OK();
+}
+
+/// Payload CRC32C, then decompression, then — when `zone_map` is given —
+/// the "fail decode, not misprune" cross-check: a decoded block whose
+/// columns disagree with its directory record is an error, because scans
+/// already pruned (or failed to prune) on that record. `*checksum_failed`
+/// (optional) tells a CRC mismatch apart from the other failures.
+Result<Block> DecodeVerifiedBlock(const BlockFrame& frame,
+                                  const ZoneMapEntry* zone_map,
+                                  bool* checksum_failed = nullptr) {
+  if (frame.stored_crc != Crc32c(frame.payload.data(), frame.payload.size())) {
+    if (checksum_failed != nullptr) *checksum_failed = true;
+    return Status::IOError("block checksum mismatch");
+  }
+  TWIMOB_ASSIGN_OR_RETURN(Block block, DecodeCompressedBlock(frame.payload));
+  if (zone_map != nullptr && ComputeZoneMap(block) != *zone_map) {
     return Status::IOError("zone-map directory disagrees with decoded block");
-  }
-  return Status::OK();
-}
-
-/// Consumes one block frame (length varint + CRC fixed32) and yields the
-/// payload view. Returns an error on framing loss; `*crc_ok` reports the
-/// checksum verdict (always true when `verify_crc` is off).
-Status DecodeBlockFrame(std::string_view* bytes, bool verify_crc,
-                        std::string_view* payload, bool* crc_ok) {
-  uint64_t len;
-  if (!GetVarint64(bytes, &len)) return Status::IOError("truncated block frame");
-  uint32_t stored_crc;
-  if (!GetFixed32(bytes, &stored_crc)) {
-    return Status::IOError("truncated block frame");
-  }
-  if (len > bytes->size()) {
-    return Status::IOError("block length exceeds remaining bytes");
-  }
-  *payload = std::string_view(bytes->data(), len);
-  bytes->remove_prefix(len);
-  *crc_ok = !verify_crc || stored_crc == Crc32c(payload->data(), payload->size());
-  return Status::OK();
-}
-
-/// Decodes one verified block payload; the payload must be consumed
-/// exactly (a correct CRC with leftover bytes means an encoder bug or a
-/// forged frame — reject it).
-Result<Block> DecodeBlockPayload(std::string_view payload) {
-  auto block = Block::Decode(&payload);
-  if (!block.ok()) return block.status();
-  if (!payload.empty()) {
-    return Status::IOError("block payload has trailing bytes");
   }
   return block;
 }
 
-/// Decodes one verified block payload with the codec `flags` selects.
-Result<Block> DecodeBlockPayloadForFlags(std::string_view payload,
-                                         uint32_t flags) {
-  if ((flags & kTableFlagCompressed) != 0) return DecodeCompressedBlock(payload);
-  return DecodeBlockPayload(payload);
+/// Decodes a whole table blob under `policy`, accounting in `*r`. Strict:
+/// any damage is the error. Salvage: every block whose CRC32C verifies is
+/// recovered, skipping corrupt ones by their length prefix; with an
+/// untrusted directory the zone-map cross-check is skipped (the payload
+/// CRCs alone vouch for the blocks).
+Result<TweetTable> DecodeTableBytes(std::string_view bytes,
+                                    RecoveryPolicy policy,
+                                    TableSalvageReport* r) {
+  const bool strict = policy == RecoveryPolicy::kStrict;
+  *r = TableSalvageReport{};
+  TWIMOB_ASSIGN_OR_RETURN(const TableLayout layout, ParseTableLayout(bytes));
+  if (strict) TWIMOB_RETURN_IF_ERROR(CheckIntact(layout));
+  r->blocks_total = layout.num_blocks;
+  r->truncated = layout.truncated;
+  TweetTable table;
+  for (size_t b = 0; b < layout.frames.size(); ++b) {
+    bool checksum_failed = false;
+    auto block = DecodeVerifiedBlock(
+        layout.frames[b], layout.directory_ok ? &layout.zone_maps[b] : nullptr,
+        &checksum_failed);
+    if (!block.ok()) {
+      if (strict) return block.status();
+      if (checksum_failed) ++r->checksum_failures;
+      continue;
+    }
+    r->rows_recovered += block->num_rows();
+    ++r->blocks_recovered;
+    table.AdoptSealedBlock(std::move(*block));
+  }
+  return table;
 }
 
-/// Reads the generation out of a v4 manifest header without validating the
+/// Reads the generation out of a manifest header without validating the
 /// body — used to pick a fresh generation when the installed manifest no
-/// longer decodes. Returns 0 when the bytes are not a v4 manifest.
+/// longer decodes. Returns 0 when the bytes are not a current manifest.
 uint64_t PeekManifestGeneration(std::string_view bytes) {
   if (bytes.size() < 16 || std::string_view(bytes.data(), 4) !=
                                std::string_view(kManifestMagic, 4)) {
@@ -286,11 +331,10 @@ uint64_t PeekManifestGeneration(std::string_view bytes) {
 Env& ResolveEnv(Env* env) { return env != nullptr ? *env : *Env::Default(); }
 }  // namespace
 
-std::string EncodeTable(const TweetTable& table, bool compress) {
+std::string EncodeTable(const TweetTable& table) {
   std::string out;
   out.append(kMagic, 4);
   PutFixed32(&out, kBinaryFormatVersion);
-  PutFixed32(&out, compress ? kTableFlagCompressed : 0u);
   PutFixed64(&out, table.num_blocks());
   PutFixed32(&out, Crc32c(out.data(), out.size()));
   // Zone-map directory: one fixed-size record per block, then its CRC32C —
@@ -303,11 +347,7 @@ std::string EncodeTable(const TweetTable& table, bool compress) {
   std::string scratch;
   for (size_t b = 0; b < table.num_blocks(); ++b) {
     scratch.clear();
-    if (compress) {
-      EncodeCompressedBlock(table.block(b), &scratch);
-    } else {
-      table.block(b).EncodeTo(&scratch);
-    }
+    EncodeCompressedBlock(table.block(b), &scratch);
     PutVarint64(&out, scratch.size());
     PutFixed32(&out, Crc32c(scratch.data(), scratch.size()));
     out.append(scratch);
@@ -315,89 +355,16 @@ std::string EncodeTable(const TweetTable& table, bool compress) {
   return out;
 }
 
-Result<TweetTable> DecodeTable(std::string_view bytes,
-                               const DecodeOptions& options) {
-  TWIMOB_ASSIGN_OR_RETURN(const TableHeader header,
-                          DecodeTableHeader(&bytes, options.verify_checksums));
-  std::vector<ZoneMapEntry> zone_maps;
-  bool dir_ok;
-  TWIMOB_RETURN_IF_ERROR(ReadZoneMapDirectory(&bytes, header.num_blocks,
-                                              options.verify_checksums,
-                                              &zone_maps, &dir_ok));
-  if (!dir_ok) {
-    return Status::IOError("zone-map directory checksum mismatch");
-  }
-  TweetTable table;
-  for (uint64_t b = 0; b < header.num_blocks; ++b) {
-    std::string_view payload;
-    bool crc_ok;
-    TWIMOB_RETURN_IF_ERROR(
-        DecodeBlockFrame(&bytes, options.verify_checksums, &payload, &crc_ok));
-    if (!crc_ok) {
-      return Status::IOError("block " + std::to_string(b) +
-                             " checksum mismatch");
-    }
-    TWIMOB_ASSIGN_OR_RETURN(Block block,
-                            DecodeBlockPayloadForFlags(payload, header.flags));
-    if (options.verify_checksums) {
-      TWIMOB_RETURN_IF_ERROR(VerifyZoneMap(block, zone_maps[b]));
-    }
-    table.AdoptSealedBlock(std::move(block));
-  }
-  if (!bytes.empty()) {
-    return Status::IOError("trailing bytes after the last block");
-  }
-  return table;
+Result<TweetTable> DecodeTable(std::string_view bytes) {
+  TableSalvageReport unused;
+  return DecodeTableBytes(bytes, RecoveryPolicy::kStrict, &unused);
 }
 
 Result<TweetTable> DecodeTableSalvage(std::string_view bytes,
                                       TableSalvageReport* report) {
   TableSalvageReport local;
-  TableSalvageReport& r = report != nullptr ? *report : local;
-  r = TableSalvageReport{};
-  // The header guards the framing; without it nothing downstream can be
-  // trusted, so a damaged header fails the whole blob (callers drop the
-  // shard and account for it).
-  TWIMOB_ASSIGN_OR_RETURN(const TableHeader header,
-                          DecodeTableHeader(&bytes, /*verify_crc=*/true));
-  r.blocks_total = header.num_blocks;
-  // The directory sits between the header and the first frame: if it
-  // cannot even be consumed the frame region is unlocatable and nothing
-  // past the header is recoverable. A directory that consumes but fails
-  // its CRC is merely untrusted — CRC-clean blocks are still recovered,
-  // minus the zone-map cross-check (their payload CRCs vouch for them).
-  std::vector<ZoneMapEntry> zone_maps;
-  bool dir_ok;
-  if (!ReadZoneMapDirectory(&bytes, header.num_blocks, /*verify_crc=*/true,
-                            &zone_maps, &dir_ok)
-           .ok()) {
-    r.truncated = true;
-    return TweetTable();
-  }
-  TweetTable table;
-  for (uint64_t b = 0; b < header.num_blocks; ++b) {
-    std::string_view payload;
-    bool crc_ok;
-    if (!DecodeBlockFrame(&bytes, /*verify_crc=*/true, &payload, &crc_ok).ok()) {
-      // Framing loss: the length prefix itself is gone, so every later
-      // frame boundary is unknowable. Drop the remainder.
-      r.truncated = true;
-      break;
-    }
-    if (!crc_ok) {
-      ++r.checksum_failures;
-      continue;  // the length prefix still bounds the damage — skip one block
-    }
-    auto block = DecodeBlockPayloadForFlags(payload, header.flags);
-    if (!block.ok()) continue;  // verified CRC but undecodable: count as dropped
-    if (dir_ok && !VerifyZoneMap(*block, zone_maps[b]).ok()) {
-      continue;  // directory disagrees with the payload: drop, don't misprune
-    }
-    r.rows_recovered += block->num_rows();
-    ++r.blocks_recovered;
-    table.AdoptSealedBlock(std::move(*block));
-  }
-  return table;
+  return DecodeTableBytes(bytes, RecoveryPolicy::kSalvage,
+                          report != nullptr ? report : &local);
 }
 
 Status WriteBinaryFile(TweetTable& table, const std::string& path, Env* env,
@@ -406,24 +373,13 @@ Status WriteBinaryFile(TweetTable& table, const std::string& path, Env* env,
   return AtomicWriteFile(ResolveEnv(env), path, EncodeTable(table), options);
 }
 
-TableDescription DescribeTable(const TweetTable& table, bool compress) {
+TableDescription DescribeTable(const TweetTable& table) {
   TableDescription d;
   d.num_blocks = table.num_blocks();
-  std::string scratch;
   for (size_t b = 0; b < table.num_blocks(); ++b) {
-    scratch.clear();
-    if (compress) {
-      EncodeCompressedBlock(table.block(b), &scratch);
-    } else {
-      table.block(b).EncodeTo(&scratch);
-    }
-    // payload + length varint + payload CRC32C
-    d.encoded_bytes += scratch.size() + VarintLength(scratch.size()) + 4;
-    d.num_rows += table.block(b).num_rows();
+    d.num_rows += table.block_stats(b).num_rows;
   }
-  // header + header CRC32C + zone-map directory + directory CRC32C
-  d.encoded_bytes +=
-      kTableHeaderPrefix + 4 + d.num_blocks * kZoneMapEntrySize + 4;
+  d.encoded_bytes = EncodeTable(table).size();
   d.raw_bytes = d.num_rows * 24;  // u64 user + i64 ts + 2x i32 coords
   if (d.num_rows > 0) {
     d.bytes_per_row =
@@ -706,6 +662,65 @@ Status WriteDatasetFiles(TweetDataset& dataset, const std::string& path,
   return Status::OK();
 }
 
+namespace {
+/// Loads one shard (`is_delta` false) or delta file into `dataset` and
+/// accounts for it in `*rec`, whose key and rows_expected the caller sets.
+/// A shard is adopted whole under its key; a delta's rows are re-routed
+/// into their time shards. Under kStrict any damage — an unreadable or
+/// corrupt file, a row count that disagrees with the manifest, a rejected
+/// shard or row — is the returned error. Under kSalvage the loss is
+/// recorded in `*rec` instead and the call succeeds.
+Status LoadTableFile(Env& env, const std::string& file, bool is_delta,
+                     RecoveryPolicy policy, TweetDataset* dataset,
+                     ShardRecovery* rec) {
+  const bool strict = policy == RecoveryPolicy::kStrict;
+  auto drop = [strict, rec](Status status) {
+    if (strict) return status;
+    rec->dropped = true;
+    rec->rows_recovered = 0;
+    rec->status = std::move(status);
+    return Status::OK();
+  };
+  auto bytes = ReadFileToString(env, file);
+  if (!bytes.ok()) return drop(bytes.status());
+  TableSalvageReport tsr;
+  auto table = DecodeTableBytes(*bytes, policy, &tsr);
+  if (!table.ok()) return drop(table.status());
+  rec->blocks_total = tsr.blocks_total;
+  rec->blocks_dropped = tsr.blocks_total - tsr.blocks_recovered;
+  rec->checksum_failures = tsr.checksum_failures;
+  rec->truncated = tsr.truncated;
+  if (rec->blocks_dropped == 0 && !rec->truncated &&
+      table->num_rows() != rec->rows_expected) {
+    Status mismatch = Status::IOError(StrFormat(
+        "%s %lld row count mismatch: manifest says %llu, file has %zu",
+        is_delta ? "delta" : "shard", static_cast<long long>(rec->key),
+        static_cast<unsigned long long>(rec->rows_expected), table->num_rows()));
+    if (strict) return mismatch;
+    rec->status = std::move(mismatch);
+  }
+  if (!is_delta) {
+    const size_t rows = table->num_rows();
+    if (Status adopt = dataset->AdoptShard(rec->key, std::move(*table));
+        !adopt.ok()) {
+      return drop(std::move(adopt));
+    }
+    rec->rows_recovered = rows;
+    return Status::OK();
+  }
+  Status append = Status::OK();
+  table->ForEachRow([dataset, rec, &append](const Tweet& t) {
+    Status s = dataset->Append(t);
+    if (s.ok()) {
+      ++rec->rows_recovered;
+    } else if (append.ok()) {
+      append = std::move(s);
+    }
+  });
+  return strict ? append : Status::OK();
+}
+}  // namespace
+
 Result<TweetDataset> ReadDatasetFiles(const std::string& path,
                                       RecoveryPolicy policy,
                                       RecoveryReport* report, Env* env_in) {
@@ -726,116 +741,25 @@ Result<TweetDataset> ReadDatasetFiles(const std::string& path,
 
   TweetDataset dataset(manifest.partition);
   for (const ShardSummary& s : manifest.shards) {
-    ShardRecovery rec;
+    ShardRecovery& rec = r.shards.emplace_back();
     rec.key = s.key;
     rec.rows_expected = s.num_rows;
-    const std::string shard_path = ShardFilePath(path, manifest.generation, s.key);
-    auto bytes = ReadFileToString(env, shard_path);
-    if (!bytes.ok()) {
-      if (policy == RecoveryPolicy::kStrict) return bytes.status();
-      rec.dropped = true;
-      rec.status = bytes.status();
-      r.shards.push_back(std::move(rec));
-      continue;
-    }
-    if (policy == RecoveryPolicy::kStrict) {
-      auto table = DecodeTable(*bytes);
-      if (!table.ok()) return table.status();
-      if (table->num_rows() != s.num_rows) {
-        return Status::IOError(StrFormat(
-            "shard %lld row count mismatch: manifest says %llu, file has %zu",
-            static_cast<long long>(s.key),
-            static_cast<unsigned long long>(s.num_rows), table->num_rows()));
-      }
-      rec.rows_recovered = table->num_rows();
-      rec.blocks_total = table->num_blocks();
-      TWIMOB_RETURN_IF_ERROR(dataset.AdoptShard(s.key, std::move(*table)));
-    } else {
-      TableSalvageReport tsr;
-      auto table = DecodeTableSalvage(*bytes, &tsr);
-      if (!table.ok()) {
-        rec.dropped = true;
-        rec.status = table.status();
-        r.shards.push_back(std::move(rec));
-        continue;
-      }
-      rec.blocks_total = tsr.blocks_total;
-      rec.blocks_dropped = tsr.blocks_total - tsr.blocks_recovered;
-      rec.checksum_failures = tsr.checksum_failures;
-      rec.truncated = tsr.truncated;
-      rec.rows_recovered = tsr.rows_recovered;
-      if (rec.rows_recovered != rec.rows_expected && rec.status.ok() &&
-          rec.blocks_dropped == 0 && !rec.truncated) {
-        rec.status = Status::IOError(
-            "shard rows disagree with manifest with all blocks intact");
-      }
-      const Status adopt = dataset.AdoptShard(s.key, std::move(*table));
-      if (!adopt.ok()) {
-        rec.dropped = true;
-        rec.rows_recovered = 0;
-        rec.status = adopt;
-      }
-    }
-    r.shards.push_back(std::move(rec));
+    TWIMOB_RETURN_IF_ERROR(
+        LoadTableFile(env, ShardFilePath(path, manifest.generation, s.key),
+                      /*is_delta=*/false, policy, &dataset, &rec));
   }
-
   // Fold appended deltas into their time shards, in manifest (seq) order —
   // a fixed order, so the merged dataset is deterministic. The shards end
   // up unsorted whenever any delta carried rows; the analysis compact
   // stage re-sorts, and the total-order sort makes the result identical to
   // compacting a dataset that ingested the same rows directly.
   for (const DeltaSummary& d : manifest.deltas) {
-    ShardRecovery rec;
+    ShardRecovery& rec = r.deltas.emplace_back();
     rec.key = static_cast<int64_t>(d.seq);
     rec.rows_expected = d.num_rows;
-    const std::string delta_path = DeltaFilePath(path, d.generation, d.seq);
-    auto bytes = ReadFileToString(env, delta_path);
-    if (!bytes.ok()) {
-      if (policy == RecoveryPolicy::kStrict) return bytes.status();
-      rec.dropped = true;
-      rec.status = bytes.status();
-      r.deltas.push_back(std::move(rec));
-      continue;
-    }
-    if (policy == RecoveryPolicy::kStrict) {
-      auto table = DecodeTable(*bytes);
-      if (!table.ok()) return table.status();
-      if (table->num_rows() != d.num_rows) {
-        return Status::IOError(StrFormat(
-            "delta %llu row count mismatch: manifest says %llu, file has %zu",
-            static_cast<unsigned long long>(d.seq),
-            static_cast<unsigned long long>(d.num_rows), table->num_rows()));
-      }
-      rec.rows_recovered = table->num_rows();
-      rec.blocks_total = table->num_blocks();
-      Status append = Status::OK();
-      table->ForEachRow([&dataset, &append](const Tweet& t) {
-        if (append.ok()) append = dataset.Append(t);
-      });
-      TWIMOB_RETURN_IF_ERROR(append);
-    } else {
-      TableSalvageReport tsr;
-      auto table = DecodeTableSalvage(*bytes, &tsr);
-      if (!table.ok()) {
-        rec.dropped = true;
-        rec.status = table.status();
-        r.deltas.push_back(std::move(rec));
-        continue;
-      }
-      rec.blocks_total = tsr.blocks_total;
-      rec.blocks_dropped = tsr.blocks_total - tsr.blocks_recovered;
-      rec.checksum_failures = tsr.checksum_failures;
-      rec.truncated = tsr.truncated;
-      table->ForEachRow([&dataset, &rec](const Tweet& t) {
-        if (dataset.Append(t).ok()) ++rec.rows_recovered;
-      });
-      if (rec.rows_recovered != rec.rows_expected && rec.status.ok() &&
-          rec.blocks_dropped == 0 && !rec.truncated) {
-        rec.status = Status::IOError(
-            "delta rows disagree with manifest with all blocks intact");
-      }
-    }
-    r.deltas.push_back(std::move(rec));
+    TWIMOB_RETURN_IF_ERROR(
+        LoadTableFile(env, DeltaFilePath(path, d.generation, d.seq),
+                      /*is_delta=*/true, policy, &dataset, &rec));
   }
   // Delta rows land in active tails; hand back a fully sealed dataset so
   // the block-parallel scan paths stay available.
@@ -861,21 +785,15 @@ Result<MappedDataset> MapDatasetFiles(const std::string& path, Env* env_in) {
         ShardFilePath(path, manifest.generation, s.key);
     TWIMOB_ASSIGN_OR_RETURN(std::shared_ptr<MappedFile> mapping,
                             env.MmapFile(shard_path));
-    std::string_view bytes = mapping->data();
-    TWIMOB_ASSIGN_OR_RETURN(const TableHeader header,
-                            DecodeTableHeader(&bytes, /*verify_crc=*/true));
-    std::vector<ZoneMapEntry> zone_maps;
-    bool dir_ok;
-    TWIMOB_RETURN_IF_ERROR(ReadZoneMapDirectory(
-        &bytes, header.num_blocks, /*verify_crc=*/true, &zone_maps, &dir_ok));
-    if (!dir_ok) {
-      return Status::IOError("zone-map directory checksum mismatch in " +
-                             shard_path);
+    auto layout = ParseTableLayout(mapping->data());
+    Status intact = layout.ok() ? CheckIntact(*layout) : layout.status();
+    if (!intact.ok()) {
+      return Status::IOError(intact.message() + " in " + shard_path);
     }
     // The eager manifest cross-check: with payload decodes deferred, the
     // directory's row sum stands in for the strict-read row count.
     uint64_t dir_rows = 0;
-    for (const ZoneMapEntry& e : zone_maps) dir_rows += e.num_rows;
+    for (const ZoneMapEntry& e : layout->zone_maps) dir_rows += e.num_rows;
     if (dir_rows != s.num_rows) {
       return Status::IOError(StrFormat(
           "shard %lld row count mismatch: manifest says %llu, directory has %llu",
@@ -884,62 +802,30 @@ Result<MappedDataset> MapDatasetFiles(const std::string& path, Env* env_in) {
           static_cast<unsigned long long>(dir_rows)));
     }
     TweetTable table;
-    for (uint64_t b = 0; b < header.num_blocks; ++b) {
-      // Frame parsing stays eager (it bounds every later frame); the
-      // payload hash is deferred with the decode, so the stored CRC is
-      // captured here instead of verified.
-      uint64_t len;
-      uint32_t stored_crc;
-      if (!GetVarint64(&bytes, &len) || !GetFixed32(&bytes, &stored_crc)) {
-        return Status::IOError("truncated block frame in " + shard_path);
-      }
-      if (len > bytes.size()) {
-        return Status::IOError("block length exceeds remaining bytes in " +
-                               shard_path);
-      }
-      const std::string_view payload(bytes.data(), len);
-      bytes.remove_prefix(len);
-      const ZoneMapEntry entry = zone_maps[b];
-      const uint32_t flags = header.flags;
-      auto decode = [mapping, payload, stored_crc, flags,
-                     entry]() -> Result<Block> {
-        if (stored_crc != Crc32c(payload.data(), payload.size())) {
-          return Status::IOError("block checksum mismatch");
-        }
-        TWIMOB_ASSIGN_OR_RETURN(Block block,
-                                DecodeBlockPayloadForFlags(payload, flags));
-        TWIMOB_RETURN_IF_ERROR(VerifyZoneMap(block, entry));
-        return block;
+    for (size_t b = 0; b < layout->frames.size(); ++b) {
+      // The frame walk is eager (it bounds every later frame); the payload
+      // CRC32C, decode and zone-map check run on first touch.
+      const BlockFrame frame = layout->frames[b];
+      const ZoneMapEntry entry = layout->zone_maps[b];
+      auto decode = [mapping, frame, entry]() {
+        return DecodeVerifiedBlock(frame, &entry);
       };
       table.AdoptLazyBlock(StatsFromZoneMap(entry),
                            std::make_unique<LazyBlock>(std::move(decode)));
     }
-    if (!bytes.empty()) {
-      return Status::IOError("trailing bytes after the last block in " +
-                             shard_path);
-    }
     TWIMOB_RETURN_IF_ERROR(out.dataset.AdoptShard(s.key, std::move(table)));
   }
 
-  // Deltas are folded eagerly, exactly like ReadDatasetFiles (same strict
-  // checks, same seq order, same row routing): they are small, and their
-  // rows must be re-routed into time shards row-by-row anyway.
+  // Deltas are folded eagerly through the same loader as ReadDatasetFiles
+  // (strict checks, seq order, row routing): they are small, and their rows
+  // must be re-routed into time shards row-by-row anyway.
   for (const DeltaSummary& d : manifest.deltas) {
-    const std::string delta_path = DeltaFilePath(path, d.generation, d.seq);
-    TWIMOB_ASSIGN_OR_RETURN(const std::string delta_bytes,
-                            ReadFileToString(env, delta_path));
-    TWIMOB_ASSIGN_OR_RETURN(TweetTable table, DecodeTable(delta_bytes));
-    if (table.num_rows() != d.num_rows) {
-      return Status::IOError(StrFormat(
-          "delta %llu row count mismatch: manifest says %llu, file has %zu",
-          static_cast<unsigned long long>(d.seq),
-          static_cast<unsigned long long>(d.num_rows), table.num_rows()));
-    }
-    Status append = Status::OK();
-    table.ForEachRow([&out, &append](const Tweet& t) {
-      if (append.ok()) append = out.dataset.Append(t);
-    });
-    TWIMOB_RETURN_IF_ERROR(append);
+    ShardRecovery rec;
+    rec.key = static_cast<int64_t>(d.seq);
+    rec.rows_expected = d.num_rows;
+    TWIMOB_RETURN_IF_ERROR(LoadTableFile(
+        env, DeltaFilePath(path, d.generation, d.seq), /*is_delta=*/true,
+        RecoveryPolicy::kStrict, &out.dataset, &rec));
   }
   if (!manifest.deltas.empty()) out.dataset.SealAll();
   return out;

@@ -13,11 +13,14 @@
 
 namespace twimob::tweetdb {
 
-/// Binary table file format (little-endian):
+/// Binary table file format (little-endian, v7):
 ///   magic "TWDB" (4 bytes) | version fixed32 | block count fixed64 |
-///   header CRC32C fixed32 (over the preceding 16 bytes) | per block:
-///   payload length varint | payload CRC32C fixed32 | payload (block.h
-///   encoding).
+///   header CRC32C fixed32 (over the preceding 16 bytes) | zone-map
+///   directory (56 bytes per block) | directory CRC32C fixed32 | per block:
+///   payload length varint | payload CRC32C fixed32 | payload
+///   (block_compression.h encoding).
+/// The history below records what each version added.
+///
 /// Version 2 blocks carry a per-column encoding tag: integer columns pick
 /// delta-varint or frame-of-reference bit packing, user codes pick varint
 /// or fixed-width bit packing — whichever is smaller for the block.
@@ -46,51 +49,38 @@ namespace twimob::tweetdb {
 /// sealed generation under the same old-or-new contract.
 ///
 /// Version 6 adds compressed payloads, persisted zone maps and mapped
-/// reads. The table header grows a fixed32 flags word (bit 0: block
-/// payloads use the delta + frame-of-reference codec of
-/// block_compression.h instead of the v5 per-column encoding; other bits
-/// must be zero), so the CRC-guarded prefix is 20 bytes. Between the
-/// header and the first block frame sits the zone-map directory — one
-/// fixed 56-byte record per block (row count, user range, time range, and
-/// the fixed-point coordinate bounds, all computed from the block's
-/// columns) followed by its own CRC32C — the on-disk twin of the
-/// in-memory BlockStats, read before any payload byte so MayMatchBlock
-/// can prune blocks that were never decompressed. Decoders verify the
-/// decoded columns against the directory entry: a disagreement fails the
-/// block decode rather than misprune a scan. Block frames are unchanged
-/// (length varint + payload CRC32C + payload). Sealed shard files are
-/// compressed by WriteDatasetFiles and compaction; delta files stay
-/// uncompressed (flags 0) so appends stay cheap. MapDatasetFiles opens a
-/// dataset zero-copy through Env::MmapFile, verifying manifest, headers
-/// and directories eagerly but deferring each block's CRC32C + decode +
-/// zone-map check to first touch, with a GenerationPin keeping every
-/// mapped file on disk for the mapping's lifetime.
+/// reads. Block payloads use the delta + frame-of-reference codec of
+/// block_compression.h. Between the header and the first block frame sits
+/// the zone-map directory — one fixed 56-byte record per block (row count,
+/// user range, time range, and the fixed-point coordinate bounds, all
+/// computed from the block's columns) followed by its own CRC32C — the
+/// on-disk twin of the in-memory BlockStats, read before any payload byte
+/// so MayMatchBlock can prune blocks that were never decompressed.
+/// Decoders verify the decoded columns against the directory entry: a
+/// disagreement fails the block decode rather than misprune a scan. Block
+/// frames are unchanged (length varint + payload CRC32C + payload).
+/// MapDatasetFiles opens a dataset zero-copy through Env::MmapFile,
+/// verifying manifest, headers and directories eagerly but deferring each
+/// block's CRC32C + decode + zone-map check to first touch, with a
+/// GenerationPin keeping every mapped file on disk for the mapping's
+/// lifetime.
+///
+/// Version 7 makes the v6 codec the only block payload codec: sealed
+/// shards and ingest delta files alike are compressed, the v5 per-column
+/// encoding is gone, and so is the v6 header's flags word that selected
+/// between them — the CRC-guarded header prefix is back to 16 bytes
+/// (magic, version, block count).
 
-inline constexpr uint32_t kBinaryFormatVersion = 6;
-
-/// Table header flags word (v6). Bit 0: block payloads are compressed
-/// (block_compression.h). All other bits must be zero.
-inline constexpr uint32_t kTableFlagCompressed = 1u << 0;
-
-/// Decode-time knobs.
-struct DecodeOptions {
-  /// Verify the header and per-block CRC32C checksums (the default; turn
-  /// off only to measure raw decode throughput — see perf_tweetdb).
-  bool verify_checksums = true;
-};
+inline constexpr uint32_t kBinaryFormatVersion = 7;
 
 /// Serialises the table into a byte string (active tail is NOT included;
-/// callers seal first — WriteBinaryFile does). `compress` picks the block
-/// payload codec: the v6 delta + frame-of-reference bitpacking (the
-/// default; what sealed shards use) or the uncompressed v5 per-column
-/// encoding (what ingest deltas use — append latency over density).
-std::string EncodeTable(const TweetTable& table, bool compress = true);
+/// callers seal first — WriteBinaryFile does).
+std::string EncodeTable(const TweetTable& table);
 
-/// Decodes a table from bytes, verifying checksums per `options`. Any
-/// corruption — bad magic, version skew, checksum mismatch, truncation,
-/// trailing bytes — is a Status error, never a crash.
-Result<TweetTable> DecodeTable(std::string_view bytes,
-                               const DecodeOptions& options = {});
+/// Decodes a table from bytes, verifying every checksum and zone-map
+/// record. Any corruption — bad magic, version skew, checksum mismatch,
+/// truncation, trailing bytes — is a Status error, never a crash.
+Result<TweetTable> DecodeTable(std::string_view bytes);
 
 /// What DecodeTableSalvage managed to pull out of a damaged table blob.
 struct TableSalvageReport {
@@ -131,9 +121,9 @@ struct TableDescription {
 };
 
 /// Encodes the table's sealed blocks and reports size statistics (seal the
-/// active tail first to account for every row). Sizes reflect the codec
-/// `compress` selects, framing and zone-map directory included.
-TableDescription DescribeTable(const TweetTable& table, bool compress = true);
+/// active tail first to account for every row). The encoded size is
+/// EncodeTable(table).size(): framing and zone-map directory included.
+TableDescription DescribeTable(const TweetTable& table);
 
 /// Manifest file format (little-endian):
 ///   magic "TWDM" (4 bytes) | version fixed32 | generation fixed64 |

@@ -4,8 +4,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "tweetdb/column.h"
-#include "tweetdb/encoding.h"
 
 namespace twimob::tweetdb {
 
@@ -48,89 +46,6 @@ BlockStats Block::ComputeStats() const {
                                        geo::FixedToDegrees(lon_fixed_[i])});
   }
   return s;
-}
-
-void Block::EncodeTo(std::string* dst) const {
-  PutVarint64(dst, num_rows());
-
-  UserDictEncoder users;
-  for (uint64_t u : user_ids_) users.Append(u);
-  std::string user_bytes;
-  users.EncodeTo(&user_bytes);
-
-  std::string ts_bytes;
-  EncodeInt64ColumnAuto(&ts_bytes, timestamps_);
-
-  // Coordinates go through the auto codec as int64 (FOR usually wins:
-  // a block's coordinates cluster within a few degrees).
-  std::string lat_bytes, lon_bytes;
-  {
-    std::vector<int64_t> wide(lat_fixed_.begin(), lat_fixed_.end());
-    EncodeInt64ColumnAuto(&lat_bytes, wide);
-    wide.assign(lon_fixed_.begin(), lon_fixed_.end());
-    EncodeInt64ColumnAuto(&lon_bytes, wide);
-  }
-
-  // Column sizes up front so a reader could skip columns it doesn't need.
-  PutVarint64(dst, user_bytes.size());
-  PutVarint64(dst, ts_bytes.size());
-  PutVarint64(dst, lat_bytes.size());
-  PutVarint64(dst, lon_bytes.size());
-  dst->append(user_bytes);
-  dst->append(ts_bytes);
-  dst->append(lat_bytes);
-  dst->append(lon_bytes);
-}
-
-Result<Block> Block::Decode(std::string_view* src) {
-  uint64_t n;
-  if (!GetVarint64(src, &n)) return Status::IOError("truncated block header");
-  uint64_t sizes[4];
-  for (uint64_t& s : sizes) {
-    if (!GetVarint64(src, &s)) return Status::IOError("truncated block column sizes");
-  }
-  const uint64_t total = sizes[0] + sizes[1] + sizes[2] + sizes[3];
-  if (src->size() < total) return Status::IOError("truncated block body");
-
-  Block block;
-  {
-    std::string_view col = src->substr(0, sizes[0]);
-    auto users = DecodeUserDictColumn(&col, n);
-    if (!users.ok()) return users.status();
-    block.user_ids_ = std::move(*users);
-    src->remove_prefix(sizes[0]);
-  }
-  {
-    std::string_view col = src->substr(0, sizes[1]);
-    auto ts = DecodeInt64ColumnAuto(&col, n);
-    if (!ts.ok()) return ts.status();
-    block.timestamps_ = std::move(*ts);
-    src->remove_prefix(sizes[1]);
-  }
-  auto decode_coords = [n](std::string_view col,
-                           std::vector<int32_t>* out) -> Status {
-    auto wide = DecodeInt64ColumnAuto(&col, n);
-    if (!wide.ok()) return wide.status();
-    out->reserve(n);
-    for (int64_t v : *wide) {
-      if (v < INT32_MIN || v > INT32_MAX) {
-        return Status::IOError("coordinate column value out of int32 range");
-      }
-      out->push_back(static_cast<int32_t>(v));
-    }
-    return Status::OK();
-  };
-  {
-    TWIMOB_RETURN_IF_ERROR(
-        decode_coords(src->substr(0, sizes[2]), &block.lat_fixed_));
-    src->remove_prefix(sizes[2]);
-  }
-  {
-    TWIMOB_RETURN_IF_ERROR(
-        decode_coords(src->substr(0, sizes[3]), &block.lon_fixed_));
-    src->remove_prefix(sizes[3]);
-  }
-  return block;
 }
 
 Block Block::FromColumns(std::vector<uint64_t> user_ids,

@@ -2,8 +2,6 @@
 #define TWIMOB_TWEETDB_BLOCK_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -53,14 +51,8 @@ class Block {
   const std::vector<int32_t>& lat_fixed() const { return lat_fixed_; }
   const std::vector<int32_t>& lon_fixed() const { return lon_fixed_; }
 
-  /// Serialises the block (stats header + 4 encoded columns) to `dst`.
-  void EncodeTo(std::string* dst) const;
-
-  /// Decodes one block from the front of `*src`.
-  static Result<Block> Decode(std::string_view* src);
-
   /// Assembles a block directly from its four columns (all the same length
-  /// — DCHECK-enforced). Used by the v6 compressed-payload decoder
+  /// — DCHECK-enforced). Used by the block payload decoder
   /// (block_compression.h), which reconstructs columns wholesale.
   static Block FromColumns(std::vector<uint64_t> user_ids,
                            std::vector<int64_t> timestamps,

@@ -10,7 +10,8 @@
 
 namespace twimob::tweetdb {
 
-/// Delta + frame-of-reference bitpacked block payload codec (format v6).
+/// Delta + frame-of-reference bitpacked block payload codec (introduced in
+/// format v6; since v7 the only payload codec, for shards and deltas alike).
 ///
 /// Layout: varint num_rows, then four length-prefixed column segments
 /// (users, timestamps, lat_fixed, lon_fixed). Each segment encodes its

@@ -1,7 +1,5 @@
 #include "tweetdb/encoding.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace twimob::tweetdb {
@@ -81,29 +79,6 @@ bool GetFixed64(std::string_view* src, uint64_t* value) {
   return true;
 }
 
-void PutDeltaVarint64(std::string* dst, const std::vector<int64_t>& values) {
-  int64_t prev = 0;
-  for (int64_t v : values) {
-    PutSignedVarint64(dst, v - prev);
-    prev = v;
-  }
-}
-
-Result<std::vector<int64_t>> GetDeltaVarint64(std::string_view* src, size_t count) {
-  std::vector<int64_t> out;
-  out.reserve(count);
-  int64_t prev = 0;
-  for (size_t i = 0; i < count; ++i) {
-    int64_t delta;
-    if (!GetSignedVarint64(src, &delta)) {
-      return Status::IOError("truncated delta-varint stream");
-    }
-    prev += delta;
-    out.push_back(prev);
-  }
-  return out;
-}
-
 int BitsNeeded(uint64_t max_value) {
   int bits = 0;
   while (max_value != 0) {
@@ -133,95 +108,6 @@ void PutBitPacked(std::string* dst, const std::vector<uint64_t>& values,
     }
   }
   if (filled > 0) flush_word(word);
-}
-
-Result<std::vector<uint64_t>> GetBitPacked(std::string_view* src, size_t count,
-                                           int bit_width) {
-  if (bit_width < 1 || bit_width > 64) {
-    return Status::IOError("bit-packed column with invalid width");
-  }
-  const size_t total_bits = count * static_cast<size_t>(bit_width);
-  const size_t words = (total_bits + 63) / 64;
-  if (src->size() < words * 8) {
-    return Status::IOError("truncated bit-packed column");
-  }
-  std::vector<uint64_t> out;
-  out.reserve(count);
-  uint64_t word = 0;
-  int available = 0;
-  const uint64_t mask =
-      bit_width == 64 ? ~uint64_t{0} : (uint64_t{1} << bit_width) - 1;
-  size_t consumed_words = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (available < bit_width) {
-      uint64_t next;
-      (void)GetFixed64(src, &next);  // length checked above
-      ++consumed_words;
-      if (available == 0) {
-        word = next;
-        available = 64;
-      } else {
-        // Combine the low `available` bits of word with bits from next.
-        const uint64_t low = word & ((uint64_t{1} << available) - 1);
-        const uint64_t value =
-            (low | (next << available)) & mask;
-        out.push_back(value);
-        const int used_from_next = bit_width - available;
-        word = used_from_next == 64 ? 0 : next >> used_from_next;
-        available = 64 - used_from_next;
-        continue;
-      }
-    }
-    out.push_back(word & mask);
-    word = bit_width == 64 ? 0 : word >> bit_width;
-    available -= bit_width;
-  }
-  (void)consumed_words;
-  return out;
-}
-
-void PutFrameOfReference(std::string* dst, const std::vector<int64_t>& values) {
-  if (values.empty()) return;
-  int64_t min_v = values[0];
-  int64_t max_v = values[0];
-  for (int64_t v : values) {
-    min_v = std::min(min_v, v);
-    max_v = std::max(max_v, v);
-  }
-  PutSignedVarint64(dst, min_v);
-  const uint64_t range = static_cast<uint64_t>(max_v) - static_cast<uint64_t>(min_v);
-  const int bit_width = BitsNeeded(range);
-  dst->push_back(static_cast<char>(bit_width));
-  if (bit_width == 0) return;  // constant column: min alone suffices
-  std::vector<uint64_t> offsets;
-  offsets.reserve(values.size());
-  for (int64_t v : values) {
-    offsets.push_back(static_cast<uint64_t>(v) - static_cast<uint64_t>(min_v));
-  }
-  PutBitPacked(dst, offsets, bit_width);
-}
-
-Result<std::vector<int64_t>> GetFrameOfReference(std::string_view* src,
-                                                 size_t count) {
-  if (count == 0) return std::vector<int64_t>{};
-  int64_t min_v;
-  if (!GetSignedVarint64(src, &min_v)) {
-    return Status::IOError("truncated FOR header");
-  }
-  if (src->empty()) return Status::IOError("truncated FOR bit width");
-  const int bit_width = static_cast<uint8_t>(src->front());
-  src->remove_prefix(1);
-  if (bit_width == 0) {
-    return std::vector<int64_t>(count, min_v);
-  }
-  auto offsets = GetBitPacked(src, count, bit_width);
-  if (!offsets.ok()) return offsets.status();
-  std::vector<int64_t> out;
-  out.reserve(count);
-  for (uint64_t off : *offsets) {
-    out.push_back(static_cast<int64_t>(static_cast<uint64_t>(min_v) + off));
-  }
-  return out;
 }
 
 }  // namespace twimob::tweetdb

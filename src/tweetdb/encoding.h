@@ -6,13 +6,12 @@
 #include <string_view>
 #include <vector>
 
-#include "common/result.h"
-
 namespace twimob::tweetdb {
 
-/// Low-level byte encodings used by the columnar block format. All "Put"
-/// functions append to `dst`; all "Get" functions consume from the front of
-/// `*src` and return false on truncated input.
+/// Low-level byte encodings used by the table file format and the block
+/// payload codec (block_compression.h). All "Put" functions append to
+/// `dst`; all "Get" functions consume from the front of `*src` and return
+/// false on truncated input.
 
 /// LEB128 variable-length unsigned integer (1–10 bytes).
 void PutVarint64(std::string* dst, uint64_t value);
@@ -33,14 +32,6 @@ bool GetFixed32(std::string_view* src, uint32_t* value);
 void PutFixed64(std::string* dst, uint64_t value);
 bool GetFixed64(std::string_view* src, uint64_t* value);
 
-/// Delta-encodes `values` (first value absolute, then consecutive
-/// differences) as signed varints. Sorted or slowly-varying sequences —
-/// timestamps in a compacted block — compress to ~1–2 bytes per entry.
-void PutDeltaVarint64(std::string* dst, const std::vector<int64_t>& values);
-
-/// Decodes `count` delta-varint values.
-Result<std::vector<int64_t>> GetDeltaVarint64(std::string_view* src, size_t count);
-
 /// Smallest bit width able to represent `max_value` (0 -> width 0; callers
 /// handle the all-zero column as a special case).
 int BitsNeeded(uint64_t max_value);
@@ -50,18 +41,6 @@ int BitsNeeded(uint64_t max_value);
 /// (DCHECK-enforced). bit_width in [1, 64].
 void PutBitPacked(std::string* dst, const std::vector<uint64_t>& values,
                   int bit_width);
-
-/// Unpacks `count` values at `bit_width` bits each.
-Result<std::vector<uint64_t>> GetBitPacked(std::string_view* src, size_t count,
-                                           int bit_width);
-
-/// Frame-of-reference codec for integer columns: stores min, bit width, and
-/// the bit-packed offsets (value − min). Constant columns cost 11 bytes
-/// total. The v2 block format picks FOR or delta-varint per column,
-/// whichever is smaller.
-void PutFrameOfReference(std::string* dst, const std::vector<int64_t>& values);
-Result<std::vector<int64_t>> GetFrameOfReference(std::string_view* src,
-                                                 size_t count);
 
 }  // namespace twimob::tweetdb
 

@@ -94,9 +94,9 @@ Status IngestWriter::AppendBatch(const std::vector<Tweet>& batch) {
     TWIMOB_RETURN_IF_ERROR(delta.Append(t));
   }
   delta.SealActive();
-  // Deltas stay uncompressed (append latency over density); compaction
-  // rewrites their rows into compressed sealed shards.
-  const std::string encoded = EncodeTable(delta, /*compress=*/false);
+  // Deltas use the same compressed block codec as sealed shards;
+  // compaction later merges their rows into the next generation's shards.
+  const std::string encoded = EncodeTable(delta);
 
   // The commit sequence (delta file, then manifest) runs under the commit
   // mutex so appends serialise with each other and with a compaction's

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -70,6 +71,17 @@ TEST_F(QueryServiceTest, PopulationMatchesEstimator) {
   }
   EXPECT_FALSE(service.Population(sydney, 0.0).ok());
   EXPECT_FALSE(service.Population(sydney, -5.0).ok());
+  // An invalid centre is rejected before the radius walk, never answered
+  // with zeros.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(service.Population(geo::LatLon{nan, 151.2093}, 25000.0)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(service.Population(geo::LatLon{-333.9, 151.2093}, 25000.0)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      service.PointEstimate(0, geo::LatLon{nan, nan}).status().IsInvalidArgument());
 }
 
 TEST_F(QueryServiceTest, PointEstimateReturnsAreaAndServedPopulations) {

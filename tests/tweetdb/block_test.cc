@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "random/rng.h"
-#include "tweetdb/column.h"
 
 namespace twimob::tweetdb {
 namespace {
@@ -73,56 +72,6 @@ TEST(BlockTest, EmptyBlockStats) {
   EXPECT_EQ(b.ComputeStats().num_rows, 0u);
 }
 
-TEST(BlockTest, EncodeDecodeRoundTrip) {
-  Block original = RandomBlock(2000, 11);
-  std::string buf;
-  original.EncodeTo(&buf);
-  std::string_view view = buf;
-  auto decoded = Block::Decode(&view);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(view.empty());
-  ASSERT_EQ(decoded->num_rows(), original.num_rows());
-  for (size_t i = 0; i < original.num_rows(); ++i) {
-    EXPECT_EQ(decoded->GetRow(i), original.GetRow(i)) << i;
-  }
-}
-
-TEST(BlockTest, EncodedSizeIsCompact) {
-  Block b = RandomBlock(10000, 13);
-  std::string buf;
-  b.EncodeTo(&buf);
-  // Raw SoA is 24 bytes/row; the codec should do much better even on
-  // unsorted random data (<= 16 bytes/row).
-  EXPECT_LT(buf.size(), 10000u * 16u);
-}
-
-TEST(BlockTest, DecodeRejectsTruncatedInput) {
-  Block b = RandomBlock(100, 17);
-  std::string buf;
-  b.EncodeTo(&buf);
-  for (size_t cut : {size_t{0}, size_t{1}, size_t{4}, buf.size() / 2,
-                     buf.size() - 1}) {
-    std::string_view view(buf.data(), cut);
-    EXPECT_FALSE(Block::Decode(&view).ok()) << cut;
-  }
-}
-
-TEST(BlockTest, MultipleBlocksDecodeSequentially) {
-  Block b1 = RandomBlock(50, 19);
-  Block b2 = RandomBlock(70, 23);
-  std::string buf;
-  b1.EncodeTo(&buf);
-  b2.EncodeTo(&buf);
-  std::string_view view = buf;
-  auto d1 = Block::Decode(&view);
-  ASSERT_TRUE(d1.ok());
-  auto d2 = Block::Decode(&view);
-  ASSERT_TRUE(d2.ok());
-  EXPECT_TRUE(view.empty());
-  EXPECT_EQ(d1->num_rows(), 50u);
-  EXPECT_EQ(d2->num_rows(), 70u);
-}
-
 TEST(BlockTest, SortByUserTimeOrdersRows) {
   Block b = RandomBlock(500, 29);
   b.SortByUserTime();
@@ -133,48 +82,6 @@ TEST(BlockTest, SortByUserTimeOrdersRows) {
                 (prev.user_id == cur.user_id && prev.timestamp <= cur.timestamp))
         << i;
   }
-}
-
-TEST(BlockTest, SortingNeverHurtsCompression) {
-  // The auto codec picks the best encoding per column, so sorting can only
-  // shrink (or match) the encoded size, never grow it.
-  Block b = RandomBlock(5000, 31);
-  std::string unsorted;
-  b.EncodeTo(&unsorted);
-  b.SortByUserTime();
-  std::string sorted;
-  b.EncodeTo(&sorted);
-  EXPECT_LE(sorted.size(), unsorted.size());
-}
-
-TEST(BlockTest, TimeSortedColumnPicksDeltaAndShrinks) {
-  // A globally time-sorted column delta-encodes far below its FOR size.
-  std::vector<int64_t> sorted_ts;
-  random::Xoshiro256 rng(37);
-  int64_t t = 1378000000;
-  for (int i = 0; i < 5000; ++i) {
-    t += static_cast<int64_t>(rng.NextUint64(400));
-    sorted_ts.push_back(t);
-  }
-  std::string auto_bytes;
-  EncodeInt64ColumnAuto(&auto_bytes, sorted_ts);
-  EXPECT_EQ(static_cast<IntEncoding>(auto_bytes[0]), IntEncoding::kDeltaVarint);
-
-  std::vector<int64_t> shuffled = sorted_ts;
-  for (size_t i = shuffled.size(); i > 1; --i) {
-    std::swap(shuffled[i - 1], shuffled[rng.NextUint64(i)]);
-  }
-  std::string shuffled_bytes;
-  EncodeInt64ColumnAuto(&shuffled_bytes, shuffled);
-  EXPECT_EQ(static_cast<IntEncoding>(shuffled_bytes[0]),
-            IntEncoding::kFrameOfReference);
-  EXPECT_LT(auto_bytes.size(), shuffled_bytes.size());
-
-  // Both decode back exactly.
-  std::string_view view = auto_bytes;
-  auto decoded = DecodeInt64ColumnAuto(&view, sorted_ts.size());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, sorted_ts);
 }
 
 }  // namespace

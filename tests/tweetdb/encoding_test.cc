@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "random/rng.h"
+#include "tweetdb/block_compression.h"
 
 namespace twimob::tweetdb {
 namespace {
@@ -123,37 +124,6 @@ TEST(FixedTest, TruncatedFails) {
   EXPECT_FALSE(GetFixed32(&view, &out));
 }
 
-TEST(DeltaVarintTest, SortedSequencesEncodeCompactly) {
-  std::vector<int64_t> ts;
-  for (int i = 0; i < 1000; ++i) ts.push_back(1400000000 + i * 60);
-  std::string buf;
-  PutDeltaVarint64(&buf, ts);
-  // First value ~5 bytes, then 1-2 bytes per delta of 60.
-  EXPECT_LT(buf.size(), 1100u);
-  std::string_view view = buf;
-  auto decoded = GetDeltaVarint64(&view, ts.size());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, ts);
-}
-
-TEST(DeltaVarintTest, HandlesNegativeDeltas) {
-  std::vector<int64_t> values = {100, 50, -300, 1000000, -1000000, 0};
-  std::string buf;
-  PutDeltaVarint64(&buf, values);
-  std::string_view view = buf;
-  auto decoded = GetDeltaVarint64(&view, values.size());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, values);
-}
-
-TEST(DeltaVarintTest, TruncatedStreamErrors) {
-  std::vector<int64_t> values = {1, 2, 3};
-  std::string buf;
-  PutDeltaVarint64(&buf, values);
-  std::string_view view(buf.data(), buf.size() - 1);
-  EXPECT_TRUE(GetDeltaVarint64(&view, 3).status().IsIOError());
-}
-
 TEST(BitsNeededTest, KnownValues) {
   EXPECT_EQ(BitsNeeded(0), 0);
   EXPECT_EQ(BitsNeeded(1), 1);
@@ -181,87 +151,19 @@ TEST_P(BitPackRoundTripTest, RandomValuesRoundTrip) {
     // Size is exactly ceil(count*width/64) words.
     EXPECT_EQ(buf.size(),
               (count * static_cast<size_t>(bit_width) + 63) / 64 * 8);
+    // The payload decoder's dispatched unpack kernel inverts it exactly.
+    std::vector<uint64_t> words(buf.size() / 8);
     std::string_view view = buf;
-    auto decoded = GetBitPacked(&view, count, bit_width);
-    ASSERT_TRUE(decoded.ok()) << bit_width << "/" << count;
-    EXPECT_EQ(*decoded, values);
-    EXPECT_TRUE(view.empty());
+    for (uint64_t& w : words) ASSERT_TRUE(GetFixed64(&view, &w));
+    std::vector<uint64_t> decoded(count);
+    ActiveUnpackKernels().unpack(words.data(), count, bit_width, decoded.data());
+    EXPECT_EQ(decoded, values) << bit_width << "/" << count;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitPackRoundTripTest,
                          ::testing::Values(1, 2, 3, 5, 7, 8, 13, 16, 21, 31, 32,
                                            33, 48, 63, 64));
-
-TEST(BitPackTest, TruncatedAndBadWidthErrors) {
-  std::vector<uint64_t> values(100, 7);
-  std::string buf;
-  PutBitPacked(&buf, values, 3);
-  std::string_view short_view(buf.data(), buf.size() - 1);
-  EXPECT_TRUE(GetBitPacked(&short_view, 100, 3).status().IsIOError());
-  std::string_view view = buf;
-  EXPECT_TRUE(GetBitPacked(&view, 100, 0).status().IsIOError());
-  EXPECT_TRUE(GetBitPacked(&view, 100, 65).status().IsIOError());
-}
-
-TEST(FrameOfReferenceTest, RoundTripClusteredValues) {
-  random::Xoshiro256 rng(9);
-  std::vector<int64_t> values;
-  for (int i = 0; i < 2000; ++i) {
-    values.push_back(151000000 + static_cast<int64_t>(rng.NextUint64(400000)));
-  }
-  std::string buf;
-  PutFrameOfReference(&buf, values);
-  // 19-bit offsets: ~2.4 bytes/value, far below raw or varint (4-5 bytes).
-  EXPECT_LT(buf.size(), values.size() * 3);
-  std::string_view view = buf;
-  auto decoded = GetFrameOfReference(&view, values.size());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, values);
-}
-
-TEST(FrameOfReferenceTest, ConstantColumnIsTiny) {
-  std::vector<int64_t> values(10000, -33868800);
-  std::string buf;
-  PutFrameOfReference(&buf, values);
-  EXPECT_LE(buf.size(), 11u);
-  std::string_view view = buf;
-  auto decoded = GetFrameOfReference(&view, values.size());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, values);
-}
-
-TEST(FrameOfReferenceTest, NegativeAndExtremeValues) {
-  const std::vector<int64_t> values = {INT64_MIN, -1, 0, 1, INT64_MAX};
-  std::string buf;
-  PutFrameOfReference(&buf, values);
-  std::string_view view = buf;
-  auto decoded = GetFrameOfReference(&view, values.size());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, values);
-}
-
-TEST(FrameOfReferenceTest, EmptyAndTruncated) {
-  std::string buf;
-  PutFrameOfReference(&buf, {});
-  EXPECT_TRUE(buf.empty());
-  std::string_view view = buf;
-  auto decoded = GetFrameOfReference(&view, 0);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->empty());
-  std::string_view empty;
-  EXPECT_TRUE(GetFrameOfReference(&empty, 5).status().IsIOError());
-}
-
-TEST(DeltaVarintTest, EmptySequence) {
-  std::string buf;
-  PutDeltaVarint64(&buf, {});
-  EXPECT_TRUE(buf.empty());
-  std::string_view view = buf;
-  auto decoded = GetDeltaVarint64(&view, 0);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->empty());
-}
 
 }  // namespace
 }  // namespace twimob::tweetdb

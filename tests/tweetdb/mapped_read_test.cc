@@ -211,8 +211,8 @@ TEST(MappedReadTest, MappedOpenFailsEagerlyOnDirectoryDamage) {
       ShardFilePath(path, /*generation=*/1, dataset.shard_key(0));
   auto bytes = ReadFileToString(env, shard_path);
   ASSERT_TRUE(bytes.ok());
-  // A byte inside the zone-map directory (header is 24 bytes).
-  (*bytes)[24 + 3] ^= '\x08';
+  // A byte inside the zone-map directory (header is 20 bytes).
+  (*bytes)[20 + 3] ^= '\x08';
   ASSERT_TRUE(AtomicWriteFile(env, shard_path, *bytes).ok());
   auto mapped = MapDatasetFiles(path);
   ASSERT_FALSE(mapped.ok());
