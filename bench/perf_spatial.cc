@@ -2,18 +2,23 @@
 // population pipeline performs — sealed CSR grid vs unsealed grid vs
 // linear scan at the paper's radii (0.5 / 2 / 25 / 50 km), over a
 // clustered synthetic point set (default 1M points; override with
-// TWIMOB_SPATIAL_POINTS).
+// TWIMOB_SPATIAL_POINTS). The sealed index is built the pipeline's way,
+// directly (SealedGridIndex::Build), timed on one thread and on a pool of
+// TWIMOB_THREADS (default: hardware concurrency) threads; the unsealed
+// GridIndex is the reference it is held to. The "Fused" column times the
+// one-walk points + distinct-ids count the population queries use.
 //
 // Two verdicts are enforced by the exit code:
-//   1. byte identity — sealed QueryRadius returns exactly the unsealed
-//      index's points in the same order at every radius, and
-//      CountDistinctIds matches the hash-set count over the unsealed scan;
+//   1. byte identity — both direct builds return exactly the unsealed
+//      index's points in the same order at every radius, CountDistinctIds
+//      matches the hash-set count over the unsealed scan, and the fused
+//      walk equals the (CountRadius, CountDistinctIds) pair;
 //   2. speedup — at ε = 50 km on ≥ 1M points the sealed count must be at
 //      least 2x faster than the unsealed one (the interior-cell contract).
 //
 // `--json <path>` writes the machine-readable profile (per-query wall
-// times, speedups, interior/boundary cell breakdown, corpus size, storage
-// format version) for the CI artifact upload.
+// times, speedups, interior/boundary cell breakdown, build times, corpus
+// size, storage format version) for the CI artifact upload.
 
 #include <algorithm>
 #include <cstdio>
@@ -25,7 +30,9 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
+#include "common/thread_pool.h"
 #include "common/time_util.h"
+#include "core/analysis_context.h"
 #include "geo/bbox.h"
 #include "geo/geodesic.h"
 #include "geo/grid_index.h"
@@ -121,6 +128,7 @@ int Run(const char* json_path) {
   std::fprintf(stderr, "[perf_spatial] generating %zu points...\n", n);
   const auto pts = RandomPoints(n);
 
+  // The reference: the mutable grid, loaded point by point.
   double t = MonotonicSeconds();
   auto index = geo::GridIndex::Create(geo::AustraliaBoundingBox(), kCellDegrees);
   if (!index.ok()) {
@@ -131,13 +139,41 @@ int Run(const char* json_path) {
   index->InsertAll(pts);
   const double insert_ms = (MonotonicSeconds() - t) * 1e3;
 
-  t = MonotonicSeconds();
-  const geo::SealedGridIndex sealed = index->Seal();
-  const double seal_ms = (MonotonicSeconds() - t) * 1e3;
+  // The direct build, on one thread and on the pool: the best of
+  // kBuildReps builds each. The first builds in a fresh process run on
+  // cold allocator memory (page faults, and on the pool fresh per-thread
+  // arenas) and vary by 2-3x, so one build does not decide the number.
+  constexpr int kBuildReps = 5;
+  auto best_build_ms = [&pts](ThreadPool* pool) {
+    double best = 0.0;
+    for (int rep = 0; rep < kBuildReps; ++rep) {
+      const double start = MonotonicSeconds();
+      const auto built = geo::SealedGridIndex::Build(geo::AustraliaBoundingBox(),
+                                                     kCellDegrees, pts, pool);
+      const double ms = (MonotonicSeconds() - start) * 1e3;
+      if (rep == 0 || ms < best) best = ms;
+    }
+    return best;
+  };
+  const double build_1t_ms = best_build_ms(nullptr);
+  const size_t threads = core::AnalysisContext::DefaultThreadCount();
+  ThreadPool pool(threads);
+  const double build_nt_ms = best_build_ms(&pool);
+  auto built_1t = geo::SealedGridIndex::Build(geo::AustraliaBoundingBox(),
+                                              kCellDegrees, pts);
+  auto built = geo::SealedGridIndex::Build(geo::AustraliaBoundingBox(), kCellDegrees,
+                                           pts, &pool);
+  if (!built_1t.ok() || !built.ok()) {
+    std::fprintf(stderr, "direct build failed\n");
+    return 1;
+  }
+  const geo::SealedGridIndex& sealed = *built;
 
   std::printf("SPATIAL INDEX PERF — %zu points, cell %.2f°\n", n, kCellDegrees);
-  std::printf("build: insert %.1f ms, seal %.1f ms (%zu cells)\n", insert_ms,
-              seal_ms, sealed.num_nonempty_cells());
+  std::printf("build: reference insert %.1f ms; direct build %.1f ms on 1 thread, "
+              "%.1f ms on %zu threads (%.2fx, %zu cells)\n",
+              insert_ms, build_1t_ms, build_nt_ms, threads,
+              build_1t_ms / build_nt_ms, sealed.num_nonempty_cells());
 
   // Geodesic kernel micro-profile: batched-origin haversine over the SoA
   // columns vs the pairwise scalar call, and the SIMD-dispatched lat-band
@@ -203,27 +239,36 @@ int Run(const char* json_path) {
       .Field("haversine_batch_mpts_per_s", mpts / batch_us)
       .Field("haversine_pairwise_mpts_per_s", mpts / pairwise_us)
       .EndObject();
+  // `seal_ms` is the one-thread direct build of the sealed index.
   json.BeginObject("build")
       .Field("insert_ms", insert_ms)
-      .Field("seal_ms", seal_ms)
+      .Field("seal_ms", build_1t_ms)
+      .Field("build_threads", threads)
+      .Field("build_nt_ms", build_nt_ms)
+      .Field("build_speedup", build_1t_ms / build_nt_ms)
       .Field("nonempty_cells", sealed.num_nonempty_cells())
       .EndObject();
 
-  TablePrinter tp({"Radius", "Count", "Unsealed", "Sealed", "Linear",
+  TablePrinter tp({"Radius", "Count", "Unsealed", "Sealed", "Fused", "Linear",
                    "Speedup", "Interior cells"});
   bool all_identical = true;
   double speedup_50km = 0.0;
   json.BeginArray("queries");
   for (const double radius : kRadiiMeters) {
-    // Byte identity first: the sealed index must reproduce the unsealed
-    // query results exactly — points, order, and coordinate bits.
+    // Byte identity first: both direct builds must reproduce the unsealed
+    // query results exactly — points, order, and coordinate bits — and the
+    // fused walk must equal the pair of separate counts.
+    const std::vector<geo::IndexedPoint> reference =
+        index->QueryRadius(kQueryCenter, radius);
+    const size_t reference_distinct = HashDistinctIds(*index, kQueryCenter, radius);
+    const geo::RadiusCounts fused = sealed.CountRadiusAndDistinctIds(kQueryCenter, radius);
     const bool identical =
-        SamePoints(index->QueryRadius(kQueryCenter, radius),
-                   sealed.QueryRadius(kQueryCenter, radius)) &&
+        SamePoints(reference, sealed.QueryRadius(kQueryCenter, radius)) &&
+        SamePoints(reference, built_1t->QueryRadius(kQueryCenter, radius)) &&
         index->CountRadius(kQueryCenter, radius) ==
             sealed.CountRadius(kQueryCenter, radius) &&
-        HashDistinctIds(*index, kQueryCenter, radius) ==
-            sealed.CountDistinctIds(kQueryCenter, radius);
+        reference_distinct == sealed.CountDistinctIds(kQueryCenter, radius) &&
+        fused.points == reference.size() && fused.distinct_ids == reference_distinct;
     all_identical = all_identical && identical;
 
     geo::RadiusQueryProfile profile;
@@ -246,13 +291,19 @@ int Run(const char* json_path) {
         [&] { return HashDistinctIds(*index, kQueryCenter, radius); }, 2, 0.02);
     const double distinct_sealed_us = TimePerCallUs(
         [&] { return sealed.CountDistinctIds(kQueryCenter, radius); }, 2, 0.02);
+    const double fused_us = TimePerCallUs(
+        [&] {
+          const geo::RadiusCounts c = sealed.CountRadiusAndDistinctIds(kQueryCenter, radius);
+          return c.points + c.distinct_ids;
+        },
+        2, 0.02);
 
     const double speedup = sealed_us > 0.0 ? unsealed_us / sealed_us : 0.0;
     if (radius == 50000.0) speedup_50km = speedup;
 
     tp.AddRow({StrFormat("%.1f km", radius / 1000.0), StrFormat("%zu", count),
                StrFormat("%9.1f us", unsealed_us), StrFormat("%9.1f us", sealed_us),
-               StrFormat("%9.1f us", linear_us),
+               StrFormat("%9.1f us", fused_us), StrFormat("%9.1f us", linear_us),
                StrFormat("%.1fx", speedup),
                StrFormat("%zu/%zu", profile.cells_interior,
                          profile.cells_candidate)});
@@ -265,6 +316,7 @@ int Run(const char* json_path) {
         .Field("linear_us", linear_us)
         .Field("distinct_unsealed_us", distinct_unsealed_us)
         .Field("distinct_sealed_us", distinct_sealed_us)
+        .Field("fused_us", fused_us)
         .Field("speedup_sealed_vs_unsealed", speedup)
         .Field("cells_candidate", profile.cells_candidate)
         .Field("cells_interior", profile.cells_interior)
@@ -281,7 +333,7 @@ int Run(const char* json_path) {
   // names; smaller runs (CI smoke) report but do not enforce it.
   const bool enforce_speedup = n >= 1000000;
   const bool speedup_ok = !enforce_speedup || speedup_50km >= 2.0;
-  std::printf("BYTE IDENTITY: sealed vs unsealed query results %s\n",
+  std::printf("BYTE IDENTITY: direct builds vs unsealed query results %s\n",
               all_identical ? "IDENTICAL (contract holds)" : "DIFFERENT (BUG)");
   std::printf("SPEEDUP AT 50 km: %.1fx sealed vs unsealed%s\n", speedup_50km,
               enforce_speedup ? (speedup_ok ? " (>= 2x gate PASSED)"

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <utility>
 
@@ -65,7 +66,7 @@ void ThreadPool::WorkerLoop() {
 namespace {
 
 // Completion latch of one ParallelFor call: the caller only waits for its
-// own chunks, not for unrelated tasks in the pool.
+// own claiming loops, not for unrelated tasks in the pool.
 struct BatchLatch {
   std::mutex mu;
   std::condition_variable done;
@@ -76,33 +77,26 @@ struct BatchLatch {
 
 void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn) {
   if (count == 0) return;
-  const size_t batches = std::min(count, std::max<size_t>(workers_.size(), 1) * 4);
-  const size_t chunk = (count + batches - 1) / batches;
-
-  std::vector<std::pair<size_t, size_t>> ranges;
-  ranges.reserve(batches);
-  for (size_t begin = 0; begin < count; begin += chunk) {
-    ranges.emplace_back(begin, std::min(count, begin + chunk));
-  }
-
+  // One claiming loop per participating thread — the caller's and up to one
+  // per worker. Each loop takes the next unclaimed index until none is
+  // left, so a thread that runs slower, or starts later, takes fewer.
+  const size_t loops = std::min(count, workers_.size() + 1);
+  std::atomic<size_t> next{0};
   auto latch = std::make_shared<BatchLatch>();
-  latch->remaining = ranges.size();
-  auto run_range = [&fn, latch](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
+  latch->remaining = loops;
+  auto claim_loop = [&fn, &next, count, latch]() {
+    for (size_t i = next++; i < count; i = next++) fn(i);
     std::unique_lock<std::mutex> lock(latch->mu);
     if (--latch->remaining == 0) latch->done.notify_all();
   };
 
-  // `fn` and `ranges` outlive every chunk because this call returns only
+  // `fn` and `next` outlive every loop because this call returns only
   // after the latch opens.
-  for (size_t r = 1; r < ranges.size(); ++r) {
-    const auto [begin, end] = ranges[r];
-    Submit([run_range, begin, end]() { run_range(begin, end); });
-  }
-  run_range(ranges[0].first, ranges[0].second);
+  for (size_t t = 1; t < loops; ++t) Submit(claim_loop);
+  claim_loop();
 
   // Help drain the queue while waiting: a nested call from within a pool
-  // task executes its own (and other queued) chunks instead of blocking on
+  // task executes its own (and other queued) loops instead of blocking on
   // workers that may all be busy, so nesting cannot deadlock.
   while (true) {
     {
@@ -124,7 +118,7 @@ void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn
       --in_flight_;
       if (queue_.empty() && in_flight_ == 0) all_done_.notify_all();
     } else {
-      // Queue empty: every outstanding chunk is already running in a
+      // Queue empty: every outstanding loop is already running in a
       // worker, whose completion notifies the latch.
       std::unique_lock<std::mutex> lock(latch->mu);
       if (latch->remaining == 0) return;

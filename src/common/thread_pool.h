@@ -37,13 +37,14 @@ class ThreadPool {
   size_t num_threads() const { return workers_.size(); }
 
   /// Runs fn(i) for i in [0, count) across the pool, blocking until done.
-  /// Work is split into contiguous chunks; the calling thread executes the
-  /// first chunk itself and then helps drain the pool's queue while waiting,
-  /// so the call only blocks on its own chunks and is safe to issue from
-  /// within a pool task (nested calls cannot deadlock, even on a one-thread
-  /// pool). Chunk boundaries depend only on `count` and the pool size, never
-  /// on scheduling, so callers writing into per-index slots stay
-  /// deterministic.
+  /// The calling thread and up to one task per worker each claim the next
+  /// unclaimed index from a shared counter until none is left, so uneven
+  /// per-index costs balance themselves. The caller then helps drain the
+  /// pool's queue while waiting, so the call only blocks on its own work
+  /// and is safe to issue from within a pool task (nested calls cannot
+  /// deadlock, even on a one-thread pool). Which thread runs an index
+  /// depends on scheduling, so `fn` must write only per-index state; then
+  /// the results are deterministic.
   void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
 
  private:

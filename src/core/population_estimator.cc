@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "geo/bbox.h"
+#include "geo/latlon.h"
 #include "stats/descriptive.h"
 
 namespace twimob::core {
@@ -17,54 +18,64 @@ constexpr double kIndexCellDegrees = 0.05;
 Result<PopulationEstimator> PopulationEstimator::Build(
     const tweetdb::TweetDataset& dataset, ThreadPool* pool,
     tweetdb::ScanStatistics* scan_stats) {
-  // Bounds: the Australian study box, extended to cover stray points so no
-  // tweet is clamped into a wrong cell's neighbourhood.
+  // Every block holding rows, in storage order, with its first global row.
+  // Bounds: the Australian study box, extended by the blocks' zone maps to
+  // cover stray points so no tweet is clamped into a wrong cell's
+  // neighbourhood.
   geo::BoundingBox bounds = geo::AustraliaBoundingBox();
-
-  if (pool != nullptr && dataset.fully_sealed()) {
-    // (shard, block)-parallel gather into per-global-block buffers; the
-    // merge walks global blocks in order, so the index contents are fixed
-    // for any thread count.
-    const size_t num_blocks = dataset.num_blocks();
-    std::vector<std::vector<geo::IndexedPoint>> per_block(num_blocks);
-    std::vector<geo::BoundingBox> per_block_bounds(num_blocks, bounds);
-    const tweetdb::ScanSpec match_all;
-    tweetdb::ScanStatistics stats = tweetdb::ParallelScanDataset(
-        dataset, match_all, *pool,
-        [&per_block, &per_block_bounds](size_t b, const tweetdb::Tweet& t) {
-          per_block[b].push_back(geo::IndexedPoint{t.pos, t.user_id});
-          per_block_bounds[b].ExtendToInclude(t.pos);
-        });
-    if (scan_stats != nullptr) *scan_stats = stats;
-
-    for (const geo::BoundingBox& bb : per_block_bounds) {
-      bounds.ExtendToInclude(geo::LatLon{bb.min_lat, bb.min_lon});
-      bounds.ExtendToInclude(geo::LatLon{bb.max_lat, bb.max_lon});
+  std::vector<const tweetdb::Block*> blocks;
+  std::vector<size_t> first_row;
+  size_t rows = 0;
+  const auto add_block = [&](const tweetdb::Block& block,
+                             const geo::BoundingBox& bbox) {
+    if (block.empty()) return;
+    blocks.push_back(&block);
+    first_row.push_back(rows);
+    rows += block.num_rows();
+    bounds.ExtendToInclude(geo::LatLon{bbox.min_lat, bbox.min_lon});
+    bounds.ExtendToInclude(geo::LatLon{bbox.max_lat, bbox.max_lon});
+  };
+  for (size_t s = 0; s < dataset.num_shards(); ++s) {
+    const tweetdb::TweetTable& table = dataset.shard(s);
+    for (size_t b = 0; b < table.num_blocks(); ++b) {
+      add_block(table.block(b), table.block_stats(b).bbox);
     }
-    auto index = geo::GridIndex::Create(bounds, kIndexCellDegrees);
-    if (!index.ok()) return index.status();
-    geo::GridIndex grid = std::move(*index);
-    for (const std::vector<geo::IndexedPoint>& points : per_block) {
-      grid.InsertAll(points);
-    }
-    return PopulationEstimator(std::make_unique<geo::SealedGridIndex>(grid.Seal()));
+    add_block(table.active_block(), table.active_block().ComputeStats().bbox);
   }
 
-  dataset.ForEachRow(
-      [&bounds](const tweetdb::Tweet& t) { bounds.ExtendToInclude(t.pos); });
-  auto index = geo::GridIndex::Create(bounds, kIndexCellDegrees);
+  // Gathers global rows [begin, end) straight from the column vectors; the
+  // coordinate decode matches Block::GetRow bit for bit.
+  const auto read = [&blocks, &first_row](size_t begin, size_t end,
+                                          geo::IndexedPoint* out) {
+    size_t b = static_cast<size_t>(
+        std::upper_bound(first_row.begin(), first_row.end(), begin) -
+        first_row.begin() - 1);
+    for (size_t row = begin; row < end; ++b) {
+      const tweetdb::Block& block = *blocks[b];
+      const size_t offset = row - first_row[b];
+      const size_t take = std::min(end - row, block.num_rows() - offset);
+      const uint64_t* users = block.user_ids().data() + offset;
+      const int32_t* lats = block.lat_fixed().data() + offset;
+      const int32_t* lons = block.lon_fixed().data() + offset;
+      for (size_t i = 0; i < take; ++i) {
+        *out++ = geo::IndexedPoint{
+            geo::LatLon{geo::FixedToDegrees(lats[i]), geo::FixedToDegrees(lons[i])},
+            users[i]};
+      }
+      row += take;
+    }
+  };
+  auto index =
+      geo::SealedGridIndex::Build(bounds, kIndexCellDegrees, rows, read, pool);
   if (!index.ok()) return index.status();
-  geo::GridIndex grid = std::move(*index);
-  dataset.ForEachRow([&grid](const tweetdb::Tweet& t) {
-    grid.Insert(geo::IndexedPoint{t.pos, t.user_id});
-  });
   if (scan_stats != nullptr) {
     *scan_stats = tweetdb::ScanStatistics{};
     scan_stats->blocks_total = dataset.num_blocks();
-    scan_stats->rows_scanned = dataset.num_rows();
-    scan_stats->rows_matched = dataset.num_rows();
+    scan_stats->rows_scanned = rows;
+    scan_stats->rows_matched = rows;
   }
-  return PopulationEstimator(std::make_unique<geo::SealedGridIndex>(grid.Seal()));
+  return PopulationEstimator(
+      std::make_unique<geo::SealedGridIndex>(std::move(*index)));
 }
 
 size_t PopulationEstimator::CountUniqueUsers(const geo::LatLon& center,
@@ -75,6 +86,11 @@ size_t PopulationEstimator::CountUniqueUsers(const geo::LatLon& center,
 size_t PopulationEstimator::CountTweets(const geo::LatLon& center,
                                         double radius_m) const {
   return index_->CountRadius(center, radius_m);
+}
+
+geo::RadiusCounts PopulationEstimator::CountTweetsAndUsers(const geo::LatLon& center,
+                                                           double radius_m) const {
+  return index_->CountRadiusAndDistinctIds(center, radius_m);
 }
 
 Result<PopulationEstimateResult> PopulationEstimator::Estimate(
@@ -93,8 +109,10 @@ Result<PopulationEstimateResult> PopulationEstimator::Estimate(
   std::vector<size_t> unique_users(n, 0);
   std::vector<size_t> tweet_counts(n, 0);
   auto count_area = [this, &spec, &unique_users, &tweet_counts](size_t i) {
-    unique_users[i] = CountUniqueUsers(spec.areas[i].center, spec.radius_m);
-    tweet_counts[i] = CountTweets(spec.areas[i].center, spec.radius_m);
+    const geo::RadiusCounts counts =
+        CountTweetsAndUsers(spec.areas[i].center, spec.radius_m);
+    unique_users[i] = counts.distinct_ids;
+    tweet_counts[i] = counts.points;
   };
   if (pool != nullptr) {
     pool->ParallelFor(n, count_area);

@@ -50,11 +50,11 @@ class PopulationEstimator {
   /// the estimator. A table is indexed by wrapping it with the zero-copy
   /// TweetDataset::FromTable.
   ///
-  /// With a `pool` and fully-sealed shards, rows are gathered with a
-  /// (shard, block)-parallel scan merged in global block order; otherwise a
-  /// serial row scan is used. Either way the index holds the same points in
-  /// the same order, and counting queries are insertion-order-independent,
-  /// so estimates are byte-identical for any thread or shard count.
+  /// The sealed index is built directly (geo::SealedGridIndex::Build) from
+  /// every row in storage order — shards by key, each shard's sealed
+  /// blocks then its active tail — on `pool` when it is non-null. The
+  /// build's chunking is fixed by the row count, so the index, and every
+  /// estimate, is byte-identical for any thread or shard count.
   /// `scan_stats`, when non-null, receives the storage-scan statistics of
   /// the build.
   static Result<PopulationEstimator> Build(
@@ -69,6 +69,13 @@ class PopulationEstimator {
   /// Tweets within radius_m of `center`.
   size_t CountTweets(const geo::LatLon& center, double radius_m) const;
 
+  /// Tweets (`points`) and distinct users (`distinct_ids`) within radius_m
+  /// of `center` from one fused radius walk; equal to the pair
+  /// (CountTweets, CountUniqueUsers). Estimate and the serving layer's
+  /// population query use this.
+  geo::RadiusCounts CountTweetsAndUsers(const geo::LatLon& center,
+                                        double radius_m) const;
+
   /// Full estimate for one scale spec. With a `pool`, the per-area radius
   /// queries run data-parallel into per-area slots; aggregation stays in
   /// area order, so the result matches the serial path exactly.
@@ -81,8 +88,7 @@ class PopulationEstimator {
   explicit PopulationEstimator(std::unique_ptr<geo::SealedGridIndex> index)
       : index_(std::move(index)) {}
 
-  /// The build loads a mutable GridIndex and seals it: every query below
-  /// runs on the immutable CSR form (byte-identical to the unsealed index).
+  /// Every query runs on the immutable CSR form.
   std::unique_ptr<geo::SealedGridIndex> index_;
 };
 

@@ -2,23 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "geo/geodesic.h"
-#include "geo/sealed_grid_index.h"
 
 namespace twimob::geo {
 
-Result<GridIndex> GridIndex::Create(const BoundingBox& bounds, double cell_deg) {
+namespace grid_internal {
+
+Result<int64_t> GridColumns(const BoundingBox& bounds, double cell_deg) {
   if (!bounds.IsValid()) {
     return Status::InvalidArgument("GridIndex bounds invalid: " + bounds.ToString());
   }
   if (!(cell_deg > 0.0)) {
     return Status::InvalidArgument("GridIndex cell size must be positive");
   }
-  const int64_t cols =
-      std::max<int64_t>(1, static_cast<int64_t>(
-                               std::ceil((bounds.max_lon - bounds.min_lon) / cell_deg)));
+  return std::max<int64_t>(
+      1, static_cast<int64_t>(std::ceil((bounds.max_lon - bounds.min_lon) / cell_deg)));
+}
+
+}  // namespace grid_internal
+
+Result<GridIndex> GridIndex::Create(const BoundingBox& bounds, double cell_deg) {
+  TWIMOB_ASSIGN_OR_RETURN(const int64_t cols,
+                          grid_internal::GridColumns(bounds, cell_deg));
   return GridIndex(bounds, cell_deg, cols);
 }
 
@@ -61,62 +67,6 @@ std::vector<IndexedPoint> GridIndex::QueryBox(const BoundingBox& box) const {
     }
   }
   return out;
-}
-
-SealedGridIndex GridIndex::Seal() const {
-  SealedGridIndex sealed;
-  sealed.bounds_ = bounds_;
-  sealed.cell_deg_ = cell_deg_;
-  sealed.cols_ = cols_;
-
-  const size_t num_cells = cells_.size();
-  sealed.cell_keys_.reserve(num_cells);
-  for (const auto& [key, points] : cells_) sealed.cell_keys_.push_back(key);
-  std::sort(sealed.cell_keys_.begin(), sealed.cell_keys_.end());
-
-  sealed.offsets_.reserve(num_cells + 1);
-  sealed.id_offsets_.reserve(num_cells + 1);
-  sealed.lats_.reserve(size_);
-  sealed.lons_.reserve(size_);
-  sealed.ids_.reserve(size_);
-  sealed.cell_min_lat_.reserve(num_cells);
-  sealed.cell_max_lat_.reserve(num_cells);
-  sealed.cell_min_lon_.reserve(num_cells);
-  sealed.cell_max_lon_.reserve(num_cells);
-
-  sealed.offsets_.push_back(0);
-  sealed.id_offsets_.push_back(0);
-  std::vector<uint64_t> cell_ids;
-  for (const int64_t key : sealed.cell_keys_) {
-    const std::vector<IndexedPoint>& points = cells_.at(key);
-    double min_lat = std::numeric_limits<double>::infinity();
-    double max_lat = -std::numeric_limits<double>::infinity();
-    double min_lon = std::numeric_limits<double>::infinity();
-    double max_lon = -std::numeric_limits<double>::infinity();
-    cell_ids.clear();
-    cell_ids.reserve(points.size());
-    for (const IndexedPoint& p : points) {
-      sealed.lats_.push_back(p.pos.lat);
-      sealed.lons_.push_back(p.pos.lon);
-      sealed.ids_.push_back(p.id);
-      min_lat = std::min(min_lat, p.pos.lat);
-      max_lat = std::max(max_lat, p.pos.lat);
-      min_lon = std::min(min_lon, p.pos.lon);
-      max_lon = std::max(max_lon, p.pos.lon);
-      cell_ids.push_back(p.id);
-    }
-    sealed.offsets_.push_back(sealed.ids_.size());
-    sealed.cell_min_lat_.push_back(min_lat);
-    sealed.cell_max_lat_.push_back(max_lat);
-    sealed.cell_min_lon_.push_back(min_lon);
-    sealed.cell_max_lon_.push_back(max_lon);
-    std::sort(cell_ids.begin(), cell_ids.end());
-    cell_ids.erase(std::unique(cell_ids.begin(), cell_ids.end()), cell_ids.end());
-    sealed.unique_ids_.insert(sealed.unique_ids_.end(), cell_ids.begin(),
-                              cell_ids.end());
-    sealed.id_offsets_.push_back(sealed.unique_ids_.size());
-  }
-  return sealed;
 }
 
 }  // namespace twimob::geo

@@ -13,8 +13,6 @@
 
 namespace twimob::geo {
 
-class SealedGridIndex;
-
 /// A point with an opaque payload id (e.g. a row id in the tweet store or a
 /// user id).
 struct IndexedPoint {
@@ -23,6 +21,12 @@ struct IndexedPoint {
 };
 
 namespace grid_internal {
+
+/// Column count of a grid over `bounds` with `cell_deg`-degree cells, or
+/// InvalidArgument for invalid bounds or a non-positive cell size. Shared
+/// by GridIndex::Create and SealedGridIndex::Build so both accept the same
+/// grids.
+Result<int64_t> GridColumns(const BoundingBox& bounds, double cell_deg);
 
 /// Cell key (`row * cols + col`) of `p` on a grid over `bounds` with
 /// `cell_deg`-degree cells. Out-of-bounds points clamp into the edge cells.
@@ -63,9 +67,11 @@ inline void CellRangeFor(const BoundingBox& bounds, double cell_deg, int64_t col
 /// population/mobility pipeline uses for its ε-radius aggregations (50 km /
 /// 25 km / 2 km / 0.5 km in the paper).
 ///
-/// Once loading is finished, `Seal()` produces a `SealedGridIndex` — an
-/// immutable CSR form with interior/boundary cell classification that
-/// answers the same queries byte-identically but much faster.
+/// The analysis pipeline queries a `SealedGridIndex` instead — an
+/// immutable CSR form with interior/boundary cell classification, built
+/// directly from the points (`SealedGridIndex::Build`), that answers the
+/// same queries byte-identically but much faster. This mutable index is the
+/// reference the tests and benches hold that build to.
 class GridIndex {
  public:
   /// Creates an index over `bounds` with cells of `cell_deg` degrees on each
@@ -91,11 +97,6 @@ class GridIndex {
 
   /// All points whose coordinates fall inside `box`.
   std::vector<IndexedPoint> QueryBox(const BoundingBox& box) const;
-
-  /// Flattens the index into its immutable query-optimised form. The sealed
-  /// index answers every radius query byte-identically to this one (same
-  /// points, same order); the mutable index is left untouched.
-  SealedGridIndex Seal() const;
 
   size_t size() const { return size_; }
   const BoundingBox& bounds() const { return bounds_; }

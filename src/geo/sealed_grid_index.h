@@ -4,8 +4,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "common/result.h"
+#include "common/thread_pool.h"
 #include "geo/bbox.h"
 #include "geo/geodesic.h"
 #include "geo/grid_index.h"
@@ -24,15 +27,22 @@ struct RadiusQueryProfile {
   size_t points_tested = 0;    ///< boundary points that reached a distance check
 };
 
-/// An immutable, query-optimised form of `GridIndex` built by
-/// `GridIndex::Seal()`.
+/// Points and distinct payload ids within one radius, from one fused walk.
+struct RadiusCounts {
+  size_t points = 0;
+  size_t distinct_ids = 0;
+};
+
+/// An immutable, query-optimised grid index, built directly from a point
+/// sequence by `Build`.
 ///
-/// The per-cell hash map of the mutable index is flattened into a CSR
-/// (compressed-sparse-row) layout: one structure-of-arrays point store
-/// (lat / lon / id) sorted by cell key, an ascending array of the non-empty
-/// cell keys, and an offsets array mapping each cell to its point range.
-/// Insertion order is preserved within each cell, so every query returns
-/// exactly the bytes the unsealed index would return, in the same order.
+/// The points live in a CSR (compressed-sparse-row) layout: one
+/// structure-of-arrays point store (lat / lon / id) sorted by cell key, an
+/// ascending array of the non-empty cell keys, and an offsets array mapping
+/// each cell to its point range. Input order is preserved within each cell
+/// (the build is a stable counting sort by cell key), so every query
+/// returns exactly the bytes a `GridIndex` loaded in the same order would
+/// return, in the same order.
 ///
 /// Radius queries classify each candidate cell against the query circle
 /// using the cell's true point bounding box (clamped out-of-bounds points
@@ -53,6 +63,31 @@ struct RadiusQueryProfile {
 /// population estimator's unique-user counts ride on this.
 class SealedGridIndex {
  public:
+  /// Copies input points [begin, end), in input order, into `out`. Called
+  /// concurrently for disjoint ranges when the build runs on a pool.
+  using PointReader =
+      std::function<void(size_t begin, size_t end, IndexedPoint* out)>;
+
+  /// Builds the index over `bounds` with `cell_deg`-degree cells from
+  /// `num_points` input points, read through `read` twice (once to count
+  /// cells, once to scatter). The build is a stable counting sort: per-point
+  /// cell keys over fixed ranges of the input, cell counts with a prefix
+  /// sum in input order, a scatter into the SoA arrays, then per-cell
+  /// bounding boxes and sorted-unique id lists. Every phase is chunked by
+  /// a constant, never by the thread count, and each writes disjoint
+  /// slots, so the index is byte-identical with or without `pool` and for
+  /// any pool size, and answers every query exactly as a `GridIndex`
+  /// loaded in the same order does. Fails like GridIndex::Create on
+  /// invalid bounds or cell size.
+  static Result<SealedGridIndex> Build(const BoundingBox& bounds, double cell_deg,
+                                       size_t num_points, const PointReader& read,
+                                       ThreadPool* pool = nullptr);
+
+  /// Build over an in-memory point vector.
+  static Result<SealedGridIndex> Build(const BoundingBox& bounds, double cell_deg,
+                                       const std::vector<IndexedPoint>& points,
+                                       ThreadPool* pool = nullptr);
+
   /// All points within `radius_m` metres (inclusive) of `center`, in the
   /// same order as the unsealed index.
   std::vector<IndexedPoint> QueryRadius(const LatLon& center, double radius_m) const;
@@ -65,10 +100,16 @@ class SealedGridIndex {
   size_t CountRadiusProfiled(const LatLon& center, double radius_m,
                              RadiusQueryProfile* profile) const;
 
-  /// Number of distinct payload ids within the radius. Interior cells merge
-  /// their pre-sorted unique id lists (no hashing); only boundary-cell
-  /// survivors take the per-point distance checks.
+  /// Number of distinct payload ids within the radius: the `distinct_ids`
+  /// of CountRadiusAndDistinctIds.
   size_t CountDistinctIds(const LatLon& center, double radius_m) const;
+
+  /// Points and distinct payload ids within the radius from one walk over
+  /// the candidate cells: interior cells add their size and merge their
+  /// pre-sorted unique id lists (no hashing); boundary cells are filtered
+  /// once and their survivors feed both counts. Equal to the pair
+  /// (CountRadius, CountDistinctIds) on every query.
+  RadiusCounts CountRadiusAndDistinctIds(const LatLon& center, double radius_m) const;
 
   /// Invokes `fn(point)` for every point within the radius, in the same
   /// order as the unsealed index.
@@ -83,8 +124,6 @@ class SealedGridIndex {
   size_t num_nonempty_cells() const { return cell_keys_.size(); }
 
  private:
-  friend class GridIndex;  // Seal() is the only constructor path.
-
   SealedGridIndex() = default;
 
   /// The equirectangular prefilter is applied only below this radius: under
@@ -150,8 +189,7 @@ class SealedGridIndex {
   int64_t cols_ = 1;
 
   /// CSR over grid cells: cell_keys_ ascending; points of cell i live at
-  /// [offsets_[i], offsets_[i+1]) of the SoA arrays below, in insertion
-  /// order.
+  /// [offsets_[i], offsets_[i+1]) of the SoA arrays below, in input order.
   std::vector<int64_t> cell_keys_;
   std::vector<size_t> offsets_;
   std::vector<double> lats_;

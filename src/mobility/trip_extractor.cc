@@ -1,12 +1,12 @@
 #include "mobility/trip_extractor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <utility>
 
 #include "geo/geodesic.h"
-#include "tweetdb/query.h"
 
 namespace twimob::mobility {
 
@@ -95,24 +95,53 @@ size_t UserRunEnd(const tweetdb::Block& block, size_t begin, uint64_t user) {
   return i;
 }
 
-/// Feeds `user`'s rows of `table` starting at (block, row) into `acc`,
-/// following the run across block boundaries until the user changes.
-void FeedRun(const tweetdb::TweetTable& table, size_t block, size_t row,
-             uint64_t user, TripAccumulator& acc) {
-  for (size_t b = block; b < table.num_blocks(); ++b) {
-    const tweetdb::Block& blk = table.block(b);
-    const size_t begin = (b == block ? row : 0);
-    const size_t end = UserRunEnd(blk, begin, user);
-    FeedBlockRows(blk, begin, end, acc);
-    if (end < blk.num_rows()) return;  // the run ended inside this block
+/// A position in one shard's compacted rows, bounded by an end position.
+/// Positions are (block, row) pairs as TweetTable::LowerBoundUser returns
+/// them; the cursor caches its current block and steps over empty blocks.
+class ShardCursor {
+ public:
+  ShardCursor(const tweetdb::TweetTable& table, std::pair<size_t, size_t> begin,
+              std::pair<size_t, size_t> end)
+      : table_(table), block_(begin.first), row_(begin.second), end_(end) {
+    LoadBlock();
   }
-}
 
-/// True iff `user` has at least one row in the compacted `table`.
-bool ContainsUser(const tweetdb::TweetTable& table, uint64_t user) {
-  const auto [b, r] = table.LowerBoundUser(user);
-  return b < table.num_blocks() && table.block(b).user_ids()[r] == user;
-}
+  bool done() const { return std::make_pair(block_, row_) >= end_; }
+  uint64_t user() const { return current_->user_ids()[row_]; }
+
+  /// Feeds the current user's run into `acc`, across block boundaries, and
+  /// steps past it. A run never crosses the end position: the row there
+  /// belongs to the next unit's first user.
+  void FeedRun(TripAccumulator& acc) {
+    const uint64_t run_user = user();
+    do {
+      const size_t end = UserRunEnd(*current_, row_, run_user);
+      FeedBlockRows(*current_, row_, end, acc);
+      row_ = end;
+      if (row_ == current_->num_rows()) {
+        ++block_;
+        row_ = 0;
+        LoadBlock();
+      }
+    } while (!done() && user() == run_user);
+  }
+
+ private:
+  /// Moves to the first block from block_ on with a row at row_.
+  void LoadBlock() {
+    for (; block_ < table_.num_blocks(); ++block_) {
+      current_ = &table_.block(block_);
+      if (row_ < current_->num_rows()) return;
+      row_ = 0;
+    }
+  }
+
+  const tweetdb::TweetTable& table_;
+  size_t block_;
+  size_t row_;
+  std::pair<size_t, size_t> end_;
+  const tweetdb::Block* current_ = nullptr;
+};
 
 }  // namespace
 
@@ -175,80 +204,66 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
         "CompactShards() first");
   }
 
-  // Fixed chunking by (shard, block) in shard-key-major order.
+  // Unit boundaries: the users at every block start and every
+  // kTripUnitRows-th row of every shard, ascending and distinct. Unit u
+  // covers users [cuts[u], cuts[u + 1]); the last unit is open-ended.
   const size_t num_shards = dataset.num_shards();
-  const std::vector<std::pair<size_t, size_t>> chunks =
-      tweetdb::DatasetBlockMap(dataset);
-
-  std::vector<std::unique_ptr<OdMatrix>> partial(chunks.size());
-  std::vector<ExtractionStats> partial_stats(chunks.size());
-
-  pool.ParallelFor(chunks.size(), [&](size_t g) {
-    const auto [s, b] = chunks[g];
+  std::vector<uint64_t> cuts;
+  for (size_t s = 0; s < num_shards; ++s) {
     const tweetdb::TweetTable& table = dataset.shard(s);
-    const tweetdb::Block& block = table.block(b);
-    const size_t rows = block.num_rows();
-    if (rows == 0) return;
-    const uint64_t* users = block.user_ids().data();
-
-    // Head rows continuing the previous non-empty block's last run belong
-    // to that run's owner within this shard.
-    size_t start = 0;
-    for (size_t pb = b; pb-- > 0;) {
-      const tweetdb::Block& prev = table.block(pb);
-      if (prev.num_rows() == 0) continue;
-      start = UserRunEnd(block, 0, prev.user_ids().back());
-      break;
+    for (size_t b = 0; b < table.num_blocks(); ++b) {
+      const tweetdb::Block& block = table.block(b);
+      for (size_t r = 0; r < block.num_rows(); r += kTripUnitRows) {
+        cuts.push_back(block.user_ids()[r]);
+      }
     }
-    if (start == rows) return;
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
+  std::vector<std::unique_ptr<OdMatrix>> partial(cuts.size());
+  std::vector<ExtractionStats> partial_stats(cuts.size());
+  pool.ParallelFor(cuts.size(), [&](size_t u) {
+    std::vector<ShardCursor> cursors;
+    cursors.reserve(num_shards);
+    for (size_t s = 0; s < num_shards; ++s) {
+      const tweetdb::TweetTable& table = dataset.shard(s);
+      const std::pair<size_t, size_t> end =
+          u + 1 < cuts.size() ? table.LowerBoundUser(cuts[u + 1])
+                              : std::pair<size_t, size_t>{table.num_blocks(), 0};
+      cursors.emplace_back(table, table.LowerBoundUser(cuts[u]), end);
+    }
     auto od = OdMatrix::Create(areas.size());  // cannot fail: areas validated
     TripAccumulator acc(areas, radius_m, options, &*od);
-    bool fed_any = false;
-    size_t i = start;
-    while (i < rows) {
-      const uint64_t user = users[i];
-      // This chunk owns the run iff the user appears in no earlier shard
-      // (time partitioning puts a user's earliest rows in their first
-      // shard, which is where their global run starts).
-      bool owned = true;
-      for (size_t ps = 0; ps < s; ++ps) {
-        if (ContainsUser(dataset.shard(ps), user)) {
-          owned = false;
-          break;
-        }
+    while (true) {
+      // The smallest user left in any shard; their runs feed in shard-key
+      // order, which is their global time order.
+      bool any = false;
+      uint64_t user = 0;
+      for (const ShardCursor& c : cursors) {
+        if (c.done()) continue;
+        if (!any || c.user() < user) user = c.user();
+        any = true;
       }
-      if (owned) {
-        FeedRun(table, b, i, user, acc);
-        for (size_t ns = s + 1; ns < num_shards; ++ns) {
-          const tweetdb::TweetTable& next = dataset.shard(ns);
-          const auto [nb, nr] = next.LowerBoundUser(user);
-          if (nb < next.num_blocks() && next.block(nb).user_ids()[nr] == user) {
-            FeedRun(next, nb, nr, user, acc);
-          }
-        }
-        fed_any = true;
+      if (!any) break;
+      for (ShardCursor& c : cursors) {
+        if (!c.done() && c.user() == user) c.FeedRun(acc);
       }
-      i = UserRunEnd(block, i, user);
     }
-    if (!fed_any) return;
-
-    partial_stats[g] = acc.stats();
-    partial[g] = std::make_unique<OdMatrix>(std::move(*od));
+    partial_stats[u] = acc.stats();
+    partial[u] = std::make_unique<OdMatrix>(std::move(*od));
   });
 
-  // Ordered merge in global (shard, block) order — identical totals for
-  // any thread count.
+  // Ordered merge in unit order — identical totals for any thread count.
   auto merged = OdMatrix::Create(areas.size());
   if (!merged.ok()) return merged.status();
   ExtractionStats total;
   const size_t n = areas.size();
-  for (size_t g = 0; g < chunks.size(); ++g) {
-    MergeStats(partial_stats[g], &total);
-    if (partial[g] == nullptr) continue;
+  for (size_t u = 0; u < cuts.size(); ++u) {
+    MergeStats(partial_stats[u], &total);
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = 0; j < n; ++j) {
-        const double flow = partial[g]->Flow(i, j);
+        const double flow = partial[u]->Flow(i, j);
         if (flow > 0.0) merged->AddFlow(i, j, flow);
       }
     }

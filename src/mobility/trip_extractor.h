@@ -61,6 +61,13 @@ struct TripOptions {
   int64_t max_gap_seconds = 0;
 };
 
+/// Rows per trip-extraction work-unit stride: ExtractTrips cuts every
+/// shard's compacted rows at each block start and at every kTripUnitRows
+/// rows inside a block. A constant, never derived from the thread count, so
+/// the work units — and the order their results merge in — depend on the
+/// stored data alone.
+inline constexpr size_t kTripUnitRows = 4096;
+
 /// Extracts the Twitter mobility matrix (paper §IV): every pair of
 /// consecutive tweets of the same user whose first tweet maps to area i and
 /// second to area j (i ≠ j) contributes one trip to flow (i, j). `radius_m`
@@ -72,13 +79,15 @@ struct TripOptions {
 /// otherwise FailedPrecondition. Because the shards partition time, a
 /// user's merged row sequence is their per-shard runs in shard-key order.
 ///
-/// Work is chunked by (shard, block) and distributed over `pool`: a chunk
-/// owns the user runs starting in it whose user appears in no earlier
-/// shard (head rows continuing the previous block's last run belong to
-/// that run's owner), and follows each owned run across block boundaries
-/// and through later shards (located by zone-map binary search). Partial
-/// OD matrices and counters merge in global (shard, block) order, so the
-/// result is byte-identical for any thread count and any shard count.
+/// Work is split into units balanced by the rows they cover across all
+/// shards: the users at the kTripUnitRows cut rows of every shard, sorted
+/// and deduplicated, split the user-id space into ranges, so each unit
+/// covers at most one stride (or one longer user run) per shard. A unit
+/// walks its users in ascending order, feeding each user's per-shard runs
+/// in shard-key order (located by zone-map binary search). Units run on
+/// `pool`; their OD matrices and counters merge in unit order. Flows are
+/// sums of 1.0 and counters are integers, so the result is byte-identical
+/// for any thread count and any shard count.
 Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
                               const std::vector<census::Area>& areas,
                               double radius_m, ThreadPool& pool,

@@ -79,14 +79,15 @@ Result<PopulationAnswer> QueryService::Population(
     return Status::InvalidArgument("population query: invalid centre " +
                                    center.ToString());
   }
+  // Checked once, before the one fused radius walk: the walk either runs to
+  // completion and the answer carries both counts, or it never starts.
   if (options.deadline.HasExpired()) return DeadlinePassed("population");
   const std::shared_ptr<const core::AnalysisSnapshot> snapshot = Acquire();
+  const geo::RadiusCounts counts =
+      snapshot->estimator().CountTweetsAndUsers(center, radius_m);
   PopulationAnswer answer;
-  answer.unique_users = snapshot->estimator().CountUniqueUsers(center, radius_m);
-  // Between the two radius scans: the only safe abandon point — the answer
-  // either carries both counts or neither.
-  if (options.deadline.HasExpired()) return DeadlinePassed("population");
-  answer.tweets = snapshot->estimator().CountTweets(center, radius_m);
+  answer.unique_users = counts.distinct_ids;
+  answer.tweets = counts.points;
   population_queries_.fetch_add(1, std::memory_order_relaxed);
   return answer;
 }

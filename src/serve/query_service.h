@@ -140,8 +140,9 @@ class QueryService {
   /// Distinct users and tweets within `radius_m` of `center` (the paper's
   /// population primitive at caller-chosen ε). A non-positive radius or an
   /// invalid centre (non-finite or out-of-range lat/lon) is
-  /// InvalidArgument before any scan. The deadline is checked before each
-  /// of the two radius scans — an answer that comes back is never partial.
+  /// InvalidArgument before any scan. Both counts come from one fused
+  /// radius walk and the deadline is checked only before it — an answer
+  /// that comes back is never partial.
   Result<PopulationAnswer> Population(const geo::LatLon& center, double radius_m,
                                       const QueryOptions& options = {}) const;
 

@@ -1,5 +1,6 @@
 #include "serve/snapshot_catalog.h"
 
+#include <optional>
 #include <utility>
 
 #include "common/time_util.h"
@@ -23,6 +24,9 @@ Result<std::shared_ptr<const core::AnalysisSnapshot>>
 SnapshotCatalog::LoadCommitted(uint64_t skip_if_generation,
                                uint64_t skip_if_seq) {
   Status last_error = Status::OK();
+  // Started on the first attempt that has something to load: its pool
+  // decodes the shard files and then runs the analysis.
+  std::optional<core::AnalysisContext> ctx;
   const int attempts = options_.max_open_retries < 1 ? 1 : options_.max_open_retries;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     auto manifest = PeekManifest(env(), path_);
@@ -36,10 +40,11 @@ SnapshotCatalog::LoadCommitted(uint64_t skip_if_generation,
     // Pin before reading shard data: from here on, a writer that commits a
     // newer generation defers (never deletes) this generation's files.
     tweetdb::GenerationPin pin(path_, generation);
+    if (!ctx.has_value()) ctx.emplace(options_.num_threads);
     const double t0 = MonotonicSeconds();
     tweetdb::RecoveryReport report;
-    auto dataset =
-        tweetdb::ReadDatasetFiles(path_, options_.policy, &report, &env());
+    auto dataset = tweetdb::ReadDatasetFiles(path_, options_.policy, &report,
+                                             &env(), &ctx->pool());
     const double recovery_seconds = MonotonicSeconds() - t0;
     if (!dataset.ok()) {
       // The writer may have committed — and GC'd the peeked generation —
@@ -63,9 +68,8 @@ SnapshotCatalog::LoadCommitted(uint64_t skip_if_generation,
     source.pin = std::move(pin);
     source.recovery = report;
     source.recovery_seconds = recovery_seconds;
-    core::AnalysisContext ctx(options_.num_threads);
     auto snapshot = core::AnalysisSnapshot::Analyze(
-        std::move(*dataset), options_.analysis, std::move(source), &ctx);
+        std::move(*dataset), options_.analysis, std::move(source), &*ctx);
     if (!snapshot.ok()) return snapshot.status();
     return std::make_shared<const core::AnalysisSnapshot>(std::move(*snapshot));
   }

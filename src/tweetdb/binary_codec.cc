@@ -1,6 +1,7 @@
 #include "tweetdb/binary_codec.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -663,16 +664,43 @@ Status WriteDatasetFiles(TweetDataset& dataset, const std::string& path,
 }
 
 namespace {
-/// Loads one shard (`is_delta` false) or delta file into `dataset` and
-/// accounts for it in `*rec`, whose key and rows_expected the caller sets.
-/// A shard is adopted whole under its key; a delta's rows are re-routed
-/// into their time shards. Under kStrict any damage — an unreadable or
-/// corrupt file, a row count that disagrees with the manifest, a rejected
-/// shard or row — is the returned error. Under kSalvage the loss is
-/// recorded in `*rec` instead and the call succeeds.
-Status LoadTableFile(Env& env, const std::string& file, bool is_delta,
-                     RecoveryPolicy policy, TweetDataset* dataset,
-                     ShardRecovery* rec) {
+/// One shard or delta file on its way into a dataset: the read, then the
+/// decode. A file whose read failed is never decoded.
+struct LoadedFile {
+  Status read = Status::OK();
+  std::string bytes;
+  Result<TweetTable> table = Status::Internal("table file not decoded");
+  TableSalvageReport salvage;
+};
+
+/// Reads `file` into `loaded`; returns the read status.
+Status ReadTableFile(Env& env, const std::string& file, LoadedFile* loaded) {
+  auto bytes = ReadFileToString(env, file);
+  if (bytes.ok()) {
+    loaded->bytes = std::move(*bytes);
+  } else {
+    loaded->read = bytes.status();
+  }
+  return loaded->read;
+}
+
+/// Decodes a read file under `policy` and frees its encoded bytes. Touches
+/// only `loaded`, so files decode concurrently.
+void DecodeTableFile(RecoveryPolicy policy, LoadedFile* loaded) {
+  if (!loaded->read.ok()) return;
+  loaded->table = DecodeTableBytes(loaded->bytes, policy, &loaded->salvage);
+  std::string().swap(loaded->bytes);
+}
+
+/// Adopts a decoded shard (`is_delta` false) or delta file into `dataset`
+/// and accounts for it in `*rec`, whose key and rows_expected the caller
+/// sets. A shard is adopted whole under its key; a delta's rows are
+/// re-routed into their time shards. Under kStrict any damage — an
+/// unreadable or corrupt file, a row count that disagrees with the
+/// manifest, a rejected shard or row — is the returned error. Under
+/// kSalvage the loss is recorded in `*rec` instead and the call succeeds.
+Status AdoptTableFile(LoadedFile& loaded, bool is_delta, RecoveryPolicy policy,
+                      TweetDataset* dataset, ShardRecovery* rec) {
   const bool strict = policy == RecoveryPolicy::kStrict;
   auto drop = [strict, rec](Status status) {
     if (strict) return status;
@@ -681,11 +709,10 @@ Status LoadTableFile(Env& env, const std::string& file, bool is_delta,
     rec->status = std::move(status);
     return Status::OK();
   };
-  auto bytes = ReadFileToString(env, file);
-  if (!bytes.ok()) return drop(bytes.status());
-  TableSalvageReport tsr;
-  auto table = DecodeTableBytes(*bytes, policy, &tsr);
+  if (!loaded.read.ok()) return drop(loaded.read);
+  Result<TweetTable>& table = loaded.table;
   if (!table.ok()) return drop(table.status());
+  const TableSalvageReport& tsr = loaded.salvage;
   rec->blocks_total = tsr.blocks_total;
   rec->blocks_dropped = tsr.blocks_total - tsr.blocks_recovered;
   rec->checksum_failures = tsr.checksum_failures;
@@ -719,11 +746,22 @@ Status LoadTableFile(Env& env, const std::string& file, bool is_delta,
   });
   return strict ? append : Status::OK();
 }
+
+/// Read, decode and adopt of one file, for the mapped open's deltas.
+Status LoadTableFile(Env& env, const std::string& file, bool is_delta,
+                     RecoveryPolicy policy, TweetDataset* dataset,
+                     ShardRecovery* rec) {
+  LoadedFile loaded;
+  (void)ReadTableFile(env, file, &loaded);
+  DecodeTableFile(policy, &loaded);
+  return AdoptTableFile(loaded, is_delta, policy, dataset, rec);
+}
 }  // namespace
 
 Result<TweetDataset> ReadDatasetFiles(const std::string& path,
                                       RecoveryPolicy policy,
-                                      RecoveryReport* report, Env* env_in) {
+                                      RecoveryReport* report, Env* env_in,
+                                      ThreadPool* pool) {
   Env& env = ResolveEnv(env_in);
   RecoveryReport local;
   RecoveryReport& r = report != nullptr ? *report : local;
@@ -739,27 +777,61 @@ Result<TweetDataset> ReadDatasetFiles(const std::string& path,
   r.generation = manifest.generation;
   r.next_delta_seq = manifest.next_delta_seq;
 
-  TweetDataset dataset(manifest.partition);
-  for (const ShardSummary& s : manifest.shards) {
-    ShardRecovery& rec = r.shards.emplace_back();
-    rec.key = s.key;
-    rec.rows_expected = s.num_rows;
-    TWIMOB_RETURN_IF_ERROR(
-        LoadTableFile(env, ShardFilePath(path, manifest.generation, s.key),
-                      /*is_delta=*/false, policy, &dataset, &rec));
+  // Files in manifest order: shards by key, then deltas by seq. Reads stay
+  // serial and in that order, so the env sees the same operation sequence
+  // with or without a pool; a strict read failure stops the reads there.
+  // Without a pool each file decodes right after its read, while its bytes
+  // are still in cache; with one, the payloads then decode concurrently,
+  // each into its own slot. Under kStrict the first file that fails to
+  // decode is the load's error, so no file after it is decoded:
+  // `first_failed` only ever drops to an index whose decode really failed,
+  // so every file before the first failure is always decoded.
+  const size_t num_shards = manifest.shards.size();
+  std::vector<LoadedFile> files(num_shards + manifest.deltas.size());
+  const bool strict = policy == RecoveryPolicy::kStrict;
+  std::atomic<size_t> first_failed{files.size()};
+  auto decode = [strict, policy, &files, &first_failed](size_t i) {
+    if (strict && i > first_failed.load()) return;
+    DecodeTableFile(policy, &files[i]);
+    if (!strict || files[i].table.ok()) return;
+    size_t seen = first_failed.load();
+    while (i < seen && !first_failed.compare_exchange_weak(seen, i)) {
+    }
+  };
+  size_t num_read = 0;
+  while (num_read < files.size()) {
+    const size_t i = num_read++;
+    const std::string file =
+        i < num_shards
+            ? ShardFilePath(path, manifest.generation, manifest.shards[i].key)
+            : DeltaFilePath(path, manifest.deltas[i - num_shards].generation,
+                            manifest.deltas[i - num_shards].seq);
+    if (!ReadTableFile(env, file, &files[i]).ok() && strict) break;
+    if (pool == nullptr) decode(i);
   }
-  // Fold appended deltas into their time shards, in manifest (seq) order —
-  // a fixed order, so the merged dataset is deterministic. The shards end
-  // up unsorted whenever any delta carried rows; the analysis compact
-  // stage re-sorts, and the total-order sort makes the result identical to
-  // compacting a dataset that ingested the same rows directly.
-  for (const DeltaSummary& d : manifest.deltas) {
-    ShardRecovery& rec = r.deltas.emplace_back();
-    rec.key = static_cast<int64_t>(d.seq);
-    rec.rows_expected = d.num_rows;
+  if (pool != nullptr) pool->ParallelFor(num_read, decode);
+
+  // Adoption and accounting run in manifest order, so the dataset, the
+  // report and the first strict error are the serial loader's. Appended
+  // deltas fold into their time shards in seq order — a fixed order, so
+  // the merged dataset is deterministic. The shards end up unsorted
+  // whenever any delta carried rows; the analysis compact stage re-sorts,
+  // and the total-order sort makes the result identical to compacting a
+  // dataset that ingested the same rows directly.
+  TweetDataset dataset(manifest.partition);
+  for (size_t i = 0; i < num_read; ++i) {
+    const bool is_delta = i >= num_shards;
+    ShardRecovery& rec =
+        is_delta ? r.deltas.emplace_back() : r.shards.emplace_back();
+    if (is_delta) {
+      rec.key = static_cast<int64_t>(manifest.deltas[i - num_shards].seq);
+      rec.rows_expected = manifest.deltas[i - num_shards].num_rows;
+    } else {
+      rec.key = manifest.shards[i].key;
+      rec.rows_expected = manifest.shards[i].num_rows;
+    }
     TWIMOB_RETURN_IF_ERROR(
-        LoadTableFile(env, DeltaFilePath(path, d.generation, d.seq),
-                      /*is_delta=*/true, policy, &dataset, &rec));
+        AdoptTableFile(files[i], is_delta, policy, &dataset, &rec));
   }
   // Delta rows land in active tails; hand back a fully sealed dataset so
   // the block-parallel scan paths stay available.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "tweetdb/dataset.h"
 #include "tweetdb/generation_pins.h"
 #include "tweetdb/storage_env.h"
@@ -202,9 +203,16 @@ Status WriteDatasetFiles(TweetDataset& dataset, const std::string& path,
 /// were folded in (the analysis compact stage re-sorts). The manifest
 /// itself must decode (it is written atomically and CRC-guarded, so a
 /// damaged manifest means the dataset's shape is unknown).
+///
+/// File reads are serial and in manifest order (shards, then deltas), so
+/// the env sees the same operation sequence with or without `pool`; with a
+/// `pool` the payloads then decode concurrently, each into its own slot,
+/// and adoption and accounting run in manifest order — the dataset and
+/// the report are identical either way.
 Result<TweetDataset> ReadDatasetFiles(
     const std::string& path, RecoveryPolicy policy = RecoveryPolicy::kStrict,
-    RecoveryReport* report = nullptr, Env* env = nullptr);
+    RecoveryReport* report = nullptr, Env* env = nullptr,
+    ThreadPool* pool = nullptr);
 
 /// A dataset opened zero-copy over memory-mapped shard files. The pin
 /// keeps every file of the mapped generation on disk for the lifetime of

@@ -25,7 +25,7 @@ struct ScanSpec {
   bool Matches(const Tweet& t) const;
 
   /// True iff no member is set — every row matches; scanners skip predicate
-  /// evaluation entirely (the population-index build path).
+  /// evaluation entirely.
   bool MatchesAllRows() const {
     return !bbox.has_value() && !min_time.has_value() && !max_time.has_value() &&
            !user_id.has_value();
@@ -68,8 +68,7 @@ void FilterBlockColumnarScalar(const Block& block, const ScanSpec& spec,
 const char* FilterKernelsImplementation();
 
 /// Global block index -> (shard, block) of every sealed block of `dataset`,
-/// in (shard key, block) order — the fixed chunking of every dataset scan
-/// and of trip extraction.
+/// in (shard key, block) order — the fixed chunking of every dataset scan.
 std::vector<std::pair<size_t, size_t>> DatasetBlockMap(const TweetDataset& dataset);
 
 namespace internal {
@@ -177,27 +176,6 @@ ScanStatistics ScanDataset(const TweetDataset& dataset, const ScanSpec& spec,
       });
   internal::ReleaseSelectionScratch(std::move(sel));
   return stats;
-}
-
-/// Data-parallel cross-shard scan. Chunking is fixed by (shard, block):
-/// every sealed block of every shard gets a global index in (shard key,
-/// block) order and `fn` is invoked as fn(global_block_index, const Tweet&)
-/// for every match. `fn` MUST be safe to call concurrently from different
-/// blocks (e.g. write into per-global-block slots). The merge of the
-/// statistics runs in global block order, so results are identical for any
-/// thread count.
-template <typename Fn>
-ScanStatistics ParallelScanDataset(const TweetDataset& dataset,
-                                   const ScanSpec& spec, ThreadPool& pool,
-                                   Fn&& fn) {
-  return internal::ForEachCandidateBlock(
-      dataset, spec, &pool,
-      [&spec, &fn](size_t g, const Block& block, ScanStatistics& block_stats) {
-        std::vector<uint32_t> sel = internal::AcquireSelectionScratch();
-        internal::ScanBlockColumnar(block, spec, sel, block_stats,
-                                    [&fn, g](const Tweet& t) { fn(g, t); });
-        internal::ReleaseSelectionScratch(std::move(sel));
-      });
 }
 
 /// Counts the rows of `dataset` matching `spec` without gathering them;

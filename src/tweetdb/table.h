@@ -121,6 +121,10 @@ class TweetTable {
   }
   const BlockStats& block_stats(size_t i) const { return blocks_[i].stats; }
 
+  /// The active tail block: the rows appended since the last seal, after
+  /// every sealed block in storage order. Empty when fully_sealed().
+  const Block& active_block() const { return active_; }
+
   size_t block_capacity() const { return block_capacity_; }
 
   /// Invokes `fn(const Tweet&)` for every row in storage order. The active

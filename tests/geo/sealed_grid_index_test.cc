@@ -2,12 +2,15 @@
 
 #include <cstring>
 #include <set>
+#include <string>
 #include <tuple>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "geo/geodesic.h"
 #include "geo/grid_index.h"
 #include "random/rng.h"
@@ -52,6 +55,14 @@ void ExpectSamePoints(const std::vector<IndexedPoint>& unsealed,
   }
 }
 
+/// The direct build over `points`; every grid used here is valid.
+SealedGridIndex MustBuild(const BoundingBox& bounds, double cell_deg,
+                          const std::vector<IndexedPoint>& points) {
+  auto built = SealedGridIndex::Build(bounds, cell_deg, points);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return std::move(*built);
+}
+
 size_t HashDistinct(const GridIndex& index, const LatLon& center, double radius_m) {
   std::unordered_set<uint64_t> ids;
   index.ForEachInRadius(center, radius_m,
@@ -71,7 +82,7 @@ TEST_P(SealedVsUnsealedTest, QueriesAreByteIdentical) {
   ASSERT_TRUE(idx.ok());
   const auto pts = RandomPoints(4000, 42, box);
   idx->InsertAll(pts);
-  const SealedGridIndex sealed = idx->Seal();
+  const SealedGridIndex sealed = MustBuild(box, cell_deg, pts);
   EXPECT_EQ(sealed.size(), idx->size());
   EXPECT_EQ(sealed.num_nonempty_cells(), idx->num_nonempty_cells());
 
@@ -94,9 +105,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(500.0, 2000.0, 25000.0, 50000.0)));
 
 TEST(SealedGridIndexTest, EmptyIndexSealsToEmpty) {
-  auto idx = GridIndex::Create(AustraliaBoundingBox(), 0.1);
-  ASSERT_TRUE(idx.ok());
-  const SealedGridIndex sealed = idx->Seal();
+  const SealedGridIndex sealed = MustBuild(AustraliaBoundingBox(), 0.1, {});
   EXPECT_EQ(sealed.size(), 0u);
   EXPECT_EQ(sealed.num_nonempty_cells(), 0u);
   EXPECT_TRUE(sealed.QueryRadius(LatLon{-33.87, 151.21}, 50000.0).empty());
@@ -105,12 +114,10 @@ TEST(SealedGridIndexTest, EmptyIndexSealsToEmpty) {
 }
 
 TEST(SealedGridIndexTest, RadiusIsInclusiveOfBoundary) {
-  auto idx = GridIndex::Create(AustraliaBoundingBox(), 0.1);
-  ASSERT_TRUE(idx.ok());
   const LatLon center{-33.0, 151.0};
   const LatLon at_radius = DestinationPoint(center, 90.0, 10000.0);
-  idx->Insert(IndexedPoint{at_radius, 1});
-  const SealedGridIndex sealed = idx->Seal();
+  const SealedGridIndex sealed =
+      MustBuild(AustraliaBoundingBox(), 0.1, {IndexedPoint{at_radius, 1}});
   const double d = HaversineMeters(center, at_radius);
   EXPECT_EQ(sealed.CountRadius(center, d), 1u);
   EXPECT_EQ(sealed.CountRadius(center, d - 1.0), 0u);
@@ -118,11 +125,8 @@ TEST(SealedGridIndexTest, RadiusIsInclusiveOfBoundary) {
 
 TEST(SealedGridIndexTest, ClampedOutOfBoundsPointsKeepTrueCoordinates) {
   const BoundingBox bounds{-36.0, 148.0, -32.0, 153.0};
-  auto idx = GridIndex::Create(bounds, 0.1);
-  ASSERT_TRUE(idx.ok());
   const IndexedPoint outside{LatLon{-31.9, 150.0}, 99};
-  idx->Insert(outside);
-  const SealedGridIndex sealed = idx->Seal();
+  const SealedGridIndex sealed = MustBuild(bounds, 0.1, {outside});
   auto found = sealed.QueryRadius(LatLon{-32.0, 150.0}, 20000.0);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].id, 99u);
@@ -138,8 +142,9 @@ TEST(SealedGridIndexTest, ProfileCountsAreConsistent) {
   const BoundingBox box{-36.0, 148.0, -32.0, 153.0};
   auto idx = GridIndex::Create(box, 0.05);
   ASSERT_TRUE(idx.ok());
-  idx->InsertAll(RandomPoints(4000, 11, box));
-  const SealedGridIndex sealed = idx->Seal();
+  const auto pts = RandomPoints(4000, 11, box);
+  idx->InsertAll(pts);
+  const SealedGridIndex sealed = MustBuild(box, 0.05, pts);
 
   RadiusQueryProfile profile;
   const LatLon center{-33.87, 151.21};
@@ -156,17 +161,127 @@ TEST(SealedGridIndexTest, ProfileCountsAreConsistent) {
 
 TEST(SealedGridIndexTest, DistinctIdsMergesAcrossInteriorCells) {
   const BoundingBox box{-36.0, 148.0, -32.0, 153.0};
-  auto idx = GridIndex::Create(box, 0.05);
-  ASSERT_TRUE(idx.ok());
   // The same id in many cells: distinct count must be 1 regardless of how
   // many interior/boundary cells the circle covers.
+  std::vector<IndexedPoint> pts;
   for (int i = 0; i < 200; ++i) {
-    idx->Insert(IndexedPoint{LatLon{-33.9 + (i % 20) * 0.01, 151.0 + (i / 20) * 0.01},
-                             7});
+    pts.push_back(IndexedPoint{LatLon{-33.9 + (i % 20) * 0.01, 151.0 + (i / 20) * 0.01},
+                               7});
   }
-  const SealedGridIndex sealed = idx->Seal();
+  const SealedGridIndex sealed = MustBuild(box, 0.05, pts);
   EXPECT_EQ(sealed.CountDistinctIds(LatLon{-33.8, 151.05}, 60000.0), 1u);
   EXPECT_EQ(sealed.CountDistinctIds(LatLon{-35.9, 148.1}, 100.0), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The direct build (SealedGridIndex::Build) against the GridIndex reference
+// loaded in the same order, at several pool sizes.
+
+struct BuildInput {
+  std::string name;
+  BoundingBox bounds;
+  double cell_deg = 0.05;
+  std::vector<IndexedPoint> points;
+};
+
+std::vector<BuildInput> BuildInputs() {
+  const BoundingBox box{-36.0, 148.0, -32.0, 153.0};
+  std::vector<BuildInput> inputs;
+  // Enough points for several build chunks, clustered so cells fill up
+  // across chunk boundaries.
+  inputs.push_back({"random", box, 0.05, RandomPoints(40000, 5, box)});
+
+  BuildInput clamped{"out of bounds", box, 0.05, RandomPoints(20000, 6, box)};
+  random::Xoshiro256 rng(8);
+  for (size_t i = 0; i < clamped.points.size(); i += 3) {
+    clamped.points[i].pos = LatLon{rng.NextUniform(-40.0, -28.0),
+                                   rng.NextUniform(140.0, 160.0)};
+  }
+  inputs.push_back(std::move(clamped));
+
+  BuildInput edges{"cell edges", box, 0.25, {}};
+  for (int r = 0; r <= 16; ++r) {
+    for (int c = 0; c <= 20; ++c) {
+      const LatLon corner{box.min_lat + r * 0.25, box.min_lon + c * 0.25};
+      for (uint64_t k = 0; k < 30; ++k) {
+        edges.points.push_back(IndexedPoint{corner, (r * 21 + c + k) % 97});
+        edges.points.push_back(
+            IndexedPoint{LatLon{corner.lat, box.min_lon + 0.1 + c * 0.25}, k});
+      }
+    }
+  }
+  inputs.push_back(std::move(edges));
+
+  BuildInput duplicates{"duplicates", box, 0.05, {}};
+  const LatLon spots[] = {{-33.87, 151.21}, {-33.87, 151.21}, {-34.5, 150.0},
+                          {-33.0, 149.0}};
+  for (size_t i = 0; i < 30000; ++i) {
+    duplicates.points.push_back(IndexedPoint{spots[i % 4], (i / 7) % 40});
+  }
+  inputs.push_back(std::move(duplicates));
+
+  inputs.push_back({"empty", box, 0.05, {}});
+
+  BuildInput one_cell{"single cell", box, 0.5, {}};
+  for (size_t i = 0; i < 20000; ++i) {
+    one_cell.points.push_back(IndexedPoint{
+        LatLon{-33.9 + rng.NextUniform(0.0, 0.3), 151.0 + rng.NextUniform(0.0, 0.3)},
+        rng.NextUint64(500)});
+  }
+  inputs.push_back(std::move(one_cell));
+  return inputs;
+}
+
+/// Every query of `built` equals the reference's, and the fused walk equals
+/// the (CountRadius, CountDistinctIds) pair.
+void ExpectSameIndex(const GridIndex& reference, const SealedGridIndex& built,
+                     const std::string& where) {
+  EXPECT_EQ(built.size(), reference.size()) << where;
+  EXPECT_EQ(built.num_nonempty_cells(), reference.num_nonempty_cells()) << where;
+  random::Xoshiro256 rng(19);
+  const BoundingBox& b = reference.bounds();
+  for (int trial = 0; trial < 16; ++trial) {
+    const LatLon center{rng.NextUniform(b.min_lat - 1.0, b.max_lat + 1.0),
+                        rng.NextUniform(b.min_lon - 1.0, b.max_lon + 1.0)};
+    for (const double radius_m : {500.0, 2000.0, 25000.0, 50000.0, 400000.0}) {
+      SCOPED_TRACE(where + " radius " + std::to_string(radius_m));
+      ExpectSamePoints(reference.QueryRadius(center, radius_m),
+                       built.QueryRadius(center, radius_m));
+      const size_t count = built.CountRadius(center, radius_m);
+      const size_t distinct = built.CountDistinctIds(center, radius_m);
+      EXPECT_EQ(count, reference.CountRadius(center, radius_m));
+      EXPECT_EQ(distinct, HashDistinct(reference, center, radius_m));
+      const RadiusCounts fused = built.CountRadiusAndDistinctIds(center, radius_m);
+      EXPECT_EQ(fused.points, count);
+      EXPECT_EQ(fused.distinct_ids, distinct);
+    }
+  }
+}
+
+TEST(SealedBuildTest, DirectBuildMatchesGridIndexAtEveryPoolSize) {
+  for (const BuildInput& input : BuildInputs()) {
+    auto reference = GridIndex::Create(input.bounds, input.cell_deg);
+    ASSERT_TRUE(reference.ok());
+    reference->InsertAll(input.points);
+    auto serial = SealedGridIndex::Build(input.bounds, input.cell_deg, input.points);
+    ASSERT_TRUE(serial.ok()) << input.name;
+    ExpectSameIndex(*reference, *serial, input.name + ", no pool");
+    for (const size_t threads : {1, 2, 3, 8}) {
+      ThreadPool pool(threads);
+      auto built =
+          SealedGridIndex::Build(input.bounds, input.cell_deg, input.points, &pool);
+      ASSERT_TRUE(built.ok()) << input.name;
+      ExpectSameIndex(*reference, *built,
+                      input.name + ", " + std::to_string(threads) + " threads");
+    }
+  }
+}
+
+TEST(SealedBuildTest, RejectsInvalidGrids) {
+  const std::vector<IndexedPoint> none;
+  EXPECT_FALSE(SealedGridIndex::Build(AustraliaBoundingBox(), 0.0, none).ok());
+  EXPECT_FALSE(
+      SealedGridIndex::Build(BoundingBox{-30.0, 150.0, -35.0, 151.0}, 0.1, none).ok());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "reference/paper_oracle.h"
 
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -311,6 +312,213 @@ TEST(AdversarialCorpusTest, UsersSpanningShardsAndBlocksMatchOracle) {
 
 TEST(AdversarialCorpusTest, DuplicateUserTimeRowsMatchOracle) {
   CheckAgainstOracle(DuplicatesCorpus(), 24);
+}
+
+// ---------------------------------------------------------------------------
+// Trip work units. ExtractTrips cuts every shard at each block start and at
+// every mobility::kTripUnitRows rows inside a block; the cut users split
+// the user-id space into units. These corpora put user runs exactly on
+// those cuts, stretch one user over many of them in every shard, hide
+// users in the last shard only, and present blocks as empty, and check the
+// one trip extractor against the oracle at random pool sizes.
+
+/// `count` rows of `user` inside time shard `shard` of `shards`, each near
+/// a random centre of a random paper scale.
+void AddUserRows(random::Xoshiro256& rng, uint64_t user, size_t count, size_t shard,
+                 size_t shards, std::vector<Tweet>* rows) {
+  static const std::vector<core::ScaleSpec> specs = core::PaperScales();
+  const int64_t width = (kWindow + static_cast<int64_t>(shards) - 1) /
+                        static_cast<int64_t>(shards);
+  for (size_t k = 0; k < count; ++k) {
+    const core::ScaleSpec& spec = specs[rng.NextUint64(specs.size())];
+    const census::Area& area = spec.areas[rng.NextUint64(spec.areas.size())];
+    const double dist = std::fabs(rng.NextGaussian()) * spec.radius_m * 0.8;
+    rows->push_back(Tweet{
+        user,
+        kStart + static_cast<int64_t>(shard) * width +
+            static_cast<int64_t>(rng.NextUint64(static_cast<uint64_t>(width))),
+        geo::DestinationPoint(area.center, rng.NextUniform(0.0, 360.0), dist)});
+  }
+}
+
+/// The one trip extractor on `dataset` (compacted) at every paper scale
+/// and three random pool sizes, against the oracle over its stored rows.
+void CheckTripsOnDataset(const tweetdb::TweetDataset& dataset, const std::string& where,
+                         uint64_t seed) {
+  const std::vector<Tweet> stored = StoredRows(dataset);
+  random::Xoshiro256 rng(seed);
+  for (const core::ScaleSpec& spec : core::PaperScales()) {
+    mobility::ExtractionStats want_stats;
+    const mobility::OdMatrix want =
+        CountTrips(stored, spec.areas, spec.radius_m, mobility::TripOptions{}, &want_stats);
+    for (int trial = 0; trial < 3; ++trial) {
+      const size_t threads = 1 + rng.NextUint64(8);
+      ThreadPool pool(threads);
+      mobility::ExtractionStats got_stats;
+      auto got = mobility::ExtractTrips(dataset, spec.areas, spec.radius_m, pool,
+                                        &got_stats);
+      ASSERT_TRUE(got.ok()) << where << ": " << got.status();
+      EXPECT_EQ(DumpTrips(want, want_stats), DumpTrips(*got, got_stats))
+          << where << ", " << spec.name << ", " << threads << " threads";
+    }
+  }
+}
+
+/// Stores `rows` in `shards` time shards with blocks of `block_capacity`,
+/// compacts, checks the layout with `check_layout`, then the trips.
+template <typename LayoutCheck>
+void CheckTripUnits(const std::vector<Tweet>& rows, size_t shards, size_t block_capacity,
+                    const std::string& name, uint64_t seed, LayoutCheck&& check_layout) {
+  tweetdb::TweetDataset dataset = Store(rows, Layout{1, shards, block_capacity});
+  dataset.CompactShards();
+  ASSERT_EQ(dataset.num_shards(), shards) << name;
+  const std::string where = name + " (" + std::to_string(shards) + " shards, blocks of " +
+                            std::to_string(block_capacity) + ")";
+  check_layout(dataset, where);
+  CheckTripsOnDataset(dataset, where, seed);
+}
+
+/// Fillers 1..64, then user 1000 starting at row `first_row` of every shard
+/// (the fillers take exactly `first_row` rows), then ten trailing users.
+std::vector<Tweet> BoundaryRows(size_t shards, size_t first_row, uint64_t seed) {
+  random::Xoshiro256 rng(seed);
+  std::vector<Tweet> rows;
+  for (size_t s = 0; s < shards; ++s) {
+    for (uint64_t user = 1; user <= 64; ++user) {
+      const size_t count = first_row / 64 + (user <= first_row % 64 ? 1 : 0);
+      AddUserRows(rng, user, count, s, shards, &rows);
+    }
+    AddUserRows(rng, 1000, 64, s, shards, &rows);
+    for (uint64_t user = 1001; user <= 1010; ++user) {
+      AddUserRows(rng, user, 10, s, shards, &rows);
+    }
+  }
+  return rows;
+}
+
+/// The user at row `row` of every shard of `dataset` (blocks concatenated).
+void ExpectUserAtRow(const tweetdb::TweetDataset& dataset, size_t row, uint64_t user,
+                     const std::string& where) {
+  for (size_t s = 0; s < dataset.num_shards(); ++s) {
+    const tweetdb::TweetTable& table = dataset.shard(s);
+    const size_t capacity = table.block(0).num_rows();
+    ASSERT_LT(row / capacity, table.num_blocks()) << where;
+    EXPECT_EQ(table.block(row / capacity).user_ids()[row % capacity], user)
+        << where << ", shard " << s;
+  }
+}
+
+TEST(TripUnitTest, RunStartingOnAUnitBoundaryMatchesOracle) {
+  const size_t boundary = mobility::kTripUnitRows;
+  for (const size_t shards : {1, 3}) {
+    for (const size_t capacity : {tweetdb::kDefaultBlockCapacity, boundary / 2}) {
+      CheckTripUnits(BoundaryRows(shards, boundary, 41), shards, capacity,
+                     "run starting on a unit boundary", 42,
+                     [&](const tweetdb::TweetDataset& dataset, const std::string& where) {
+                       ExpectUserAtRow(dataset, boundary - 1, 64, where);
+                       ExpectUserAtRow(dataset, boundary, 1000, where);
+                     });
+    }
+  }
+}
+
+TEST(TripUnitTest, RunEndingOnAUnitBoundaryMatchesOracle) {
+  const size_t boundary = mobility::kTripUnitRows;
+  for (const size_t shards : {1, 3}) {
+    for (const size_t capacity : {tweetdb::kDefaultBlockCapacity, boundary / 2}) {
+      CheckTripUnits(BoundaryRows(shards, boundary - 64, 43), shards, capacity,
+                     "run ending on a unit boundary", 44,
+                     [&](const tweetdb::TweetDataset& dataset, const std::string& where) {
+                       ExpectUserAtRow(dataset, boundary - 1, 1000, where);
+                       ExpectUserAtRow(dataset, boundary, 1001, where);
+                     });
+    }
+  }
+}
+
+TEST(TripUnitTest, HeavyUserSpanningUnitsInEveryShardMatchesOracle) {
+  // User 500's run covers several cut rows (stride and block starts) in
+  // every shard: those cuts all name user 500, so the whole cross-shard
+  // run stays one unit's work, bounded by its neighbours' cuts.
+  random::Xoshiro256 rng(45);
+  const size_t shards = 3;
+  const size_t heavy_rows = 2 * mobility::kTripUnitRows + 700;
+  std::vector<Tweet> rows;
+  for (size_t s = 0; s < shards; ++s) {
+    for (uint64_t user = 1; user <= 30; ++user) AddUserRows(rng, user, 17, s, shards, &rows);
+    AddUserRows(rng, 500, heavy_rows, s, shards, &rows);
+    for (uint64_t user = 501; user <= 530; ++user) {
+      AddUserRows(rng, user, 13, s, shards, &rows);
+    }
+  }
+  for (const size_t capacity : {tweetdb::kDefaultBlockCapacity, size_t{256}}) {
+    CheckTripUnits(rows, shards, capacity, "heavy user spanning units", 46,
+                   [&](const tweetdb::TweetDataset& dataset, const std::string& where) {
+                     ExpectUserAtRow(dataset, 30 * 17, 500, where);
+                     ExpectUserAtRow(dataset, 30 * 17 + heavy_rows - 1, 500, where);
+                   });
+  }
+}
+
+TEST(TripUnitTest, UsersOnlyInTheLastShardMatchOracle) {
+  random::Xoshiro256 rng(47);
+  const size_t shards = 4;
+  std::vector<Tweet> rows;
+  for (uint64_t user = 1; user <= 400; ++user) {
+    if (user % 5 == 0 || user <= 3 || user > 390) {
+      AddUserRows(rng, user, 1 + rng.NextUint64(30), shards - 1, shards, &rows);
+      continue;
+    }
+    for (size_t s = 0; s < shards; ++s) {
+      AddUserRows(rng, user, rng.NextUint64(6), s, shards, &rows);
+    }
+  }
+  for (const size_t capacity : {tweetdb::kDefaultBlockCapacity, size_t{17}}) {
+    CheckTripUnits(rows, shards, capacity, "users only in the last shard", 48,
+                   [](const tweetdb::TweetDataset&, const std::string&) {});
+  }
+}
+
+TEST(TripUnitTest, EmptyBlocksMatchOracle) {
+  // A block whose deferred decode fails presents as empty (see LazyBlock):
+  // every third block of every shard, first and last blocks included, is
+  // replaced by one, so cuts, runs and lower bounds all step over them.
+  random::Xoshiro256 rng(49);
+  const size_t shards = 3;
+  std::vector<Tweet> rows;
+  for (uint64_t user = 1; user <= 300; ++user) {
+    for (size_t s = 0; s < shards; ++s) {
+      AddUserRows(rng, user, rng.NextUint64(12), s, shards, &rows);
+    }
+  }
+  tweetdb::TweetDataset compacted = Store(rows, Layout{1, shards, 64});
+  compacted.CompactShards();
+  tweetdb::TweetDataset dataset(compacted.partition(), compacted.block_capacity());
+  size_t empty_blocks = 0;
+  for (size_t s = 0; s < compacted.num_shards(); ++s) {
+    const tweetdb::TweetTable& from = compacted.shard(s);
+    tweetdb::TweetTable table(from.block_capacity());
+    for (size_t b = 0; b < from.num_blocks(); ++b) {
+      const tweetdb::Block& block = from.block(b);
+      if ((b + s) % 3 == 0 || b + 1 == from.num_blocks()) {
+        table.AdoptLazyBlock(
+            from.block_stats(b),
+            std::make_unique<tweetdb::LazyBlock>(
+                []() -> Result<tweetdb::Block> { return Status::IOError("block lost"); }));
+        ++empty_blocks;
+        continue;
+      }
+      table.AdoptSealedBlock(tweetdb::Block::FromColumns(
+          block.user_ids(), block.timestamps(), block.lat_fixed(), block.lon_fixed()));
+    }
+    table.MarkSortedByUserTime();
+    ASSERT_TRUE(dataset.AdoptShard(compacted.shard_key(s), std::move(table)).ok());
+  }
+  ASSERT_GT(empty_blocks, 6u);
+  const size_t kept = StoredRows(dataset).size();
+  ASSERT_GT(kept, 0u);
+  ASSERT_LT(kept, dataset.num_rows());  // the zone maps still count lost rows
+  CheckTripsOnDataset(dataset, "empty blocks", 50);
 }
 
 // ---------------------------------------------------------------------------

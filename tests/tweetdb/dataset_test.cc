@@ -1,16 +1,22 @@
 // TweetDataset properties: timestamp routing, the single-shard wholesale
 // path, cross-shard merged iteration vs global compaction, parallel
-// compaction determinism, manifest summaries and the on-disk roundtrip.
+// compaction determinism, manifest summaries, the on-disk roundtrip, and the
+// pooled decode of ReadDatasetFiles against the serial one.
 
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "random/rng.h"
 #include "tweetdb/binary_codec.h"
 #include "tweetdb/dataset.h"
+#include "tweetdb/ingest.h"
+#include "tweetdb/storage_env.h"
 #include "tweetdb/table.h"
 
 namespace twimob::tweetdb {
@@ -226,6 +232,167 @@ TEST(TweetDatasetTest, DatasetFilesRoundtrip) {
       ASSERT_TRUE(SameTweet(a[i], b[i])) << "shard " << s << " row " << i;
     }
   }
+}
+
+/// Records every env operation, in call order, as "<kind> <file> [args]".
+class RecordingEnv : public Env {
+ public:
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    ops.push_back("create " + path);
+    return base_->NewWritableFile(path);
+  }
+  Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    ops.push_back("open " + path);
+    TWIMOB_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
+                            base_->NewRandomAccessFile(path));
+    return std::unique_ptr<RandomAccessFile>(
+        new RecordingFile(std::move(file), path, &ops));
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    ops.push_back("rename " + from + " " + to);
+    return base_->RenameFile(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    ops.push_back("remove " + path);
+    return base_->RemoveFile(path);
+  }
+  bool FileExists(const std::string& path) override {
+    ops.push_back("exists " + path);
+    return base_->FileExists(path);
+  }
+
+  std::vector<std::string> ops;
+
+ private:
+  class RecordingFile : public RandomAccessFile {
+   public:
+    RecordingFile(std::unique_ptr<RandomAccessFile> base, std::string path,
+                  std::vector<std::string>* ops)
+        : base_(std::move(base)), path_(std::move(path)), ops_(ops) {}
+    Status Read(uint64_t offset, size_t n, std::string* out) const override {
+      ops_->push_back(StrFormat("read %s %llu %zu", path_.c_str(),
+                                static_cast<unsigned long long>(offset), n));
+      return base_->Read(offset, n, out);
+    }
+    Result<uint64_t> Size() const override {
+      ops_->push_back("size " + path_);
+      return base_->Size();
+    }
+
+   private:
+    std::unique_ptr<RandomAccessFile> base_;
+    std::string path_;
+    std::vector<std::string>* ops_;
+  };
+
+  Env* base_ = Env::Default();
+};
+
+std::string DumpRecovery(const ShardRecovery& r) {
+  return StrFormat("  key=%lld dropped=%d truncated=%d rows=%llu/%llu blocks=%llu-%llu "
+                   "crc=%llu %s\n",
+                   static_cast<long long>(r.key), r.dropped, r.truncated,
+                   static_cast<unsigned long long>(r.rows_recovered),
+                   static_cast<unsigned long long>(r.rows_expected),
+                   static_cast<unsigned long long>(r.blocks_total),
+                   static_cast<unsigned long long>(r.blocks_dropped),
+                   static_cast<unsigned long long>(r.checksum_failures),
+                   r.status.ToString().c_str());
+}
+
+std::string DumpReport(const RecoveryReport& report) {
+  std::string out = StrFormat("policy=%d generation=%llu seq=%llu\n",
+                              static_cast<int>(report.policy),
+                              static_cast<unsigned long long>(report.generation),
+                              static_cast<unsigned long long>(report.next_delta_seq));
+  for (const ShardRecovery& r : report.shards) out += "shard" + DumpRecovery(r);
+  for (const ShardRecovery& r : report.deltas) out += "delta" + DumpRecovery(r);
+  return out;
+}
+
+std::string DumpDataset(const Result<TweetDataset>& dataset) {
+  if (!dataset.ok()) return dataset.status().ToString();
+  std::string out;
+  for (size_t s = 0; s < dataset->num_shards(); ++s) {
+    const TweetTable& shard = dataset->shard(s);
+    out += StrFormat("shard %lld: %zu blocks, sorted=%d\n",
+                     static_cast<long long>(dataset->shard_key(s)), shard.num_blocks(),
+                     shard.sorted_by_user_time());
+    shard.ForEachRow([&out](const Tweet& t) {
+      out += StrFormat("%llu %lld %a %a\n", static_cast<unsigned long long>(t.user_id),
+                       static_cast<long long>(t.timestamp), t.pos.lat, t.pos.lon);
+    });
+  }
+  return out;
+}
+
+/// ReadDatasetFiles with a pool returns the serial call's dataset and
+/// report, and its env sees the serial call's operation sequence, under
+/// both policies.
+void ExpectPooledReadMatchesSerial(const std::string& path, const std::string& where) {
+  for (const RecoveryPolicy policy : {RecoveryPolicy::kStrict, RecoveryPolicy::kSalvage}) {
+    RecordingEnv serial_env;
+    RecoveryReport serial_report;
+    const std::string serial =
+        DumpDataset(ReadDatasetFiles(path, policy, &serial_report, &serial_env));
+    ASSERT_FALSE(serial_env.ops.empty());
+    for (const size_t threads : {1, 3}) {
+      ThreadPool pool(threads);
+      RecordingEnv pooled_env;
+      RecoveryReport pooled_report;
+      const std::string pooled = DumpDataset(
+          ReadDatasetFiles(path, policy, &pooled_report, &pooled_env, &pool));
+      const std::string at = where + ", policy " +
+                             std::to_string(static_cast<int>(policy)) + ", " +
+                             std::to_string(threads) + " threads";
+      EXPECT_EQ(serial, pooled) << at;
+      EXPECT_EQ(DumpReport(serial_report), DumpReport(pooled_report)) << at;
+      EXPECT_EQ(serial_env.ops, pooled_env.ops) << at;
+    }
+  }
+}
+
+void FlipMiddleByte(const std::string& file) {
+  auto bytes = ReadFileToString(*Env::Default(), file);
+  ASSERT_TRUE(bytes.ok()) << file;
+  (*bytes)[bytes->size() / 2] ^= 0x5a;
+  ASSERT_TRUE(AtomicWriteFile(*Env::Default(), file, *bytes).ok()) << file;
+}
+
+TEST(ReadDatasetFilesTest, PooledDecodeMatchesSerial) {
+  const std::string path = testing::TempDir() + "/twimob_pooled_read.twdb";
+  std::remove(path.c_str());
+  TweetDataset dataset(PartitionSpec{0, 6000}, 128);
+  ASSERT_TRUE(dataset.AppendBatch(RandomTweets(3000, 31, 80, 30'000)).ok());
+  dataset.CompactShards();
+  ASSERT_GT(dataset.num_shards(), 3u);
+  ASSERT_TRUE(WriteDatasetFiles(dataset, path).ok());
+  IngestOptions options;
+  options.partition = dataset.partition();
+  options.block_capacity = 128;
+  auto writer = IngestWriter::Open(path, options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE((*writer)->AppendBatch(RandomTweets(300, 32, 80, 30'000)).ok());
+  ASSERT_TRUE((*writer)->AppendBatch(RandomTweets(300, 33, 80, 30'000)).ok());
+  const Manifest manifest = (*writer)->manifest();
+  ASSERT_EQ(manifest.deltas.size(), 2u);
+  ExpectPooledReadMatchesSerial(path, "intact");
+
+  FlipMiddleByte(ShardFilePath(path, manifest.generation, manifest.shards[1].key));
+  ASSERT_FALSE(ReadDatasetFiles(path).ok());
+  RecoveryReport report;
+  ASSERT_TRUE(ReadDatasetFiles(path, RecoveryPolicy::kSalvage, &report).ok());
+  ASSERT_TRUE(report.degraded());
+  ExpectPooledReadMatchesSerial(path, "corrupted shard");
+
+  const DeltaSummary& delta = manifest.deltas[0];
+  FlipMiddleByte(DeltaFilePath(path, delta.generation, delta.seq));
+  ExpectPooledReadMatchesSerial(path, "corrupted shard and delta");
+
+  std::remove(ShardFilePath(path, manifest.generation, manifest.shards[2].key).c_str());
+  ExpectPooledReadMatchesSerial(path, "missing shard");
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ void ExpectSameRows(std::vector<Tweet> a, std::vector<Tweet> b) {
   }
 }
 
-// Runs `spec` through the serial and the parallel scan of both the
+// Runs `spec` through the serial scan and the pooled count of both the
 // single-shard and the multi-shard dataset and checks each against the
 // brute-force row filter. Returns the matched count.
 size_t CheckAllPathsAgree(const TweetDataset& single, const TweetDataset& sharded,
@@ -85,16 +85,12 @@ size_t CheckAllPathsAgree(const TweetDataset& single, const TweetDataset& sharde
     ExpectSameRows(expected, serial);
     EXPECT_EQ(serial_stats.rows_matched, expected.size());
 
-    std::vector<std::vector<Tweet>> per_global(dataset->num_blocks());
-    ParallelScanDataset(*dataset, spec, pool,
-                        [&per_global](size_t g, const Tweet& t) {
-                          per_global[g].push_back(t);
-                        });
-    std::vector<Tweet> parallel;
-    for (const auto& rows : per_global) {
-      parallel.insert(parallel.end(), rows.begin(), rows.end());
-    }
-    ExpectSameRows(expected, parallel);
+    size_t pooled_count = 0;
+    const ScanStatistics pooled_stats =
+        CountMatching(*dataset, spec, &pooled_count, &pool);
+    EXPECT_EQ(pooled_count, expected.size());
+    EXPECT_EQ(pooled_stats.rows_matched, serial_stats.rows_matched);
+    EXPECT_EQ(pooled_stats.blocks_pruned, serial_stats.blocks_pruned);
   }
   return expected.size();
 }
