@@ -97,8 +97,8 @@ class CompactStage : public Stage {
              StageRecord& record) override {
     tweetdb::TweetDataset& dataset = state.dataset;
     const bool already_sorted = dataset.sorted_by_user_time();
-    std::vector<double> per_shard_seconds;
-    if (!already_sorted) dataset.CompactShards(&ctx.pool(), &per_shard_seconds);
+    std::vector<tweetdb::TweetDataset::ShardCompaction> per_shard;
+    if (!already_sorted) dataset.CompactShards(&ctx.pool(), &per_shard);
     record.AddCounter("rows", static_cast<int64_t>(dataset.num_rows()));
     record.AddCounter("blocks", static_cast<int64_t>(dataset.num_blocks()));
     record.AddCounter("already_sorted", already_sorted ? 1 : 0);
@@ -109,11 +109,18 @@ class CompactStage : public Stage {
       for (size_t s = 0; s < dataset.num_shards(); ++s) {
         StageRecord sub;
         sub.name = name() + "/shard" + std::to_string(dataset.shard_key(s));
-        sub.wall_seconds =
-            s < per_shard_seconds.size() ? per_shard_seconds[s] : 0.0;
+        const tweetdb::TweetDataset::ShardCompaction done =
+            s < per_shard.size() ? per_shard[s]
+                                 : tweetdb::TweetDataset::ShardCompaction{};
+        sub.wall_seconds = done.seconds;
         sub.AddCounter("rows", static_cast<int64_t>(dataset.shard(s).num_rows()));
         sub.AddCounter("blocks",
                        static_cast<int64_t>(dataset.shard(s).num_blocks()));
+        // Whether this open paid for a re-sort: the out-of-order side list
+        // and whether the shard's blocks were rebuilt.
+        sub.AddCounter("rows_out_of_order",
+                       static_cast<int64_t>(done.report.rows_out_of_order));
+        sub.AddCounter("rewritten", done.report.rewritten ? 1 : 0);
         ctx.trace().Append(sub);
         state.result.trace.Append(std::move(sub));
       }

@@ -17,16 +17,16 @@ namespace {
 // machine runs.
 class TripAccumulator {
  public:
-  TripAccumulator(const std::vector<census::Area>& areas, double radius_m,
-                  const TripOptions& options, OdMatrix* od)
-      : assigner_(areas, radius_m), options_(options), od_(od) {}
+  TripAccumulator(const AreaAssigner& assigner, const TripOptions& options,
+                  OdMatrix* od)
+      : assigner_(assigner), options_(options), od_(od) {}
 
   /// Columnar entry point: the gather loops feed decoded column values
   /// directly, never materialising a Tweet.
   void Process(uint64_t user, int64_t time, const geo::LatLon& pos) {
     ++stats_.tweets_seen;
-    const std::optional<size_t> area = assigner_.Assign(pos);
-    if (area.has_value()) ++stats_.tweets_in_some_area;
+    const size_t area = assigner_.Assign(pos).value_or(kNoArea);
+    if (area != kNoArea) ++stats_.tweets_in_some_area;
 
     if (have_prev_ && user == prev_user_) {
       ++stats_.consecutive_pairs;
@@ -34,9 +34,9 @@ class TripAccumulator {
                           time - prev_time_ <= options_.max_gap_seconds;
       if (!gap_ok) {
         ++stats_.gap_filtered_pairs;
-      } else if (prev_area_.has_value() && area.has_value()) {
-        if (*prev_area_ != *area) {
-          od_->AddFlow(*prev_area_, *area, 1.0);
+      } else if (prev_area_ != kNoArea && area != kNoArea) {
+        if (prev_area_ != area) {
+          od_->AddFlow(prev_area_, area, 1.0);
           ++stats_.inter_area_trips;
         } else {
           ++stats_.intra_area_pairs;
@@ -52,14 +52,16 @@ class TripAccumulator {
   const ExtractionStats& stats() const { return stats_; }
 
  private:
-  const AreaAssigner assigner_;
+  static constexpr size_t kNoArea = std::numeric_limits<size_t>::max();
+
+  const AreaAssigner& assigner_;
   const TripOptions& options_;
   OdMatrix* od_;
   ExtractionStats stats_;
   uint64_t prev_user_ = 0;
   int64_t prev_time_ = 0;
   bool have_prev_ = false;
-  std::optional<size_t> prev_area_;
+  size_t prev_area_ = kNoArea;
 };
 
 void MergeStats(const ExtractionStats& from, ExtractionStats* into) {
@@ -143,6 +145,19 @@ class ShardCursor {
   const tweetdb::Block* current_ = nullptr;
 };
 
+/// HaversineMeters(a, b) with cos(a.lat * kDegToRad) and
+/// cos(b.lat * kDegToRad) passed in: the scalar formula's operations in its
+/// order, so the result is the same bits.
+double HaversineWithCos(const geo::LatLon& a, double cos_lat_a, const geo::LatLon& b,
+                        double cos_lat_b) {
+  const double dlat = (b.lat - a.lat) * geo::kDegToRad;
+  const double dlon = (b.lon - a.lon) * geo::kDegToRad;
+  const double sin_dlat = std::sin(dlat / 2.0);
+  const double sin_dlon = std::sin(dlon / 2.0);
+  const double h = sin_dlat * sin_dlat + cos_lat_a * cos_lat_b * sin_dlon * sin_dlon;
+  return 2.0 * geo::kEarthRadiusMeters * std::asin(std::min(1.0, std::sqrt(h)));
+}
+
 }  // namespace
 
 AreaAssigner::AreaAssigner(const std::vector<census::Area>& areas, double radius_m)
@@ -151,38 +166,224 @@ AreaAssigner::AreaAssigner(const std::vector<census::Area>& areas, double radius
       lat_band_deg_(radius_m / geo::MetersPerDegreeLat() * (1.0 + 1e-9)) {
   lats_.reserve(areas.size());
   lons_.reserve(areas.size());
+  cos_lats_.reserve(areas.size());
   for (const census::Area& a : areas) {
     lats_.push_back(a.center.lat);
     lons_.push_back(a.center.lon);
+    cos_lats_.push_back(std::cos(a.center.lat * geo::kDegToRad));
   }
+  BuildGrid();
+}
+
+void AreaAssigner::BuildGrid() {
+  // Relative and absolute (degrees) slack on every bound below, far above
+  // the rounding of the tests they cover: a grid too generous costs a
+  // test, never an answer.
+  constexpr double kSlack = 1e-6;
+  constexpr double kSlackDeg = 1e-9;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  // Where the prefilter is redundant. With Δφ, Δλ the coordinate
+  // differences and φm the mean latitude (radians), a the central angle
+  // and E the equirectangular distance, haversine reads
+  //   sin²(a/2) = sin²(Δφ/2)·(1 − sin²(Δλ/2)) + cos²φm·sin²(Δλ/2)
+  // (cos φ1·cos φ2 = cos²φm − sin²(Δφ/2)). With x²(1 − x²/3) <= sin²x <= x²
+  // and a >= 2·sin(a/2), a² >= k·(Δφ² + cos²φm·Δλ²) = k·(E/R)² where
+  // k = 1 − Δφ²/12 − Δλ²/4. For |Δφ|, |Δλ| <= 0.2 rad, k >= 0.9866 and
+  // E <= 1.0068·a·R: a haversine accept (a·R <= ε) implies E <= 1.0068·ε,
+  // which the prefilter (1.01·ε) accepts. So when the band and every
+  // centre's longitude reject bound the differences by kPrefilterFreeDeg
+  // (< 0.2 rad), skipping the prefilter changes no answer; rounding
+  // (1e-15 relative, nanometres absolute) stays far inside the 0.3% left
+  // over for any radius of a metre or more.
+  constexpr double kPrefilterFreeDeg = 11.0;
+  skip_prefilter_ = lat_band_deg_ <= kPrefilterFreeDeg && radius_m_ >= 1.0;
+
+  // Where a lone candidate needs no distance. Haversine also gives
+  // sin²(a/2) <= (Δφ/2)² + cos²φm·(Δλ/2)² <= q/4 for q = Δφ² + c²·Δλ² with
+  // any c >= |cos φm|, and for q <= 0.02² asin's series gives
+  // a <= sqrt(q)·(1 + q/20). So with ε/R <= 0.02, q <= (ε/R)²·(1 − 1e-4)
+  // puts the true distance below ε·(1 − 3e-5), far outside rounding: the
+  // haversine test accepts, and so (skip_prefilter_) does the prefilter.
+  // When that candidate is the only one passing the band and the
+  // prefilter's longitude reject, it is the answer.
+  const double eps_rad = radius_m_ / geo::kEarthRadiusMeters;
+  certain_q_ = skip_prefilter_ && eps_rad <= 0.02 ? eps_rad * eps_rad * (1.0 - 1e-4) : -1.0;
+
+  // Each centre's acceptance box. The lat band accepts only points within
+  // lat_band_deg_ of the centre. The equirectangular distance is at least
+  // R·|Δlon|·cos(mean lat), and over the band |mean lat| <= |lat| + band/2,
+  // so the prefilter accepts only |Δlon| <= prefilter / (R·cos of that).
+  // A bound that is not finite (a band reaching a pole, a NaN radius)
+  // leaves that dimension unbounded; a centre with a non-finite coordinate
+  // can pass no haversine test and is listed nowhere.
+  struct Box {
+    double lat_lo, lat_hi, lon_lo, lon_hi;
+  };
+  const double band = lat_band_deg_ * (1.0 + kSlack) + kSlackDeg;
+  const bool lat_bounded = band < 90.0;
+  bool lon_bounded = true;
+  std::vector<Box> boxes(lats_.size());
+  std::vector<bool> listed(lats_.size(), false);
+  half_lons_.assign(lats_.size(), kInf);
+  lat_lo_ = lon_lo_ = kInf;
+  lat_hi_ = lon_hi_ = -kInf;
+  for (size_t i = 0; i < lats_.size(); ++i) {
+    if (!std::isfinite(lats_[i]) || !std::isfinite(lons_[i])) continue;
+    listed[i] = true;
+    const double worst_lat = std::min(90.0, std::fabs(lats_[i]) + 0.5 * band);
+    const double half_lon =
+        prefilter_m_ /
+        (geo::kEarthRadiusMeters * geo::kDegToRad * std::cos(worst_lat * geo::kDegToRad)) *
+            (1.0 + kSlack) +
+        kSlackDeg;
+    if (!(half_lon < 360.0)) lon_bounded = false;
+    half_lons_[i] = half_lon;
+    if (!(half_lon <= kPrefilterFreeDeg)) skip_prefilter_ = false;
+    boxes[i] = Box{lats_[i] - band, lats_[i] + band, lons_[i] - half_lon,
+                   lons_[i] + half_lon};
+    lat_lo_ = std::min(lat_lo_, boxes[i].lat_lo);
+    lat_hi_ = std::max(lat_hi_, boxes[i].lat_hi);
+    lon_lo_ = std::min(lon_lo_, boxes[i].lon_lo);
+    lon_hi_ = std::max(lon_hi_, boxes[i].lon_hi);
+  }
+  if (!lat_bounded) {
+    lat_lo_ = -kInf;
+    lat_hi_ = kInf;
+  }
+  if (!lon_bounded) {
+    lon_lo_ = -kInf;
+    lon_hi_ = kInf;
+  }
+
+  // Cells of edge 2× the band, doubled until the grid fits its caps.
+  double cell = 2.0 * band;
+  auto cells_along = [&cell](double lo, double hi) -> size_t {
+    if (!(hi - lo < kInf) || !(cell < kInf)) return 1;  // unbounded or empty
+    const double n = std::ceil((hi - lo) / cell);
+    if (!(n >= 1.0)) return 1;
+    return n > static_cast<double>(kMaxAssignerGridCells)
+               ? kMaxAssignerGridCells + 1
+               : static_cast<size_t>(n);
+  };
+  // Cell range [first, last] along one dimension that a centre's [lo, hi]
+  // touches, with every cell widened on both sides for the rounding of
+  // Assign's cell index.
+  auto touched = [&cell](double lo, double hi, double origin,
+                         size_t n) -> std::pair<size_t, size_t> {
+    if (n == 1) return {0, 0};
+    const double margin = kSlack * cell + kSlackDeg;
+    const double first = std::floor((lo - margin - origin) / cell);
+    const double last = std::floor((hi + margin - origin) / cell);
+    const double top = static_cast<double>(n - 1);
+    return {static_cast<size_t>(std::clamp(first, 0.0, top)),
+            static_cast<size_t>(std::clamp(last, 0.0, top))};
+  };
+  while (true) {
+    nx_ = cells_along(lon_lo_, lon_hi_);
+    ny_ = cells_along(lat_lo_, lat_hi_);
+    if (nx_ * ny_ > kMaxAssignerGridCells) {
+      cell *= 2.0;
+      continue;
+    }
+    cell_begin_.assign(nx_ * ny_ + 1, 0);
+    candidates_.clear();
+    // Count, prefix-sum, then fill in ascending centre order so each
+    // cell's list is in index order.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < lats_.size(); ++i) {
+        if (!listed[i]) continue;
+        const auto [y0, y1] = touched(boxes[i].lat_lo, boxes[i].lat_hi, lat_lo_, ny_);
+        const auto [x0, x1] = touched(boxes[i].lon_lo, boxes[i].lon_hi, lon_lo_, nx_);
+        for (size_t y = y0; y <= y1; ++y) {
+          for (size_t x = x0; x <= x1; ++x) {
+            const size_t c = y * nx_ + x;
+            if (pass == 0) {
+              ++cell_begin_[c + 1];
+            } else {
+              candidates_[cell_begin_[c]++] = static_cast<uint32_t>(i);
+            }
+          }
+        }
+      }
+      if (pass == 0) {
+        for (size_t c = 0; c < nx_ * ny_; ++c) cell_begin_[c + 1] += cell_begin_[c];
+        candidates_.resize(cell_begin_.back());
+      } else {
+        // The fill advanced every begin to its cell's end; shift back.
+        for (size_t c = nx_ * ny_; c > 0; --c) cell_begin_[c] = cell_begin_[c - 1];
+        cell_begin_[0] = 0;
+      }
+    }
+    if (grid_bytes() <= kMaxAssignerGridBytes || nx_ * ny_ == 1) break;
+    cell *= 2.0;
+  }
+  inv_cell_ = 1.0 / cell;
 }
 
 std::optional<size_t> AreaAssigner::Assign(const geo::LatLon& pos) const {
+  // No centre's band or prefilter accepts a point outside the box; the
+  // negated form also rejects a NaN coordinate, which no haversine test
+  // would accept either.
+  if (!(pos.lat >= lat_lo_ && pos.lat <= lat_hi_ && pos.lon >= lon_lo_ &&
+        pos.lon <= lon_hi_)) {
+    return std::nullopt;
+  }
+  const size_t y =
+      ny_ == 1 ? 0 : std::min(ny_ - 1, static_cast<size_t>((pos.lat - lat_lo_) * inv_cell_));
+  const size_t x =
+      nx_ == 1 ? 0 : std::min(nx_ - 1, static_cast<size_t>((pos.lon - lon_lo_) * inv_cell_));
+  const size_t c = y * nx_ + x;
+  const uint32_t end = cell_begin_[c + 1];
+  // Exact reject: great-circle distance is at least the meridian leg, so a
+  // centre more than radius/MetersPerDegreeLat degrees of latitude away can
+  // never pass the haversine test (the 1e-9 slack absorbs rounding). Then
+  // the longitude reject the equirectangular prefilter implies.
+  const auto in_bounds = [this, &pos](size_t i) {
+    return !(std::fabs(lats_[i] - pos.lat) > lat_band_deg_) &&
+           !(std::fabs(pos.lon - lons_[i]) > half_lons_[i]);
+  };
+  uint32_t first = end;
+  size_t survivors = 0;
+  for (uint32_t k = cell_begin_[c]; k < end; ++k) {
+    if (!in_bounds(candidates_[k])) continue;
+    if (survivors++ == 0) first = k;
+  }
+  if (survivors == 0) return std::nullopt;
+  const double cos_lat = std::cos(pos.lat * geo::kDegToRad);
+
+  // A lone survivor certainly within ε needs no distance (bound in
+  // BuildGrid). cos is monotone over one hemisphere, so the larger of the
+  // two cosines bounds |cos φm| there; across the equator 1 does.
+  if (survivors == 1) {
+    const size_t i = candidates_[first];
+    const double dphi = (lats_[i] - pos.lat) * geo::kDegToRad;
+    const double dlam = (lons_[i] - pos.lon) * geo::kDegToRad;
+    const bool one_hemisphere = (pos.lat >= 0.0) == (lats_[i] >= 0.0) &&
+                                std::fabs(pos.lat) <= 90.0 && std::fabs(lats_[i]) <= 90.0;
+    const double cos_bound = one_hemisphere ? std::max(cos_lat, cos_lats_[i]) : 1.0;
+    if (dphi * dphi + cos_bound * cos_bound * dlam * dlam <= certain_q_) return i;
+  }
+
   double best = std::numeric_limits<double>::infinity();
   std::optional<size_t> best_idx;
-  const size_t n = lats_.size();
-  for (size_t i = 0; i < n; ++i) {
-    // Exact reject: great-circle distance is at least the meridian leg, so
-    // a centre more than radius/MetersPerDegreeLat degrees of latitude away
-    // can never pass the haversine test (the 1e-9 slack absorbs rounding).
-    if (std::fabs(lats_[i] - pos.lat) > lat_band_deg_) continue;
-    const geo::LatLon center{lats_[i], lons_[i]};
+  for (uint32_t k = first; k < end; ++k) {
+    const size_t i = candidates_[k];
+    if (!in_bounds(i)) continue;
     // Cheap equirectangular pre-filter (<0.5% error at these ranges) with a
-    // 1% safety margin before the exact haversine check.
-    if (geo::EquirectangularMeters(pos, center) > prefilter_m_) continue;
-    const double d = geo::HaversineMeters(pos, center);
+    // 1% safety margin before the exact haversine check, where a haversine
+    // accept does not imply it (see BuildGrid).
+    const geo::LatLon center{lats_[i], lons_[i]};
+    if (!skip_prefilter_ && geo::EquirectangularMeters(pos, center) > prefilter_m_) {
+      continue;
+    }
+    const double d = HaversineWithCos(pos, cos_lat, center, cos_lats_[i]);
     if (d <= radius_m_ && d < best) {
       best = d;
       best_idx = i;
     }
   }
   return best_idx;
-}
-
-std::optional<size_t> AssignToArea(const geo::LatLon& pos,
-                                   const std::vector<census::Area>& areas,
-                                   double radius_m) {
-  return AreaAssigner(areas, radius_m).Assign(pos);
 }
 
 Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
@@ -221,6 +422,8 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
+  // One assigner for the scale, shared read-only by every unit.
+  const AreaAssigner assigner(areas, radius_m);
   std::vector<std::unique_ptr<OdMatrix>> partial(cuts.size());
   std::vector<ExtractionStats> partial_stats(cuts.size());
   pool.ParallelFor(cuts.size(), [&](size_t u) {
@@ -234,7 +437,7 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
       cursors.emplace_back(table, table.LowerBoundUser(cuts[u]), end);
     }
     auto od = OdMatrix::Create(areas.size());  // cannot fail: areas validated
-    TripAccumulator acc(areas, radius_m, options, &*od);
+    TripAccumulator acc(assigner, options, &*od);
     while (true) {
       // The smallest user left in any shard; their runs feed in shard-key
       // order, which is their global time order.

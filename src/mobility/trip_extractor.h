@@ -1,12 +1,14 @@
 #ifndef TWIMOB_MOBILITY_TRIP_EXTRACTOR_H_
 #define TWIMOB_MOBILITY_TRIP_EXTRACTOR_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "census/area.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
+#include "geo/bbox.h"
 #include "mobility/od_matrix.h"
 #include "tweetdb/dataset.h"
 
@@ -22,33 +24,81 @@ struct ExtractionStats {
   size_t gap_filtered_pairs = 0;  ///< pairs dropped by TripOptions::max_gap_seconds
 };
 
-/// Maps a coordinate to the nearest area centre within `radius_m`, or
-/// nullopt when no centre is that close. Ties resolve to the closest
-/// centre, matching the paper's ε-radius assignment.
-std::optional<size_t> AssignToArea(const geo::LatLon& pos,
-                                   const std::vector<census::Area>& areas,
-                                   double radius_m);
+/// Cap on an AreaAssigner grid's cell count.
+inline constexpr size_t kMaxAssignerGridCells = 65536;
+/// Cap on an AreaAssigner grid's heap bytes: the grid coarsens until it fits.
+inline constexpr size_t kMaxAssignerGridBytes = 1 << 20;
 
-/// Precomputed form of AssignToArea for streaming many points against one
-/// (areas, radius) pair — the trip extractors assign every tweet this way.
-/// Centre coordinates are held in structure-of-arrays layout and the reject
-/// thresholds (exact latitude band, equirectangular prefilter margin) are
-/// hoisted out of the per-point loop. `Assign` returns exactly what
-/// `AssignToArea` returns for the same inputs.
+/// Maps coordinates to the nearest area centre within `radius_m` — the
+/// paper's ε-radius assignment — or nullopt when no centre is that close.
+/// Ties resolve to the lowest-indexed equidistant centre. The trip
+/// extractors assign every tweet this way; one assigner is built per
+/// (areas, radius) pair and shared read-only by every work unit.
+///
+/// A centre passes three tests, in index order: the exact latitude band
+/// (great-circle distance is at least the meridian leg), a 1% margin
+/// equirectangular prefilter, then HaversineMeters(pos, center) <= ε. The
+/// prefilter runs as a cheap longitude reject it implies, and is skipped
+/// outright where a haversine accept provably implies it; a lone surviving
+/// candidate provably within ε is returned without computing its distance.
+/// A CSR candidate grid skips the centres that cannot pass the first two:
+/// cells of edge 2× the latitude band (coarsened to at most
+/// kMaxAssignerGridCells cells and kMaxAssignerGridBytes), each listing in
+/// index order the centres whose band/prefilter might accept some point
+/// of the cell, with points outside the grid's box rejected before any
+/// distance is computed. cos(lat) is hoisted once per centre and once per
+/// point by HaversineMeters' exact expression, so every distance — and so
+/// every assignment — is bit-identical to testing all centres.
 class AreaAssigner {
  public:
   AreaAssigner(const std::vector<census::Area>& areas, double radius_m);
 
-  /// Nearest centre within the radius, or nullopt; identical output (index
-  /// and tie-breaks) to AssignToArea(pos, areas, radius_m).
+  /// Nearest centre within the radius, or nullopt; lowest index on ties.
   std::optional<size_t> Assign(const geo::LatLon& pos) const;
 
+  /// The grid's box (points outside it are rejected outright; a dimension
+  /// may be unbounded) and its cell edge in degrees.
+  geo::BoundingBox grid_box() const {
+    return geo::BoundingBox{lat_lo_, lon_lo_, lat_hi_, lon_hi_};
+  }
+  double grid_cell_deg() const { return 1.0 / inv_cell_; }
+  /// Heap bytes of the candidate grid (offsets plus candidate lists).
+  size_t grid_bytes() const {
+    return (cell_begin_.size() + candidates_.size()) * sizeof(uint32_t);
+  }
+
  private:
+  void BuildGrid();
+
   std::vector<double> lats_;
   std::vector<double> lons_;
+  std::vector<double> cos_lats_;  ///< cos(lat * kDegToRad), per centre
+  /// Per centre: the |Δlon| (degrees) beyond which the prefilter rejects.
+  std::vector<double> half_lons_;
+  /// True when a haversine accept implies the prefilter's at every centre,
+  /// so Assign skips it (see BuildGrid).
+  bool skip_prefilter_ = false;
+  /// Squared-angle bound under which a lone candidate is certainly within
+  /// ε (negative: never); see BuildGrid.
+  double certain_q_ = -1.0;
   double radius_m_;
   double prefilter_m_;    ///< equirectangular reject threshold (1% margin)
   double lat_band_deg_;   ///< exact meridian-leg reject threshold, degrees
+
+  // The candidate grid: box [lat_lo_, lat_hi_] x [lon_lo_, lon_hi_] cut
+  // into ny_ rows and nx_ columns of edge 1 / inv_cell_ degrees (a
+  // dimension with an unbounded extent has one cell); cell (y, x)'s
+  // candidates are candidates_[cell_begin_[c], cell_begin_[c + 1]) with
+  // c = y * nx_ + x.
+  double lat_lo_ = 0.0;
+  double lat_hi_ = 0.0;
+  double lon_lo_ = 0.0;
+  double lon_hi_ = 0.0;
+  double inv_cell_ = 0.0;
+  size_t nx_ = 1;
+  size_t ny_ = 1;
+  std::vector<uint32_t> cell_begin_;
+  std::vector<uint32_t> candidates_;
 };
 
 /// Options of the trip extraction.

@@ -37,11 +37,16 @@ struct PointAssignment {
 /// keep decision is the SelectWithinLatBand predicate in both paths, so a
 /// reject in one path is a reject in the other.
 ///
-/// Note: the distances here fix the argument order as (center, pos);
-/// mobility::AreaAssigner evaluates HaversineMeters(pos, center), and
-/// haversine's symmetry is mathematical, not bitwise, so serve-layer
-/// assignments are self-consistent rather than bit-matched to the trip
-/// extractor's (any divergence is < 1 ulp of distance at the ε boundary).
+/// Why this class keeps its own scan instead of mobility::AreaAssigner's
+/// candidate grid: the batch path is organised centre by centre — one
+/// SIMD lat-band select over the whole query column per centre, then one
+/// hoisted-origin haversine batch over its survivors — and a per-point
+/// grid lookup would break that column-wise shape. Both paths here also
+/// fix the distance argument order as (center, pos), where AreaAssigner
+/// evaluates HaversineMeters(pos, center); haversine's symmetry is
+/// mathematical, not bitwise, so serve-layer assignments are
+/// self-consistent rather than bit-matched to the trip extractor's (any
+/// divergence is < 1 ulp of distance at the ε boundary).
 class PointBatchAssigner {
  public:
   PointBatchAssigner(const std::vector<census::Area>& areas, double radius_m);
@@ -66,7 +71,8 @@ class PointBatchAssigner {
   /// per-distance bits cannot depend on the path taken.
   std::vector<geo::HaversineBatch> batches_;
   double radius_m_ = 0.0;
-  /// Exact meridian-leg reject threshold, degrees (see AreaAssigner).
+  /// Exact meridian-leg reject threshold, degrees: great-circle distance
+  /// is at least the meridian leg (1e-9 slack absorbs rounding).
   double lat_band_deg_ = 0.0;
 };
 

@@ -601,6 +601,9 @@ Status WriteDatasetFiles(TweetDataset& dataset, const std::string& path,
                          Env* env_in, const WriteOptions& options) {
   Env& env = ResolveEnv(env_in);
   dataset.SealAll();
+  // Shards are stored in compaction order, so an open's compact stage only
+  // checks the order (TweetTable::CompactByUserTime) instead of sorting.
+  if (!dataset.sorted_by_user_time()) dataset.CompactShards();
   Manifest manifest = dataset.BuildManifest();
   manifest.format_version = kBinaryFormatVersion;
 

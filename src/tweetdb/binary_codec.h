@@ -170,8 +170,10 @@ std::vector<std::string> ManifestFileSetDifference(
     const std::string& manifest_path, const Manifest& old_manifest,
     const Manifest& new_manifest);
 
-/// Seals the dataset and atomically writes it under a fresh generation:
-/// every shard file first (temp + sync + rename each), the manifest LAST,
+/// Seals the dataset, compacts every shard by (user, time) — so the files
+/// are stored in compaction order and a later open's compaction is an O(n)
+/// check — and atomically writes it under a fresh generation: every shard
+/// file first (temp + sync + rename each), the manifest LAST,
 /// then best-effort removal of the previous generation's shard files. A
 /// crash at any operation leaves the previous dataset fully readable or
 /// the new one fully installed — never a mix. `env` defaults to

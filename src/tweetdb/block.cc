@@ -1,7 +1,6 @@
 #include "tweetdb/block.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.h"
 
@@ -61,23 +60,6 @@ Block Block::FromColumns(std::vector<uint64_t> user_ids,
   block.lat_fixed_ = std::move(lat_fixed);
   block.lon_fixed_ = std::move(lon_fixed);
   return block;
-}
-
-void Block::SortByUserTime() {
-  std::vector<size_t> order(num_rows());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    if (user_ids_[a] != user_ids_[b]) return user_ids_[a] < user_ids_[b];
-    return timestamps_[a] < timestamps_[b];
-  });
-  auto permute = [&order](auto& v) {
-    auto copy = v;
-    for (size_t i = 0; i < order.size(); ++i) v[i] = copy[order[i]];
-  };
-  permute(user_ids_);
-  permute(timestamps_);
-  permute(lat_fixed_);
-  permute(lon_fixed_);
 }
 
 }  // namespace twimob::tweetdb

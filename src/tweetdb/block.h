@@ -59,9 +59,6 @@ class Block {
                            std::vector<int32_t> lat_fixed,
                            std::vector<int32_t> lon_fixed);
 
-  /// Stable in-place sort of the rows by (user, time).
-  void SortByUserTime();
-
  private:
   std::vector<uint64_t> user_ids_;
   std::vector<int64_t> timestamps_;

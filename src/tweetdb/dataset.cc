@@ -151,19 +151,19 @@ bool TweetDataset::fully_sealed() const {
 }
 
 void TweetDataset::CompactShards(ThreadPool* pool,
-                                 std::vector<double>* per_shard_seconds) {
-  std::vector<double> seconds(shards_.size(), 0.0);
-  auto compact_one = [this, &seconds](size_t i) {
+                                 std::vector<ShardCompaction>* per_shard) {
+  std::vector<ShardCompaction> done(shards_.size());
+  auto compact_one = [this, &done](size_t i) {
     const double t0 = MonotonicSeconds();
-    shards_[i].table.CompactByUserTime();
-    seconds[i] = MonotonicSeconds() - t0;
+    done[i].report = shards_[i].table.CompactByUserTime();
+    done[i].seconds = MonotonicSeconds() - t0;
   };
   if (pool != nullptr) {
     pool->ParallelFor(shards_.size(), compact_one);
   } else {
     for (size_t i = 0; i < shards_.size(); ++i) compact_one(i);
   }
-  if (per_shard_seconds != nullptr) *per_shard_seconds = std::move(seconds);
+  if (per_shard != nullptr) *per_shard = std::move(done);
 }
 
 bool TweetDataset::sorted_by_user_time() const {

@@ -194,12 +194,18 @@ class TweetDataset {
   /// True when every shard is fully sealed (vacuously true when empty).
   bool fully_sealed() const;
 
+  /// One shard's compaction: its wall time and what it did.
+  struct ShardCompaction {
+    double seconds = 0.0;
+    CompactionReport report;
+  };
+
   /// Compacts every shard by (user, time); with a pool the shards compact
   /// in parallel (each shard is independent, so the result is identical
-  /// for any thread count). `per_shard_seconds`, when non-null, receives
-  /// one wall time per shard in shard order.
+  /// for any thread count). `per_shard`, when non-null, receives one entry
+  /// per shard in shard order.
   void CompactShards(ThreadPool* pool = nullptr,
-                     std::vector<double>* per_shard_seconds = nullptr);
+                     std::vector<ShardCompaction>* per_shard = nullptr);
 
   /// True when every shard is compacted by (user, time).
   bool sorted_by_user_time() const;
@@ -226,8 +232,8 @@ class TweetDataset {
                                 PartitionSpec partition = PartitionSpec::Single());
 
   /// Moves the data back out as one table. For a single shard this is the
-  /// exact inverse of FromTable (no copy); for multiple sorted shards the
-  /// rows k-way merge into one compacted table.
+  /// exact inverse of FromTable (no copy); multiple shards have their blocks
+  /// adopted into one table, which is then compacted (TweetTable::Merge).
   TweetTable ReleaseTable() &&;
 
   /// Internal: adopts a fully-built shard under `key` (used by the binary

@@ -30,21 +30,134 @@ void TweetTable::SealActive() {
   active_ = Block();
 }
 
-void TweetTable::CompactByUserTime() {
-  SealActive();
-  std::vector<Tweet> all = ToVector();
-  std::sort(all.begin(), all.end(), UserTimeLess);
+namespace {
 
-  blocks_.clear();
-  num_rows_ = 0;
-  for (const Tweet& t : all) {
-    if (active_.num_rows() >= block_capacity_) SealActive();
-    // Rows came out of this table, so re-append cannot fail.
-    (void)active_.Append(t, block_capacity_);
-    ++num_rows_;
-  }
+/// One row's compaction key in storage form. FixedToDegrees is a division
+/// by a positive constant, so fixed-point coordinates order exactly as the
+/// degrees they decode to: KeyLess is UserTimeLess on the decoded rows. The
+/// key covers every column, so rows with equal keys are identical.
+struct RowKey {
+  uint64_t user;
+  int64_t time;
+  int32_t lat;
+  int32_t lon;
+};
+
+bool KeyLess(const RowKey& a, const RowKey& b) {
+  if (a.user != b.user) return a.user < b.user;
+  if (a.time != b.time) return a.time < b.time;
+  if (a.lat != b.lat) return a.lat < b.lat;
+  return a.lon < b.lon;
+}
+
+/// Column pointers of one block, for the compaction's row loops.
+struct ColumnView {
+  explicit ColumnView(const Block& b)
+      : users(b.user_ids().data()),
+        times(b.timestamps().data()),
+        lats(b.lat_fixed().data()),
+        lons(b.lon_fixed().data()),
+        rows(b.num_rows()) {}
+
+  RowKey Key(size_t i) const { return RowKey{users[i], times[i], lats[i], lons[i]}; }
+
+  const uint64_t* users;
+  const int64_t* times;
+  const int32_t* lats;
+  const int32_t* lons;
+  size_t rows;
+};
+
+}  // namespace
+
+CompactionReport TweetTable::CompactByUserTime() {
   SealActive();
+  // Pass 1: keep every row not below the last kept row (a non-decreasing
+  // subsequence, in storage order); the rest go to the side list, which
+  // records each row's storage position so pass 2 can skip it.
+  std::vector<RowKey> side;
+  std::vector<size_t> side_rows;
+  bool canonical = true;
+  size_t total = 0;
+  RowKey last{};
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    const ColumnView col(block(b));
+    const bool last_block = b + 1 == blocks_.size();
+    if (col.rows == 0 || col.rows > block_capacity_ ||
+        (!last_block && col.rows != block_capacity_)) {
+      canonical = false;
+    }
+    for (size_t i = 0; i < col.rows; ++i, ++total) {
+      const RowKey key = col.Key(i);
+      if (total > 0 && KeyLess(key, last)) {
+        side.push_back(key);
+        side_rows.push_back(total);
+      } else {
+        last = key;
+      }
+    }
+  }
+  CompactionReport report;
+  report.rows_out_of_order = side.size();
   sorted_ = true;
+  if (side.empty() && canonical) return report;
+
+  // Pass 2: merge the sorted side list into the kept stream, releasing each
+  // input block once walked so the table is held about once, not twice.
+  std::sort(side.begin(), side.end(), KeyLess);
+  std::vector<StoredBlock> input = std::move(blocks_);
+  blocks_.clear();
+  std::vector<uint64_t> users;
+  std::vector<int64_t> times;
+  std::vector<int32_t> lats;
+  std::vector<int32_t> lons;
+  size_t filled = 0;
+  size_t remaining = total;
+  auto start_block = [&] {
+    const size_t n = std::min(block_capacity_, remaining);
+    remaining -= n;
+    users = std::vector<uint64_t>(n);
+    times = std::vector<int64_t>(n);
+    lats = std::vector<int32_t>(n);
+    lons = std::vector<int32_t>(n);
+    filled = 0;
+  };
+  auto emit = [&](const RowKey& k) {
+    users[filled] = k.user;
+    times[filled] = k.time;
+    lats[filled] = k.lat;
+    lons[filled] = k.lon;
+    if (++filled < users.size()) return;
+    StoredBlock sb;
+    sb.block = Block::FromColumns(std::move(users), std::move(times), std::move(lats),
+                                  std::move(lons));
+    sb.stats = sb.block.ComputeStats();
+    blocks_.push_back(std::move(sb));
+    start_block();
+  };
+  start_block();
+  size_t next_side = 0;
+  size_t skip = 0;
+  size_t row = 0;
+  for (StoredBlock& sb : input) {
+    const ColumnView col(sb.Get());
+    for (size_t i = 0; i < col.rows; ++i, ++row) {
+      if (skip < side_rows.size() && side_rows[skip] == row) {
+        ++skip;
+        continue;
+      }
+      const RowKey key = col.Key(i);
+      while (next_side < side.size() && KeyLess(side[next_side], key)) {
+        emit(side[next_side++]);
+      }
+      emit(key);
+    }
+    sb = StoredBlock();
+  }
+  while (next_side < side.size()) emit(side[next_side++]);
+  num_rows_ = total;
+  report.rewritten = true;
+  return report;
 }
 
 std::vector<Tweet> TweetTable::ToVector() const {
@@ -78,57 +191,13 @@ void TweetTable::MarkSortedByUserTime() {
 
 TweetTable TweetTable::Merge(std::vector<TweetTable> tables,
                              size_t block_capacity) {
-  // Sort each input once, then k-way merge the sorted streams with a heap
-  // of cursors. Memory stays bounded by the inputs (no concatenated copy).
-  struct Cursor {
-    const TweetTable* table;
-    size_t block = 0;
-    size_t row = 0;
-
-    bool AtEnd() const { return block >= table->num_blocks(); }
-    Tweet Get() const { return table->block(block).GetRow(row); }
-    void Advance() {
-      ++row;
-      while (block < table->num_blocks() &&
-             row >= table->block(block).num_rows()) {
-        ++block;
-        row = 0;
-      }
-    }
-  };
-
-  for (TweetTable& t : tables) {
-    if (!t.sorted_by_user_time()) t.CompactByUserTime();
-    t.SealActive();
-  }
-
-  std::vector<Cursor> cursors;
-  for (const TweetTable& t : tables) {
-    Cursor c{&t};
-    if (t.num_blocks() > 0 && t.block(0).num_rows() == 0) c.Advance();
-    if (!c.AtEnd()) cursors.push_back(c);
-  }
-
-  auto cursor_greater = [](const Cursor& a, const Cursor& b) {
-    return UserTimeLess(b.Get(), a.Get());  // min-heap on (user, time)
-  };
-  std::make_heap(cursors.begin(), cursors.end(), cursor_greater);
-
   TweetTable merged(block_capacity);
-  while (!cursors.empty()) {
-    std::pop_heap(cursors.begin(), cursors.end(), cursor_greater);
-    Cursor& top = cursors.back();
-    // Rows in stored tables were validated on append; re-append succeeds.
-    (void)merged.Append(top.Get());
-    top.Advance();
-    if (top.AtEnd()) {
-      cursors.pop_back();
-    } else {
-      std::push_heap(cursors.begin(), cursors.end(), cursor_greater);
-    }
+  for (TweetTable& t : tables) {
+    t.SealActive();
+    for (StoredBlock& sb : t.blocks_) merged.blocks_.push_back(std::move(sb));
+    merged.num_rows_ += t.num_rows_;
   }
-  merged.SealActive();
-  merged.sorted_ = true;
+  merged.CompactByUserTime();
   return merged;
 }
 

@@ -64,6 +64,16 @@ class LazyBlock {
   std::atomic<int> state_{0};  ///< 0 pending, 1 decoded, 2 failed
 };
 
+/// What one TweetTable::CompactByUserTime() did.
+struct CompactionReport {
+  /// Rows below the last in-order row, re-sorted through the side list
+  /// (0 for a table already in order).
+  size_t rows_out_of_order = 0;
+  /// True when the blocks were rebuilt; false when they were already
+  /// canonical and in order and only got marked sorted.
+  bool rewritten = false;
+};
+
 /// The tweet store: an append-only columnar table made of sealed immutable
 /// blocks plus one active tail block.
 ///
@@ -91,10 +101,16 @@ class TweetTable {
   /// sealed blocks. Called automatically by Compact and the codecs.
   void SealActive();
 
-  /// Globally re-sorts all rows by (user_id, timestamp) and rebuilds the
-  /// sealed blocks. After compaction each user's rows are contiguous and
-  /// time-ordered — the layout trip extraction requires.
-  void CompactByUserTime();
+  /// Globally sorts all rows by (user, time, lat, lon) — UserTimeLess —
+  /// into canonical blocks: every block full at block_capacity() except the
+  /// last. After compaction each user's rows are contiguous and
+  /// time-ordered, the layout trip extraction requires.
+  ///
+  /// Adaptive: one pass over the columns keeps every row that is not below
+  /// the last kept row; only the others are sorted, then merged back into
+  /// the kept stream linearly. A table already in order with canonical
+  /// blocks is not rewritten at all, so a re-compaction costs one O(n) check.
+  CompactionReport CompactByUserTime();
 
   /// True once CompactByUserTime() has run and no rows were appended since.
   bool sorted_by_user_time() const { return sorted_; }
@@ -115,10 +131,7 @@ class TweetTable {
   /// Block `i`, decoding it on first touch when it was adopted lazily.
   /// Scans call block_stats(i) first and skip pruned blocks entirely, so a
   /// lazily-opened table only ever decodes the blocks a query touches.
-  const Block& block(size_t i) const {
-    const StoredBlock& sb = blocks_[i];
-    return sb.lazy != nullptr ? sb.lazy->Get() : sb.block;
-  }
+  const Block& block(size_t i) const { return blocks_[i].Get(); }
   const BlockStats& block_stats(size_t i) const { return blocks_[i].stats; }
 
   /// The active tail block: the rows appended since the last seal, after
@@ -159,10 +172,11 @@ class TweetTable {
   /// user's run in each shard without scanning.
   std::pair<size_t, size_t> LowerBoundUser(uint64_t user) const;
 
-  /// K-way merges tables into one compacted-by-(user,time) table — the
-  /// multi-collection ingestion path (e.g. combining monthly corpora).
-  /// Input tables are consumed. Duplicate rows are kept (callers dedupe if
-  /// their collections overlap).
+  /// Merges tables into one compacted-by-(user,time) table — the
+  /// multi-collection ingestion path (e.g. combining monthly corpora): the
+  /// inputs' blocks are adopted in order, then CompactByUserTime() runs
+  /// once. Input tables are consumed. Duplicate rows are kept (callers
+  /// dedupe if their collections overlap).
   static TweetTable Merge(std::vector<TweetTable> tables,
                           size_t block_capacity = kDefaultBlockCapacity);
 
@@ -174,6 +188,8 @@ class TweetTable {
     /// through lazy->Get(). unique_ptr keeps StoredBlock movable (LazyBlock
     /// holds a once_flag) and lets the const accessors materialise.
     std::unique_ptr<LazyBlock> lazy;
+
+    const Block& Get() const { return lazy != nullptr ? lazy->Get() : block; }
   };
 
   size_t block_capacity_;

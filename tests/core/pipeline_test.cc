@@ -1,8 +1,11 @@
 #include "core/pipeline.h"
 
 #include <cstdio>
+#include <string>
 
 #include "core/analysis_snapshot.h"
+#include "synth/tweet_generator.h"
+#include "tweetdb/binary_codec.h"
 #include "tweetdb/csv_codec.h"
 
 #include <gtest/gtest.h>
@@ -174,11 +177,52 @@ TEST(PipelineShardingTest, PerShardTraceRowsOnlyWhenPartitioned) {
   ASSERT_TRUE(sharded.ok());
   size_t compact_subs = 0, index_subs = 0;
   for (const StageRecord& r : sharded->result().trace.stages()) {
-    if (r.name.rfind("compact/shard", 0) == 0) ++compact_subs;
+    if (r.name.rfind("compact/shard", 0) == 0) {
+      ++compact_subs;
+      // Whether this shard paid for a re-sort: its side list and a 0/1
+      // rewrite flag, set whenever any row was out of order.
+      EXPECT_LE(r.Counter("rows_out_of_order"), r.Counter("rows"));
+      const int64_t rewritten = r.Counter("rewritten");
+      EXPECT_TRUE(rewritten == 0 || rewritten == 1) << r.name;
+      if (r.Counter("rows_out_of_order") > 0) {
+        EXPECT_EQ(rewritten, 1) << r.name;
+      }
+    }
     if (r.name.rfind("index/shard", 0) == 0) ++index_subs;
   }
   EXPECT_GT(compact_subs, 1u);
   EXPECT_EQ(compact_subs, index_subs);
+}
+
+TEST(PipelineShardingTest, WrittenDatasetOpensWithoutAResort) {
+  // WriteDatasetFiles stores shards in compaction order, so analysing the
+  // reopened files finds every shard in order and rewrites none.
+  PipelineConfig config;
+  config.corpus.num_users = 2000;
+  config.corpus.seed = 18;
+  config.run_mobility = false;
+  auto generator = synth::TweetGenerator::Create(config.corpus);
+  ASSERT_TRUE(generator.ok());
+  auto generated = generator->GenerateDataset(tweetdb::PartitionSpec::ForWindow(
+      config.corpus.window_start, config.corpus.window_end, 4));
+  ASSERT_TRUE(generated.ok());
+  const std::string path = testing::TempDir() + "/twimob_pipeline_sorted_write.twdb";
+  std::remove(path.c_str());
+  ASSERT_TRUE(tweetdb::WriteDatasetFiles(*generated, path).ok());
+  auto reopened = tweetdb::ReadDatasetFiles(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ASSERT_GT(reopened->num_shards(), 1u);
+
+  auto snapshot = AnalysisSnapshot::Analyze(std::move(*reopened), config);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  size_t compact_subs = 0;
+  for (const StageRecord& r : snapshot->result().trace.stages()) {
+    if (r.name.rfind("compact/shard", 0) != 0) continue;
+    ++compact_subs;
+    EXPECT_EQ(r.Counter("rows_out_of_order"), 0) << r.name;
+    EXPECT_EQ(r.Counter("rewritten"), 0) << r.name;
+  }
+  EXPECT_EQ(compact_subs, snapshot->dataset().num_shards());
 }
 
 TEST(PipelineIntegrationTest, CsvRoundTripPreservesAnalysis) {

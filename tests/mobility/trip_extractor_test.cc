@@ -1,10 +1,12 @@
 #include "mobility/trip_extractor.h"
 
+#include <cmath>
 #include <limits>
 #include <optional>
 
 #include <gtest/gtest.h>
 
+#include "census/census_data.h"
 #include "geo/geodesic.h"
 #include "random/rng.h"
 
@@ -25,13 +27,14 @@ tweetdb::Tweet At(uint64_t user, int64_t ts, const geo::LatLon& p) {
 TEST(AssignToAreaTest, NearestWithinRadiusWins) {
   const auto areas = TwoAreas();
   // Exactly at Alpha's centre.
-  auto a = AssignToArea(geo::LatLon{-33.0, 151.0}, areas, 50000.0);
+  const AreaAssigner assigner(areas, 50000.0);
+  auto a = assigner.Assign(geo::LatLon{-33.0, 151.0});
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(*a, 0u);
   // Far from both.
-  EXPECT_FALSE(AssignToArea(geo::LatLon{-20.0, 120.0}, areas, 50000.0).has_value());
+  EXPECT_FALSE(assigner.Assign(geo::LatLon{-20.0, 120.0}).has_value());
   // Slightly off Beta.
-  auto b = AssignToArea(geo::LatLon{-37.05, 145.02}, areas, 50000.0);
+  auto b = assigner.Assign(geo::LatLon{-37.05, 145.02});
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(*b, 1u);
 }
@@ -41,7 +44,7 @@ TEST(AssignToAreaTest, OverlappingAreasResolveToClosest) {
   areas[0] = census::Area{0, "West", geo::LatLon{-33.0, 151.00}, 1.0};
   areas[1] = census::Area{1, "East", geo::LatLon{-33.0, 151.10}, 1.0};
   // Point slightly east of the midpoint with a radius covering both.
-  auto got = AssignToArea(geo::LatLon{-33.0, 151.06}, areas, 50000.0);
+  auto got = AreaAssigner(areas, 50000.0).Assign(geo::LatLon{-33.0, 151.06});
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 1u);
 }
@@ -218,7 +221,7 @@ TEST_P(ExtractTripsShardsTest, RunSpanningManyBlocksStaysWithOwner) {
 }
 
 /// Reference assignment with no prefilters: nearest centre within radius,
-/// first index winning ties (strict `<`), exactly AssignToArea's contract.
+/// first index winning ties (strict `<`), exactly AreaAssigner's contract.
 std::optional<size_t> BruteAssign(const geo::LatLon& pos,
                                   const std::vector<census::Area>& areas,
                                   double radius_m) {
@@ -248,10 +251,7 @@ TEST(AreaAssignerTest, PrefiltersNeverChangeTheAssignment) {
     for (int trial = 0; trial < 300; ++trial) {
       const geo::LatLon p{rng.NextUniform(-40.0, -28.0),
                           rng.NextUniform(143.0, 155.0)};
-      const auto expected = AssignToArea(p, areas, radius_m);
-      const auto fast = assigner.Assign(p);
-      EXPECT_EQ(fast, expected) << p.ToString() << " r=" << radius_m;
-      EXPECT_EQ(fast, BruteAssign(p, areas, radius_m))
+      EXPECT_EQ(assigner.Assign(p), BruteAssign(p, areas, radius_m))
           << p.ToString() << " r=" << radius_m;
     }
   }
@@ -267,6 +267,129 @@ TEST(AreaAssignerTest, PointExactlyAtRadiusIsAssigned) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 0u);
   EXPECT_FALSE(AreaAssigner(areas, d - 1.0).Assign(at_radius).has_value());
+}
+
+/// The candidate grid never changes an answer: AreaAssigner::Assign equals
+/// BruteAssign at the three paper scales and at radii of 500 m and 400 km,
+/// on random points and on the points where a grid could go wrong.
+TEST(AreaAssignerTest, CandidateGridMatchesBruteForce) {
+  random::Xoshiro256 rng(2015);
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  size_t checked = 0;
+  for (const census::Scale scale : census::kAllScales) {
+    // The scale's centres plus two copies of its first centre (exactly
+    // equidistant from everything: the lowest index must win) and two
+    // centres mirrored in longitude about a third point.
+    std::vector<census::Area> areas = census::AreasForScale(scale);
+    const geo::LatLon first = areas[0].center;
+    const geo::LatLon mid{areas[1].center.lat, areas[1].center.lon + 0.3};
+    areas.push_back(census::Area{900, "Copy", first, 1.0});
+    areas.push_back(census::Area{901, "West", geo::LatLon{mid.lat, mid.lon - 0.003}, 1.0});
+    areas.push_back(census::Area{902, "East", geo::LatLon{mid.lat, mid.lon + 0.003}, 1.0});
+
+    for (const double radius_m :
+         {census::DefaultSearchRadiusMeters(scale), 500.0, 400000.0}) {
+      const AreaAssigner assigner(areas, radius_m);
+      EXPECT_LE(assigner.grid_bytes(), kMaxAssignerGridBytes);
+      const geo::BoundingBox box = assigner.grid_box();
+      const double cell = assigner.grid_cell_deg();
+
+      std::vector<geo::LatLon> points;
+      for (int i = 0; i < 3000; ++i) {
+        points.push_back(geo::LatLon{rng.NextUniform(-46.0, -8.0),
+                                     rng.NextUniform(110.0, 156.0)});
+      }
+      for (const census::Area& a : areas) {
+        for (double bearing = 0.0; bearing < 360.0; bearing += 22.5) {
+          // Exactly at ε (up to the destination formula's rounding), and
+          // just inside and outside.
+          for (const double scale_eps : {1.0, 0.999, 0.99997, 1.0003, 1.001}) {
+            points.push_back(
+                geo::DestinationPoint(a.center, bearing, radius_m * scale_eps));
+          }
+        }
+        // Jittered points near the centre, where neighbours compete.
+        for (int i = 0; i < 20; ++i) {
+          points.push_back(geo::LatLon{a.center.lat + rng.NextUniform(-0.5, 0.5),
+                                       a.center.lon + rng.NextUniform(-0.5, 0.5)});
+        }
+      }
+      points.push_back(mid);  // equidistant from West and East
+      points.push_back(first);
+      // Cell edges and the box's edges, exactly and one ulp either side.
+      if (std::isfinite(box.min_lat) && std::isfinite(box.min_lon)) {
+        const uint64_t rows = 1 + static_cast<uint64_t>((box.max_lat - box.min_lat) / cell);
+        const uint64_t cols = 1 + static_cast<uint64_t>((box.max_lon - box.min_lon) / cell);
+        for (int k = 0; k < 200; ++k) {
+          const double lat = box.min_lat + cell * static_cast<double>(rng.NextUint64(rows));
+          const double lon = box.min_lon + cell * static_cast<double>(rng.NextUint64(cols));
+          for (const double dlat : {-1.0, 0.0, 1.0}) {
+            points.push_back(geo::LatLon{std::nextafter(lat, lat + dlat), lon});
+            points.push_back(geo::LatLon{lat, std::nextafter(lon, lon + dlat)});
+          }
+        }
+        for (const double lat : {box.min_lat, box.max_lat}) {
+          for (const double lon : {box.min_lon, box.max_lon}) {
+            for (const double step : {-1.0, 1.0}) {
+              points.push_back(geo::LatLon{lat, lon});
+              points.push_back(geo::LatLon{std::nextafter(lat, lat + step), lon});
+              points.push_back(geo::LatLon{lat, std::nextafter(lon, lon + step)});
+            }
+            points.push_back(geo::LatLon{lat, rng.NextUniform(box.min_lon, box.max_lon)});
+            points.push_back(geo::LatLon{rng.NextUniform(box.min_lat, box.max_lat), lon});
+          }
+        }
+      }
+      // Outside the grid, and NaN coordinates.
+      points.push_back(geo::LatLon{10.0, 0.0});
+      points.push_back(geo::LatLon{-89.0, -170.0});
+      points.push_back(geo::LatLon{kNaN, first.lon});
+      points.push_back(geo::LatLon{first.lat, kNaN});
+      points.push_back(geo::LatLon{kNaN, kNaN});
+
+      for (const geo::LatLon& p : points) {
+        ASSERT_EQ(assigner.Assign(p), BruteAssign(p, areas, radius_m))
+            << census::ScaleName(scale) << " r=" << radius_m << " at "
+            << p.ToString();
+        ++checked;
+      }
+      EXPECT_EQ(assigner.Assign(first), std::optional<size_t>(0));
+      EXPECT_EQ(assigner.Assign(mid), std::optional<size_t>(areas.size() - 2));
+      EXPECT_FALSE(assigner.Assign(geo::LatLon{kNaN, first.lon}).has_value());
+    }
+  }
+  EXPECT_GT(checked, 30000u);
+}
+
+TEST(AreaAssignerTest, CentresAcrossTheEquatorMatchBruteForce) {
+  // Pairs straddling the equator: the mean latitude of a point and a
+  // centre in opposite hemispheres can be 0 (cosine 1).
+  random::Xoshiro256 rng(77);
+  std::vector<census::Area> areas;
+  for (uint32_t i = 0; i < 12; ++i) {
+    areas.push_back(census::Area{i, "E",
+                                 geo::LatLon{rng.NextUniform(-0.3, 0.3),
+                                             rng.NextUniform(100.0, 103.0)},
+                                 1.0});
+  }
+  for (const double radius_m : {2000.0, 50000.0}) {
+    const AreaAssigner assigner(areas, radius_m);
+    for (int trial = 0; trial < 4000; ++trial) {
+      const geo::LatLon p{rng.NextUniform(-0.8, 0.8), rng.NextUniform(99.5, 103.5)};
+      ASSERT_EQ(assigner.Assign(p), BruteAssign(p, areas, radius_m))
+          << p.ToString() << " r=" << radius_m;
+    }
+    for (const census::Area& a : areas) {
+      for (double bearing = 0.0; bearing < 360.0; bearing += 10.0) {
+        for (const double scale_eps : {0.99997, 1.0003}) {
+          const geo::LatLon p =
+              geo::DestinationPoint(a.center, bearing, radius_m * scale_eps);
+          ASSERT_EQ(assigner.Assign(p), BruteAssign(p, areas, radius_m))
+              << p.ToString() << " r=" << radius_m;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "tweetdb/block_compression.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -139,8 +140,15 @@ TEST(BlockCompressionTest, RoundTripsExtremeLanes) {
 }
 
 TEST(BlockCompressionTest, SortedBlockCompressesWell) {
-  Block block = RandomBlock(4096, 42);
-  block.SortByUserTime();
+  // RandomBlock's rows, appended in compaction order.
+  const Block random_rows = RandomBlock(4096, 42);
+  std::vector<Tweet> rows;
+  for (size_t i = 0; i < random_rows.num_rows(); ++i) {
+    rows.push_back(random_rows.GetRow(i));
+  }
+  std::sort(rows.begin(), rows.end(), UserTimeLess);
+  Block block;
+  for (const Tweet& t : rows) ASSERT_TRUE(block.Append(t, rows.size()).ok());
   std::string compressed;
   EncodeCompressedBlock(block, &compressed);
   const size_t raw = 4096 * 24;  // 8B user + 8B time + 4B lat + 4B lon

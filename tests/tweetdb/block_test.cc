@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "random/rng.h"
-
 namespace twimob::tweetdb {
 namespace {
 
@@ -13,20 +11,6 @@ Tweet MakeTweet(uint64_t user, int64_t ts, double lat, double lon) {
   t.timestamp = ts;
   t.pos = geo::LatLon{lat, lon};
   return t;
-}
-
-Block RandomBlock(size_t n, uint64_t seed) {
-  random::Xoshiro256 rng(seed);
-  Block b;
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(b.Append(MakeTweet(rng.NextUint64(500) + 1,
-                                   1378000000 + static_cast<int64_t>(rng.NextUint64(1000000)),
-                                   rng.NextUniform(-44.0, -10.0),
-                                   rng.NextUniform(113.0, 154.0)),
-                         n)
-                    .ok());
-  }
-  return b;
 }
 
 TEST(BlockTest, AppendAndGetRow) {
@@ -70,18 +54,6 @@ TEST(BlockTest, EmptyBlockStats) {
   Block b;
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(b.ComputeStats().num_rows, 0u);
-}
-
-TEST(BlockTest, SortByUserTimeOrdersRows) {
-  Block b = RandomBlock(500, 29);
-  b.SortByUserTime();
-  for (size_t i = 1; i < b.num_rows(); ++i) {
-    const Tweet prev = b.GetRow(i - 1);
-    const Tweet cur = b.GetRow(i);
-    EXPECT_TRUE(prev.user_id < cur.user_id ||
-                (prev.user_id == cur.user_id && prev.timestamp <= cur.timestamp))
-        << i;
-  }
 }
 
 }  // namespace

@@ -152,9 +152,9 @@ TEST(TweetDatasetTest, ParallelCompactionMatchesSerial) {
 
   serial.CompactShards();
   ThreadPool pool(4);
-  std::vector<double> per_shard_seconds;
-  parallel.CompactShards(&pool, &per_shard_seconds);
-  EXPECT_EQ(per_shard_seconds.size(), parallel.num_shards());
+  std::vector<TweetDataset::ShardCompaction> per_shard;
+  parallel.CompactShards(&pool, &per_shard);
+  EXPECT_EQ(per_shard.size(), parallel.num_shards());
 
   ASSERT_EQ(serial.num_shards(), parallel.num_shards());
   for (size_t s = 0; s < serial.num_shards(); ++s) {

@@ -45,7 +45,9 @@ TweetDataset MakeDatasetRows(uint64_t seed, size_t num_shards,
                             area.center.lon + rng.NextUniform(-0.004, 0.004)}})
             .ok());
   }
-  dataset.SealAll();
+  // Compacted, as WriteDatasetFiles stores it: the rows captured before a
+  // write are then the rows a reopen returns, in the same storage order.
+  dataset.CompactShards();
   return dataset;
 }
 
