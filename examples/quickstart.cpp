@@ -110,8 +110,8 @@ int main(int argc, char** argv) {
   // each commit without disturbing in-flight readers.
   std::cout << "\nReplaying the corpus through the live-ingest loop...\n";
   std::vector<tweetdb::Tweet> rows;
-  rows.reserve(snapshot->dataset().num_rows());
-  snapshot->dataset().ForEachRow(
+  rows.reserve(snapshot->num_rows());
+  snapshot->ForEachRow(
       [&rows](const tweetdb::Tweet& t) { rows.push_back(t); });
 
   const char* tmp = std::getenv("TMPDIR");
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
     std::cerr << "catalog open failed: " << catalog.status() << "\n";
     return 1;
   }
-  std::cout << "  catalog serves " << (*catalog)->Current()->dataset().num_rows()
+  std::cout << "  catalog serves " << (*catalog)->Current()->num_rows()
             << " rows (generation " << (*catalog)->current_generation() << ")\n";
 
   if (auto s = (*writer)->AppendBatch(held_back); !s.ok()) {
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
   std::cout << "  appended " << held_back.size()
             << " more rows; refresh swapped=" << (*swapped ? "yes" : "no")
             << ", catalog now serves "
-            << (*catalog)->Current()->dataset().num_rows()
+            << (*catalog)->Current()->num_rows()
             << " rows (generation " << (*catalog)->current_generation()
             << ", ingest seq " << (*catalog)->current_ingest_seq() << ")\n";
 

@@ -73,25 +73,55 @@ std::shared_ptr<const epi::ScenarioSweep> BuildScenarioSweep(
   return std::make_shared<const epi::ScenarioSweep>(std::move(*sweep));
 }
 
+/// The base a full run leaves behind: its dataset, index and specs, the
+/// population stage's per-area user lists and counts, and each scale's
+/// assigner and distances.
+std::shared_ptr<const AnalysisBase> BuildBase(PipelineState& state) {
+  auto base = std::make_shared<AnalysisBase>();
+  base->dataset = std::move(state.dataset);
+  base->estimator = std::move(state.estimator);
+  base->specs = std::move(state.specs);
+  base->area_users = std::move(state.area_users);
+  for (const PopulationEstimateResult& scale : state.result.population) {
+    std::vector<size_t>& tweets = base->area_tweets.emplace_back();
+    for (const AreaPopulationEstimate& area : scale.areas) {
+      tweets.push_back(area.tweet_count);
+    }
+  }
+  for (ScaleWork& work : state.scale_work) {
+    if (!work.assigner.has_value()) break;
+    base->assigners.push_back(std::move(*work.assigner));
+    base->distances.push_back(std::move(work.distances));
+  }
+  return base;
+}
+
 }  // namespace
 
 AnalysisSnapshot AnalysisSnapshot::Seal(PipelineState&& state,
                                         SnapshotSource source) {
   AnalysisSnapshot snapshot;
-  snapshot.dataset_ = std::move(state.dataset);
+  snapshot.base_ = state.base != nullptr ? state.base : BuildBase(state);
+  snapshot.overlay_ = std::move(state.overlay);
+  if (snapshot.overlay_ != nullptr) {
+    snapshot.estimator_ =
+        snapshot.base_->estimator->WithOverlay(*snapshot.overlay_->estimator);
+  } else {
+    snapshot.estimator_ = snapshot.base_->estimator;
+  }
   snapshot.source_ = std::move(source);
-  snapshot.estimator_ = std::move(state.estimator);
-  snapshot.specs_ = std::move(state.specs);
+  for (ScaleWork& work : state.scale_work) {
+    if (work.od.has_value()) snapshot.trips_.push_back(std::move(*work.od));
+  }
   snapshot.result_ = std::move(state.result);
-  const size_t scales =
-      std::min(snapshot.specs_.size(), snapshot.result_.mobility.size());
+  const std::vector<ScaleSpec>& specs = snapshot.base_->specs;
+  const size_t scales = std::min(specs.size(), snapshot.result_.mobility.size());
   snapshot.serving_tables_.reserve(scales);
   for (size_t s = 0; s < scales; ++s) {
     snapshot.serving_tables_.push_back(
-        BuildScaleTables(snapshot.specs_[s], snapshot.result_.mobility[s]));
+        BuildScaleTables(specs[s], snapshot.result_.mobility[s]));
   }
-  snapshot.scenario_sweep_ =
-      BuildScenarioSweep(snapshot.specs_, snapshot.serving_tables_);
+  snapshot.scenario_sweep_ = BuildScenarioSweep(specs, snapshot.serving_tables_);
   return snapshot;
 }
 
@@ -120,6 +150,34 @@ Result<AnalysisSnapshot> AnalysisSnapshot::Analyze(tweetdb::TweetDataset dataset
   state.recovery = source.recovery;
   state.recovery_seconds = source.recovery_seconds;
   const StageList stages = StageEngine::AnalysisStages(config);
+  TWIMOB_RETURN_IF_ERROR(StageEngine::Run(*ctx, stages, state));
+  return Seal(std::move(state), std::move(source));
+}
+
+Result<AnalysisSnapshot> AnalysisSnapshot::Derive(const AnalysisSnapshot& installed,
+                                                  tweetdb::TweetDataset delta_rows,
+                                                  const PipelineConfig& config,
+                                                  SnapshotSource source,
+                                                  AnalysisContext* ctx) {
+  if (ctx == nullptr) {
+    AnalysisContext local;
+    return Derive(installed, std::move(delta_rows), config, std::move(source),
+                  &local);
+  }
+  PipelineState state(config);
+  state.dataset = std::move(delta_rows);
+  state.installed = &installed;
+  if (source.recovery.has_value()) {
+    // The trace accounts for the files this run read: the new deltas.
+    tweetdb::RecoveryReport read = *source.recovery;
+    read.shards.clear();
+    std::erase_if(read.deltas, [&installed](const tweetdb::ShardRecovery& d) {
+      return static_cast<uint64_t>(d.key) < installed.ingest_seq();
+    });
+    state.recovery = std::move(read);
+  }
+  state.recovery_seconds = source.recovery_seconds;
+  const StageList stages = StageEngine::DeltaStages(config);
   TWIMOB_RETURN_IF_ERROR(StageEngine::Run(*ctx, stages, state));
   return Seal(std::move(state), std::move(source));
 }

@@ -53,17 +53,51 @@ struct ScaleServingTables {
   std::vector<std::string> model_names;
 };
 
+/// The part of a snapshot that one full analysis builds and every snapshot
+/// derived from it by a delta run shares: immutable, held by shared_ptr.
+struct AnalysisBase {
+  /// The compacted dataset the full analysis ran on.
+  tweetdb::TweetDataset dataset;
+  /// The sealed index over `dataset`.
+  std::optional<PopulationEstimator> estimator;
+  /// The analysed scales (paper order, with the metro override applied).
+  std::vector<ScaleSpec> specs;
+  /// Per scale and area (parallel to `specs`): the sorted distinct user
+  /// ids within ε of the centre, and the tweet count, over `dataset`.
+  std::vector<std::vector<std::vector<uint64_t>>> area_users;
+  std::vector<std::vector<size_t>> area_tweets;
+  /// Per scale, when the analysis ran mobility (else empty): the trip
+  /// assigner and the flat row-major pairwise centre distances.
+  std::vector<mobility::AreaAssigner> assigners;
+  std::vector<std::vector<double>> distances;
+};
+
+/// Every delta row committed since a snapshot's base, routed to its time
+/// shard and compacted, with a sealed index over those rows alone. One per
+/// derived snapshot; compaction (a new generation, so a full analysis)
+/// folds it into the next base.
+struct AnalysisOverlay {
+  tweetdb::TweetDataset rows;
+  std::optional<PopulationEstimator> estimator;
+};
+
 /// An immutable, self-contained analysis artifact: the pinned dataset, the
 /// sealed spatial index, the per-scale population estimates and the fitted
 /// mobility models of one pipeline run, packaged for concurrent serving.
 ///
-/// Immutability contract: after Build/Analyze returns, nothing in the
-/// snapshot ever changes — every accessor is const, queries share one
+/// A snapshot is a shared base (AnalysisBase: the dataset, index and
+/// per-area user lists of the last full analysis) plus, for a snapshot
+/// derived by Derive, an overlay (AnalysisOverlay) of the delta rows
+/// committed since, and its own results. Either way it answers exactly as a
+/// full analysis of the same rows does.
+///
+/// Immutability contract: after Build/Analyze/Derive returns, nothing in
+/// the snapshot ever changes — every accessor is const, queries share one
 /// snapshot from many threads without synchronisation, and refreshing to a
-/// newer dataset generation means building a NEW snapshot and atomically
-/// swapping the pointer (serve::SnapshotCatalog), never mutating this one.
-/// In-flight readers keep the old snapshot alive via shared ownership; its
-/// storage generation stays pinned (exempt from writer GC) until the last
+/// newer commit means building a NEW snapshot and atomically swapping the
+/// pointer (serve::SnapshotCatalog), never mutating this one. In-flight
+/// readers keep the old snapshot alive via shared ownership; its storage
+/// generation stays pinned (exempt from writer GC) until the last
 /// reference drops.
 class AnalysisSnapshot {
  public:
@@ -83,13 +117,50 @@ class AnalysisSnapshot {
                                           SnapshotSource source = {},
                                           AnalysisContext* ctx = nullptr);
 
+  /// Derives the successor of `installed` from the rows of the delta files
+  /// committed since it, `delta_rows` (tweetdb::ReadDeltaFiles), in
+  /// O(new data + overlay + touched users' rows) rather than O(history):
+  /// the result shares installed's base, carries a new overlay, and equals
+  /// a full Analyze of the base, overlay and delta rows bitwise (see
+  /// DESIGN.md §3.7). `config` must be the one installed was analysed
+  /// with. `source.recovery`, when set, is the cumulative report of the
+  /// derived commit; the trace's `recover` record covers only its deltas
+  /// from installed.ingest_seq() on.
+  static Result<AnalysisSnapshot> Derive(const AnalysisSnapshot& installed,
+                                         tweetdb::TweetDataset delta_rows,
+                                         const PipelineConfig& config,
+                                         SnapshotSource source = {},
+                                         AnalysisContext* ctx = nullptr);
+
   AnalysisSnapshot(AnalysisSnapshot&&) noexcept = default;
   AnalysisSnapshot& operator=(AnalysisSnapshot&&) noexcept = default;
   AnalysisSnapshot(const AnalysisSnapshot&) = delete;
   AnalysisSnapshot& operator=(const AnalysisSnapshot&) = delete;
 
-  /// The compacted, sealed dataset the snapshot analysed.
-  const tweetdb::TweetDataset& dataset() const { return dataset_; }
+  /// Rows the snapshot analysed: the base's plus the overlay's.
+  size_t num_rows() const {
+    return base_->dataset.num_rows() +
+           (overlay_ != nullptr ? overlay_->rows.num_rows() : 0);
+  }
+
+  /// Invokes `fn(const tweetdb::Tweet&)` for every row the snapshot
+  /// analysed: the base's in storage order, then the overlay's.
+  template <typename Fn>
+  void ForEachRow(Fn&& fn) const {
+    base_->dataset.ForEachRow(fn);
+    if (overlay_ != nullptr) overlay_->rows.ForEachRow(fn);
+  }
+
+  /// The shared base, and the overlay (null unless the snapshot was
+  /// derived by Derive).
+  const std::shared_ptr<const AnalysisBase>& base() const { return base_; }
+  const std::shared_ptr<const AnalysisOverlay>& overlay() const {
+    return overlay_;
+  }
+
+  /// Per-scale OD matrices of the extracted trips (parallel to
+  /// result().mobility; empty without mobility).
+  const std::vector<mobility::OdMatrix>& trips() const { return trips_; }
 
   /// The dataset generation (0 for in-memory corpora).
   uint64_t generation() const { return source_.generation; }
@@ -103,12 +174,13 @@ class AnalysisSnapshot {
     return source_.recovery;
   }
 
-  /// The sealed-index population estimator (radius queries at any ε).
+  /// The sealed-index population estimator (radius queries at any ε),
+  /// over the base's rows and the overlay's.
   const PopulationEstimator& estimator() const { return *estimator_; }
 
   /// The scales the snapshot was analysed at (paper order, with the
   /// config's metro override applied).
-  const std::vector<ScaleSpec>& specs() const { return specs_; }
+  const std::vector<ScaleSpec>& specs() const { return base_->specs; }
 
   /// Everything the pipeline computed (population, mobility, trace).
   const PipelineResult& result() const { return result_; }
@@ -137,10 +209,11 @@ class AnalysisSnapshot {
   static AnalysisSnapshot Seal(struct PipelineState&& state,
                                SnapshotSource source);
 
-  tweetdb::TweetDataset dataset_;
+  std::shared_ptr<const AnalysisBase> base_;
+  std::shared_ptr<const AnalysisOverlay> overlay_;
   SnapshotSource source_;
   std::optional<PopulationEstimator> estimator_;
-  std::vector<ScaleSpec> specs_;
+  std::vector<mobility::OdMatrix> trips_;
   PipelineResult result_;
   std::vector<ScaleServingTables> serving_tables_;
   std::shared_ptr<const epi::ScenarioSweep> scenario_sweep_;

@@ -1,6 +1,7 @@
 #include "core/population_estimator.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "geo/bbox.h"
@@ -75,26 +76,56 @@ Result<PopulationEstimator> PopulationEstimator::Build(
     scan_stats->rows_matched = rows;
   }
   return PopulationEstimator(
-      std::make_unique<geo::SealedGridIndex>(std::move(*index)));
+      std::make_shared<const geo::SealedGridIndex>(std::move(*index)));
+}
+
+PopulationEstimator PopulationEstimator::WithOverlay(
+    const PopulationEstimator& overlay) const {
+  PopulationEstimator both(index_);
+  both.overlay_ = overlay.index_;
+  return both;
 }
 
 size_t PopulationEstimator::CountUniqueUsers(const geo::LatLon& center,
                                              double radius_m) const {
-  return index_->CountDistinctIds(center, radius_m);
+  return CountTweetsAndUsers(center, radius_m).distinct_ids;
 }
 
 size_t PopulationEstimator::CountTweets(const geo::LatLon& center,
                                         double radius_m) const {
-  return index_->CountRadius(center, radius_m);
+  return index_->CountRadius(center, radius_m) +
+         (overlay_ != nullptr ? overlay_->CountRadius(center, radius_m) : 0);
 }
 
 geo::RadiusCounts PopulationEstimator::CountTweetsAndUsers(const geo::LatLon& center,
                                                            double radius_m) const {
-  return index_->CountRadiusAndDistinctIds(center, radius_m);
+  if (overlay_ == nullptr) return index_->CountRadiusAndDistinctIds(center, radius_m);
+  std::vector<uint64_t> overlay_users;
+  const size_t overlay_tweets =
+      overlay_->CollectDistinctIds(center, radius_m, &overlay_users);
+  geo::RadiusCounts counts =
+      index_->CountRadiusAndDistinctIds(center, radius_m, &overlay_users);
+  counts.points += overlay_tweets;
+  return counts;
+}
+
+size_t PopulationEstimator::CollectUsers(const geo::LatLon& center, double radius_m,
+                                         std::vector<uint64_t>* users) const {
+  const size_t tweets = index_->CollectDistinctIds(center, radius_m, users);
+  if (overlay_ == nullptr) return tweets;
+  std::vector<uint64_t> base_users = std::move(*users);
+  std::vector<uint64_t> overlay_users;
+  const size_t overlay_tweets =
+      overlay_->CollectDistinctIds(center, radius_m, &overlay_users);
+  users->clear();
+  std::set_union(base_users.begin(), base_users.end(), overlay_users.begin(),
+                 overlay_users.end(), std::back_inserter(*users));
+  return tweets + overlay_tweets;
 }
 
 Result<PopulationEstimateResult> PopulationEstimator::Estimate(
-    const ScaleSpec& spec, ThreadPool* pool) const {
+    const ScaleSpec& spec, ThreadPool* pool,
+    std::vector<std::vector<uint64_t>>* area_users) const {
   if (spec.areas.empty()) {
     return Status::InvalidArgument("Estimate: scale spec has no areas");
   }
@@ -108,7 +139,15 @@ Result<PopulationEstimateResult> PopulationEstimator::Estimate(
   const size_t n = spec.areas.size();
   std::vector<size_t> unique_users(n, 0);
   std::vector<size_t> tweet_counts(n, 0);
-  auto count_area = [this, &spec, &unique_users, &tweet_counts](size_t i) {
+  if (area_users != nullptr) area_users->assign(n, {});
+  auto count_area = [this, &spec, &unique_users, &tweet_counts,
+                     area_users](size_t i) {
+    if (area_users != nullptr) {
+      std::vector<uint64_t>& users = (*area_users)[i];
+      tweet_counts[i] = CollectUsers(spec.areas[i].center, spec.radius_m, &users);
+      unique_users[i] = users.size();
+      return;
+    }
     const geo::RadiusCounts counts =
         CountTweetsAndUsers(spec.areas[i].center, spec.radius_m);
     unique_users[i] = counts.distinct_ids;

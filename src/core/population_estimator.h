@@ -61,6 +61,12 @@ class PopulationEstimator {
       const tweetdb::TweetDataset& dataset, ThreadPool* pool = nullptr,
       tweetdb::ScanStatistics* scan_stats = nullptr);
 
+  /// An estimator over this one's rows plus `overlay`'s: both sealed
+  /// indexes are shared, not copied, and every query walks the two and
+  /// takes the union of their users. `overlay` must be a plain Build
+  /// result (no overlay of its own), typically over far fewer rows.
+  PopulationEstimator WithOverlay(const PopulationEstimator& overlay) const;
+
   /// Distinct users with at least one tweet within radius_m of `center`.
   /// Backed by the sealed index's hash-free interior-cell merge; boundary
   /// cells fall back to sort-and-unique.
@@ -70,33 +76,46 @@ class PopulationEstimator {
   size_t CountTweets(const geo::LatLon& center, double radius_m) const;
 
   /// Tweets (`points`) and distinct users (`distinct_ids`) within radius_m
-  /// of `center` from one fused radius walk; equal to the pair
+  /// of `center` from one fused radius walk per index; equal to the pair
   /// (CountTweets, CountUniqueUsers). Estimate and the serving layer's
   /// population query use this.
   geo::RadiusCounts CountTweetsAndUsers(const geo::LatLon& center,
                                         double radius_m) const;
 
+  /// CountTweetsAndUsers keeping the users: `users` receives the sorted
+  /// distinct user ids within radius_m of `center` (its size is the
+  /// distinct count); returns the tweet count.
+  size_t CollectUsers(const geo::LatLon& center, double radius_m,
+                      std::vector<uint64_t>* users) const;
+
   /// Full estimate for one scale spec. With a `pool`, the per-area radius
   /// queries run data-parallel into per-area slots; aggregation stays in
   /// area order, so the result matches the serial path exactly.
-  Result<PopulationEstimateResult> Estimate(const ScaleSpec& spec,
-                                            ThreadPool* pool = nullptr) const;
+  /// `area_users`, when non-null, receives each area's sorted distinct
+  /// user ids (parallel to spec.areas) from the same walks.
+  Result<PopulationEstimateResult> Estimate(
+      const ScaleSpec& spec, ThreadPool* pool = nullptr,
+      std::vector<std::vector<uint64_t>>* area_users = nullptr) const;
 
-  size_t num_indexed_tweets() const { return index_->size(); }
+  size_t num_indexed_tweets() const {
+    return index_->size() + (overlay_ != nullptr ? overlay_->size() : 0);
+  }
 
  private:
-  explicit PopulationEstimator(std::unique_ptr<geo::SealedGridIndex> index)
+  explicit PopulationEstimator(std::shared_ptr<const geo::SealedGridIndex> index)
       : index_(std::move(index)) {}
 
-  /// Every query runs on the immutable CSR form.
-  std::unique_ptr<geo::SealedGridIndex> index_;
+  /// Every query runs on the immutable CSR form; the overlay, when set,
+  /// indexes rows the base index does not hold.
+  std::shared_ptr<const geo::SealedGridIndex> index_;
+  std::shared_ptr<const geo::SealedGridIndex> overlay_;
 };
 
 /// Assembles one scale's PopulationEstimateResult from per-area counts
 /// (`unique_users[i]` / `tweet_counts[i]` parallel to `spec.areas`): the
 /// rescale factor, rescaled estimates, median and Pearson correlation.
 /// This is the arithmetic tail of PopulationEstimator::Estimate, shared
-/// with the incremental path (core::DeltaAccumulator) so both produce
+/// with the delta path (StageEngine::DeltaStages) so both produce
 /// bitwise-identical results from identical counts.
 Result<PopulationEstimateResult> AssemblePopulationEstimate(
     const ScaleSpec& spec, const std::vector<size_t>& unique_users,

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/time_util.h"
+#include "core/analysis_snapshot.h"
 #include "geo/geodesic.h"
 
 namespace twimob::core {
@@ -183,7 +184,10 @@ class PopulationStage : public Stage {
     EnsureSpecs(state);
     size_t samples = 0;
     for (const ScaleSpec& spec : state.specs) {
-      auto pop = state.estimator->Estimate(spec, &ctx.pool());
+      // The walks keep each area's users: the base the delta path unites
+      // new rows' users with.
+      auto pop = state.estimator->Estimate(spec, &ctx.pool(),
+                                           &state.area_users.emplace_back());
       if (!pop.ok()) return pop.status();
       samples += pop->areas.size();
       state.result.population.push_back(std::move(*pop));
@@ -291,6 +295,179 @@ class FitStage : public Stage {
   std::string name_;
 };
 
+/// The delta run's one analysis stage (see StageEngine::DeltaStages). Every
+/// aggregate it updates is an integer — user-set sizes, tweet counts, unit
+/// trip flows — so its counts equal a full run's exactly, and the
+/// floating-point tail (AssemblePopulationEstimate, BuildObservations and
+/// the fit stages) then runs on identical inputs.
+class DeltaStage : public Stage {
+ public:
+  const std::string& name() const override {
+    static const std::string kName = "delta";
+    return kName;
+  }
+
+  Status Run(AnalysisContext& ctx, PipelineState& state,
+             StageRecord& record) override {
+    if (state.installed == nullptr || state.installed->base() == nullptr) {
+      return Status::FailedPrecondition(
+          "delta stage requires an installed snapshot to derive from");
+    }
+    const AnalysisSnapshot& installed = *state.installed;
+    const AnalysisBase& base = *installed.base();
+    const AnalysisOverlay* old_overlay = installed.overlay().get();
+    state.specs = base.specs;
+
+    // The new overlay: every delta row since the base, compacted.
+    auto overlay = std::make_shared<AnalysisOverlay>();
+    overlay->rows = tweetdb::TweetDataset(base.dataset.partition(),
+                                          base.dataset.block_capacity());
+    Status appended = Status::OK();
+    const auto append = [&overlay, &appended](const tweetdb::Tweet& t) {
+      if (appended.ok()) appended = overlay->rows.Append(t);
+    };
+    if (old_overlay != nullptr) old_overlay->rows.ForEachRow(append);
+    state.dataset.ForEachRow(append);
+    TWIMOB_RETURN_IF_ERROR(appended);
+    overlay->rows.SealAll();
+    overlay->rows.CompactShards(&ctx.pool());
+    auto estimator = PopulationEstimator::Build(overlay->rows, &ctx.pool());
+    if (!estimator.ok()) return estimator.status();
+    overlay->estimator = std::move(*estimator);
+
+    TWIMOB_RETURN_IF_ERROR(EstimatePopulation(ctx, base, *overlay, state));
+    std::vector<uint64_t> touched;
+    state.dataset.ForEachRow(
+        [&touched](const tweetdb::Tweet& t) { touched.push_back(t.user_id); });
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    if (!base.assigners.empty()) {
+      TWIMOB_RETURN_IF_ERROR(ReplayTrips(ctx, installed, *overlay, touched, state));
+    }
+
+    record.AddCounter("rows", static_cast<int64_t>(state.dataset.num_rows()));
+    record.AddCounter("touched_users", static_cast<int64_t>(touched.size()));
+    record.AddCounter("overlay_rows",
+                      static_cast<int64_t>(overlay->rows.num_rows()));
+    state.base = installed.base();
+    state.overlay = std::move(overlay);
+    return Status::OK();
+  }
+
+ private:
+  /// Every area's users are the base's sorted list united with the
+  /// overlay's users within ε (both sides test each point by the same
+  /// haversine predicate); tweets add.
+  static Status EstimatePopulation(AnalysisContext& ctx, const AnalysisBase& base,
+                                   const AnalysisOverlay& overlay,
+                                   PipelineState& state) {
+    std::vector<std::pair<size_t, size_t>> areas;  // (scale, area)
+    std::vector<std::vector<size_t>> users(state.specs.size());
+    std::vector<std::vector<size_t>> tweets(state.specs.size());
+    for (size_t s = 0; s < state.specs.size(); ++s) {
+      users[s].assign(state.specs[s].areas.size(), 0);
+      tweets[s].assign(state.specs[s].areas.size(), 0);
+      for (size_t i = 0; i < state.specs[s].areas.size(); ++i) areas.emplace_back(s, i);
+    }
+    ctx.pool().ParallelFor(areas.size(), [&](size_t k) {
+      const auto [s, i] = areas[k];
+      const ScaleSpec& spec = state.specs[s];
+      const std::vector<uint64_t>& base_users = base.area_users[s][i];
+      std::vector<uint64_t> overlay_users;
+      const size_t overlay_tweets = overlay.estimator->CollectUsers(
+          spec.areas[i].center, spec.radius_m, &overlay_users);
+      size_t distinct = base_users.size();
+      for (const uint64_t user : overlay_users) {
+        if (!std::binary_search(base_users.begin(), base_users.end(), user)) {
+          ++distinct;
+        }
+      }
+      users[s][i] = distinct;
+      tweets[s][i] = base.area_tweets[s][i] + overlay_tweets;
+    });
+    for (size_t s = 0; s < state.specs.size(); ++s) {
+      auto pop = AssemblePopulationEstimate(state.specs[s], users[s], tweets[s]);
+      if (!pop.ok()) return pop.status();
+      state.result.population.push_back(std::move(*pop));
+    }
+    auto pooled = PooledPopulationCorrelation(state.result.population);
+    if (!pooled.ok()) return pooled.status();
+    state.result.pooled_population_correlation = *pooled;
+    return Status::OK();
+  }
+
+  /// Only the users of the new rows have different trips: each one's old
+  /// rows (base ⊕ old overlay) are replayed through the trip machine and
+  /// subtracted, their new rows (base ⊕ new overlay) replayed and added.
+  /// Flows are integral doubles and counters integers, so the update is
+  /// exact in any order.
+  static Status ReplayTrips(AnalysisContext& ctx, const AnalysisSnapshot& installed,
+                            const AnalysisOverlay& overlay,
+                            const std::vector<uint64_t>& touched, PipelineState& state) {
+    const AnalysisBase& base = *installed.base();
+    if (installed.trips().size() != base.assigners.size() ||
+        installed.result().mobility.size() != base.assigners.size()) {
+      return Status::FailedPrecondition(
+          "delta stage: installed snapshot has no trips to update");
+    }
+
+    std::vector<const tweetdb::TweetDataset*> old_layers = {&base.dataset};
+    if (installed.overlay() != nullptr) {
+      old_layers.push_back(&installed.overlay()->rows);
+    }
+    const std::vector<const tweetdb::TweetDataset*> new_layers = {&base.dataset,
+                                                                  &overlay.rows};
+    std::vector<tweetdb::Tweet> old_rows;
+    std::vector<tweetdb::Tweet> new_rows;
+    for (const uint64_t user : touched) {
+      mobility::GatherUserRows(user, old_layers, &old_rows);
+      mobility::GatherUserRows(user, new_layers, &new_rows);
+    }
+
+    const size_t scales = base.assigners.size();
+    state.result.mobility.resize(scales);
+    state.scale_work.resize(scales);
+    ctx.pool().ParallelFor(scales, [&](size_t s) {
+      const ScaleSpec& spec = state.specs[s];
+      const size_t n = spec.areas.size();
+      auto removed = mobility::OdMatrix::Create(n);  // cannot fail: the installed
+      auto added = mobility::OdMatrix::Create(n);    // snapshot has n > 0 areas
+      const mobility::TripOptions options;
+      mobility::TripAccumulator old_trips(base.assigners[s], options, &*removed);
+      for (const tweetdb::Tweet& t : old_rows) old_trips.Process(t.user_id, t.timestamp, t.pos);
+      mobility::TripAccumulator new_trips(base.assigners[s], options, &*added);
+      for (const tweetdb::Tweet& t : new_rows) new_trips.Process(t.user_id, t.timestamp, t.pos);
+
+      ScaleWork& work = state.scale_work[s];
+      work.od = installed.trips()[s];
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          work.od->SetFlow(i, j,
+                           work.od->Flow(i, j) - removed->Flow(i, j) + added->Flow(i, j));
+        }
+      }
+      ScaleMobilityResult& scale = state.result.mobility[s];
+      scale.scale_name = spec.name;
+      scale.radius_m = spec.radius_m;
+      scale.extraction = installed.result().mobility[s].extraction;
+      scale.extraction -= old_trips.stats();
+      scale.extraction += new_trips.stats();
+
+      // The masses are the new population's unique users, as the trips
+      // stage takes them from the population stage.
+      for (const AreaPopulationEstimate& area : state.result.population[s].areas) {
+        work.masses.push_back(static_cast<double>(area.unique_users));
+      }
+      scale.observations =
+          mobility::BuildObservations(*work.od, work.masses, base.distances[s]);
+      for (const mobility::FlowObservation& o : scale.observations) {
+        work.observed.push_back(o.flow);
+      }
+    });
+    return Status::OK();
+  }
+};
+
 }  // namespace
 
 StageList StageEngine::FullPipeline(const PipelineConfig& config) {
@@ -308,6 +485,17 @@ StageList StageEngine::AnalysisStages(const PipelineConfig& config) {
   if (config.run_mobility) {
     for (size_t s = 0; s < std::size(census::kAllScales); ++s) {
       stages.push_back(std::make_unique<TripsStage>(s));
+      stages.push_back(std::make_unique<FitStage>(s));
+    }
+  }
+  return stages;
+}
+
+StageList StageEngine::DeltaStages(const PipelineConfig& config) {
+  StageList stages;
+  stages.push_back(std::make_unique<DeltaStage>());
+  if (config.run_mobility) {
+    for (size_t s = 0; s < std::size(census::kAllScales); ++s) {
       stages.push_back(std::make_unique<FitStage>(s));
     }
   }
@@ -427,8 +615,8 @@ Status ExtractScaleTrips(const tweetdb::TweetDataset& dataset,
   }
   scale->scale_name = spec.name;
   scale->radius_m = spec.radius_m;
-  auto od = mobility::ExtractTrips(dataset, spec.areas, spec.radius_m, pool,
-                                   &scale->extraction);
+  mobility::AreaAssigner assigner(spec.areas, spec.radius_m);
+  auto od = mobility::ExtractTrips(dataset, assigner, pool, &scale->extraction);
   if (!od.ok()) return od.status();
 
   work->masses.clear();
@@ -444,6 +632,8 @@ Status ExtractScaleTrips(const tweetdb::TweetDataset& dataset,
   for (const mobility::FlowObservation& o : scale->observations) {
     work->observed.push_back(o.flow);
   }
+  work->od = std::move(*od);
+  work->assigner = std::move(assigner);
   return Status::OK();
 }
 

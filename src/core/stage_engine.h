@@ -13,13 +13,21 @@
 
 namespace twimob::core {
 
+struct AnalysisBase;
+struct AnalysisOverlay;
+class AnalysisSnapshot;
+
 /// The per-scale intermediates of one mobility analysis, handed from trip
-/// extraction to the model fits.
+/// extraction to the model fits and, in a full run, kept by the sealed
+/// snapshot (the OD matrix) and its base (assigner and distances) for the
+/// delta path.
 struct ScaleWork {
   std::vector<double> masses;     ///< per-area Twitter population
   std::vector<double> distances;  ///< flat row-major pairwise matrix
   std::vector<double> observed;   ///< observed flows, parallel to the
                                   ///< scale result's observations
+  std::optional<mobility::OdMatrix> od;  ///< the extracted trips
+  std::optional<mobility::AreaAssigner> assigner;  ///< full runs only
 };
 
 /// Mutable state shared by the stages of one pipeline run. Create one per
@@ -57,6 +65,20 @@ struct PipelineState {
   /// per completed trips stage (parallel to `result.mobility`).
   std::vector<ScaleWork> scale_work;
 
+  /// Each scale's per-area sorted distinct user ids, kept by the
+  /// `population` stage for the snapshot's base (parallel to `specs`).
+  std::vector<std::vector<std::vector<uint64_t>>> area_users;
+
+  /// A delta run's input (StageEngine::DeltaStages): the snapshot it
+  /// derives from; `dataset` then holds only the new delta rows. Null for
+  /// a full run.
+  const AnalysisSnapshot* installed = nullptr;
+  /// A delta run's output: the installed snapshot's base, shared, and the
+  /// overlay of every delta row since that base. A full run leaves both
+  /// null; sealing builds its base.
+  std::shared_ptr<const AnalysisBase> base;
+  std::shared_ptr<const AnalysisOverlay> overlay;
+
   PipelineResult result;
 };
 
@@ -93,6 +115,12 @@ class StageEngine {
   /// `fit@<scale>` per paper scale.
   static StageList AnalysisStages(const PipelineConfig& config);
 
+  /// The delta run of state.installed's successor: one `delta` stage —
+  /// the new overlay, population from the base's per-area user lists
+  /// united with the overlay's, trips of the touched users replayed —
+  /// then (when config.run_mobility) `fit@<scale>` per paper scale.
+  static StageList DeltaStages(const PipelineConfig& config);
+
   /// Runs the stages in order, timing each into ctx.trace() (and
   /// state.result.trace). Stops at the first failing stage; its partial
   /// record is still appended to the trace.
@@ -102,8 +130,7 @@ class StageEngine {
 
 /// The scales a run with `config` analyses: the paper scales with the
 /// config's metropolitan radius override applied (looked up by scale, never
-/// by position). Shared by the staged pipeline and the incremental path
-/// (core::DeltaAccumulator) so both see identical specs.
+/// by position).
 std::vector<ScaleSpec> ResolveScaleSpecs(const PipelineConfig& config);
 
 /// Pool-parallel flat row-major pairwise great-circle distance matrix of
@@ -126,7 +153,8 @@ Result<std::vector<ModelSummary>> FitPaperModels(
 /// observations with `population`'s unique users as the per-area masses
 /// (the paper's Twitter population) and the pairwise centre distances.
 /// `population` must be the estimate of `spec`. Fills `scale` (name,
-/// radius, extraction counters, observations) and `work`.
+/// radius, extraction counters, observations) and `work` (the OD matrix
+/// and the scale's assigner included).
 Status ExtractScaleTrips(const tweetdb::TweetDataset& dataset,
                          const ScaleSpec& spec,
                          const PopulationEstimateResult& population,

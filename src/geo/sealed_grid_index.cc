@@ -332,8 +332,9 @@ size_t SealedGridIndex::CountDistinctIds(const LatLon& center, double radius_m) 
   return CountRadiusAndDistinctIds(center, radius_m).distinct_ids;
 }
 
-RadiusCounts SealedGridIndex::CountRadiusAndDistinctIds(const LatLon& center,
-                                                        double radius_m) const {
+size_t SealedGridIndex::WalkDistinct(const LatLon& center, double radius_m,
+                                     std::vector<size_t>* interior_cells,
+                                     std::vector<uint64_t>* boundary_ids) const {
   const BoundingBox box = BoundingBoxForRadius(center, radius_m);
   const bool use_equirect = radius_m < kEquirectPrefilterMaxRadiusMeters;
   const double lat_band_deg = LatitudeBandDegrees(radius_m);
@@ -342,26 +343,67 @@ RadiusCounts SealedGridIndex::CountRadiusAndDistinctIds(const LatLon& center,
   const HaversineBatch batch(center);
   std::vector<uint32_t> band_scratch;
   std::vector<uint32_t> accepted;
-  std::vector<size_t> interior_cells;
-  std::vector<uint64_t> boundary_ids;
-  RadiusCounts counts;
+  size_t points = 0;
   VisitCandidateCells(box, [&](size_t cell) {
     const size_t begin = offsets_[cell];
     const size_t end = offsets_[cell + 1];
     if (CellInsideCircle(cell, center, radius_m)) {
-      counts.points += end - begin;
-      interior_cells.push_back(cell);
+      points += end - begin;
+      interior_cells->push_back(cell);
       return;
     }
     FilterBoundaryCell(begin, end, center, radius_m, use_equirect, lat_band_deg,
                        prefilter_m, batch, band_scratch, nullptr, accepted);
-    counts.points += accepted.size();
-    for (const uint32_t rel : accepted) boundary_ids.push_back(ids_[begin + rel]);
+    points += accepted.size();
+    for (const uint32_t rel : accepted) boundary_ids->push_back(ids_[begin + rel]);
   });
 
-  std::sort(boundary_ids.begin(), boundary_ids.end());
-  boundary_ids.erase(std::unique(boundary_ids.begin(), boundary_ids.end()),
-                     boundary_ids.end());
+  std::sort(boundary_ids->begin(), boundary_ids->end());
+  boundary_ids->erase(std::unique(boundary_ids->begin(), boundary_ids->end()),
+                      boundary_ids->end());
+  return points;
+}
+
+void SealedGridIndex::MergeCellIds(const std::vector<size_t>& cells,
+                                   std::vector<uint64_t>* merged) const {
+  size_t total_len = 0;
+  for (const size_t cell : cells) {
+    total_len += id_offsets_[cell + 1] - id_offsets_[cell];
+  }
+  merged->reserve(total_len);
+  std::vector<size_t> cursor(cells.size());
+  using HeapEntry = std::pair<uint64_t, size_t>;  // (id value, list idx)
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> heap;
+  for (size_t k = 0; k < cells.size(); ++k) {
+    cursor[k] = id_offsets_[cells[k]];
+    if (cursor[k] < id_offsets_[cells[k] + 1]) {
+      heap.emplace(unique_ids_[cursor[k]], k);
+    }
+  }
+  while (!heap.empty()) {
+    const auto [value, k] = heap.top();
+    heap.pop();
+    if (merged->empty() || merged->back() != value) merged->push_back(value);
+    if (++cursor[k] < id_offsets_[cells[k] + 1]) {
+      heap.emplace(unique_ids_[cursor[k]], k);
+    }
+  }
+}
+
+RadiusCounts SealedGridIndex::CountRadiusAndDistinctIds(
+    const LatLon& center, double radius_m,
+    const std::vector<uint64_t>* also_ids) const {
+  std::vector<size_t> interior_cells;
+  std::vector<uint64_t> boundary_ids;
+  RadiusCounts counts;
+  counts.points = WalkDistinct(center, radius_m, &interior_cells, &boundary_ids);
+  if (also_ids != nullptr && !also_ids->empty()) {
+    std::vector<uint64_t> both;
+    both.reserve(boundary_ids.size() + also_ids->size());
+    std::set_union(boundary_ids.begin(), boundary_ids.end(), also_ids->begin(),
+                   also_ids->end(), std::back_inserter(both));
+    boundary_ids = std::move(both);
+  }
 
   if (interior_cells.empty()) {
     counts.distinct_ids = boundary_ids.size();
@@ -374,35 +416,36 @@ RadiusCounts SealedGridIndex::CountRadiusAndDistinctIds(const LatLon& center,
                                      boundary_ids.data(), boundary_ids.size());
     return counts;
   }
-
-  // K-way heap merge of the interior cells' pre-sorted unique id lists —
-  // O(M log k) with no hashing, M = total interior list length.
-  size_t total_len = 0;
-  for (const size_t cell : interior_cells) {
-    total_len += id_offsets_[cell + 1] - id_offsets_[cell];
-  }
   std::vector<uint64_t> merged;
-  merged.reserve(total_len);
-  std::vector<size_t> cursor(interior_cells.size());
-  using HeapEntry = std::pair<uint64_t, size_t>;  // (id value, interior list idx)
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> heap;
-  for (size_t k = 0; k < interior_cells.size(); ++k) {
-    cursor[k] = id_offsets_[interior_cells[k]];
-    if (cursor[k] < id_offsets_[interior_cells[k] + 1]) {
-      heap.emplace(unique_ids_[cursor[k]], k);
-    }
-  }
-  while (!heap.empty()) {
-    const auto [value, k] = heap.top();
-    heap.pop();
-    if (merged.empty() || merged.back() != value) merged.push_back(value);
-    if (++cursor[k] < id_offsets_[interior_cells[k] + 1]) {
-      heap.emplace(unique_ids_[cursor[k]], k);
-    }
-  }
+  MergeCellIds(interior_cells, &merged);
   counts.distinct_ids = CountUnion(merged.data(), merged.size(),
                                    boundary_ids.data(), boundary_ids.size());
   return counts;
+}
+
+size_t SealedGridIndex::CollectDistinctIds(const LatLon& center, double radius_m,
+                                           std::vector<uint64_t>* ids) const {
+  std::vector<size_t> interior_cells;
+  std::vector<uint64_t> boundary_ids;
+  const size_t points =
+      WalkDistinct(center, radius_m, &interior_cells, &boundary_ids);
+  ids->clear();
+  if (interior_cells.empty()) {
+    *ids = std::move(boundary_ids);
+    return points;
+  }
+  std::vector<uint64_t> merged;
+  if (interior_cells.size() == 1) {
+    const size_t cell = interior_cells.front();
+    merged.assign(unique_ids_.begin() + id_offsets_[cell],
+                  unique_ids_.begin() + id_offsets_[cell + 1]);
+  } else {
+    MergeCellIds(interior_cells, &merged);
+  }
+  ids->reserve(merged.size() + boundary_ids.size());
+  std::set_union(merged.begin(), merged.end(), boundary_ids.begin(),
+                 boundary_ids.end(), std::back_inserter(*ids));
+  return points;
 }
 
 }  // namespace twimob::geo

@@ -108,8 +108,20 @@ class SealedGridIndex {
   /// the candidate cells: interior cells add their size and merge their
   /// pre-sorted unique id lists (no hashing); boundary cells are filtered
   /// once and their survivors feed both counts. Equal to the pair
-  /// (CountRadius, CountDistinctIds) on every query.
-  RadiusCounts CountRadiusAndDistinctIds(const LatLon& center, double radius_m) const;
+  /// (CountRadius, CountDistinctIds) on every query. `also_ids`, when
+  /// non-null, is a sorted-unique id list counted into `distinct_ids` as
+  /// well (ids found both ways count once) — how an index and a small
+  /// overlay index over other points answer one distinct count together.
+  RadiusCounts CountRadiusAndDistinctIds(
+      const LatLon& center, double radius_m,
+      const std::vector<uint64_t>* also_ids = nullptr) const;
+
+  /// The walk of CountRadiusAndDistinctIds, keeping the ids: `ids`
+  /// receives the sorted-unique payload ids within the radius (its size is
+  /// the `distinct_ids` count), and the number of points within the radius
+  /// is returned.
+  size_t CollectDistinctIds(const LatLon& center, double radius_m,
+                            std::vector<uint64_t>* ids) const;
 
   /// Invokes `fn(point)` for every point within the radius, in the same
   /// order as the unsealed index.
@@ -166,6 +178,19 @@ class SealedGridIndex {
   /// index scans.
   template <typename CellFn>
   void VisitCandidateCells(const BoundingBox& box, CellFn&& fn) const;
+
+  /// The shared walk of the distinct-id queries: returns the points within
+  /// the radius, fills `interior_cells` with the cells consumed whole and
+  /// `boundary_ids` with the sorted-unique ids of the boundary cells'
+  /// accepted points.
+  size_t WalkDistinct(const LatLon& center, double radius_m,
+                      std::vector<size_t>* interior_cells,
+                      std::vector<uint64_t>* boundary_ids) const;
+
+  /// Heap-merges the sorted-unique id lists of `cells` (two or more) into
+  /// `merged`: O(M log k) with no hashing, M the total list length.
+  void MergeCellIds(const std::vector<size_t>& cells,
+                    std::vector<uint64_t>* merged) const;
 
   /// Boundary-cell point filter over the SoA rows [begin, end): runs the
   /// SIMD-dispatched latitude-band select, then the equirectangular

@@ -12,67 +12,6 @@ namespace twimob::mobility {
 
 namespace {
 
-// The per-row state machine every extraction chunk runs: feeding the same
-// rows in the same order produces the same flows and counters wherever the
-// machine runs.
-class TripAccumulator {
- public:
-  TripAccumulator(const AreaAssigner& assigner, const TripOptions& options,
-                  OdMatrix* od)
-      : assigner_(assigner), options_(options), od_(od) {}
-
-  /// Columnar entry point: the gather loops feed decoded column values
-  /// directly, never materialising a Tweet.
-  void Process(uint64_t user, int64_t time, const geo::LatLon& pos) {
-    ++stats_.tweets_seen;
-    const size_t area = assigner_.Assign(pos).value_or(kNoArea);
-    if (area != kNoArea) ++stats_.tweets_in_some_area;
-
-    if (have_prev_ && user == prev_user_) {
-      ++stats_.consecutive_pairs;
-      const bool gap_ok = options_.max_gap_seconds == 0 ||
-                          time - prev_time_ <= options_.max_gap_seconds;
-      if (!gap_ok) {
-        ++stats_.gap_filtered_pairs;
-      } else if (prev_area_ != kNoArea && area != kNoArea) {
-        if (prev_area_ != area) {
-          od_->AddFlow(prev_area_, area, 1.0);
-          ++stats_.inter_area_trips;
-        } else {
-          ++stats_.intra_area_pairs;
-        }
-      }
-    }
-    prev_user_ = user;
-    prev_time_ = time;
-    prev_area_ = area;
-    have_prev_ = true;
-  }
-
-  const ExtractionStats& stats() const { return stats_; }
-
- private:
-  static constexpr size_t kNoArea = std::numeric_limits<size_t>::max();
-
-  const AreaAssigner& assigner_;
-  const TripOptions& options_;
-  OdMatrix* od_;
-  ExtractionStats stats_;
-  uint64_t prev_user_ = 0;
-  int64_t prev_time_ = 0;
-  bool have_prev_ = false;
-  size_t prev_area_ = kNoArea;
-};
-
-void MergeStats(const ExtractionStats& from, ExtractionStats* into) {
-  into->tweets_seen += from.tweets_seen;
-  into->tweets_in_some_area += from.tweets_in_some_area;
-  into->consecutive_pairs += from.consecutive_pairs;
-  into->inter_area_trips += from.inter_area_trips;
-  into->intra_area_pairs += from.intra_area_pairs;
-  into->gap_filtered_pairs += from.gap_filtered_pairs;
-}
-
 /// Feeds rows [begin, end) of `block` into `acc` straight from the column
 /// vectors — the coordinate decode matches Block::GetRow bit for bit.
 void FeedBlockRows(const tweetdb::Block& block, size_t begin, size_t end,
@@ -390,10 +329,17 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
                               const std::vector<census::Area>& areas,
                               double radius_m, ThreadPool& pool,
                               ExtractionStats* stats, const TripOptions& options) {
-  if (areas.empty()) {
+  // One assigner for the scale, shared read-only by every unit.
+  return ExtractTrips(dataset, AreaAssigner(areas, radius_m), pool, stats, options);
+}
+
+Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
+                              const AreaAssigner& assigner, ThreadPool& pool,
+                              ExtractionStats* stats, const TripOptions& options) {
+  if (assigner.num_areas() == 0) {
     return Status::InvalidArgument("ExtractTrips requires at least one area");
   }
-  if (!(radius_m > 0.0)) {
+  if (!(assigner.radius_m() > 0.0)) {
     return Status::InvalidArgument("ExtractTrips requires a positive radius");
   }
   if (options.max_gap_seconds < 0) {
@@ -422,8 +368,7 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
-  // One assigner for the scale, shared read-only by every unit.
-  const AreaAssigner assigner(areas, radius_m);
+  const size_t n = assigner.num_areas();
   std::vector<std::unique_ptr<OdMatrix>> partial(cuts.size());
   std::vector<ExtractionStats> partial_stats(cuts.size());
   pool.ParallelFor(cuts.size(), [&](size_t u) {
@@ -436,7 +381,7 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
                               : std::pair<size_t, size_t>{table.num_blocks(), 0};
       cursors.emplace_back(table, table.LowerBoundUser(cuts[u]), end);
     }
-    auto od = OdMatrix::Create(areas.size());  // cannot fail: areas validated
+    auto od = OdMatrix::Create(n);  // cannot fail: n > 0
     TripAccumulator acc(assigner, options, &*od);
     while (true) {
       // The smallest user left in any shard; their runs feed in shard-key
@@ -458,12 +403,11 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
   });
 
   // Ordered merge in unit order — identical totals for any thread count.
-  auto merged = OdMatrix::Create(areas.size());
+  auto merged = OdMatrix::Create(n);
   if (!merged.ok()) return merged.status();
   ExtractionStats total;
-  const size_t n = areas.size();
   for (size_t u = 0; u < cuts.size(); ++u) {
-    MergeStats(partial_stats[u], &total);
+    total += partial_stats[u];
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = 0; j < n; ++j) {
         const double flow = partial[u]->Flow(i, j);
@@ -473,6 +417,43 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
   }
   if (stats != nullptr) *stats = total;
   return std::move(*merged);
+}
+
+void GatherUserRows(uint64_t user,
+                    const std::vector<const tweetdb::TweetDataset*>& layers,
+                    std::vector<tweetdb::Tweet>* rows) {
+  // Every layer's shards, by partition key; the cursors walk them in step.
+  std::vector<size_t> next(layers.size(), 0);
+  while (true) {
+    bool any = false;
+    int64_t key = 0;
+    for (size_t l = 0; l < layers.size(); ++l) {
+      if (next[l] == layers[l]->num_shards()) continue;
+      const int64_t k = layers[l]->shard_key(next[l]);
+      if (!any || k < key) key = k;
+      any = true;
+    }
+    if (!any) return;
+    const size_t first = rows->size();
+    for (size_t l = 0; l < layers.size(); ++l) {
+      if (next[l] == layers[l]->num_shards() ||
+          layers[l]->shard_key(next[l]) != key) {
+        continue;
+      }
+      const tweetdb::TweetTable& table = layers[l]->shard(next[l]++);
+      const size_t run_begin = rows->size();
+      for (auto [b, r] = table.LowerBoundUser(user); b < table.num_blocks();
+           ++b, r = 0) {
+        const tweetdb::Block& block = table.block(b);
+        const size_t end = UserRunEnd(block, r, user);
+        for (size_t i = r; i < end; ++i) rows->push_back(block.GetRow(i));
+        if (end < block.num_rows()) break;
+      }
+      // Each layer's run is already in order; merge it into the shard's.
+      std::inplace_merge(rows->begin() + first, rows->begin() + run_begin,
+                         rows->end(), tweetdb::UserTimeLess);
+    }
+  }
 }
 
 }  // namespace twimob::mobility

@@ -22,6 +22,28 @@ struct ExtractionStats {
   size_t inter_area_trips = 0;    ///< pairs mapping to two distinct areas
   size_t intra_area_pairs = 0;    ///< pairs mapping to the same area
   size_t gap_filtered_pairs = 0;  ///< pairs dropped by TripOptions::max_gap_seconds
+
+  /// Counter-wise sums and differences: merging work units' counters, and
+  /// the delta path's removal of a user's old contribution (never more than
+  /// the totals hold).
+  ExtractionStats& operator+=(const ExtractionStats& o) {
+    tweets_seen += o.tweets_seen;
+    tweets_in_some_area += o.tweets_in_some_area;
+    consecutive_pairs += o.consecutive_pairs;
+    inter_area_trips += o.inter_area_trips;
+    intra_area_pairs += o.intra_area_pairs;
+    gap_filtered_pairs += o.gap_filtered_pairs;
+    return *this;
+  }
+  ExtractionStats& operator-=(const ExtractionStats& o) {
+    tweets_seen -= o.tweets_seen;
+    tweets_in_some_area -= o.tweets_in_some_area;
+    consecutive_pairs -= o.consecutive_pairs;
+    inter_area_trips -= o.inter_area_trips;
+    intra_area_pairs -= o.intra_area_pairs;
+    gap_filtered_pairs -= o.gap_filtered_pairs;
+    return *this;
+  }
 };
 
 /// Cap on an AreaAssigner grid's cell count.
@@ -55,6 +77,11 @@ class AreaAssigner {
 
   /// Nearest centre within the radius, or nullopt; lowest index on ties.
   std::optional<size_t> Assign(const geo::LatLon& pos) const;
+
+  /// Number of area centres (the OD matrix dimension).
+  size_t num_areas() const { return lats_.size(); }
+  /// The search radius ε.
+  double radius_m() const { return radius_m_; }
 
   /// The grid's box (points outside it are rejected outright; a dimension
   /// may be unbounded) and its cell edge in degrees.
@@ -111,6 +138,66 @@ struct TripOptions {
   int64_t max_gap_seconds = 0;
 };
 
+/// The trip state machine: fed rows in (user, time, lat, lon) order, it
+/// assigns each row its area and counts a trip for every same-user
+/// consecutive pair landing in two different areas (a pair further apart
+/// than TripOptions::max_gap_seconds is filtered instead). It resets at
+/// every user change, so a user's contribution depends on that user's
+/// rows alone: ExtractTrips runs one per work unit, and the delta path
+/// replays touched users through one (GatherUserRows) to subtract their
+/// old contribution and add their new one.
+class TripAccumulator {
+ public:
+  /// Adds trips into `od` (one 1.0 per trip), which must outlive the
+  /// accumulator; `assigner` must too.
+  TripAccumulator(const AreaAssigner& assigner, const TripOptions& options,
+                  OdMatrix* od)
+      : assigner_(assigner), options_(options), od_(od) {}
+
+  /// Feeds one row. The columnar gather loops pass decoded column values
+  /// directly, never materialising a Tweet.
+  void Process(uint64_t user, int64_t time, const geo::LatLon& pos) {
+    ++stats_.tweets_seen;
+    const size_t area = assigner_.Assign(pos).value_or(kNoArea);
+    if (area != kNoArea) ++stats_.tweets_in_some_area;
+
+    if (have_prev_ && user == prev_user_) {
+      ++stats_.consecutive_pairs;
+      const bool gap_ok = options_.max_gap_seconds == 0 ||
+                          time - prev_time_ <= options_.max_gap_seconds;
+      if (!gap_ok) {
+        ++stats_.gap_filtered_pairs;
+      } else if (prev_area_ != kNoArea && area != kNoArea) {
+        if (prev_area_ != area) {
+          od_->AddFlow(prev_area_, area, 1.0);
+          ++stats_.inter_area_trips;
+        } else {
+          ++stats_.intra_area_pairs;
+        }
+      }
+    }
+    prev_user_ = user;
+    prev_time_ = time;
+    prev_area_ = area;
+    have_prev_ = true;
+  }
+
+  /// The counters of every row fed so far.
+  const ExtractionStats& stats() const { return stats_; }
+
+ private:
+  static constexpr size_t kNoArea = static_cast<size_t>(-1);
+
+  const AreaAssigner& assigner_;
+  const TripOptions options_;
+  OdMatrix* od_;
+  ExtractionStats stats_;
+  uint64_t prev_user_ = 0;
+  int64_t prev_time_ = 0;
+  bool have_prev_ = false;
+  size_t prev_area_ = kNoArea;
+};
+
 /// Rows per trip-extraction work-unit stride: ExtractTrips cuts every
 /// shard's compacted rows at each block start and at every kTripUnitRows
 /// rows inside a block. A constant, never derived from the thread count, so
@@ -143,6 +230,26 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
                               double radius_m, ThreadPool& pool,
                               ExtractionStats* stats = nullptr,
                               const TripOptions& options = TripOptions{});
+
+/// ExtractTrips with a prebuilt assigner, shared read-only by every unit
+/// (the staged pipeline keeps it for the delta path's replays).
+Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
+                              const AreaAssigner& assigner, ThreadPool& pool,
+                              ExtractionStats* stats = nullptr,
+                              const TripOptions& options = TripOptions{});
+
+/// Appends `user`'s rows held by `layers` to `rows` in the order
+/// ExtractTrips would feed them from one compacted dataset holding every
+/// layer's rows: shard by shard in ascending partition key, each shard's
+/// runs of every layer merged in (time, lat, lon) order. Every layer must
+/// be compacted by (user, time) and share one partition spec; a run is
+/// located by zone-map binary search (TweetTable::LowerBoundUser), so the
+/// cost is the user's rows plus a search per shard. Replaying the result
+/// through a TripAccumulator gives exactly the user's share of the
+/// combined dataset's ExtractTrips.
+void GatherUserRows(uint64_t user,
+                    const std::vector<const tweetdb::TweetDataset*>& layers,
+                    std::vector<tweetdb::Tweet>* rows);
 
 }  // namespace twimob::mobility
 

@@ -21,30 +21,22 @@ tweetdb::Env& SnapshotCatalog::env() const {
 }
 
 Result<std::shared_ptr<const core::AnalysisSnapshot>>
-SnapshotCatalog::LoadCommitted(uint64_t skip_if_generation,
-                               uint64_t skip_if_seq) {
+SnapshotCatalog::LoadCommitted() {
   Status last_error = Status::OK();
-  // Started on the first attempt that has something to load: its pool
-  // decodes the shard files and then runs the analysis.
-  std::optional<core::AnalysisContext> ctx;
   const int attempts = options_.max_open_retries < 1 ? 1 : options_.max_open_retries;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     auto manifest = PeekManifest(env(), path_);
     if (!manifest.ok()) return manifest.status();
     const uint64_t generation = manifest->generation;
-    if (generation == skip_if_generation &&
-        manifest->next_delta_seq == skip_if_seq) {
-      return std::shared_ptr<const core::AnalysisSnapshot>();
-    }
 
     // Pin before reading shard data: from here on, a writer that commits a
     // newer generation defers (never deletes) this generation's files.
     tweetdb::GenerationPin pin(path_, generation);
-    if (!ctx.has_value()) ctx.emplace(options_.num_threads);
+    ctx_->trace().Clear();
     const double t0 = MonotonicSeconds();
     tweetdb::RecoveryReport report;
     auto dataset = tweetdb::ReadDatasetFiles(path_, options_.policy, &report,
-                                             &env(), &ctx->pool());
+                                             &env(), &ctx_->pool());
     const double recovery_seconds = MonotonicSeconds() - t0;
     if (!dataset.ok()) {
       // The writer may have committed — and GC'd the peeked generation —
@@ -69,7 +61,7 @@ SnapshotCatalog::LoadCommitted(uint64_t skip_if_generation,
     source.recovery = report;
     source.recovery_seconds = recovery_seconds;
     auto snapshot = core::AnalysisSnapshot::Analyze(
-        std::move(*dataset), options_.analysis, std::move(source), &*ctx);
+        std::move(*dataset), options_.analysis, std::move(source), ctx_.get());
     if (!snapshot.ok()) return snapshot.status();
     return std::make_shared<const core::AnalysisSnapshot>(std::move(*snapshot));
   }
@@ -79,15 +71,68 @@ SnapshotCatalog::LoadCommitted(uint64_t skip_if_generation,
       path_);
 }
 
+Result<std::shared_ptr<const core::AnalysisSnapshot>>
+SnapshotCatalog::DeriveFromDeltas(const core::AnalysisSnapshot& installed,
+                                  const tweetdb::Manifest& manifest) {
+  using Null = std::shared_ptr<const core::AnalysisSnapshot>;
+  const std::optional<tweetdb::RecoveryReport>& installed_report =
+      installed.recovery();
+  if (options_.policy != tweetdb::RecoveryPolicy::kStrict ||
+      manifest.generation != installed.generation() ||
+      manifest.next_delta_seq <= installed.ingest_seq() ||
+      !installed_report.has_value() || installed_report->degraded()) {
+    return Null();
+  }
+  // The deltas the installed snapshot folded in must still be listed as it
+  // saw them, and every seq from its cursor on must be listed too.
+  const uint64_t from_seq = installed.ingest_seq();
+  size_t old_deltas = 0;
+  size_t new_deltas = 0;
+  for (const tweetdb::DeltaSummary& d : manifest.deltas) {
+    if (d.seq < from_seq) {
+      if (old_deltas >= installed_report->deltas.size() ||
+          installed_report->deltas[old_deltas].key != static_cast<int64_t>(d.seq)) {
+        return Null();
+      }
+      ++old_deltas;
+    } else {
+      ++new_deltas;
+    }
+  }
+  if (old_deltas != installed_report->deltas.size() ||
+      new_deltas != manifest.next_delta_seq - from_seq) {
+    return Null();
+  }
+
+  // The installed snapshot pins this generation already; the new one holds
+  // its own pin for its lifetime.
+  tweetdb::GenerationPin pin(path_, manifest.generation);
+  ctx_->trace().Clear();
+  const double t0 = MonotonicSeconds();
+  tweetdb::RecoveryReport report = *installed_report;
+  report.next_delta_seq = manifest.next_delta_seq;
+  auto deltas =
+      tweetdb::ReadDeltaFiles(path_, manifest, from_seq, &report.deltas, &env());
+  if (!deltas.ok()) return deltas.status();
+
+  core::SnapshotSource source;
+  source.generation = manifest.generation;
+  source.ingest_seq = manifest.next_delta_seq;
+  source.pin = std::move(pin);
+  source.recovery = std::move(report);
+  source.recovery_seconds = MonotonicSeconds() - t0;
+  auto snapshot = core::AnalysisSnapshot::Derive(
+      installed, std::move(*deltas), options_.analysis, std::move(source), ctx_.get());
+  if (!snapshot.ok()) return snapshot.status();
+  return std::make_shared<const core::AnalysisSnapshot>(std::move(*snapshot));
+}
+
 Result<std::unique_ptr<SnapshotCatalog>> SnapshotCatalog::Open(
     std::string path, CatalogOptions options) {
   std::unique_ptr<SnapshotCatalog> catalog(
       new SnapshotCatalog(std::move(path), options));
-  auto snapshot =
-      catalog->LoadCommitted(/*skip_if_generation=*/0, /*skip_if_seq=*/0);
+  auto snapshot = catalog->LoadCommitted();
   if (!snapshot.ok()) return snapshot.status();
-  // Generations start at 1, so skip_if_generation=0 never matches and the
-  // load always returns a snapshot here.
   catalog->current_.store(std::move(*snapshot), std::memory_order_release);
   return catalog;
 }
@@ -96,10 +141,15 @@ Result<bool> SnapshotCatalog::Refresh() {
   std::lock_guard<std::mutex> lock(refresh_mu_);
   const std::shared_ptr<const core::AnalysisSnapshot> installed =
       current_.load(std::memory_order_acquire);
-  auto snapshot =
-      LoadCommitted(installed->generation(), installed->ingest_seq());
+  auto manifest = PeekManifest(env(), path_);
+  if (!manifest.ok()) return manifest.status();
+  if (manifest->generation == installed->generation() &&
+      manifest->next_delta_seq == installed->ingest_seq()) {
+    return false;
+  }
+  auto snapshot = DeriveFromDeltas(*installed, *manifest);
+  if (snapshot.ok() && *snapshot == nullptr) snapshot = LoadCommitted();
   if (!snapshot.ok()) return snapshot.status();
-  if (*snapshot == nullptr) return false;
   current_.store(std::move(*snapshot), std::memory_order_release);
   return true;
 }

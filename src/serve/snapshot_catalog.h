@@ -22,8 +22,8 @@ struct CatalogOptions {
   core::PipelineConfig analysis;
   /// Storage environment; null means tweetdb::Env::Default().
   tweetdb::Env* env = nullptr;
-  /// Thread count of the per-load AnalysisContext (0 = TWIMOB_THREADS /
-  /// hardware concurrency).
+  /// Thread count of the catalog's AnalysisContext, which every load runs
+  /// on (0 = TWIMOB_THREADS / hardware concurrency).
   size_t num_threads = 0;
   /// Recovery policy for opening generations (kStrict by default).
   tweetdb::RecoveryPolicy policy = tweetdb::RecoveryPolicy::kStrict;
@@ -77,6 +77,17 @@ class SnapshotCatalog {
   /// commit version (generation, ingest_seq) is still current. Repeated
   /// calls with no new commits are idempotent no-ops (one manifest read
   /// each). In-flight readers of the previous snapshot are unaffected.
+  ///
+  /// Two paths, chosen from the manifest alone. When the commit only adds
+  /// delta files to the installed generation, the policy is kStrict, the
+  /// installed snapshot is not degraded and every delta seq from the
+  /// installed cursor on is listed, only those delta files are read
+  /// (tweetdb::ReadDeltaFiles) and the snapshot is derived from the
+  /// installed one (AnalysisSnapshot::Derive; trace: `recover`, `delta`,
+  /// `fit@<scale>`). Otherwise — a new generation, a kSalvage catalog, a
+  /// missing delta — the whole commit is re-read and re-analysed. Both
+  /// paths give bitwise-equal snapshots; a failed read on either leaves
+  /// the installed snapshot serving.
   Result<bool> Refresh();
 
   /// Generation of the snapshot Current() returns right now.
@@ -98,23 +109,32 @@ class SnapshotCatalog {
 
  private:
   SnapshotCatalog(std::string path, CatalogOptions options)
-      : path_(std::move(path)), options_(options) {}
+      : path_(std::move(path)),
+        options_(options),
+        ctx_(std::make_unique<core::AnalysisContext>(options.num_threads)) {}
 
-  /// Pin-then-read loop: peeks the manifest, pins the committed generation,
-  /// re-reads the dataset and verifies it still carries the pinned
-  /// generation (a writer may commit — and GC — between peek and pin;
-  /// each such race retries on the newer manifest). When the committed
-  /// commit version equals (skip_if_generation, skip_if_seq), returns null
-  /// without loading (the Refresh no-op path). A read that folds deltas
-  /// appended after the peek (same generation, higher cursor) is accepted
-  /// — the pin names the generation, and fresher data is never stale.
-  Result<std::shared_ptr<const core::AnalysisSnapshot>> LoadCommitted(
-      uint64_t skip_if_generation, uint64_t skip_if_seq);
+  /// The full path. Pin-then-read loop: peeks the manifest, pins the
+  /// committed generation, re-reads the dataset and verifies it still
+  /// carries the pinned generation (a writer may commit — and GC — between
+  /// peek and pin; each such race retries on the newer manifest). A read
+  /// that folds deltas appended after the peek (same generation, higher
+  /// cursor) is accepted — the pin names the generation, and fresher data
+  /// is never stale.
+  Result<std::shared_ptr<const core::AnalysisSnapshot>> LoadCommitted();
+
+  /// The delta path of Refresh: when `manifest` only adds deltas to
+  /// `installed`'s generation (see Refresh), reads them and derives the
+  /// successor; returns null when the full path must run instead.
+  Result<std::shared_ptr<const core::AnalysisSnapshot>> DeriveFromDeltas(
+      const core::AnalysisSnapshot& installed, const tweetdb::Manifest& manifest);
 
   tweetdb::Env& env() const;
 
   std::string path_;
   CatalogOptions options_;
+  /// The pool and trace every load runs on; loads are serialised (Open,
+  /// then Refresh under `refresh_mu_`), and each clears the trace first.
+  std::unique_ptr<core::AnalysisContext> ctx_;
   std::atomic<std::shared_ptr<const core::AnalysisSnapshot>> current_;
   /// Serialises concurrent Refresh() calls; never taken on the query path.
   std::mutex refresh_mu_;

@@ -750,7 +750,8 @@ Status AdoptTableFile(LoadedFile& loaded, bool is_delta, RecoveryPolicy policy,
   return strict ? append : Status::OK();
 }
 
-/// Read, decode and adopt of one file, for the mapped open's deltas.
+/// Read, decode and adopt of one file, for the mapped open's and the delta
+/// reader's deltas.
 Status LoadTableFile(Env& env, const std::string& file, bool is_delta,
                      RecoveryPolicy policy, TweetDataset* dataset,
                      ShardRecovery* rec) {
@@ -839,6 +840,26 @@ Result<TweetDataset> ReadDatasetFiles(const std::string& path,
   // Delta rows land in active tails; hand back a fully sealed dataset so
   // the block-parallel scan paths stay available.
   if (!manifest.deltas.empty()) dataset.SealAll();
+  return dataset;
+}
+
+Result<TweetDataset> ReadDeltaFiles(const std::string& path,
+                                    const Manifest& manifest, uint64_t from_seq,
+                                    std::vector<ShardRecovery>* accounting,
+                                    Env* env_in) {
+  Env& env = ResolveEnv(env_in);
+  TweetDataset dataset(manifest.partition);
+  for (const DeltaSummary& d : manifest.deltas) {
+    if (d.seq < from_seq) continue;
+    ShardRecovery rec;
+    rec.key = static_cast<int64_t>(d.seq);
+    rec.rows_expected = d.num_rows;
+    TWIMOB_RETURN_IF_ERROR(LoadTableFile(env, DeltaFilePath(path, d.generation, d.seq),
+                                         /*is_delta=*/true, RecoveryPolicy::kStrict,
+                                         &dataset, &rec));
+    if (accounting != nullptr) accounting->push_back(std::move(rec));
+  }
+  dataset.SealAll();
   return dataset;
 }
 

@@ -216,6 +216,20 @@ Result<TweetDataset> ReadDatasetFiles(
     RecoveryReport* report = nullptr, Env* env = nullptr,
     ThreadPool* pool = nullptr);
 
+/// Reads, strictly, the delta files `manifest` (the committed manifest of
+/// `path`) lists with seq >= `from_seq`, in seq order, and routes their
+/// rows into time shards under manifest.partition: exactly the rows
+/// ReadDatasetFiles folds in for those deltas, without touching a shard
+/// file. `accounting`, when non-null, receives one entry per delta read,
+/// equal to the entry ReadDatasetFiles' RecoveryReport::deltas holds for
+/// it. Any damage (an unreadable, torn or corrupt file, a row count that
+/// disagrees with the manifest) is the returned error. The result is
+/// sealed, in storage order (uncompacted).
+Result<TweetDataset> ReadDeltaFiles(const std::string& path,
+                                    const Manifest& manifest, uint64_t from_seq,
+                                    std::vector<ShardRecovery>* accounting = nullptr,
+                                    Env* env = nullptr);
+
 /// A dataset opened zero-copy over memory-mapped shard files. The pin
 /// keeps every file of the mapped generation on disk for the lifetime of
 /// this object (writer commits defer their GC — no file is ever unlinked

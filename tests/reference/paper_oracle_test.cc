@@ -6,12 +6,17 @@
 // points on the bisector of two centres, users whose runs span shards and
 // blocks, and duplicate (user, time) rows. A second sweep drives the one
 // trip extractor, the population index and AnalyzeScaleMobility on a
-// custom scale built for exact ties and a max-gap option. When the two
-// sides disagree the program is wrong, never the oracle.
+// custom scale built for exact ties and a max-gap option, and a third
+// serves an adversarial append chain through the delta path of
+// SnapshotCatalog::Refresh. When the two sides disagree the program is
+// wrong, never the oracle.
 
 #include "reference/paper_oracle.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,6 +31,10 @@
 #include "core/stage_engine.h"
 #include "geo/geodesic.h"
 #include "random/rng.h"
+#include "serve/snapshot_catalog.h"
+#include "serve/snapshot_dump.h"
+#include "tweetdb/binary_codec.h"
+#include "tweetdb/ingest.h"
 
 namespace twimob::reference {
 namespace {
@@ -41,15 +50,12 @@ geo::LatLon Quantised(const geo::LatLon& p, int dlat = 0, int dlon = 0) {
                      geo::FixedToDegrees(geo::DegreesToFixed(p.lon) + dlon)};
 }
 
-// The dumps print every compared field, doubles in exact hex notation, one
-// record per line: two results agree bit for bit iff their dumps are equal,
-// and a disagreement shows up as a line diff.
+// Results compare through serve/snapshot_dump.h's dumps: every compared
+// field, doubles in exact hex notation, one record per line.
 
-std::string DumpStats(const mobility::ExtractionStats& s) {
-  return StrFormat("seen=%zu in_area=%zu pairs=%zu trips=%zu intra=%zu gap=%zu\n",
-                   s.tweets_seen, s.tweets_in_some_area, s.consecutive_pairs,
-                   s.inter_area_trips, s.intra_area_pairs, s.gap_filtered_pairs);
-}
+using serve::DumpResult;
+using serve::DumpScale;
+using serve::DumpStats;
 
 std::string DumpTrips(const mobility::OdMatrix& od, const mobility::ExtractionStats& s) {
   std::string out = DumpStats(s);
@@ -58,43 +64,6 @@ std::string DumpTrips(const mobility::OdMatrix& od, const mobility::ExtractionSt
       if (od.Flow(i, j) != 0.0) out += StrFormat("%zu->%zu %a\n", i, j, od.Flow(i, j));
     }
   }
-  return out;
-}
-
-std::string DumpCorrelation(const stats::CorrelationResult& c) {
-  return StrFormat("r=%a t=%a p=%a n=%zu\n", c.r, c.t_stat, c.p_value, c.n);
-}
-
-std::string DumpScale(const core::ScaleMobilityResult& scale) {
-  std::string out = StrFormat("%s eps=%a ", scale.scale_name.c_str(), scale.radius_m) +
-                    DumpStats(scale.extraction);
-  for (const mobility::FlowObservation& o : scale.observations) {
-    out += StrFormat("  %zu->%zu m=%a n=%a d=%a flow=%a\n", o.src, o.dst, o.m, o.n,
-                     o.d_meters, o.flow);
-  }
-  for (const core::ModelSummary& m : scale.models) {
-    out += StrFormat("  %s c=%a a=%a b=%a g=%a r=%a hit=%a rmsle=%a log_r=%a n=%zu\n",
-                     m.model_name.c_str(), m.log10_c, m.alpha, m.beta, m.gamma,
-                     m.metrics.pearson_r, m.metrics.hit_rate, m.metrics.rmsle,
-                     m.metrics.log_pearson_r, m.metrics.n);
-    for (const double e : m.estimated) out += StrFormat("    %a\n", e);
-  }
-  return out;
-}
-
-std::string Dump(const core::PipelineResult& result) {
-  std::string out;
-  for (const core::PopulationEstimateResult& p : result.population) {
-    out += StrFormat("%s eps=%a C=%a median=%a ", p.scale_name.c_str(), p.radius_m,
-                     p.rescale_factor, p.median_users) +
-           DumpCorrelation(p.correlation);
-    for (const core::AreaPopulationEstimate& a : p.areas) {
-      out += StrFormat("  %s users=%zu tweets=%zu estimate=%a\n", a.name.c_str(),
-                       a.unique_users, a.tweet_count, a.rescaled_estimate);
-    }
-  }
-  out += "pooled " + DumpCorrelation(result.pooled_population_correlation);
-  for (const core::ScaleMobilityResult& scale : result.mobility) out += DumpScale(scale);
   return out;
 }
 
@@ -285,7 +254,7 @@ void CheckAgainstOracle(const Corpus& corpus, uint64_t layout_seed) {
     auto snapshot =
         core::AnalysisSnapshot::Analyze(std::move(dataset), config, {}, &ctx);
     ASSERT_TRUE(snapshot.ok()) << where << ": " << snapshot.status();
-    EXPECT_EQ(Dump(*oracle), Dump(snapshot->result())) << where;
+    EXPECT_EQ(DumpResult(*oracle), DumpResult(snapshot->result())) << where;
   }
 }
 
@@ -312,6 +281,114 @@ TEST(AdversarialCorpusTest, UsersSpanningShardsAndBlocksMatchOracle) {
 
 TEST(AdversarialCorpusTest, DuplicateUserTimeRowsMatchOracle) {
   CheckAgainstOracle(DuplicatesCorpus(), 24);
+}
+
+// ---------------------------------------------------------------------------
+// The delta path. A live dataset takes an append chain whose deltas are
+// adversarial for a snapshot derived from the installed one: a late row
+// spliced into the middle of a user's stored sequence, rows exactly at ε,
+// duplicate (user, time) rows, a brand-new user, and a user's new row in a
+// shard that holds none of their stored rows. Every refresh must take the
+// delta path and agree with the oracle over all committed rows.
+
+TEST(IncrementalRefreshOracleTest, AdversarialDeltaChainMatchesOracle) {
+  Corpus corpus = AtEpsilonCorpus();
+  core::PipelineConfig config;
+  config.metro_radius_override_m = corpus.metro_radius_override_m;
+  const std::vector<core::ScaleSpec> specs = core::ResolveScaleSpecs(config);
+  const Layout layout{3, 4, 17};
+  const tweetdb::PartitionSpec partition =
+      tweetdb::PartitionSpec::ForWindow(kStart, kStart + kWindow, layout.shards);
+
+  const std::string path = testing::TempDir() + "/twimob_oracle_delta_chain.twdb";
+  std::remove(path.c_str());
+  tweetdb::TweetDataset stored = Store(corpus.rows, layout);
+  ASSERT_TRUE(tweetdb::WriteDatasetFiles(stored, path).ok());
+  auto writer = tweetdb::IngestWriter::Open(path);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  serve::CatalogOptions options;
+  options.analysis = config;
+  options.num_threads = layout.threads;
+  auto catalog = serve::SnapshotCatalog::Open(path, options);
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+
+  // Every user's stored rows in time order.
+  std::map<uint64_t, std::vector<Tweet>> by_user;
+  for (const Tweet& t : StoredRows(stored)) by_user[t.user_id].push_back(t);
+  for (auto& [user, rows] : by_user) {
+    std::sort(rows.begin(), rows.end(), tweetdb::UserTimeLess);
+  }
+  const core::ScaleSpec& metro = specs[2];
+  const geo::LatLon at_epsilon =
+      Quantised(geo::DestinationPoint(metro.areas[0].center, 30.0, 2000.0));
+  ASSERT_EQ(geo::HaversineMeters(metro.areas[0].center, at_epsilon), metro.radius_m);
+  const int64_t shard_width = kWindow / static_cast<int64_t>(layout.shards);
+
+  std::vector<std::pair<std::string, std::vector<Tweet>>> deltas;
+  {
+    // A late row between two stored rows of one user in one shard.
+    std::vector<Tweet> batch;
+    for (const auto& [user, rows] : by_user) {
+      for (size_t k = 0; k + 1 < rows.size() && batch.size() < 5; ++k) {
+        if (rows[k + 1].timestamp - rows[k].timestamp < 2 ||
+            partition.KeyForTime(rows[k].timestamp) !=
+                partition.KeyForTime(rows[k + 1].timestamp)) {
+          continue;
+        }
+        batch.push_back(Tweet{user, (rows[k].timestamp + rows[k + 1].timestamp) / 2,
+                              specs[user % 3].areas[user % 20].center});
+        break;
+      }
+    }
+    deltas.emplace_back("late rows spliced into stored sequences", batch);
+  }
+  deltas.emplace_back("rows exactly at epsilon",
+                      std::vector<Tweet>{Tweet{by_user.begin()->first, kStart + 77, at_epsilon},
+                                         Tweet{424242, kStart + 78, at_epsilon},
+                                         Tweet{424242, kStart + 79, metro.areas[1].center}});
+  {
+    // An exact duplicate and a same-(user, time) row elsewhere.
+    const Tweet& copied = by_user.rbegin()->second.front();
+    Tweet moved = copied;
+    moved.pos = metro.areas[3].center;
+    deltas.emplace_back("duplicate (user, time) rows", std::vector<Tweet>{copied, moved});
+  }
+  {
+    std::vector<Tweet> batch;
+    for (size_t k = 0; k < 12; ++k) {
+      batch.push_back(Tweet{900001, kStart + static_cast<int64_t>(k) * (kWindow / 12),
+                            specs[k % 3].areas[(5 * k) % 20].center});
+    }
+    deltas.emplace_back("a brand-new user across every shard", batch);
+  }
+  {
+    // Users whose stored rows all sit in one shard get a row in another.
+    std::vector<Tweet> batch;
+    for (const auto& [user, rows] : by_user) {
+      const int64_t key = partition.KeyForTime(rows.front().timestamp);
+      if (partition.KeyForTime(rows.back().timestamp) != key || batch.size() == 6) continue;
+      const int64_t other = (key + 2) % static_cast<int64_t>(layout.shards);
+      batch.push_back(Tweet{user, kStart + other * shard_width + 5,
+                            specs[0].areas[user % 20].center});
+    }
+    deltas.emplace_back("new rows in a shard the user had none in", batch);
+  }
+
+  for (const auto& [name, batch] : deltas) {
+    ASSERT_FALSE(batch.empty()) << name;
+    ASSERT_TRUE((*writer)->AppendBatch(batch).ok()) << name;
+    auto refreshed = (*catalog)->Refresh();
+    ASSERT_TRUE(refreshed.ok()) << name << ": " << refreshed.status();
+    ASSERT_TRUE(*refreshed) << name;
+    const auto served = (*catalog)->Current();
+    EXPECT_TRUE(serve::RanDeltaPath(*served)) << name;
+
+    auto committed = tweetdb::ReadDatasetFiles(path);
+    ASSERT_TRUE(committed.ok()) << name;
+    auto oracle = AnalyzeRows(StoredRows(*committed), specs);
+    ASSERT_TRUE(oracle.ok()) << name << ": " << oracle.status();
+    EXPECT_EQ(DumpResult(*oracle), DumpResult(served->result())) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

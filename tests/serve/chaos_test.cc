@@ -77,10 +77,12 @@ std::vector<Tweet> BatchRows(const core::PipelineConfig& config, uint64_t seed,
   return rows;
 }
 
-std::vector<Tweet> SortedRows(const tweetdb::TweetDataset& dataset) {
+/// The sorted rows of a dataset or a served snapshot.
+template <typename Rows>
+std::vector<Tweet> SortedRows(const Rows& source) {
   std::vector<Tweet> rows;
-  rows.reserve(dataset.num_rows());
-  dataset.ForEachRow([&rows](const Tweet& t) { rows.push_back(t); });
+  rows.reserve(source.num_rows());
+  source.ForEachRow([&rows](const Tweet& t) { rows.push_back(t); });
   std::sort(rows.begin(), rows.end(), tweetdb::UserTimeLess);
   return rows;
 }
@@ -270,7 +272,7 @@ TEST_P(ChaosScheduleTest, LiveLoopSurvivesScheduleAndRecovers) {
       ASSERT_NE(it, expected.end())
           << "tick " << tick << ": served uncommitted cursor "
           << snapshot->ingest_seq();
-      EXPECT_EQ(SortedRows(snapshot->dataset()), it->second)
+      EXPECT_EQ(SortedRows(*snapshot), it->second)
           << "tick " << tick << ": served rows diverge from the committed "
           << "reference at cursor " << snapshot->ingest_seq();
       const QueryService pinned(snapshot);
@@ -334,7 +336,7 @@ TEST_P(ChaosScheduleTest, LiveLoopSurvivesScheduleAndRecovers) {
   {
     const auto final_snapshot = (*catalog)->Current();
     EXPECT_EQ(final_snapshot->ingest_seq(), expected.rbegin()->first);
-    EXPECT_EQ(SortedRows(final_snapshot->dataset()), expected.rbegin()->second);
+    EXPECT_EQ(SortedRows(*final_snapshot), expected.rbegin()->second);
     CatalogOptions cold_options = options;
     cold_options.env = nullptr;
     auto cold = SnapshotCatalog::Open(path, cold_options);

@@ -270,8 +270,8 @@ TEST(ServingStressTest, LiveIngestWithCompactionServesConsistentSnapshots) {
                           RunWorkload(pinned, seed, 20))) {
           ++failures[t];
         }
-        if (snapshot->dataset().num_rows() < prev_rows) ++failures[t];
-        prev_rows = snapshot->dataset().num_rows();
+        if (snapshot->num_rows() < prev_rows) ++failures[t];
+        prev_rows = snapshot->num_rows();
         ++round;
       }
     });
@@ -290,7 +290,7 @@ TEST(ServingStressTest, LiveIngestWithCompactionServesConsistentSnapshots) {
   // content depends only on the committed rows, not on the ingest history.
   ASSERT_TRUE((*catalog)->Refresh().ok());
   const auto final_snapshot = (*catalog)->Current();
-  EXPECT_EQ(final_snapshot->dataset().num_rows(),
+  EXPECT_EQ(final_snapshot->num_rows(),
             base_rows + stream_rows.size());
   auto cold = SnapshotCatalog::Open(path, options);
   ASSERT_TRUE(cold.ok()) << cold.status().message();
@@ -390,7 +390,7 @@ TEST(ServingStressTest, SupervisedRefresherServesConsistentSnapshotsUnderIngest)
   EXPECT_TRUE(health.fresh()) << health.ToString();
   EXPECT_EQ(health.breaker, BreakerState::kClosed);
   EXPECT_EQ(health.failures, 0u);
-  EXPECT_EQ((*catalog)->Current()->dataset().num_rows(),
+  EXPECT_EQ((*catalog)->Current()->num_rows(),
             base_rows + stream_rows.size());
 }
 

@@ -62,7 +62,7 @@ TEST(SnapshotCatalogTest, OpenServesTheCommittedGeneration) {
   ASSERT_NE(snapshot, nullptr);
   EXPECT_EQ(snapshot->generation(), 1u);
   EXPECT_EQ((*catalog)->current_generation(), 1u);
-  EXPECT_EQ(snapshot->dataset().num_rows(), 800u);
+  EXPECT_EQ(snapshot->num_rows(), 800u);
   // The snapshot pinned its generation and carries per-scale estimates.
   EXPECT_TRUE(tweetdb::IsGenerationPinned(path, 1));
   EXPECT_EQ(snapshot->result().population.size(), snapshot->specs().size());
@@ -116,12 +116,12 @@ TEST(SnapshotCatalogTest, RefreshSwapsToNewerGenerationWhileReadersKeepTheirs) {
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().message();
   EXPECT_TRUE(*refreshed);
   EXPECT_EQ((*catalog)->current_generation(), 2u);
-  EXPECT_EQ((*catalog)->Current()->dataset().num_rows(), 900u);
+  EXPECT_EQ((*catalog)->Current()->num_rows(), 900u);
 
   // The reader's snapshot is untouched and its generation's shard files
   // survived the writer's GC (deferred under the reader's pin).
   EXPECT_EQ(reader->generation(), 1u);
-  EXPECT_EQ(reader->dataset().num_rows(), 500u);
+  EXPECT_EQ(reader->num_rows(), 500u);
   EXPECT_TRUE(tweetdb::IsGenerationPinned(path, 1));
   EXPECT_TRUE(env.FileExists(gen1_shard0));
 }
@@ -185,11 +185,11 @@ TEST(SnapshotCatalogTest, RefreshPicksUpDeltaAppendsWithinAGeneration) {
   EXPECT_TRUE(*refreshed);
   EXPECT_EQ((*catalog)->current_generation(), 1u);
   EXPECT_EQ((*catalog)->current_ingest_seq(), 1u);
-  EXPECT_EQ((*catalog)->Current()->dataset().num_rows(), 620u);
+  EXPECT_EQ((*catalog)->Current()->num_rows(), 620u);
 
   // The pre-append reader is untouched; repeated refreshes with no newer
   // commit are no-ops serving the same snapshot object.
-  EXPECT_EQ(reader->dataset().num_rows(), 500u);
+  EXPECT_EQ(reader->num_rows(), 500u);
   const auto installed = (*catalog)->Current();
   auto again = (*catalog)->Refresh();
   ASSERT_TRUE(again.ok());
@@ -227,7 +227,7 @@ TEST(SnapshotCatalogTest, CompactionDefersPinnedDeltaFilesUntilReadersDrop) {
   auto catalog = SnapshotCatalog::Open(path, FastOptions());
   ASSERT_TRUE(catalog.ok());
   auto reader = (*catalog)->Current();
-  ASSERT_EQ(reader->dataset().num_rows(), 500u);
+  ASSERT_EQ(reader->num_rows(), 500u);
   ASSERT_TRUE(tweetdb::IsGenerationPinned(path, 1));
 
   // Compaction supersedes the delta file, but the born generation is
@@ -242,7 +242,7 @@ TEST(SnapshotCatalogTest, CompactionDefersPinnedDeltaFilesUntilReadersDrop) {
   // The catalog moves to generation 2; the reader still holds the pin.
   ASSERT_TRUE(*(*catalog)->Refresh());
   EXPECT_EQ((*catalog)->current_generation(), 2u);
-  EXPECT_EQ((*catalog)->Current()->dataset().num_rows(), 500u);
+  EXPECT_EQ((*catalog)->Current()->num_rows(), 500u);
   EXPECT_TRUE(env.FileExists(delta_file));
 
   // Last reader drops → pin released; the next commit sweeps the deferred

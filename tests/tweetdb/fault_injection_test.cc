@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "census/census_data.h"
 #include "random/rng.h"
 #include "serve/snapshot_catalog.h"
+#include "serve/snapshot_dump.h"
 #include "tweetdb/binary_codec.h"
 #include "tweetdb/dataset.h"
 #include "tweetdb/generation_pins.h"
@@ -243,7 +245,7 @@ TEST(FaultInjectionServeTest, RefreshAfterWriterCrashServesOldOrNewOnly) {
   ASSERT_TRUE((*catalog)->Refresh().ok());
 
   for (uint64_t at = 0; at < total_ops; ++at) {
-    const size_t rows_before = (*catalog)->Current()->dataset().num_rows();
+    const size_t rows_before = (*catalog)->Current()->num_rows();
     fault_env.set_plan({FaultInjectionEnv::FaultKind::kCrash, at});
     const Status write = WriteDatasetFiles(new_dataset, path, &fault_env);
 
@@ -254,7 +256,7 @@ TEST(FaultInjectionServeTest, RefreshAfterWriterCrashServesOldOrNewOnly) {
     ASSERT_TRUE(refreshed.ok())
         << "crash at op " << at << ": " << refreshed.status().message();
     const auto snapshot = (*catalog)->Current();
-    const size_t served_rows = snapshot->dataset().num_rows();
+    const size_t served_rows = snapshot->num_rows();
     if (write.ok()) {
       EXPECT_EQ(served_rows, new_rows) << "crash at op " << at;
       EXPECT_TRUE(*refreshed) << "crash at op " << at;
@@ -270,7 +272,7 @@ TEST(FaultInjectionServeTest, RefreshAfterWriterCrashServesOldOrNewOnly) {
     if (write.ok()) {
       ASSERT_TRUE(WriteDatasetFiles(old_dataset, path).ok());
       ASSERT_TRUE((*catalog)->Refresh().ok());
-      ASSERT_EQ((*catalog)->Current()->dataset().num_rows(), old_rows);
+      ASSERT_EQ((*catalog)->Current()->num_rows(), old_rows);
     }
   }
 }
@@ -308,10 +310,10 @@ TEST(FaultInjectionServeTest, ReadFaultDuringRefreshLeavesServingIntact) {
     // Re-arm: serve content A, then commit content B for the refresh to
     // find (generation numbers keep advancing; content is what matters).
     fault_env.set_plan({});
-    if ((*catalog)->Current()->dataset().num_rows() != rows_a) {
+    if ((*catalog)->Current()->num_rows() != rows_a) {
       ASSERT_TRUE(WriteDatasetFiles(content_a, path).ok());
       ASSERT_TRUE((*catalog)->Refresh().ok());
-      ASSERT_EQ((*catalog)->Current()->dataset().num_rows(), rows_a);
+      ASSERT_EQ((*catalog)->Current()->num_rows(), rows_a);
     }
     ASSERT_TRUE(WriteDatasetFiles(content_b, path).ok());
 
@@ -323,7 +325,7 @@ TEST(FaultInjectionServeTest, ReadFaultDuringRefreshLeavesServingIntact) {
     EXPECT_FALSE(refreshed.ok() && *refreshed)
         << "read crash at op " << at << " still swapped";
     const auto snapshot = (*catalog)->Current();
-    EXPECT_EQ(snapshot->dataset().num_rows(), rows_a)
+    EXPECT_EQ(snapshot->num_rows(), rows_a)
         << "read crash at op " << at;
     EXPECT_GT(snapshot->result().population.size(), 0u);
     EXPECT_TRUE(IsGenerationPinned(path, snapshot->generation()));
@@ -333,7 +335,151 @@ TEST(FaultInjectionServeTest, ReadFaultDuringRefreshLeavesServingIntact) {
     auto recovered = (*catalog)->Refresh();
     ASSERT_TRUE(recovered.ok()) << "after crash at op " << at;
     EXPECT_TRUE(*recovered);
-    EXPECT_EQ((*catalog)->Current()->dataset().num_rows(), rows_b);
+    EXPECT_EQ((*catalog)->Current()->num_rows(), rows_b);
+  }
+}
+
+// The delta path of Refresh (deltas on the installed generation) must hold
+// the same line: a fault while it reads its delta files is a typed error
+// that leaves the installed snapshot serving, and the next clean refresh
+// equals a from-scratch open. A kSalvage catalog never takes it.
+
+std::vector<Tweet> BatchRows(uint64_t seed, size_t n);
+
+/// A committed history at `path` (removed first), a writer on it with the
+/// real env and a catalog opened with `options`.
+void StartLiveDataset(const std::string& path, const serve::CatalogOptions& options,
+                      std::unique_ptr<IngestWriter>* writer,
+                      std::unique_ptr<serve::SnapshotCatalog>* catalog) {
+  std::remove(path.c_str());
+  TweetDataset history = MakeDatasetRows(501, 2, 1500);
+  ASSERT_TRUE(WriteDatasetFiles(history, path).ok());
+  auto opened_writer = IngestWriter::Open(path);
+  ASSERT_TRUE(opened_writer.ok()) << opened_writer.status().message();
+  *writer = std::move(*opened_writer);
+  auto opened = serve::SnapshotCatalog::Open(path, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  *catalog = std::move(*opened);
+}
+
+/// The served snapshot equals a from-scratch open (real env) bitwise.
+void ExpectMatchesFreshOpen(const serve::SnapshotCatalog& catalog,
+                            serve::CatalogOptions options, const std::string& where) {
+  options.env = nullptr;
+  auto fresh = serve::SnapshotCatalog::Open(catalog.path(), options);
+  ASSERT_TRUE(fresh.ok()) << where << ": " << fresh.status().message();
+  const std::vector<serve::Probe> probes = {{geo::LatLon{-33.87, 151.21}, 20000.0},
+                                            {geo::LatLon{-37.81, 144.96}, 50000.0},
+                                            {geo::LatLon{-50.0, 100.0}, 1000.0}};
+  EXPECT_EQ(serve::DumpSnapshot(catalog.Current(), probes),
+            serve::DumpSnapshot((*fresh)->Current(), probes))
+      << where;
+}
+
+TEST(FaultInjectionServeTest, ReadFaultDuringIncrementalRefreshLeavesServingIntact) {
+  const std::string path = testing::TempDir() + "/twimob_fault_delta_refresh.twdb";
+  FaultInjectionEnv fault_env(Env::Default(), 99);
+  const serve::CatalogOptions options = ServeOptions(&fault_env);
+  std::unique_ptr<IngestWriter> writer;
+  std::unique_ptr<serve::SnapshotCatalog> catalog;
+  ASSERT_NO_FATAL_FAILURE(StartLiveDataset(path, options, &writer, &catalog));
+
+  // The gated operations of one delta refresh: a manifest peek and one
+  // delta file read — the same count for every one-delta refresh below.
+  uint64_t seed = 600;
+  ASSERT_TRUE(writer->AppendBatch(BatchRows(seed++, 120)).ok());
+  fault_env.set_plan({});
+  auto first = catalog->Refresh();
+  ASSERT_TRUE(first.ok() && *first);
+  ASSERT_TRUE(serve::RanDeltaPath(*catalog->Current()));
+  const uint64_t refresh_ops = fault_env.operations();
+  ASSERT_GT(refresh_ops, 0u);
+
+  for (const auto kind : {FaultInjectionEnv::FaultKind::kCrash,
+                          FaultInjectionEnv::FaultKind::kShortRead}) {
+    const bool crash = kind == FaultInjectionEnv::FaultKind::kCrash;
+    uint64_t failed = 0;
+    for (uint64_t at = 0; at < refresh_ops; ++at) {
+      const std::string where =
+          std::string(crash ? "crash" : "short read") + " at op " + std::to_string(at);
+      ASSERT_TRUE(writer->AppendBatch(BatchRows(seed++, 120)).ok());
+      const auto before = catalog->Current();
+      fault_env.set_plan({kind, at});
+      auto refreshed = catalog->Refresh();
+      // A crash fails every operation; a short read only tears reads, so
+      // one planned on a file open is inert and the refresh goes through.
+      EXPECT_TRUE(!crash || !refreshed.ok()) << where;
+      if (!refreshed.ok()) {
+        ++failed;
+        EXPECT_EQ(catalog->Current().get(), before.get()) << where;
+        EXPECT_TRUE(IsGenerationPinned(path, before->generation())) << where;
+        fault_env.set_plan({});
+        auto recovered = catalog->Refresh();
+        ASSERT_TRUE(recovered.ok()) << where << ": " << recovered.status().message();
+        EXPECT_TRUE(*recovered) << where;
+      }
+      EXPECT_TRUE(serve::RanDeltaPath(*catalog->Current())) << where;
+      ExpectMatchesFreshOpen(*catalog, options, where);
+    }
+    EXPECT_GT(failed, 0u);
+  }
+}
+
+TEST(FaultInjectionServeTest, DamagedDeltaFileFailsIncrementalRefreshWithATypedError) {
+  const std::string path = testing::TempDir() + "/twimob_fault_delta_damage.twdb";
+  const serve::CatalogOptions options = ServeOptions();
+  std::unique_ptr<IngestWriter> writer;
+  std::unique_ptr<serve::SnapshotCatalog> catalog;
+  ASSERT_NO_FATAL_FAILURE(StartLiveDataset(path, options, &writer, &catalog));
+  Env& env = *Env::Default();
+
+  uint64_t seed = 700;
+  for (const bool torn : {true, false}) {
+    const std::string where = torn ? "torn delta file" : "flipped delta byte";
+    ASSERT_TRUE(writer->AppendBatch(BatchRows(seed++, 300)).ok());
+    const Manifest manifest = writer->manifest();
+    const DeltaSummary& delta = manifest.deltas.back();
+    const std::string file = DeltaFilePath(path, delta.generation, delta.seq);
+    auto intact = ReadFileToString(env, file);
+    ASSERT_TRUE(intact.ok());
+    // A torn write keeps a prefix; a flip lands in the block payloads.
+    std::string damaged = *intact;
+    if (torn) {
+      damaged.resize(damaged.size() / 2);
+    } else {
+      damaged[damaged.size() * 2 / 3] ^= 0x40;
+    }
+    ASSERT_TRUE(AtomicWriteFile(env, file, damaged).ok());
+
+    const auto before = catalog->Current();
+    auto refreshed = catalog->Refresh();
+    ASSERT_FALSE(refreshed.ok()) << where;
+    EXPECT_TRUE(refreshed.status().IsIOError()) << where << ": " << refreshed.status();
+    EXPECT_EQ(catalog->Current().get(), before.get()) << where;
+
+    ASSERT_TRUE(AtomicWriteFile(env, file, *intact).ok());
+    auto recovered = catalog->Refresh();
+    ASSERT_TRUE(recovered.ok() && *recovered) << where;
+    EXPECT_TRUE(serve::RanDeltaPath(*catalog->Current())) << where;
+    ExpectMatchesFreshOpen(*catalog, options, where);
+  }
+}
+
+TEST(FaultInjectionServeTest, SalvageCatalogAlwaysTakesTheFullPath) {
+  const std::string path = testing::TempDir() + "/twimob_fault_salvage_refresh.twdb";
+  serve::CatalogOptions options = ServeOptions();
+  options.policy = RecoveryPolicy::kSalvage;
+  std::unique_ptr<IngestWriter> writer;
+  std::unique_ptr<serve::SnapshotCatalog> catalog;
+  ASSERT_NO_FATAL_FAILURE(StartLiveDataset(path, options, &writer, &catalog));
+  for (uint64_t seed = 800; seed < 803; ++seed) {
+    ASSERT_TRUE(writer->AppendBatch(BatchRows(seed, 200)).ok());
+    auto refreshed = catalog->Refresh();
+    ASSERT_TRUE(refreshed.ok() && *refreshed);
+    const core::PipelineTrace& trace = catalog->Current()->result().trace;
+    EXPECT_NE(trace.Find("compact"), nullptr);
+    EXPECT_EQ(trace.Find("delta"), nullptr);
+    ExpectMatchesFreshOpen(*catalog, options, "seed " + std::to_string(seed));
   }
 }
 
