@@ -5,10 +5,10 @@
 // `--json <path>` skips google-benchmark and instead writes the
 // machine-readable checksum/codec profile (`BENCH_tweetdb.json`: format
 // version, DescribeTable storage accounting, CRC32C / encode / decode
-// throughput, compression ratio, zone-map prune rate and the
-// mapped-vs-eager selective scan speedup)
-// via bench::JsonWriter. CI's perf-smoke job uploads it as an artifact
-// and asserts on the compression/prune fields. `--users N` scales the
+// throughput, compression ratio, zone-map prune rate and the open +
+// selective scan time of the on-disk dataset) via bench::JsonWriter. CI's
+// perf-smoke job uploads it as an artifact and asserts on the
+// compression/prune fields. `--users N` scales the
 // profile corpus (10 rows per user; default 100,000 users = 1M rows, or
 // $TWIMOB_BENCH_USERS when set); the corpus is cached under $TMPDIR
 // keyed by (format version, users, seed) so repeat runs skip the build.
@@ -318,10 +318,8 @@ int RunJsonProfile(const char* json_path, size_t users) {
                 static_cast<double>(scan_stats.blocks_total)
           : 0.0;
 
-  // Mapped (lazy, prune-rate-dependent decode) vs eager open+scan of the
-  // same on-disk dataset. Cold open each iteration: the eager path pays a
-  // full decode of every block, the mapped path only decodes the blocks
-  // the zone maps fail to prune.
+  // Eager open + selective scan of the same rows written as an on-disk
+  // dataset: the count must equal the in-memory table's.
   const std::string ds_path = ProfileCorpusCachePath(users, seed) + ".ds";
   {
     TweetDataset dataset;
@@ -333,33 +331,19 @@ int RunJsonProfile(const char* json_path, size_t users) {
       return 1;
     }
   }
-  size_t eager_count = 0, mapped_count = 0;
+  size_t eager_count = 0;
   const double eager_open_scan_s = BestOfSeconds(3, [&] {
     auto ds = ReadDatasetFiles(ds_path);
     if (!ds.ok()) std::abort();
     CountMatching(*ds, selective, &eager_count);
     benchmark::DoNotOptimize(eager_count);
   });
-  const double mapped_open_scan_s = BestOfSeconds(3, [&] {
-    auto mapped = MapDatasetFiles(ds_path);
-    if (!mapped.ok()) std::abort();
-    CountMatching(mapped->dataset, selective, &mapped_count);
-    for (size_t i = 0; i < mapped->dataset.num_shards(); ++i) {
-      if (!mapped->dataset.shard(i).LazyDecodeStatus().ok()) std::abort();
-    }
-    benchmark::DoNotOptimize(mapped_count);
-  });
-  const bool scan_results_identical =
-      eager_count == selective_count && mapped_count == selective_count;
-  if (!scan_results_identical) {
+  if (eager_count != selective_count) {
     std::fprintf(stderr,
-                 "[perf_tweetdb] selective scan MISMATCH: table %zu, eager "
-                 "%zu, mapped %zu\n",
-                 selective_count, eager_count, mapped_count);
+                 "[perf_tweetdb] selective scan MISMATCH: table %zu, eager %zu\n",
+                 selective_count, eager_count);
     return 1;
   }
-  const double selective_scan_speedup =
-      mapped_open_scan_s > 0.0 ? eager_open_scan_s / mapped_open_scan_s : 1.0;
 
   const double gib = static_cast<double>(bytes.size()) /
                      (1024.0 * 1024.0 * 1024.0);
@@ -375,11 +359,9 @@ int RunJsonProfile(const char* json_path, size_t users) {
                FilterKernelsImplementation(), filter_speedup);
   std::fprintf(stderr,
                "[perf_tweetdb] v%u: %.2fx compression (%.1f B/row) | unpack %s "
-               "| prune rate %.3f | mapped selective open+scan %.1fx eager "
-               "(%.1f ms vs %.1f ms)\n",
+               "| prune rate %.3f | open+selective scan %.1f ms\n",
                kBinaryFormatVersion, desc.compression_ratio, desc.bytes_per_row,
-               ActiveUnpackKernels().name, prune_rate, selective_scan_speedup,
-               1e3 * mapped_open_scan_s, 1e3 * eager_open_scan_s);
+               ActiveUnpackKernels().name, prune_rate, 1e3 * eager_open_scan_s);
 
   bench::JsonWriter json;
   json.BeginObject();
@@ -417,12 +399,7 @@ int RunJsonProfile(const char* json_path, size_t users) {
       .Field("blocks_total", static_cast<uint64_t>(scan_stats.blocks_total))
       .Field("blocks_pruned", static_cast<uint64_t>(scan_stats.blocks_pruned))
       .Field("zone_map_prune_rate", prune_rate)
-      .EndObject();
-  json.BeginObject("mapped")
       .Field("eager_open_scan_s", eager_open_scan_s)
-      .Field("mapped_open_scan_s", mapped_open_scan_s)
-      .Field("selective_scan_speedup", selective_scan_speedup)
-      .Field("results_identical", scan_results_identical)
       .EndObject();
   json.EndObject();
   const Status written = json.WriteFile(json_path);

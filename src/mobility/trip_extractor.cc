@@ -38,7 +38,7 @@ size_t UserRunEnd(const tweetdb::Block& block, size_t begin, uint64_t user) {
 
 /// A position in one shard's compacted rows, bounded by an end position.
 /// Positions are (block, row) pairs as TweetTable::LowerBoundUser returns
-/// them; the cursor caches its current block and steps over empty blocks.
+/// them; the cursor caches its current block.
 class ShardCursor {
  public:
   ShardCursor(const tweetdb::TweetTable& table, std::pair<size_t, size_t> begin,
@@ -68,13 +68,10 @@ class ShardCursor {
   }
 
  private:
-  /// Moves to the first block from block_ on with a row at row_.
+  /// Caches block_, which holds row_ unless the cursor is past the end
+  /// (blocks are never empty).
   void LoadBlock() {
-    for (; block_ < table_.num_blocks(); ++block_) {
-      current_ = &table_.block(block_);
-      if (row_ < current_->num_rows()) return;
-      row_ = 0;
-    }
+    if (block_ < table_.num_blocks()) current_ = &table_.block(block_);
   }
 
   const tweetdb::TweetTable& table_;

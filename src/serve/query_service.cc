@@ -228,31 +228,4 @@ ServiceStats QueryService::stats() const {
   return s;
 }
 
-PointQueryBatcher::PointQueryBatcher(const QueryService* service, size_t scale,
-                                     size_t batch_size)
-    : service_(service),
-      scale_(scale),
-      batch_size_(batch_size < 1 ? 1 : batch_size) {
-  lats_.reserve(batch_size_);
-  lons_.reserve(batch_size_);
-}
-
-Status PointQueryBatcher::Add(const geo::LatLon& pos) {
-  lats_.push_back(pos.lat);
-  lons_.push_back(pos.lon);
-  if (lats_.size() >= batch_size_) return Flush();
-  return Status::OK();
-}
-
-Status PointQueryBatcher::Flush() {
-  if (lats_.empty()) return Status::OK();
-  auto batch = service_->PointEstimateBatch(scale_, lats_.data(), lons_.data(),
-                                            lats_.size());
-  if (!batch.ok()) return batch.status();
-  answers_.insert(answers_.end(), batch->begin(), batch->end());
-  lats_.clear();
-  lons_.clear();
-  return Status::OK();
-}
-
 }  // namespace twimob::serve

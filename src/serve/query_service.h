@@ -178,6 +178,10 @@ class QueryService {
   ServiceStats stats() const;
 
  private:
+  /// Tests hold an AdmissionSlot through this peer to fill the admission
+  /// limit deterministically.
+  friend class QueryServiceTestPeer;
+
   /// RAII admission token: counts the query in-flight for its duration, or
   /// reports it shed when the service is over its limit. Atomics only — no
   /// locks on the query path.
@@ -220,37 +224,6 @@ class QueryService {
   mutable std::atomic<uint64_t> shed_queries_{0};
   mutable std::atomic<uint64_t> deadline_exceeded_{0};
   mutable std::atomic<uint64_t> inflight_{0};
-};
-
-/// Request-batching front end for point queries: accumulates points into
-/// SoA columns and flushes them through QueryService::PointEstimateBatch
-/// once `batch_size` points are pending (or on demand), so interactive
-/// point lookups ride the SIMD kernels in groups instead of one haversine
-/// at a time. Not thread-safe — one batcher per producing thread; the
-/// underlying service is the shared, concurrent object.
-class PointQueryBatcher {
- public:
-  PointQueryBatcher(const QueryService* service, size_t scale,
-                    size_t batch_size = 256);
-
-  /// Queues one point; flushes automatically when the batch fills.
-  Status Add(const geo::LatLon& pos);
-
-  /// Flushes pending points (no-op when empty).
-  Status Flush();
-
-  /// Answers in submission order, appended by each flush.
-  const std::vector<PointAnswer>& answers() const { return answers_; }
-
-  size_t pending() const { return lats_.size(); }
-
- private:
-  const QueryService* service_;
-  size_t scale_;
-  size_t batch_size_;
-  std::vector<double> lats_;
-  std::vector<double> lons_;
-  std::vector<PointAnswer> answers_;
 };
 
 }  // namespace twimob::serve

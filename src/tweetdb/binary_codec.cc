@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -171,29 +170,12 @@ Status ReadZoneMapDirectory(std::string_view* bytes, uint64_t num_blocks,
   return Status::OK();
 }
 
-/// BlockStats reconstructed from a (trusted) directory record —
-/// bit-identical to Block::ComputeStats() of the decoded block because
-/// FixedToDegrees is strictly monotonic.
-BlockStats StatsFromZoneMap(const ZoneMapEntry& e) {
-  BlockStats s;
-  s.num_rows = static_cast<size_t>(e.num_rows);
-  if (e.num_rows == 0) return s;
-  s.min_user = e.min_user;
-  s.max_user = e.max_user;
-  s.min_time = e.min_time;
-  s.max_time = e.max_time;
-  s.bbox = geo::BoundingBox{
-      geo::FixedToDegrees(e.min_lat), geo::FixedToDegrees(e.min_lon),
-      geo::FixedToDegrees(e.max_lat), geo::FixedToDegrees(e.max_lon)};
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // The one table-file walker and the one verified-block decode. DecodeTable,
-// DecodeTableSalvage and MapDatasetFiles all parse a file through
-// ParseTableLayout and turn each frame into a block through
-// DecodeVerifiedBlock; they differ only in what they do with a failure and
-// in when the decode runs (eagerly, or lazily on first touch).
+// DecodeTableSalvage and both dataset readers turn bytes into a table
+// through DecodeTableBytes: ParseTableLayout walks the framing once, then
+// DecodeVerifiedBlock decodes each frame. The strict and salvage policies
+// differ only in what they do with a failure.
 
 /// One located block frame: the payload bytes and their stored CRC32C.
 struct BlockFrame {
@@ -750,8 +732,7 @@ Status AdoptTableFile(LoadedFile& loaded, bool is_delta, RecoveryPolicy policy,
   return strict ? append : Status::OK();
 }
 
-/// Read, decode and adopt of one file, for the mapped open's and the delta
-/// reader's deltas.
+/// Read, decode and adopt of one file, for the delta reader.
 Status LoadTableFile(Env& env, const std::string& file, bool is_delta,
                      RecoveryPolicy policy, TweetDataset* dataset,
                      ShardRecovery* rec) {
@@ -861,70 +842,6 @@ Result<TweetDataset> ReadDeltaFiles(const std::string& path,
   }
   dataset.SealAll();
   return dataset;
-}
-
-Result<MappedDataset> MapDatasetFiles(const std::string& path, Env* env_in) {
-  Env& env = ResolveEnv(env_in);
-  TWIMOB_ASSIGN_OR_RETURN(const std::string manifest_bytes,
-                          ReadFileToString(env, path));
-  TWIMOB_ASSIGN_OR_RETURN(const Manifest manifest,
-                          DecodeManifest(manifest_bytes));
-  // Pin before touching any shard file: from here on a concurrent writer
-  // commit defers its GC of this generation, so no mapped file can be
-  // unlinked while this dataset (or any lazy block holding a mapping
-  // reference) is alive.
-  MappedDataset out{TweetDataset(manifest.partition),
-                    GenerationPin(path, manifest.generation)};
-
-  for (const ShardSummary& s : manifest.shards) {
-    const std::string shard_path =
-        ShardFilePath(path, manifest.generation, s.key);
-    TWIMOB_ASSIGN_OR_RETURN(std::shared_ptr<MappedFile> mapping,
-                            env.MmapFile(shard_path));
-    auto layout = ParseTableLayout(mapping->data());
-    Status intact = layout.ok() ? CheckIntact(*layout) : layout.status();
-    if (!intact.ok()) {
-      return Status::IOError(intact.message() + " in " + shard_path);
-    }
-    // The eager manifest cross-check: with payload decodes deferred, the
-    // directory's row sum stands in for the strict-read row count.
-    uint64_t dir_rows = 0;
-    for (const ZoneMapEntry& e : layout->zone_maps) dir_rows += e.num_rows;
-    if (dir_rows != s.num_rows) {
-      return Status::IOError(StrFormat(
-          "shard %lld row count mismatch: manifest says %llu, directory has %llu",
-          static_cast<long long>(s.key),
-          static_cast<unsigned long long>(s.num_rows),
-          static_cast<unsigned long long>(dir_rows)));
-    }
-    TweetTable table;
-    for (size_t b = 0; b < layout->frames.size(); ++b) {
-      // The frame walk is eager (it bounds every later frame); the payload
-      // CRC32C, decode and zone-map check run on first touch.
-      const BlockFrame frame = layout->frames[b];
-      const ZoneMapEntry entry = layout->zone_maps[b];
-      auto decode = [mapping, frame, entry]() {
-        return DecodeVerifiedBlock(frame, &entry);
-      };
-      table.AdoptLazyBlock(StatsFromZoneMap(entry),
-                           std::make_unique<LazyBlock>(std::move(decode)));
-    }
-    TWIMOB_RETURN_IF_ERROR(out.dataset.AdoptShard(s.key, std::move(table)));
-  }
-
-  // Deltas are folded eagerly through the same loader as ReadDatasetFiles
-  // (strict checks, seq order, row routing): they are small, and their rows
-  // must be re-routed into time shards row-by-row anyway.
-  for (const DeltaSummary& d : manifest.deltas) {
-    ShardRecovery rec;
-    rec.key = static_cast<int64_t>(d.seq);
-    rec.rows_expected = d.num_rows;
-    TWIMOB_RETURN_IF_ERROR(LoadTableFile(
-        env, DeltaFilePath(path, d.generation, d.seq), /*is_delta=*/true,
-        RecoveryPolicy::kStrict, &out.dataset, &rec));
-  }
-  if (!manifest.deltas.empty()) out.dataset.SealAll();
-  return out;
 }
 
 namespace {

@@ -8,7 +8,6 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "tweetdb/dataset.h"
-#include "tweetdb/generation_pins.h"
 #include "tweetdb/storage_env.h"
 #include "tweetdb/table.h"
 
@@ -49,22 +48,16 @@ namespace twimob::tweetdb {
 /// and LSM-style compaction (tweetdb/ingest.h) merges deltas into the next
 /// sealed generation under the same old-or-new contract.
 ///
-/// Version 6 adds compressed payloads, persisted zone maps and mapped
-/// reads. Block payloads use the delta + frame-of-reference codec of
+/// Version 6 adds compressed payloads and persisted zone maps. Block
+/// payloads use the delta + frame-of-reference codec of
 /// block_compression.h. Between the header and the first block frame sits
 /// the zone-map directory — one fixed 56-byte record per block (row count,
 /// user range, time range, and the fixed-point coordinate bounds, all
 /// computed from the block's columns) followed by its own CRC32C — the
-/// on-disk twin of the in-memory BlockStats, read before any payload byte
-/// so MayMatchBlock can prune blocks that were never decompressed.
-/// Decoders verify the decoded columns against the directory entry: a
-/// disagreement fails the block decode rather than misprune a scan. Block
-/// frames are unchanged (length varint + payload CRC32C + payload).
-/// MapDatasetFiles opens a dataset zero-copy through Env::MmapFile,
-/// verifying manifest, headers and directories eagerly but deferring each
-/// block's CRC32C + decode + zone-map check to first touch, with a
-/// GenerationPin keeping every mapped file on disk for the mapping's
-/// lifetime.
+/// on-disk twin of the in-memory BlockStats. Decoders verify the decoded
+/// columns against the directory entry: a disagreement fails the block
+/// decode rather than misprune a scan. Block frames are unchanged (length
+/// varint + payload CRC32C + payload).
 ///
 /// Version 7 makes the v6 codec the only block payload codec: sealed
 /// shards and ingest delta files alike are compressed, the v5 per-column
@@ -229,30 +222,6 @@ Result<TweetDataset> ReadDeltaFiles(const std::string& path,
                                     const Manifest& manifest, uint64_t from_seq,
                                     std::vector<ShardRecovery>* accounting = nullptr,
                                     Env* env = nullptr);
-
-/// A dataset opened zero-copy over memory-mapped shard files. The pin
-/// keeps every file of the mapped generation on disk for the lifetime of
-/// this object (writer commits defer their GC — no file is ever unlinked
-/// while mapped), and each shard block holds a reference to its mapping
-/// until its first decode materialises it.
-struct MappedDataset {
-  TweetDataset dataset;
-  GenerationPin pin;
-};
-
-/// Opens a dataset through Env::MmapFile with per-block lazy decode:
-/// the manifest, every shard header and every zone-map directory are
-/// verified eagerly (strict — any damage is an error, there is no salvage
-/// flavour of a mapped open), but block payloads are not touched; each
-/// block's CRC32C check, decompression and zone-map cross-check run on
-/// first access, so a selective scan only pays for the blocks its
-/// ScanSpec fails to prune. A block that fails its deferred decode
-/// presents as empty and surfaces the error through
-/// TweetTable::LazyDecodeStatus(). Delta files are folded in eagerly
-/// (they are small and must be re-routed row-by-row), matching
-/// ReadDatasetFiles row order exactly.
-Result<MappedDataset> MapDatasetFiles(const std::string& path,
-                                      Env* env = nullptr);
 
 /// Storage accounting for one dataset as installed on disk.
 struct DatasetDescription {

@@ -119,8 +119,8 @@ Status DecodeLaneColumn(std::string_view seg, size_t n,
     return Status::IOError("column bitpack payload size mismatch");
   }
   // Materialise the little-endian word stream into aligned scratch so the
-  // unpack kernels can assume aligned host-order words (the mmap'd payload
-  // bytes carry no alignment guarantee).
+  // unpack kernels can assume aligned host-order words (the payload bytes
+  // sit at any offset of the file buffer).
   std::vector<uint64_t> words(num_words);
   const uint8_t* p = reinterpret_cast<const uint8_t*>(seg.data());
   for (size_t w = 0; w < num_words; ++w, p += 8) {

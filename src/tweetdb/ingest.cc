@@ -247,12 +247,6 @@ Result<bool> IngestWriter::Compact(ThreadPool* pool) {
   return true;
 }
 
-Result<bool> IngestWriter::MaybeCompact(ThreadPool* pool) {
-  if (degraded()) return false;  // parked; appends are the probe
-  if (pending_deltas() < options_.compact_trigger) return false;
-  return Compact(pool);
-}
-
 void IngestWriter::EnterDegradedLocked(const Status& cause,
                                        std::vector<std::string> partial_output) {
   health_.last_error = cause;
@@ -263,7 +257,7 @@ void IngestWriter::EnterDegradedLocked(const Status& cause,
   // Emergency sweep: the failed operation's own uncommitted files first,
   // then every superseded file whose pins have been released. Pinned
   // generations stay deferred (TakeUnpinnedDeferredFiles never returns
-  // them), so mapped readers keep their bytes on disk.
+  // them), so snapshots opened from them keep their files on disk.
   for (const std::string& f : TakeUnpinnedDeferredFiles(path_)) {
     partial_output.push_back(f);
   }

@@ -46,8 +46,6 @@ struct IngestOptions {
   size_t block_capacity = kDefaultBlockCapacity;
   /// Durability/retry knobs of every file the writer commits.
   WriteOptions write;
-  /// Pending-delta count at which MaybeCompact() actually compacts.
-  size_t compact_trigger = 8;
 };
 
 /// The single-writer append/compact lifecycle of one dataset path — the
@@ -88,12 +86,11 @@ struct IngestOptions {
 ///
 /// Disk-full degraded mode: a ResourceExhausted failure (ENOSPC) from an
 /// append or compaction parks the writer — `Compact` refuses with
-/// ResourceExhausted and `MaybeCompact` is a no-op — after an emergency
-/// sweep that removes the failed operation's partial output and every
-/// *unpinned* superseded file (pinned and mapped generations are never
-/// touched; their removal stays deferred). `AppendBatch` keeps attempting
-/// and doubles as the recovery probe: the first append that commits
-/// returns the writer to healthy. See health().
+/// ResourceExhausted — after an emergency sweep that removes the failed
+/// operation's partial output and every *unpinned* superseded file (pinned
+/// generations are never touched; their removal stays deferred).
+/// `AppendBatch` keeps attempting and doubles as the recovery probe: the
+/// first append that commits returns the writer to healthy. See health().
 class IngestWriter {
  public:
   /// Opens the dataset at `path` for appending. A missing path is
@@ -116,11 +113,6 @@ class IngestWriter {
   /// compaction. Returns false (without touching storage) when there is
   /// nothing to compact.
   Result<bool> Compact(ThreadPool* pool = nullptr);
-
-  /// Compacts only when at least `options.compact_trigger` deltas are
-  /// pending — the ingest loop's cheap periodic call. Returns false
-  /// without touching storage while the writer is degraded.
-  Result<bool> MaybeCompact(ThreadPool* pool = nullptr);
 
   /// Snapshot of the writer's degraded-mode health (copy; taken under the
   /// commit mutex).

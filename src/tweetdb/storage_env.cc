@@ -1,7 +1,6 @@
 #include "tweetdb/storage_env.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -108,35 +107,6 @@ class PosixRandomAccessFile : public RandomAccessFile {
   std::string path_;
 };
 
-/// Heap-buffer MappedFile used by the base Env::MmapFile default.
-class BufferMappedFile : public MappedFile {
- public:
-  explicit BufferMappedFile(std::string bytes) : bytes_(std::move(bytes)) {}
-  std::string_view data() const override { return bytes_; }
-
- private:
-  std::string bytes_;
-};
-
-/// Real mmap(2)-backed MappedFile (PosixEnv). Unmaps on destruction.
-class PosixMappedFile : public MappedFile {
- public:
-  PosixMappedFile(void* base, size_t length) : base_(base), length_(length) {}
-
-  ~PosixMappedFile() override {
-    if (base_ != nullptr) ::munmap(base_, length_);
-  }
-
-  std::string_view data() const override {
-    if (base_ == nullptr) return {};
-    return {static_cast<const char*>(base_), length_};
-  }
-
- private:
-  void* base_;
-  size_t length_;
-};
-
 class PosixEnv : public Env {
  public:
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
@@ -168,30 +138,6 @@ class PosixEnv : public Env {
   bool FileExists(const std::string& path) override {
     return ::access(path.c_str(), F_OK) == 0;
   }
-
-  Result<std::shared_ptr<MappedFile>> MmapFile(const std::string& path) override {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return ErrnoError("cannot open for mapping", path);
-    struct stat st;
-    if (::fstat(fd, &st) != 0) {
-      const Status s = ErrnoError("stat failed", path);
-      ::close(fd);
-      return s;
-    }
-    const size_t length = static_cast<size_t>(st.st_size);
-    if (length == 0) {
-      ::close(fd);
-      return std::shared_ptr<MappedFile>(new PosixMappedFile(nullptr, 0));
-    }
-    void* base = ::mmap(nullptr, length, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (base == MAP_FAILED) {
-      const Status s = ErrnoError("mmap failed", path);
-      ::close(fd);
-      return s;
-    }
-    ::close(fd);  // the mapping keeps the pages alive without the fd
-    return std::shared_ptr<MappedFile>(new PosixMappedFile(base, length));
-  }
 };
 
 /// One attempt of the tmp+sync+rename protocol (no retry).
@@ -216,23 +162,6 @@ Status AtomicWriteOnce(Env& env, const std::string& path, std::string_view data,
 
 void Env::SleepForMs(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
-Result<std::shared_ptr<MappedFile>> Env::MmapFile(const std::string& path) {
-  // Default: materialize the file through the positional-read interface so
-  // wrapper envs inherit their fault gating; Env::Default() overrides this
-  // with a true zero-copy mapping.
-  auto file = NewRandomAccessFile(path);
-  if (!file.ok()) return file.status();
-  TWIMOB_ASSIGN_OR_RETURN(const uint64_t size, (*file)->Size());
-  std::string bytes;
-  TWIMOB_RETURN_IF_ERROR((*file)->Read(0, static_cast<size_t>(size), &bytes));
-  if (bytes.size() != size) {
-    return Status::IOError(StrFormat("short read mapping %s: %zu of %llu bytes",
-                                     path.c_str(), bytes.size(),
-                                     static_cast<unsigned long long>(size)));
-  }
-  return std::shared_ptr<MappedFile>(new BufferMappedFile(std::move(bytes)));
 }
 
 Env* Env::Default() {

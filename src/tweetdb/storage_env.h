@@ -50,20 +50,6 @@ class RandomAccessFile {
   virtual Result<uint64_t> Size() const = 0;
 };
 
-/// A whole file presented as an immutable byte view. The view stays valid
-/// for the lifetime of the MappedFile object; readers that defer touching
-/// the bytes (lazy block decode) must keep a shared_ptr to it. The backing
-/// file must not be truncated or rewritten in place while mapped — twimob
-/// storage only ever replaces files via atomic rename and defers unlink
-/// under generation pins, so a mapping taken on a committed generation
-/// stays coherent.
-class MappedFile {
- public:
-  virtual ~MappedFile() = default;
-  /// The file contents. Empty view for an empty file.
-  virtual std::string_view data() const = 0;
-};
-
 /// The file-system abstraction every dataset read/write path goes through.
 /// Production uses Env::Default() (POSIX); tests substitute a
 /// FaultInjectionEnv to prove crash consistency deterministically.
@@ -90,13 +76,6 @@ class Env {
 
   /// True when `path` exists.
   virtual bool FileExists(const std::string& path) = 0;
-
-  /// Maps `path` read-only as a MappedFile. The base implementation reads
-  /// the whole file into a heap buffer through NewRandomAccessFile — so
-  /// wrapper envs (FaultInjectionEnv) gate it through their existing
-  /// open/read faults automatically; Env::Default() overrides it with a
-  /// real zero-copy mmap.
-  virtual Result<std::shared_ptr<MappedFile>> MmapFile(const std::string& path);
 
   /// Sleeps ~`ms` milliseconds (retry backoff). FaultInjectionEnv records
   /// instead of sleeping so fault sweeps stay fast.

@@ -83,7 +83,7 @@ CompactionReport TweetTable::CompactByUserTime() {
   for (size_t b = 0; b < blocks_.size(); ++b) {
     const ColumnView col(block(b));
     const bool last_block = b + 1 == blocks_.size();
-    if (col.rows == 0 || col.rows > block_capacity_ ||
+    if (col.rows > block_capacity_ ||
         (!last_block && col.rows != block_capacity_)) {
       canonical = false;
     }
@@ -140,7 +140,7 @@ CompactionReport TweetTable::CompactByUserTime() {
   size_t skip = 0;
   size_t row = 0;
   for (StoredBlock& sb : input) {
-    const ColumnView col(sb.Get());
+    const ColumnView col(sb.block);
     for (size_t i = 0; i < col.rows; ++i, ++row) {
       if (skip < side_rows.size() && side_rows[skip] == row) {
         ++skip;
@@ -214,14 +214,11 @@ std::pair<size_t, size_t> TweetTable::LowerBoundUser(uint64_t user) const {
       hi = mid;
     }
   }
-  for (size_t b = lo; b < blocks_.size(); ++b) {
-    const std::vector<uint64_t>& users = block(b).user_ids();
-    auto it = std::lower_bound(users.begin(), users.end(), user);
-    if (it != users.end()) {
-      return {b, static_cast<size_t>(it - users.begin())};
-    }
-  }
-  return {blocks_.size(), 0};
+  // Blocks are never empty, so block `lo` holds its max_user >= `user`.
+  if (lo == blocks_.size()) return {lo, 0};
+  const std::vector<uint64_t>& users = block(lo).user_ids();
+  return {lo, static_cast<size_t>(std::lower_bound(users.begin(), users.end(), user) -
+                                  users.begin())};
 }
 
 void TweetTable::AdoptSealedBlock(Block block) {
@@ -232,23 +229,6 @@ void TweetTable::AdoptSealedBlock(Block block) {
   sb.block = std::move(block);
   blocks_.push_back(std::move(sb));
   sorted_ = false;
-}
-
-void TweetTable::AdoptLazyBlock(BlockStats stats, std::unique_ptr<LazyBlock> lazy) {
-  if (stats.num_rows == 0) return;
-  StoredBlock sb;
-  sb.stats = stats;
-  num_rows_ += stats.num_rows;
-  sb.lazy = std::move(lazy);
-  blocks_.push_back(std::move(sb));
-  sorted_ = false;
-}
-
-Status TweetTable::LazyDecodeStatus() const {
-  for (const StoredBlock& sb : blocks_) {
-    if (sb.lazy != nullptr) TWIMOB_RETURN_IF_ERROR(sb.lazy->status());
-  }
-  return Status::OK();
 }
 
 }  // namespace twimob::tweetdb

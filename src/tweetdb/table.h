@@ -1,11 +1,7 @@
 #ifndef TWIMOB_TWEETDB_TABLE_H_
 #define TWIMOB_TWEETDB_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -14,55 +10,6 @@
 #include "tweetdb/tweet.h"
 
 namespace twimob::tweetdb {
-
-/// A sealed block whose payload decode is deferred to first touch. The
-/// mapped-open path (binary_codec.h MapDatasetFiles) stores one of these
-/// per block: the zone map comes from the persisted directory, and the
-/// decode closure — which verifies the payload CRC32C and the zone map
-/// against the decoded columns — runs only when a scan actually reads the
-/// block, so pruned blocks never cost a byte of decode work.
-///
-/// Thread-safe: concurrent Get() calls race on one std::call_once. A
-/// failed decode is sticky — the block presents as empty (scans see zero
-/// rows) and the error is surfaced through status() /
-/// TweetTable::LazyDecodeStatus(), keeping the lock-free scan signatures
-/// unchanged.
-class LazyBlock {
- public:
-  explicit LazyBlock(std::function<Result<Block>()> decode)
-      : decode_(std::move(decode)) {}
-
-  /// The decoded block, materialising it on first call. After a decode
-  /// failure this is an empty block (check status()).
-  const Block& Get() {
-    if (state_.load(std::memory_order_acquire) == 0) {
-      std::call_once(once_, [this] {
-        auto decoded = decode_();
-        if (decoded.ok()) {
-          block_ = std::move(*decoded);
-          state_.store(1, std::memory_order_release);
-        } else {
-          status_ = decoded.status();
-          state_.store(2, std::memory_order_release);
-        }
-        decode_ = nullptr;  // drop the payload keep-alive once materialised
-      });
-    }
-    return block_;
-  }
-
-  /// OK until a decode attempt failed; then the sticky decode error.
-  Status status() const {
-    return state_.load(std::memory_order_acquire) == 2 ? status_ : Status::OK();
-  }
-
- private:
-  std::once_flag once_;
-  std::function<Result<Block>()> decode_;
-  Block block_;
-  Status status_;
-  std::atomic<int> state_{0};  ///< 0 pending, 1 decoded, 2 failed
-};
 
 /// What one TweetTable::CompactByUserTime() did.
 struct CompactionReport {
@@ -128,10 +75,10 @@ class TweetTable {
   /// true after CompactByUserTime() or SealActive().
   bool fully_sealed() const { return active_.empty(); }
 
-  /// Block `i`, decoding it on first touch when it was adopted lazily.
-  /// Scans call block_stats(i) first and skip pruned blocks entirely, so a
-  /// lazily-opened table only ever decodes the blocks a query touches.
-  const Block& block(size_t i) const { return blocks_[i].Get(); }
+  /// Sealed block `i`. Never empty: sealing, adoption and compaction all
+  /// skip empty blocks. Scans call block_stats(i) first and skip pruned
+  /// blocks entirely.
+  const Block& block(size_t i) const { return blocks_[i].block; }
   const BlockStats& block_stats(size_t i) const { return blocks_[i].stats; }
 
   /// The active tail block: the rows appended since the last seal, after
@@ -152,17 +99,8 @@ class TweetTable {
   size_t CountDistinctUsers() const;
 
   /// Internal: appends an already-sealed block (used by the binary codec).
+  /// An empty block is skipped.
   void AdoptSealedBlock(Block block);
-
-  /// Internal: appends a lazily-decoded block whose zone map is already
-  /// known (the mapped-open path reads it from the persisted per-block
-  /// directory). Blocks with zero rows are skipped like AdoptSealedBlock.
-  void AdoptLazyBlock(BlockStats stats, std::unique_ptr<LazyBlock> lazy);
-
-  /// First sticky decode error across all lazily-adopted blocks, or OK.
-  /// Scan paths over a mapped table check this after the scan: a failed
-  /// block presented as empty rather than crashing the lock-free read path.
-  Status LazyDecodeStatus() const;
 
   /// Position of the first row whose user_id is >= `user`, as a
   /// (block, row) pair, or (num_blocks(), 0) when every row is smaller.
@@ -184,12 +122,6 @@ class TweetTable {
   struct StoredBlock {
     Block block;
     BlockStats stats;
-    /// Set on lazily-adopted blocks; `block` stays empty and reads go
-    /// through lazy->Get(). unique_ptr keeps StoredBlock movable (LazyBlock
-    /// holds a once_flag) and lets the const accessors materialise.
-    std::unique_ptr<LazyBlock> lazy;
-
-    const Block& Get() const { return lazy != nullptr ? lazy->Get() : block; }
   };
 
   size_t block_capacity_;
@@ -202,7 +134,7 @@ class TweetTable {
 template <typename Fn>
 void TweetTable::ForEachRow(Fn&& fn) const {
   for (size_t b = 0; b < blocks_.size(); ++b) {
-    const Block& blk = block(b);  // materialises lazily-adopted blocks
+    const Block& blk = block(b);
     const size_t n = blk.num_rows();
     for (size_t i = 0; i < n; ++i) fn(blk.GetRow(i));
   }

@@ -17,7 +17,6 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -554,48 +553,6 @@ TEST(TripUnitTest, UsersOnlyInTheLastShardMatchOracle) {
     CheckTripUnits(rows, shards, capacity, "users only in the last shard", 48,
                    [](const tweetdb::TweetDataset&, const std::string&) {});
   }
-}
-
-TEST(TripUnitTest, EmptyBlocksMatchOracle) {
-  // A block whose deferred decode fails presents as empty (see LazyBlock):
-  // every third block of every shard, first and last blocks included, is
-  // replaced by one, so cuts, runs and lower bounds all step over them.
-  random::Xoshiro256 rng(49);
-  const size_t shards = 3;
-  std::vector<Tweet> rows;
-  for (uint64_t user = 1; user <= 300; ++user) {
-    for (size_t s = 0; s < shards; ++s) {
-      AddUserRows(rng, user, rng.NextUint64(12), s, shards, &rows);
-    }
-  }
-  tweetdb::TweetDataset compacted = Store(rows, Layout{1, shards, 64});
-  compacted.CompactShards();
-  tweetdb::TweetDataset dataset(compacted.partition(), compacted.block_capacity());
-  size_t empty_blocks = 0;
-  for (size_t s = 0; s < compacted.num_shards(); ++s) {
-    const tweetdb::TweetTable& from = compacted.shard(s);
-    tweetdb::TweetTable table(from.block_capacity());
-    for (size_t b = 0; b < from.num_blocks(); ++b) {
-      const tweetdb::Block& block = from.block(b);
-      if ((b + s) % 3 == 0 || b + 1 == from.num_blocks()) {
-        table.AdoptLazyBlock(
-            from.block_stats(b),
-            std::make_unique<tweetdb::LazyBlock>(
-                []() -> Result<tweetdb::Block> { return Status::IOError("block lost"); }));
-        ++empty_blocks;
-        continue;
-      }
-      table.AdoptSealedBlock(tweetdb::Block::FromColumns(
-          block.user_ids(), block.timestamps(), block.lat_fixed(), block.lon_fixed()));
-    }
-    table.MarkSortedByUserTime();
-    ASSERT_TRUE(dataset.AdoptShard(compacted.shard_key(s), std::move(table)).ok());
-  }
-  ASSERT_GT(empty_blocks, 6u);
-  const size_t kept = StoredRows(dataset).size();
-  ASSERT_GT(kept, 0u);
-  ASSERT_LT(kept, dataset.num_rows());  // the zone maps still count lost rows
-  CheckTripsOnDataset(dataset, "empty blocks", 50);
 }
 
 // ---------------------------------------------------------------------------

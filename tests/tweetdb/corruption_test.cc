@@ -499,7 +499,7 @@ TEST(SalvageTest, CleanDatasetIsNotDegraded) {
 
 TEST(SalvageTest, EveryDeltaFileByteFlipIsCaughtAndAccounted) {
   // A delta file written by the append path, flipped one byte at a time:
-  // both strict readers refuse every flip with an IOError, and a salvage
+  // the strict reader refuses every flip with an IOError, and a salvage
   // read accounts for every row of the delta — recovered rows are exactly
   // stored rows, and any loss shows in the delta's RecoveryReport entry.
   const std::string path = testing::TempDir() + "/twimob_delta_flip.twdb";
@@ -539,7 +539,6 @@ TEST(SalvageTest, EveryDeltaFileByteFlipIsCaughtAndAccounted) {
       out.write(corrupted.data(), static_cast<std::streamsize>(corrupted.size()));
     }
     EXPECT_TRUE(ReadDatasetFiles(path).status().IsIOError()) << "flip at " << pos;
-    EXPECT_TRUE(MapDatasetFiles(path).status().IsIOError()) << "flip at " << pos;
 
     RecoveryReport report;
     auto salvaged = ReadDatasetFiles(path, RecoveryPolicy::kSalvage, &report);

@@ -100,16 +100,13 @@ TEST(DegradedModeTest, CompactionIsParkedWhileDegradedAndProbeRecovers) {
   EXPECT_TRUE((*writer)->AppendBatch(BatchRows(11, 60)).IsResourceExhausted());
   ASSERT_TRUE((*writer)->degraded());
 
-  // Compact refuses without touching storage, and MaybeCompact is a no-op.
+  // Compact refuses without touching storage.
   const uint64_t ops_before = env.operations();
   auto compacted = (*writer)->Compact();
   EXPECT_FALSE(compacted.ok());
   EXPECT_TRUE(compacted.status().IsResourceExhausted());
   EXPECT_NE(compacted.status().message().find("parked"), std::string::npos);
   EXPECT_EQ(env.operations(), ops_before);
-  auto maybe = (*writer)->MaybeCompact();
-  ASSERT_TRUE(maybe.ok());
-  EXPECT_FALSE(*maybe);
 
   // Disk space returns: the next append is the probe that re-enters
   // healthy mode, and compaction works again.

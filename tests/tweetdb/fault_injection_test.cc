@@ -677,69 +677,6 @@ TEST(FaultInjectionIngestTest, CrashedCompactionNeverLosesDeltaRows) {
   }
 }
 
-TEST(FaultInjectionMappedTest, EveryFaultDuringMappedOpenFailsCleanly) {
-  // MapDatasetFiles is a pure read path: a fault at ANY gated env operation
-  // (manifest read, shard mmap, delta read) must surface as a Status error —
-  // never a crash, never a half-mapped dataset, and never a leaked
-  // GenerationPin (a leak would wedge GC of that generation forever).
-  const std::string path = testing::TempDir() + "/twimob_fault_mapped.twdb";
-  std::remove(path.c_str());
-  FaultInjectionEnv fault_env(Env::Default(), 99);
-
-  // Shards AND pending deltas, so both the mmap path and the eager delta
-  // fold are swept.
-  {
-    auto writer = IngestWriter::Open(path, SweepIngestOptions());
-    ASSERT_TRUE(writer.ok()) << writer.status().message();
-    ASSERT_TRUE((*writer)->AppendBatch(BatchRows(701, 300)).ok());
-    auto compacted = (*writer)->Compact();
-    ASSERT_TRUE(compacted.ok());
-    ASSERT_TRUE(*compacted);
-    ASSERT_TRUE((*writer)->AppendBatch(BatchRows(702, 120)).ok());
-  }
-  const std::vector<Tweet> expected_rows = ReopenRowsSorted(path);
-  const uint64_t generation = 2;
-
-  // Count the gated operations of one clean mapped open.
-  fault_env.set_plan({});
-  {
-    auto mapped = MapDatasetFiles(path, &fault_env);
-    ASSERT_TRUE(mapped.ok()) << mapped.status().message();
-    EXPECT_EQ(mapped->dataset.num_rows(), expected_rows.size());
-  }
-  const uint64_t total_ops = fault_env.operations();
-  ASSERT_GT(total_ops, 0u);
-
-  for (const auto kind : {FaultInjectionEnv::FaultKind::kCrash,
-                          FaultInjectionEnv::FaultKind::kShortRead}) {
-    for (uint64_t at = 0; at < total_ops; ++at) {
-      fault_env.set_plan({kind, at});
-      {
-        auto mapped = MapDatasetFiles(path, &fault_env);
-        if (mapped.ok()) {
-          // A short read can land on a full-length re-read and be harmless;
-          // a successful open must then be a COMPLETE one.
-          EXPECT_EQ(mapped->dataset.num_rows(), expected_rows.size())
-              << "fault at op " << at;
-          for (size_t s = 0; s < mapped->dataset.num_shards(); ++s) {
-            EXPECT_TRUE(mapped->dataset.shard(s).LazyDecodeStatus().ok());
-          }
-        }
-      }
-      // Failed or succeeded, no pin outlives the MappedDataset object.
-      EXPECT_EQ(internal::GenerationPinCount(path, generation), 0u)
-          << "fault at op " << at << " leaked a generation pin";
-    }
-  }
-
-  // The dataset itself is untouched by the sweep: a clean mapped open
-  // still serves every committed row.
-  auto mapped = MapDatasetFiles(path);
-  ASSERT_TRUE(mapped.ok());
-  EXPECT_EQ(internal::GenerationPinCount(path, generation), 1u);
-  EXPECT_EQ(mapped->dataset.num_rows(), expected_rows.size());
-}
-
 TEST(FaultInjectionDatasetTest, ShortReadOnManifestIsCaughtNotMisread) {
   const std::string path = testing::TempDir() + "/twimob_fault_shortread_ds.twdb";
   std::remove(path.c_str());

@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -165,34 +164,21 @@ TEST(GenerationPinsTest, DeferredFilesKeyedByPathDoNotCrossDatasets) {
 
 // The degraded writer's emergency sweep (ingest.cc, ENOSPC parking) frees
 // disk by removing unpinned superseded files — but a generation held by a
-// live reader, whether an explicit GenerationPin or a zero-copy
-// MapDatasetFiles mapping, must survive the sweep byte-for-byte and only
+// live reader's GenerationPin must survive the sweep byte-for-byte and only
 // fall to a commit after the pin drops.
-class EmergencySweepPinTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+class EmergencySweepPinTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(EmergencySweepPinTest, SweepNeverDeletesPinnedOrMappedGenerations) {
-  const auto [seed, use_mapped_pin] = GetParam();
+TEST_P(EmergencySweepPinTest, SweepNeverDeletesPinnedGenerations) {
+  const uint64_t seed = GetParam();
   const std::string path = testing::TempDir() + "/twimob_sweep_pins_" +
-                           std::to_string(seed) +
-                           (use_mapped_pin ? "_mapped" : "_pin") + ".twdb";
+                           std::to_string(seed) + "_pin.twdb";
   std::remove(path.c_str());
   TweetDataset base = MakeDataset(seed, 2);
   ASSERT_TRUE(WriteDatasetFiles(base, path).ok());
   const std::vector<std::string> g1_files = InstalledShardFiles(path);
   ASSERT_FALSE(g1_files.empty());
 
-  // The reader: an explicit pin, or a live mmap whose MappedDataset holds
-  // the pin (and whose lazily-decoded blocks still need the bytes).
-  GenerationPin pin;
-  Result<MappedDataset> mapped = Status::Internal("unused");
-  if (use_mapped_pin) {
-    mapped = MapDatasetFiles(path);
-    ASSERT_TRUE(mapped.ok()) << mapped.status().message();
-    ASSERT_EQ(mapped->pin.generation(), 1u);
-  } else {
-    pin = GenerationPin(path, 1);
-  }
+  GenerationPin pin(path, 1);
 
   FaultInjectionEnv fault_env(Env::Default(), seed);
   IngestOptions options;
@@ -226,17 +212,9 @@ TEST_P(EmergencySweepPinTest, SweepNeverDeletesPinnedOrMappedGenerations) {
     EXPECT_TRUE(fault_env.FileExists(f)) << "sweep deleted pinned file " << f;
   }
   EXPECT_EQ(internal::DeferredGenerationCount(path), 1u);
-  if (use_mapped_pin) {
-    // The mapping still decodes — its bytes were never unlinked.
-    EXPECT_EQ(mapped->dataset.num_rows(), 600u);
-  }
 
   // Pin drops, disk recovers: the probe commit sweeps the deferral.
-  if (use_mapped_pin) {
-    mapped = Status::Internal("released");
-  } else {
-    pin.Release();
-  }
+  pin.Release();
   fault_env.set_schedule({});
   ASSERT_TRUE((*writer)->AppendBatch(batch).ok());
   EXPECT_FALSE((*writer)->degraded());
@@ -246,14 +224,11 @@ TEST_P(EmergencySweepPinTest, SweepNeverDeletesPinnedOrMappedGenerations) {
   EXPECT_EQ(internal::DeferredGenerationCount(path), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SeedsAndPinKinds, EmergencySweepPinTest,
-    ::testing::Combine(::testing::Values(uint64_t{5}, uint64_t{6}),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<uint64_t, bool>>& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_mapped" : "_pinned");
-    });
+INSTANTIATE_TEST_SUITE_P(Seeds, EmergencySweepPinTest,
+                         ::testing::Values(uint64_t{5}, uint64_t{6}),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace twimob::tweetdb

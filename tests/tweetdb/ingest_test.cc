@@ -210,26 +210,6 @@ TEST(IngestWriterTest, CompactedShardBytesAreIdenticalForAnyThreadCount) {
   EXPECT_EQ(shard_bytes[0], shard_bytes[1]);
 }
 
-TEST(IngestWriterTest, MaybeCompactHonoursTheTrigger) {
-  const std::string path = FreshPath("twimob_ingest_trigger.twdb");
-  IngestOptions options = SmallShardOptions();
-  options.compact_trigger = 3;
-  auto writer = IngestWriter::Open(path, options);
-  ASSERT_TRUE(writer.ok());
-  for (uint64_t seed = 20; seed < 22; ++seed) {
-    ASSERT_TRUE(
-        (*writer)->AppendBatch(RandomTweets(50, seed, 20, 1'000'000)).ok());
-    auto r = (*writer)->MaybeCompact();
-    ASSERT_TRUE(r.ok());
-    EXPECT_FALSE(*r);  // below the trigger
-  }
-  ASSERT_TRUE((*writer)->AppendBatch(RandomTweets(50, 22, 20, 1'000'000)).ok());
-  auto r = (*writer)->MaybeCompact();
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(*r);
-  EXPECT_EQ((*writer)->manifest().generation, 2u);
-}
-
 TEST(IngestWriterTest, ReopenResumesTheAppendCursor) {
   const std::string path = FreshPath("twimob_ingest_reopen.twdb");
   {
