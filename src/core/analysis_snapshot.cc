@@ -73,27 +73,30 @@ std::shared_ptr<const epi::ScenarioSweep> BuildScenarioSweep(
   return std::make_shared<const epi::ScenarioSweep>(std::move(*sweep));
 }
 
-/// The base a full run leaves behind: its dataset, index and specs, the
-/// population stage's per-area user lists and counts, and each scale's
-/// assigner and distances.
-std::shared_ptr<const AnalysisBase> BuildBase(PipelineState& state) {
-  auto base = std::make_shared<AnalysisBase>();
-  base->dataset = std::move(state.dataset);
-  base->estimator = std::move(state.estimator);
-  base->specs = std::move(state.specs);
-  base->area_users = std::move(state.area_users);
+/// What a full run leaves behind for later snapshots: its per-scale
+/// context (specs, and each scale's assigner and distances), and its rows
+/// as the first run (the compacted dataset, its index, and the population
+/// stage's per-area user lists and tweet counts).
+void SealFullRun(PipelineState& state) {
+  auto scales = std::make_shared<AnalysisScales>();
+  scales->specs = std::move(state.specs);
+  for (ScaleWork& work : state.scale_work) {
+    if (!work.assigner.has_value()) break;
+    scales->assigners.push_back(std::move(*work.assigner));
+    scales->distances.push_back(std::move(work.distances));
+  }
+  auto run = std::make_shared<AnalysisRun>();
+  run->rows = std::move(state.dataset);
+  run->estimator = std::move(state.estimator);
+  run->new_users = std::move(state.area_users);
   for (const PopulationEstimateResult& scale : state.result.population) {
-    std::vector<size_t>& tweets = base->area_tweets.emplace_back();
+    std::vector<size_t>& tweets = run->tweets.emplace_back();
     for (const AreaPopulationEstimate& area : scale.areas) {
       tweets.push_back(area.tweet_count);
     }
   }
-  for (ScaleWork& work : state.scale_work) {
-    if (!work.assigner.has_value()) break;
-    base->assigners.push_back(std::move(*work.assigner));
-    base->distances.push_back(std::move(work.distances));
-  }
-  return base;
+  state.scales = std::move(scales);
+  state.runs = {std::move(run)};
 }
 
 }  // namespace
@@ -101,20 +104,18 @@ std::shared_ptr<const AnalysisBase> BuildBase(PipelineState& state) {
 AnalysisSnapshot AnalysisSnapshot::Seal(PipelineState&& state,
                                         SnapshotSource source) {
   AnalysisSnapshot snapshot;
-  snapshot.base_ = state.base != nullptr ? state.base : BuildBase(state);
-  snapshot.overlay_ = std::move(state.overlay);
-  if (snapshot.overlay_ != nullptr) {
-    snapshot.estimator_ =
-        snapshot.base_->estimator->WithOverlay(*snapshot.overlay_->estimator);
-  } else {
-    snapshot.estimator_ = snapshot.base_->estimator;
-  }
+  if (state.runs.empty()) SealFullRun(state);
+  snapshot.scales_ = std::move(state.scales);
+  snapshot.runs_ = std::move(state.runs);
+  std::vector<const PopulationEstimator*> layers;
+  for (const auto& run : snapshot.runs_) layers.push_back(&*run->estimator);
+  snapshot.estimator_ = PopulationEstimator::Layered(layers);
   snapshot.source_ = std::move(source);
   for (ScaleWork& work : state.scale_work) {
     if (work.od.has_value()) snapshot.trips_.push_back(std::move(*work.od));
   }
   snapshot.result_ = std::move(state.result);
-  const std::vector<ScaleSpec>& specs = snapshot.base_->specs;
+  const std::vector<ScaleSpec>& specs = snapshot.scales_->specs;
   const size_t scales = std::min(specs.size(), snapshot.result_.mobility.size());
   snapshot.serving_tables_.reserve(scales);
   for (size_t s = 0; s < scales; ++s) {
@@ -167,7 +168,15 @@ Result<AnalysisSnapshot> AnalysisSnapshot::Derive(const AnalysisSnapshot& instal
   PipelineState state(config);
   state.dataset = std::move(delta_rows);
   state.installed = &installed;
+  const bool rebase = source.generation != installed.generation();
   if (source.recovery.has_value()) {
+    // A rebase reads none of the compacted generation's shards: their rows
+    // are the ones it carries.
+    if (rebase) {
+      for (const tweetdb::ShardRecovery& shard : source.recovery->shards) {
+        state.merged_rows += shard.rows_recovered;
+      }
+    }
     // The trace accounts for the files this run read: the new deltas.
     tweetdb::RecoveryReport read = *source.recovery;
     read.shards.clear();
@@ -177,7 +186,7 @@ Result<AnalysisSnapshot> AnalysisSnapshot::Derive(const AnalysisSnapshot& instal
     state.recovery = std::move(read);
   }
   state.recovery_seconds = source.recovery_seconds;
-  const StageList stages = StageEngine::DeltaStages(config);
+  const StageList stages = StageEngine::DeltaStages(config, rebase);
   TWIMOB_RETURN_IF_ERROR(StageEngine::Run(*ctx, stages, state));
   return Seal(std::move(state), std::move(source));
 }

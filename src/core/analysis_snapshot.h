@@ -53,43 +53,53 @@ struct ScaleServingTables {
   std::vector<std::string> model_names;
 };
 
-/// The part of a snapshot that one full analysis builds and every snapshot
-/// derived from it by a delta run shares: immutable, held by shared_ptr.
-struct AnalysisBase {
-  /// The compacted dataset the full analysis ran on.
-  tweetdb::TweetDataset dataset;
-  /// The sealed index over `dataset`.
-  std::optional<PopulationEstimator> estimator;
+/// The per-scale context every snapshot of one lineage shares: built by
+/// the full analysis that opened it, then carried by every snapshot derived
+/// or rebased from it. Immutable, held by shared_ptr.
+struct AnalysisScales {
   /// The analysed scales (paper order, with the metro override applied).
   std::vector<ScaleSpec> specs;
-  /// Per scale and area (parallel to `specs`): the sorted distinct user
-  /// ids within ε of the centre, and the tweet count, over `dataset`.
-  std::vector<std::vector<std::vector<uint64_t>>> area_users;
-  std::vector<std::vector<size_t>> area_tweets;
   /// Per scale, when the analysis ran mobility (else empty): the trip
   /// assigner and the flat row-major pairwise centre distances.
   std::vector<mobility::AreaAssigner> assigners;
   std::vector<std::vector<double>> distances;
 };
 
-/// Every delta row committed since a snapshot's base, routed to its time
-/// shard and compacted, with a sealed index over those rows alone. One per
-/// derived snapshot; compaction (a new generation, so a full analysis)
-/// folds it into the next base.
-struct AnalysisOverlay {
+/// One sealed run of a snapshot's rows: immutable, held by shared_ptr and
+/// shared by every later snapshot that still holds those rows. The runs of
+/// a snapshot partition its rows, oldest first; the oldest is the rows the
+/// opening full analysis read.
+struct AnalysisRun {
+  /// The run's rows, routed to time shards and compacted by (user, time).
   tweetdb::TweetDataset rows;
+  /// The sealed index over `rows`.
   std::optional<PopulationEstimator> estimator;
+  /// Per scale and area (parallel to AnalysisScales::specs): the sorted ids
+  /// of the users within ε of the centre in this run that no older run
+  /// holds — so the runs' lists are disjoint and their union is the area's
+  /// distinct users — and the run's tweets within ε.
+  std::vector<std::vector<std::vector<uint64_t>>> new_users;
+  std::vector<std::vector<size_t>> tweets;
+  /// Delta batches (one per Derive that brought rows) merged into the run;
+  /// 0 for the oldest run's own rows. The merge rule reads it.
+  size_t batches = 0;
 };
 
 /// An immutable, self-contained analysis artifact: the pinned dataset, the
 /// sealed spatial index, the per-scale population estimates and the fitted
 /// mobility models of one pipeline run, packaged for concurrent serving.
 ///
-/// A snapshot is a shared base (AnalysisBase: the dataset, index and
-/// per-area user lists of the last full analysis) plus, for a snapshot
-/// derived by Derive, an overlay (AnalysisOverlay) of the delta rows
-/// committed since, and its own results. Either way it answers exactly as a
-/// full analysis of the same rows does.
+/// A snapshot is a log of sealed runs (AnalysisRun) over shared per-scale
+/// context (AnalysisScales), plus its own results. It comes from one of
+/// three paths, and answers exactly as a full analysis of its rows does on
+/// each:
+///   * **full** (Build, Analyze): the whole dataset analysed; one run.
+///   * **delta** (Derive, same generation): the installed snapshot's runs
+///     plus the new delta rows sealed as one more run, runs then merged by
+///     size (the logarithmic method, see DESIGN.md §3.7).
+///   * **rebase** (Derive onto a generation compacted from the installed
+///     one): the installed runs and results carried verbatim under the new
+///     generation's pin, then the delta path for the deltas since.
 ///
 /// Immutability contract: after Build/Analyze/Derive returns, nothing in
 /// the snapshot ever changes — every accessor is const, queries share one
@@ -119,13 +129,17 @@ class AnalysisSnapshot {
 
   /// Derives the successor of `installed` from the rows of the delta files
   /// committed since it, `delta_rows` (tweetdb::ReadDeltaFiles), in
-  /// O(new data + overlay + touched users' rows) rather than O(history):
-  /// the result shares installed's base, carries a new overlay, and equals
-  /// a full Analyze of the base, overlay and delta rows bitwise (see
-  /// DESIGN.md §3.7). `config` must be the one installed was analysed
-  /// with. `source.recovery`, when set, is the cumulative report of the
-  /// derived commit; the trace's `recover` record covers only its deltas
-  /// from installed.ingest_seq() on.
+  /// O(new data + touched users' rows), amortized, never O(history): the
+  /// result carries installed's runs, seals the delta rows as a new run
+  /// (merging runs by size), and equals a full Analyze of the same rows
+  /// bitwise (see DESIGN.md §3.7). `config` must be the one installed was
+  /// analysed with. When `source.generation` differs from installed's, the
+  /// run is a rebase: the caller vouches that the new generation's rows are
+  /// exactly installed's minus the deltas from installed.ingest_seq() on
+  /// (serve::SnapshotCatalog checks the v8 manifest provenance), and the
+  /// trace gains a `rebase` record. `source.recovery`, when set, is the
+  /// cumulative report of the derived commit; the trace's `recover` record
+  /// covers only its deltas from installed.ingest_seq() on.
   static Result<AnalysisSnapshot> Derive(const AnalysisSnapshot& installed,
                                          tweetdb::TweetDataset delta_rows,
                                          const PipelineConfig& config,
@@ -137,26 +151,25 @@ class AnalysisSnapshot {
   AnalysisSnapshot(const AnalysisSnapshot&) = delete;
   AnalysisSnapshot& operator=(const AnalysisSnapshot&) = delete;
 
-  /// Rows the snapshot analysed: the base's plus the overlay's.
+  /// Rows the snapshot analysed: every run's.
   size_t num_rows() const {
-    return base_->dataset.num_rows() +
-           (overlay_ != nullptr ? overlay_->rows.num_rows() : 0);
+    size_t rows = 0;
+    for (const auto& run : runs_) rows += run->rows.num_rows();
+    return rows;
   }
 
   /// Invokes `fn(const tweetdb::Tweet&)` for every row the snapshot
-  /// analysed: the base's in storage order, then the overlay's.
+  /// analysed: run by run, oldest first, each in storage order.
   template <typename Fn>
   void ForEachRow(Fn&& fn) const {
-    base_->dataset.ForEachRow(fn);
-    if (overlay_ != nullptr) overlay_->rows.ForEachRow(fn);
+    for (const auto& run : runs_) run->rows.ForEachRow(fn);
   }
 
-  /// The shared base, and the overlay (null unless the snapshot was
-  /// derived by Derive).
-  const std::shared_ptr<const AnalysisBase>& base() const { return base_; }
-  const std::shared_ptr<const AnalysisOverlay>& overlay() const {
-    return overlay_;
+  /// The sealed runs, oldest first, and the shared per-scale context.
+  const std::vector<std::shared_ptr<const AnalysisRun>>& runs() const {
+    return runs_;
   }
+  const std::shared_ptr<const AnalysisScales>& scales() const { return scales_; }
 
   /// Per-scale OD matrices of the extracted trips (parallel to
   /// result().mobility; empty without mobility).
@@ -175,12 +188,12 @@ class AnalysisSnapshot {
   }
 
   /// The sealed-index population estimator (radius queries at any ε),
-  /// over the base's rows and the overlay's.
+  /// over every run's index.
   const PopulationEstimator& estimator() const { return *estimator_; }
 
   /// The scales the snapshot was analysed at (paper order, with the
   /// config's metro override applied).
-  const std::vector<ScaleSpec>& specs() const { return base_->specs; }
+  const std::vector<ScaleSpec>& specs() const { return scales_->specs; }
 
   /// Everything the pipeline computed (population, mobility, trace).
   const PipelineResult& result() const { return result_; }
@@ -209,8 +222,8 @@ class AnalysisSnapshot {
   static AnalysisSnapshot Seal(struct PipelineState&& state,
                                SnapshotSource source);
 
-  std::shared_ptr<const AnalysisBase> base_;
-  std::shared_ptr<const AnalysisOverlay> overlay_;
+  std::shared_ptr<const AnalysisScales> scales_;
+  std::vector<std::shared_ptr<const AnalysisRun>> runs_;
   SnapshotSource source_;
   std::optional<PopulationEstimator> estimator_;
   std::vector<mobility::OdMatrix> trips_;

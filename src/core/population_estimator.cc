@@ -75,15 +75,20 @@ Result<PopulationEstimator> PopulationEstimator::Build(
     scan_stats->rows_scanned = rows;
     scan_stats->rows_matched = rows;
   }
-  return PopulationEstimator(
+  PopulationEstimator estimator;
+  estimator.indexes_.push_back(
       std::make_shared<const geo::SealedGridIndex>(std::move(*index)));
+  return estimator;
 }
 
-PopulationEstimator PopulationEstimator::WithOverlay(
-    const PopulationEstimator& overlay) const {
-  PopulationEstimator both(index_);
-  both.overlay_ = overlay.index_;
-  return both;
+PopulationEstimator PopulationEstimator::Layered(
+    const std::vector<const PopulationEstimator*>& layers) {
+  PopulationEstimator all;
+  for (const PopulationEstimator* layer : layers) {
+    all.indexes_.insert(all.indexes_.end(), layer->indexes_.begin(),
+                        layer->indexes_.end());
+  }
+  return all;
 }
 
 size_t PopulationEstimator::CountUniqueUsers(const geo::LatLon& center,
@@ -93,34 +98,50 @@ size_t PopulationEstimator::CountUniqueUsers(const geo::LatLon& center,
 
 size_t PopulationEstimator::CountTweets(const geo::LatLon& center,
                                         double radius_m) const {
-  return index_->CountRadius(center, radius_m) +
-         (overlay_ != nullptr ? overlay_->CountRadius(center, radius_m) : 0);
+  size_t tweets = 0;
+  for (const auto& index : indexes_) tweets += index->CountRadius(center, radius_m);
+  return tweets;
 }
 
 geo::RadiusCounts PopulationEstimator::CountTweetsAndUsers(const geo::LatLon& center,
                                                            double radius_m) const {
-  if (overlay_ == nullptr) return index_->CountRadiusAndDistinctIds(center, radius_m);
-  std::vector<uint64_t> overlay_users;
-  const size_t overlay_tweets =
-      overlay_->CollectDistinctIds(center, radius_m, &overlay_users);
+  if (indexes_.size() == 1) {
+    return indexes_[0]->CountRadiusAndDistinctIds(center, radius_m);
+  }
+  // The smaller layers' users, united, are counted into the first layer's
+  // walk (ids found both ways count once).
+  std::vector<uint64_t> others;
+  const size_t other_tweets = CollectLayerUsers(1, center, radius_m, &others);
   geo::RadiusCounts counts =
-      index_->CountRadiusAndDistinctIds(center, radius_m, &overlay_users);
-  counts.points += overlay_tweets;
+      indexes_[0]->CountRadiusAndDistinctIds(center, radius_m, &others);
+  counts.points += other_tweets;
   return counts;
 }
 
 size_t PopulationEstimator::CollectUsers(const geo::LatLon& center, double radius_m,
                                          std::vector<uint64_t>* users) const {
-  const size_t tweets = index_->CollectDistinctIds(center, radius_m, users);
-  if (overlay_ == nullptr) return tweets;
-  std::vector<uint64_t> base_users = std::move(*users);
-  std::vector<uint64_t> overlay_users;
-  const size_t overlay_tweets =
-      overlay_->CollectDistinctIds(center, radius_m, &overlay_users);
+  return CollectLayerUsers(0, center, radius_m, users);
+}
+
+size_t PopulationEstimator::CollectLayerUsers(size_t first, const geo::LatLon& center,
+                                              double radius_m,
+                                              std::vector<uint64_t>* users) const {
   users->clear();
-  std::set_union(base_users.begin(), base_users.end(), overlay_users.begin(),
-                 overlay_users.end(), std::back_inserter(*users));
-  return tweets + overlay_tweets;
+  size_t tweets = 0;
+  std::vector<uint64_t> layer_users;
+  std::vector<uint64_t> united;
+  for (size_t l = first; l < indexes_.size(); ++l) {
+    if (l == first) {
+      tweets += indexes_[l]->CollectDistinctIds(center, radius_m, users);
+      continue;
+    }
+    tweets += indexes_[l]->CollectDistinctIds(center, radius_m, &layer_users);
+    united.clear();
+    std::set_union(users->begin(), users->end(), layer_users.begin(),
+                   layer_users.end(), std::back_inserter(united));
+    users->swap(united);
+  }
+  return tweets;
 }
 
 Result<PopulationEstimateResult> PopulationEstimator::Estimate(

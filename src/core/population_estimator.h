@@ -61,11 +61,12 @@ class PopulationEstimator {
       const tweetdb::TweetDataset& dataset, ThreadPool* pool = nullptr,
       tweetdb::ScanStatistics* scan_stats = nullptr);
 
-  /// An estimator over this one's rows plus `overlay`'s: both sealed
-  /// indexes are shared, not copied, and every query walks the two and
-  /// takes the union of their users. `overlay` must be a plain Build
-  /// result (no overlay of its own), typically over far fewer rows.
-  PopulationEstimator WithOverlay(const PopulationEstimator& overlay) const;
+  /// An estimator over the rows of every one of `layers` (disjoint row
+  /// sets, largest first — a snapshot's runs): their sealed indexes are
+  /// shared, not copied, and every query walks each one and takes the
+  /// union of their users. `layers` must not be empty.
+  static PopulationEstimator Layered(
+      const std::vector<const PopulationEstimator*>& layers);
 
   /// Distinct users with at least one tweet within radius_m of `center`.
   /// Backed by the sealed index's hash-free interior-cell merge; boundary
@@ -98,17 +99,23 @@ class PopulationEstimator {
       std::vector<std::vector<uint64_t>>* area_users = nullptr) const;
 
   size_t num_indexed_tweets() const {
-    return index_->size() + (overlay_ != nullptr ? overlay_->size() : 0);
+    size_t tweets = 0;
+    for (const auto& index : indexes_) tweets += index->size();
+    return tweets;
   }
 
  private:
-  explicit PopulationEstimator(std::shared_ptr<const geo::SealedGridIndex> index)
-      : index_(std::move(index)) {}
+  PopulationEstimator() = default;
 
-  /// Every query runs on the immutable CSR form; the overlay, when set,
-  /// indexes rows the base index does not hold.
-  std::shared_ptr<const geo::SealedGridIndex> index_;
-  std::shared_ptr<const geo::SealedGridIndex> overlay_;
+  /// CollectUsers over the layers from `first` on: `users` receives their
+  /// united sorted distinct ids within radius_m; returns their tweets.
+  size_t CollectLayerUsers(size_t first, const geo::LatLon& center,
+                           double radius_m, std::vector<uint64_t>* users) const;
+
+  /// Every query runs on the immutable CSR form. One index per layer, over
+  /// disjoint rows; the first is the largest, so its walk keeps the
+  /// count-only union and the others hand it their users.
+  std::vector<std::shared_ptr<const geo::SealedGridIndex>> indexes_;
 };
 
 /// Assembles one scale's PopulationEstimateResult from per-area counts

@@ -295,6 +295,30 @@ class FitStage : public Stage {
   std::string name_;
 };
 
+/// The rebase run's first stage (see StageEngine::DeltaStages). The catalog
+/// has checked the compacted generation's provenance, so there is nothing
+/// to read or recompute: the installed runs and results carry over as they
+/// are, and the `delta` stage that follows derives from them. The record
+/// says what was carried.
+class RebaseStage : public Stage {
+ public:
+  const std::string& name() const override {
+    static const std::string kName = "rebase";
+    return kName;
+  }
+
+  Status Run(AnalysisContext&, PipelineState& state, StageRecord& record) override {
+    if (state.installed == nullptr || state.installed->runs().empty()) {
+      return Status::FailedPrecondition(
+          "rebase stage requires an installed snapshot to carry");
+    }
+    record.AddCounter("carried_rows", static_cast<int64_t>(state.installed->num_rows()));
+    record.AddCounter("runs", static_cast<int64_t>(state.installed->runs().size()));
+    record.AddCounter("merged_rows", static_cast<int64_t>(state.merged_rows));
+    return Status::OK();
+  }
+};
+
 /// The delta run's one analysis stage (see StageEngine::DeltaStages). Every
 /// aggregate it updates is an integer — user-set sizes, tweet counts, unit
 /// trip flows — so its counts equal a full run's exactly, and the
@@ -309,84 +333,99 @@ class DeltaStage : public Stage {
 
   Status Run(AnalysisContext& ctx, PipelineState& state,
              StageRecord& record) override {
-    if (state.installed == nullptr || state.installed->base() == nullptr) {
+    if (state.installed == nullptr || state.installed->runs().empty()) {
       return Status::FailedPrecondition(
           "delta stage requires an installed snapshot to derive from");
     }
     const AnalysisSnapshot& installed = *state.installed;
-    const AnalysisBase& base = *installed.base();
-    const AnalysisOverlay* old_overlay = installed.overlay().get();
-    state.specs = base.specs;
+    const AnalysisScales& scales = *installed.scales();
+    state.specs = scales.specs;
 
-    // The new overlay: every delta row since the base, compacted.
-    auto overlay = std::make_shared<AnalysisOverlay>();
-    overlay->rows = tweetdb::TweetDataset(base.dataset.partition(),
-                                          base.dataset.block_capacity());
-    Status appended = Status::OK();
-    const auto append = [&overlay, &appended](const tweetdb::Tweet& t) {
-      if (appended.ok()) appended = overlay->rows.Append(t);
-    };
-    if (old_overlay != nullptr) old_overlay->rows.ForEachRow(append);
-    state.dataset.ForEachRow(append);
-    TWIMOB_RETURN_IF_ERROR(appended);
-    overlay->rows.SealAll();
-    overlay->rows.CompactShards(&ctx.pool());
-    auto estimator = PopulationEstimator::Build(overlay->rows, &ctx.pool());
-    if (!estimator.ok()) return estimator.status();
-    overlay->estimator = std::move(*estimator);
-
-    TWIMOB_RETURN_IF_ERROR(EstimatePopulation(ctx, base, *overlay, state));
+    const size_t delta_rows = state.dataset.num_rows();
     std::vector<uint64_t> touched;
     state.dataset.ForEachRow(
         [&touched](const tweetdb::Tweet& t) { touched.push_back(t.user_id); });
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    if (!base.assigners.empty()) {
-      TWIMOB_RETURN_IF_ERROR(ReplayTrips(ctx, installed, *overlay, touched, state));
+
+    // The new rows, sealed as the newest run: compacted, indexed, and each
+    // area's users kept unless an older run already holds them.
+    std::vector<std::shared_ptr<const AnalysisRun>> runs = installed.runs();
+    if (delta_rows > 0) {
+      auto run = std::make_shared<AnalysisRun>();
+      run->rows = std::move(state.dataset);
+      run->rows.CompactShards(&ctx.pool());
+      auto estimator = PopulationEstimator::Build(run->rows, &ctx.pool());
+      if (!estimator.ok()) return estimator.status();
+      run->estimator = std::move(*estimator);
+      run->batches = 1;
+      CountNewUsers(ctx, state.specs, runs, *run);
+      runs.push_back(std::move(run));
     }
 
-    record.AddCounter("rows", static_cast<int64_t>(state.dataset.num_rows()));
+    TWIMOB_RETURN_IF_ERROR(EstimatePopulation(runs, state));
+    if (!scales.assigners.empty()) {
+      TWIMOB_RETURN_IF_ERROR(ReplayTrips(ctx, installed, runs, touched, state));
+    }
+    TWIMOB_RETURN_IF_ERROR(MergeRunsBySize(ctx, state.specs, &runs));
+
+    size_t overlay_rows = 0;
+    for (size_t r = 1; r < runs.size(); ++r) overlay_rows += runs[r]->rows.num_rows();
+    record.AddCounter("rows", static_cast<int64_t>(delta_rows));
     record.AddCounter("touched_users", static_cast<int64_t>(touched.size()));
-    record.AddCounter("overlay_rows",
-                      static_cast<int64_t>(overlay->rows.num_rows()));
-    state.base = installed.base();
-    state.overlay = std::move(overlay);
+    record.AddCounter("overlay_rows", static_cast<int64_t>(overlay_rows));
+    record.AddCounter("runs", static_cast<int64_t>(runs.size()));
+    state.scales = installed.scales();
+    state.runs = std::move(runs);
     return Status::OK();
   }
 
  private:
-  /// Every area's users are the base's sorted list united with the
-  /// overlay's users within ε (both sides test each point by the same
-  /// haversine predicate); tweets add.
-  static Status EstimatePopulation(AnalysisContext& ctx, const AnalysisBase& base,
-                                   const AnalysisOverlay& overlay,
-                                   PipelineState& state) {
+  /// Fills `run`'s per-area lists from one walk of its own index per area:
+  /// its tweets within ε, and its users within ε that no run of `older`
+  /// holds (the older runs' lists are disjoint and together hold every
+  /// user they saw, so one binary search per list decides).
+  static void CountNewUsers(AnalysisContext& ctx, const std::vector<ScaleSpec>& specs,
+                            const std::vector<std::shared_ptr<const AnalysisRun>>& older,
+                            AnalysisRun& run) {
     std::vector<std::pair<size_t, size_t>> areas;  // (scale, area)
-    std::vector<std::vector<size_t>> users(state.specs.size());
-    std::vector<std::vector<size_t>> tweets(state.specs.size());
-    for (size_t s = 0; s < state.specs.size(); ++s) {
-      users[s].assign(state.specs[s].areas.size(), 0);
-      tweets[s].assign(state.specs[s].areas.size(), 0);
-      for (size_t i = 0; i < state.specs[s].areas.size(); ++i) areas.emplace_back(s, i);
+    run.new_users.resize(specs.size());
+    run.tweets.resize(specs.size());
+    for (size_t s = 0; s < specs.size(); ++s) {
+      run.new_users[s].resize(specs[s].areas.size());
+      run.tweets[s].assign(specs[s].areas.size(), 0);
+      for (size_t i = 0; i < specs[s].areas.size(); ++i) areas.emplace_back(s, i);
     }
     ctx.pool().ParallelFor(areas.size(), [&](size_t k) {
-      const auto [s, i] = areas[k];
-      const ScaleSpec& spec = state.specs[s];
-      const std::vector<uint64_t>& base_users = base.area_users[s][i];
-      std::vector<uint64_t> overlay_users;
-      const size_t overlay_tweets = overlay.estimator->CollectUsers(
-          spec.areas[i].center, spec.radius_m, &overlay_users);
-      size_t distinct = base_users.size();
-      for (const uint64_t user : overlay_users) {
-        if (!std::binary_search(base_users.begin(), base_users.end(), user)) {
-          ++distinct;
+      const size_t s = areas[k].first;
+      const size_t i = areas[k].second;
+      std::vector<uint64_t>& users = run.new_users[s][i];
+      run.tweets[s][i] = run.estimator->CollectUsers(specs[s].areas[i].center,
+                                                     specs[s].radius_m, &users);
+      std::erase_if(users, [&older, s, i](uint64_t user) {
+        return std::any_of(older.begin(), older.end(), [&](const auto& o) {
+          const std::vector<uint64_t>& held = o->new_users[s][i];
+          return std::binary_search(held.begin(), held.end(), user);
+        });
+      });
+    });
+  }
+
+  /// Every area's distinct users are the sum of the runs' disjoint list
+  /// sizes, and its tweets the sum of theirs.
+  static Status EstimatePopulation(const std::vector<std::shared_ptr<const AnalysisRun>>& runs,
+                                   PipelineState& state) {
+    for (size_t s = 0; s < state.specs.size(); ++s) {
+      const size_t n = state.specs[s].areas.size();
+      std::vector<size_t> users(n, 0);
+      std::vector<size_t> tweets(n, 0);
+      for (const auto& run : runs) {
+        for (size_t i = 0; i < n; ++i) {
+          users[i] += run->new_users[s][i].size();
+          tweets[i] += run->tweets[s][i];
         }
       }
-      users[s][i] = distinct;
-      tweets[s][i] = base.area_tweets[s][i] + overlay_tweets;
-    });
-    for (size_t s = 0; s < state.specs.size(); ++s) {
-      auto pop = AssemblePopulationEstimate(state.specs[s], users[s], tweets[s]);
+      auto pop = AssemblePopulationEstimate(state.specs[s], users, tweets);
       if (!pop.ok()) return pop.status();
       state.result.population.push_back(std::move(*pop));
     }
@@ -397,26 +436,27 @@ class DeltaStage : public Stage {
   }
 
   /// Only the users of the new rows have different trips: each one's old
-  /// rows (base ⊕ old overlay) are replayed through the trip machine and
-  /// subtracted, their new rows (base ⊕ new overlay) replayed and added.
-  /// Flows are integral doubles and counters integers, so the update is
-  /// exact in any order.
+  /// rows (the installed runs) are replayed through the trip machine and
+  /// subtracted, their new rows (`runs`: the installed runs and the new
+  /// one) replayed and added. Flows are integral doubles and counters
+  /// integers, so the update is exact in any order.
   static Status ReplayTrips(AnalysisContext& ctx, const AnalysisSnapshot& installed,
-                            const AnalysisOverlay& overlay,
+                            const std::vector<std::shared_ptr<const AnalysisRun>>& runs,
                             const std::vector<uint64_t>& touched, PipelineState& state) {
-    const AnalysisBase& base = *installed.base();
-    if (installed.trips().size() != base.assigners.size() ||
-        installed.result().mobility.size() != base.assigners.size()) {
+    const AnalysisScales& scales = *installed.scales();
+    if (installed.trips().size() != scales.assigners.size() ||
+        installed.result().mobility.size() != scales.assigners.size()) {
       return Status::FailedPrecondition(
           "delta stage: installed snapshot has no trips to update");
     }
 
-    std::vector<const tweetdb::TweetDataset*> old_layers = {&base.dataset};
-    if (installed.overlay() != nullptr) {
-      old_layers.push_back(&installed.overlay()->rows);
-    }
-    const std::vector<const tweetdb::TweetDataset*> new_layers = {&base.dataset,
-                                                                  &overlay.rows};
+    const auto layers = [](const std::vector<std::shared_ptr<const AnalysisRun>>& of) {
+      std::vector<const tweetdb::TweetDataset*> out;
+      for (const auto& run : of) out.push_back(&run->rows);
+      return out;
+    };
+    const std::vector<const tweetdb::TweetDataset*> old_layers = layers(installed.runs());
+    const std::vector<const tweetdb::TweetDataset*> new_layers = layers(runs);
     std::vector<tweetdb::Tweet> old_rows;
     std::vector<tweetdb::Tweet> new_rows;
     for (const uint64_t user : touched) {
@@ -424,18 +464,18 @@ class DeltaStage : public Stage {
       mobility::GatherUserRows(user, new_layers, &new_rows);
     }
 
-    const size_t scales = base.assigners.size();
-    state.result.mobility.resize(scales);
-    state.scale_work.resize(scales);
-    ctx.pool().ParallelFor(scales, [&](size_t s) {
+    const size_t num_scales = scales.assigners.size();
+    state.result.mobility.resize(num_scales);
+    state.scale_work.resize(num_scales);
+    ctx.pool().ParallelFor(num_scales, [&](size_t s) {
       const ScaleSpec& spec = state.specs[s];
       const size_t n = spec.areas.size();
       auto removed = mobility::OdMatrix::Create(n);  // cannot fail: the installed
       auto added = mobility::OdMatrix::Create(n);    // snapshot has n > 0 areas
       const mobility::TripOptions options;
-      mobility::TripAccumulator old_trips(base.assigners[s], options, &*removed);
+      mobility::TripAccumulator old_trips(scales.assigners[s], options, &*removed);
       for (const tweetdb::Tweet& t : old_rows) old_trips.Process(t.user_id, t.timestamp, t.pos);
-      mobility::TripAccumulator new_trips(base.assigners[s], options, &*added);
+      mobility::TripAccumulator new_trips(scales.assigners[s], options, &*added);
       for (const tweetdb::Tweet& t : new_rows) new_trips.Process(t.user_id, t.timestamp, t.pos);
 
       ScaleWork& work = state.scale_work[s];
@@ -459,12 +499,94 @@ class DeltaStage : public Stage {
         work.masses.push_back(static_cast<double>(area.unique_users));
       }
       scale.observations =
-          mobility::BuildObservations(*work.od, work.masses, base.distances[s]);
+          mobility::BuildObservations(*work.od, work.masses, scales.distances[s]);
       for (const mobility::FlowObservation& o : scale.observations) {
         work.observed.push_back(o.flow);
       }
     });
     return Status::OK();
+  }
+
+  /// The logarithmic method's merge rule, fixed: while the newest run holds
+  /// more than half as many rows as the run before it — or, below the
+  /// oldest run, more than half as many batches — the two merge into one.
+  /// Run sizes then at least halve from each run to the next in rows, and
+  /// below the oldest in batches too, so N batches leave at most
+  /// floor(log2 N) + 2 runs, and each row is re-merged O(log N) times.
+  static Status MergeRunsBySize(AnalysisContext& ctx, const std::vector<ScaleSpec>& specs,
+                                std::vector<std::shared_ptr<const AnalysisRun>>* runs) {
+    while (runs->size() >= 2) {
+      const AnalysisRun& newer = *runs->back();
+      const AnalysisRun& older = *(*runs)[runs->size() - 2];
+      const bool by_rows = 2 * newer.rows.num_rows() > older.rows.num_rows();
+      const bool by_batches = runs->size() > 2 && 2 * newer.batches > older.batches;
+      if (!by_rows && !by_batches) break;
+      auto merged = MergeRuns(ctx, specs, older, newer);
+      if (!merged.ok()) return merged.status();
+      runs->pop_back();
+      runs->back() = std::move(*merged);
+    }
+    return Status::OK();
+  }
+
+  /// One run holding `older`'s rows and `newer`'s: the shards merged
+  /// linearly (both are compacted, TweetTable::Merge), the index rebuilt
+  /// over the merged rows, and the per-area lists united (disjoint by
+  /// construction, so a plain merge).
+  static Result<std::shared_ptr<const AnalysisRun>> MergeRuns(
+      AnalysisContext& ctx, const std::vector<ScaleSpec>& specs, const AnalysisRun& older,
+      const AnalysisRun& newer) {
+    const tweetdb::TweetDataset& a = older.rows;
+    const tweetdb::TweetDataset& b = newer.rows;
+    std::vector<int64_t> keys;
+    for (size_t i = 0; i < a.num_shards(); ++i) keys.push_back(a.shard_key(i));
+    for (size_t i = 0; i < b.num_shards(); ++i) keys.push_back(b.shard_key(i));
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    const auto find_shard = [](const tweetdb::TweetDataset& d,
+                               int64_t key) -> const tweetdb::TweetTable* {
+      for (size_t i = 0; i < d.num_shards(); ++i) {
+        if (d.shard_key(i) == key) return &d.shard(i);
+      }
+      return nullptr;
+    };
+    std::vector<tweetdb::TweetTable> tables(keys.size());
+    ctx.pool().ParallelFor(keys.size(), [&](size_t k) {
+      std::vector<tweetdb::TweetTable> parts;
+      for (const tweetdb::TweetTable* shard : {find_shard(a, keys[k]), find_shard(b, keys[k])}) {
+        if (shard == nullptr) continue;
+        tweetdb::TweetTable& copy = parts.emplace_back(shard->block_capacity());
+        for (size_t blk = 0; blk < shard->num_blocks(); ++blk) {
+          copy.AdoptSealedBlock(shard->block(blk));
+        }
+      }
+      tables[k] = tweetdb::TweetTable::Merge(std::move(parts), a.block_capacity());
+    });
+
+    auto run = std::make_shared<AnalysisRun>();
+    run->rows = tweetdb::TweetDataset(a.partition(), a.block_capacity());
+    for (size_t k = 0; k < keys.size(); ++k) {
+      TWIMOB_RETURN_IF_ERROR(run->rows.AdoptShard(keys[k], std::move(tables[k])));
+    }
+    auto estimator = PopulationEstimator::Build(run->rows, &ctx.pool());
+    if (!estimator.ok()) return estimator.status();
+    run->estimator = std::move(*estimator);
+    run->batches = older.batches + newer.batches;
+    run->new_users.resize(specs.size());
+    run->tweets.resize(specs.size());
+    for (size_t s = 0; s < specs.size(); ++s) {
+      const size_t n = specs[s].areas.size();
+      run->new_users[s].resize(n);
+      run->tweets[s].resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        const std::vector<uint64_t>& x = older.new_users[s][i];
+        const std::vector<uint64_t>& y = newer.new_users[s][i];
+        std::merge(x.begin(), x.end(), y.begin(), y.end(),
+                   std::back_inserter(run->new_users[s][i]));
+        run->tweets[s][i] = older.tweets[s][i] + newer.tweets[s][i];
+      }
+    }
+    return std::shared_ptr<const AnalysisRun>(std::move(run));
   }
 };
 
@@ -491,8 +613,9 @@ StageList StageEngine::AnalysisStages(const PipelineConfig& config) {
   return stages;
 }
 
-StageList StageEngine::DeltaStages(const PipelineConfig& config) {
+StageList StageEngine::DeltaStages(const PipelineConfig& config, bool rebase) {
   StageList stages;
+  if (rebase) stages.push_back(std::make_unique<RebaseStage>());
   stages.push_back(std::make_unique<DeltaStage>());
   if (config.run_mobility) {
     for (size_t s = 0; s < std::size(census::kAllScales); ++s) {

@@ -13,14 +13,14 @@
 
 namespace twimob::core {
 
-struct AnalysisBase;
-struct AnalysisOverlay;
+struct AnalysisRun;
+struct AnalysisScales;
 class AnalysisSnapshot;
 
 /// The per-scale intermediates of one mobility analysis, handed from trip
 /// extraction to the model fits and, in a full run, kept by the sealed
-/// snapshot (the OD matrix) and its base (assigner and distances) for the
-/// delta path.
+/// snapshot (the OD matrix) and its shared per-scale context (assigner and
+/// distances) for the delta path.
 struct ScaleWork {
   std::vector<double> masses;     ///< per-area Twitter population
   std::vector<double> distances;  ///< flat row-major pairwise matrix
@@ -66,18 +66,22 @@ struct PipelineState {
   std::vector<ScaleWork> scale_work;
 
   /// Each scale's per-area sorted distinct user ids, kept by the
-  /// `population` stage for the snapshot's base (parallel to `specs`).
+  /// `population` stage for the snapshot's first run (parallel to `specs`).
   std::vector<std::vector<std::vector<uint64_t>>> area_users;
 
   /// A delta run's input (StageEngine::DeltaStages): the snapshot it
   /// derives from; `dataset` then holds only the new delta rows. Null for
   /// a full run.
   const AnalysisSnapshot* installed = nullptr;
-  /// A delta run's output: the installed snapshot's base, shared, and the
-  /// overlay of every delta row since that base. A full run leaves both
-  /// null; sealing builds its base.
-  std::shared_ptr<const AnalysisBase> base;
-  std::shared_ptr<const AnalysisOverlay> overlay;
+  /// A rebase run's input: the rows of the compacted generation's shards,
+  /// every one of them already held by `installed` (the `rebase` record's
+  /// `merged_rows`).
+  size_t merged_rows = 0;
+  /// A delta run's output: the installed snapshot's per-scale context,
+  /// shared, and the derived snapshot's runs. A full run leaves both
+  /// empty; sealing builds them.
+  std::shared_ptr<const AnalysisScales> scales;
+  std::vector<std::shared_ptr<const AnalysisRun>> runs;
 
   PipelineResult result;
 };
@@ -115,11 +119,13 @@ class StageEngine {
   /// `fit@<scale>` per paper scale.
   static StageList AnalysisStages(const PipelineConfig& config);
 
-  /// The delta run of state.installed's successor: one `delta` stage —
-  /// the new overlay, population from the base's per-area user lists
-  /// united with the overlay's, trips of the touched users replayed —
-  /// then (when config.run_mobility) `fit@<scale>` per paper scale.
-  static StageList DeltaStages(const PipelineConfig& config);
+  /// The delta run of state.installed's successor: with `rebase`, a
+  /// `rebase` stage that carries the installed runs onto the compacted
+  /// generation; one `delta` stage — the new rows sealed as a run, runs
+  /// merged by size, population from the runs' disjoint per-area user
+  /// lists, trips of the touched users replayed — then (when
+  /// config.run_mobility) `fit@<scale>` per paper scale.
+  static StageList DeltaStages(const PipelineConfig& config, bool rebase = false);
 
   /// Runs the stages in order, timing each into ctx.trace() (and
   /// state.result.trace). Stops at the first failing stage; its partial

@@ -110,8 +110,8 @@ class SealedGridIndex {
   /// once and their survivors feed both counts. Equal to the pair
   /// (CountRadius, CountDistinctIds) on every query. `also_ids`, when
   /// non-null, is a sorted-unique id list counted into `distinct_ids` as
-  /// well (ids found both ways count once) — how an index and a small
-  /// overlay index over other points answer one distinct count together.
+  /// well (ids found both ways count once) — how indexes over disjoint
+  /// points (a snapshot's runs) answer one distinct count together.
   RadiusCounts CountRadiusAndDistinctIds(
       const LatLon& center, double radius_m,
       const std::vector<uint64_t>* also_ids = nullptr) const;

@@ -77,21 +77,37 @@ SnapshotCatalog::DeriveFromDeltas(const core::AnalysisSnapshot& installed,
   using Null = std::shared_ptr<const core::AnalysisSnapshot>;
   const std::optional<tweetdb::RecoveryReport>& installed_report =
       installed.recovery();
+  const uint64_t from_seq = installed.ingest_seq();
+  // A rebase: the manifest's generation is a compaction of the installed
+  // one that merged no delta the installed snapshot had not read, so its
+  // shards hold exactly rows the installed snapshot holds.
+  const bool rebase = manifest.generation != installed.generation();
   if (options_.policy != tweetdb::RecoveryPolicy::kStrict ||
-      manifest.generation != installed.generation() ||
-      manifest.next_delta_seq <= installed.ingest_seq() ||
-      !installed_report.has_value() || installed_report->degraded()) {
+      !installed_report.has_value() || installed_report->degraded() ||
+      manifest.next_delta_seq < from_seq) {
     return Null();
   }
-  // The deltas the installed snapshot folded in must still be listed as it
-  // saw them, and every seq from its cursor on must be listed too.
-  const uint64_t from_seq = installed.ingest_seq();
+  if (rebase ? manifest.compacted_from != installed.generation() ||
+                   manifest.merged_below_seq > from_seq
+             : manifest.next_delta_seq == from_seq) {
+    return Null();
+  }
+  // The deltas the installed snapshot folded in that the manifest still
+  // lists — for a rebase, those the compaction carried (seq at or past
+  // merged_below_seq) — must be listed as it saw them, and every seq from
+  // its cursor on must be listed too.
+  std::vector<tweetdb::ShardRecovery> kept;
+  for (const tweetdb::ShardRecovery& d : installed_report->deltas) {
+    if (!rebase || static_cast<uint64_t>(d.key) >= manifest.merged_below_seq) {
+      kept.push_back(d);
+    }
+  }
   size_t old_deltas = 0;
   size_t new_deltas = 0;
   for (const tweetdb::DeltaSummary& d : manifest.deltas) {
     if (d.seq < from_seq) {
-      if (old_deltas >= installed_report->deltas.size() ||
-          installed_report->deltas[old_deltas].key != static_cast<int64_t>(d.seq)) {
+      if (old_deltas >= kept.size() ||
+          kept[old_deltas].key != static_cast<int64_t>(d.seq)) {
         return Null();
       }
       ++old_deltas;
@@ -99,17 +115,34 @@ SnapshotCatalog::DeriveFromDeltas(const core::AnalysisSnapshot& installed,
       ++new_deltas;
     }
   }
-  if (old_deltas != installed_report->deltas.size() ||
-      new_deltas != manifest.next_delta_seq - from_seq) {
+  if (old_deltas != kept.size() || new_deltas != manifest.next_delta_seq - from_seq) {
     return Null();
   }
 
-  // The installed snapshot pins this generation already; the new one holds
-  // its own pin for its lifetime.
+  // The installed snapshot pins its own generation, which keeps the delta
+  // files it lists; the new snapshot holds its own pin for its lifetime.
   tweetdb::GenerationPin pin(path_, manifest.generation);
+  if (rebase) {
+    // Nothing pinned the new generation before this pin: a commit between
+    // the peek and the pin may have superseded it and removed its files.
+    // Once the manifest still names it, its files are safe.
+    auto current = PeekManifest(env(), path_);
+    if (!current.ok()) return current.status();
+    if (current->generation != manifest.generation) return Null();
+  }
   ctx_->trace().Clear();
   const double t0 = MonotonicSeconds();
   tweetdb::RecoveryReport report = *installed_report;
+  if (rebase) {
+    // What a strict open of the new generation reports, from the manifest
+    // alone: its intact shards, then the carried deltas' entries.
+    report.generation = manifest.generation;
+    report.shards.clear();
+    for (const tweetdb::ShardSummary& shard : manifest.shards) {
+      report.shards.push_back(tweetdb::IntactShardRecovery(shard));
+    }
+    report.deltas = std::move(kept);
+  }
   report.next_delta_seq = manifest.next_delta_seq;
   auto deltas =
       tweetdb::ReadDeltaFiles(path_, manifest, from_seq, &report.deltas, &env());

@@ -78,16 +78,32 @@ class SnapshotCatalog {
   /// calls with no new commits are idempotent no-ops (one manifest read
   /// each). In-flight readers of the previous snapshot are unaffected.
   ///
-  /// Two paths, chosen from the manifest alone. When the commit only adds
-  /// delta files to the installed generation, the policy is kStrict, the
-  /// installed snapshot is not degraded and every delta seq from the
-  /// installed cursor on is listed, only those delta files are read
-  /// (tweetdb::ReadDeltaFiles) and the snapshot is derived from the
-  /// installed one (AnalysisSnapshot::Derive; trace: `recover`, `delta`,
-  /// `fit@<scale>`). Otherwise — a new generation, a kSalvage catalog, a
-  /// missing delta — the whole commit is re-read and re-analysed. Both
-  /// paths give bitwise-equal snapshots; a failed read on either leaves
-  /// the installed snapshot serving.
+  /// Three paths, chosen from the manifest alone; each gives a snapshot
+  /// bitwise equal to a from-scratch open of the commit, and a failed read
+  /// on any of them leaves the installed snapshot serving.
+  ///   * **delta** — the commit only adds delta files to the installed
+  ///     generation: only those files are read (tweetdb::ReadDeltaFiles)
+  ///     and the snapshot is derived from the installed one
+  ///     (AnalysisSnapshot::Derive; trace: `recover`, `delta`,
+  ///     `fit@<scale>`).
+  ///   * **rebase** — the commit's generation was compacted from the
+  ///     installed one (v8 provenance: `compacted_from`) and merged no
+  ///     delta past the installed cursor (`merged_below_seq`): the new
+  ///     generation's shards hold only rows the installed snapshot holds,
+  ///     so they are never read. The installed runs and results carry over
+  ///     under the new generation's pin, with the recovery report a strict
+  ///     open gives (built from the manifest), and the deltas from the
+  ///     installed cursor on are derived as on the delta path (trace:
+  ///     `recover`, `rebase`, `delta`, `fit@<scale>`). A rebase trusts the
+  ///     commit's provenance, not the new shard files' bytes; damage there
+  ///     shows at the next full open, as for any pinned file.
+  ///   * **full** — anything else (a WriteDatasetFiles rewrite, a catalog
+  ///     that fell behind a compaction, a kSalvage catalog, a degraded
+  ///     installed snapshot, a missing delta): the whole commit is re-read
+  ///     and re-analysed.
+  /// The delta and rebase paths need the policy kStrict, an installed
+  /// snapshot that is not degraded, its deltas still listed as it saw them
+  /// (the carried ones, for a rebase) and every seq from its cursor on.
   Result<bool> Refresh();
 
   /// Generation of the snapshot Current() returns right now.
@@ -122,9 +138,11 @@ class SnapshotCatalog {
   /// is never stale.
   Result<std::shared_ptr<const core::AnalysisSnapshot>> LoadCommitted();
 
-  /// The delta path of Refresh: when `manifest` only adds deltas to
-  /// `installed`'s generation (see Refresh), reads them and derives the
-  /// successor; returns null when the full path must run instead.
+  /// The delta and rebase paths of Refresh: when `manifest` only adds
+  /// deltas to `installed`'s generation, or names a generation compacted
+  /// from it (see Refresh), reads the deltas from installed's cursor on and
+  /// derives the successor; returns null when the full path must run
+  /// instead.
   Result<std::shared_ptr<const core::AnalysisSnapshot>> DeriveFromDeltas(
       const core::AnalysisSnapshot& installed, const tweetdb::Manifest& manifest);
 

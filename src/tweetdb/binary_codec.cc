@@ -425,6 +425,7 @@ std::string EncodeManifest(const Manifest& manifest) {
   PutFixed64(&out, manifest.shards.size());
   for (const ShardSummary& s : manifest.shards) {
     PutFixed64(&out, static_cast<uint64_t>(s.key));
+    PutFixed64(&out, s.num_blocks);
     EncodeSummaryTail(&out, s);
   }
   PutFixed64(&out, manifest.deltas.size());
@@ -433,6 +434,8 @@ std::string EncodeManifest(const Manifest& manifest) {
     PutFixed64(&out, d.seq);
     EncodeSummaryTail(&out, d);
   }
+  PutFixed64(&out, manifest.compacted_from);
+  PutFixed64(&out, manifest.merged_below_seq);
   PutFixed32(&out, Crc32c(out.data(), out.size()));
   return out;
 }
@@ -486,7 +489,8 @@ Result<Manifest> DecodeManifest(std::string_view bytes) {
   for (uint64_t i = 0; i < shard_count; ++i) {
     ShardSummary s;
     uint64_t key;
-    if (!GetFixed64(&bytes, &key) || !DecodeSummaryTail(&bytes, &s)) {
+    if (!GetFixed64(&bytes, &key) || !GetFixed64(&bytes, &s.num_blocks) ||
+        !DecodeSummaryTail(&bytes, &s)) {
       return Status::IOError("truncated manifest: shard " + std::to_string(i) +
                              " of " + std::to_string(shard_count));
     }
@@ -530,8 +534,27 @@ Result<Manifest> DecodeManifest(std::string_view bytes) {
     }
     manifest.deltas.push_back(d);
   }
+  if (!GetFixed64(&bytes, &manifest.compacted_from) ||
+      !GetFixed64(&bytes, &manifest.merged_below_seq)) {
+    return Status::IOError("truncated manifest: missing compaction provenance");
+  }
   if (!bytes.empty()) {
     return Status::IOError("trailing bytes after the last manifest entry");
+  }
+  // Provenance: a compaction merges an earlier generation, every delta it
+  // did not fold in is at or past merged_below_seq, and that boundary never
+  // passes the cursor.
+  if (manifest.compacted_from >= manifest.generation) {
+    return Status::IOError("manifest compacted_from " +
+                           std::to_string(manifest.compacted_from) +
+                           " is not an earlier generation");
+  }
+  if (manifest.merged_below_seq > manifest.next_delta_seq ||
+      (!manifest.deltas.empty() &&
+       manifest.deltas.front().seq < manifest.merged_below_seq)) {
+    return Status::IOError("manifest merged_below_seq " +
+                           std::to_string(manifest.merged_below_seq) +
+                           " disagrees with its delta list or cursor");
   }
   return manifest;
 }
@@ -677,15 +700,17 @@ void DecodeTableFile(RecoveryPolicy policy, LoadedFile* loaded) {
   std::string().swap(loaded->bytes);
 }
 
-/// Adopts a decoded shard (`is_delta` false) or delta file into `dataset`
-/// and accounts for it in `*rec`, whose key and rows_expected the caller
-/// sets. A shard is adopted whole under its key; a delta's rows are
+/// Adopts a decoded shard (`shard`, its manifest record) or delta file
+/// (`shard` null) into `dataset` and accounts for it in `*rec`, whose key
+/// and rows_expected the caller sets. A shard is adopted whole under its key; a delta's rows are
 /// re-routed into their time shards. Under kStrict any damage — an
 /// unreadable or corrupt file, a row count that disagrees with the
 /// manifest, a rejected shard or row — is the returned error. Under
 /// kSalvage the loss is recorded in `*rec` instead and the call succeeds.
-Status AdoptTableFile(LoadedFile& loaded, bool is_delta, RecoveryPolicy policy,
-                      TweetDataset* dataset, ShardRecovery* rec) {
+Status AdoptTableFile(LoadedFile& loaded, const ShardSummary* shard,
+                      RecoveryPolicy policy, TweetDataset* dataset,
+                      ShardRecovery* rec) {
+  const bool is_delta = shard == nullptr;
   const bool strict = policy == RecoveryPolicy::kStrict;
   auto drop = [strict, rec](Status status) {
     if (strict) return status;
@@ -702,6 +727,17 @@ Status AdoptTableFile(LoadedFile& loaded, bool is_delta, RecoveryPolicy policy,
   rec->blocks_dropped = tsr.blocks_total - tsr.blocks_recovered;
   rec->checksum_failures = tsr.checksum_failures;
   rec->truncated = tsr.truncated;
+  if (!is_delta && tsr.blocks_total != shard->num_blocks) {
+    // The header is CRC-guarded, so a disagreement means the file is not
+    // the one the manifest describes.
+    Status mismatch = Status::IOError(StrFormat(
+        "shard %lld block count mismatch: manifest says %llu, file header has %llu",
+        static_cast<long long>(rec->key),
+        static_cast<unsigned long long>(shard->num_blocks),
+        static_cast<unsigned long long>(tsr.blocks_total)));
+    if (strict) return mismatch;
+    rec->status = std::move(mismatch);
+  }
   if (rec->blocks_dropped == 0 && !rec->truncated &&
       table->num_rows() != rec->rows_expected) {
     Status mismatch = Status::IOError(StrFormat(
@@ -732,16 +768,25 @@ Status AdoptTableFile(LoadedFile& loaded, bool is_delta, RecoveryPolicy policy,
   return strict ? append : Status::OK();
 }
 
-/// Read, decode and adopt of one file, for the delta reader.
-Status LoadTableFile(Env& env, const std::string& file, bool is_delta,
-                     RecoveryPolicy policy, TweetDataset* dataset,
+/// Strict read, decode and adopt of one delta file, for the delta reader.
+Status LoadDeltaFile(Env& env, const std::string& file, TweetDataset* dataset,
                      ShardRecovery* rec) {
   LoadedFile loaded;
   (void)ReadTableFile(env, file, &loaded);
-  DecodeTableFile(policy, &loaded);
-  return AdoptTableFile(loaded, is_delta, policy, dataset, rec);
+  DecodeTableFile(RecoveryPolicy::kStrict, &loaded);
+  return AdoptTableFile(loaded, /*shard=*/nullptr, RecoveryPolicy::kStrict,
+                        dataset, rec);
 }
 }  // namespace
+
+ShardRecovery IntactShardRecovery(const ShardSummary& shard) {
+  ShardRecovery rec;
+  rec.key = shard.key;
+  rec.rows_expected = shard.num_rows;
+  rec.rows_recovered = shard.num_rows;
+  rec.blocks_total = shard.num_blocks;
+  return rec;
+}
 
 Result<TweetDataset> ReadDatasetFiles(const std::string& path,
                                       RecoveryPolicy policy,
@@ -816,7 +861,8 @@ Result<TweetDataset> ReadDatasetFiles(const std::string& path,
       rec.rows_expected = manifest.shards[i].num_rows;
     }
     TWIMOB_RETURN_IF_ERROR(
-        AdoptTableFile(files[i], is_delta, policy, &dataset, &rec));
+        AdoptTableFile(files[i], is_delta ? nullptr : &manifest.shards[i],
+                       policy, &dataset, &rec));
   }
   // Delta rows land in active tails; hand back a fully sealed dataset so
   // the block-parallel scan paths stay available.
@@ -835,8 +881,7 @@ Result<TweetDataset> ReadDeltaFiles(const std::string& path,
     ShardRecovery rec;
     rec.key = static_cast<int64_t>(d.seq);
     rec.rows_expected = d.num_rows;
-    TWIMOB_RETURN_IF_ERROR(LoadTableFile(env, DeltaFilePath(path, d.generation, d.seq),
-                                         /*is_delta=*/true, RecoveryPolicy::kStrict,
+    TWIMOB_RETURN_IF_ERROR(LoadDeltaFile(env, DeltaFilePath(path, d.generation, d.seq),
                                          &dataset, &rec));
     if (accounting != nullptr) accounting->push_back(std::move(rec));
   }

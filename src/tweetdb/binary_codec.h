@@ -64,8 +64,17 @@ namespace twimob::tweetdb {
 /// encoding is gone, and so is the v6 header's flags word that selected
 /// between them — the CRC-guarded header prefix is back to 16 bytes
 /// (magic, version, block count).
+///
+/// Version 8 adds compaction provenance to the manifest, so a reader that
+/// already holds a generation's rows can adopt its compacted successor
+/// without reading the successor's shards (serve::SnapshotCatalog's
+/// rebase): each shard record carries its file's block count, which a
+/// strict read checks against the file header, and the manifest ends with
+/// `compacted_from` (the generation an IngestWriter::Compact merged, 0
+/// otherwise) and `merged_below_seq` (every delta seq below it is folded
+/// into the shards). Table files are unchanged apart from the version.
 
-inline constexpr uint32_t kBinaryFormatVersion = 7;
+inline constexpr uint32_t kBinaryFormatVersion = 8;
 
 /// Serialises the table into a byte string (active tail is NOT included;
 /// callers seal first — WriteBinaryFile does).
@@ -122,15 +131,18 @@ TableDescription DescribeTable(const TweetTable& table);
 /// Manifest file format (little-endian):
 ///   magic "TWDM" (4 bytes) | version fixed32 | generation fixed64 |
 ///   next delta seq fixed64 | partition origin fixed64 | partition width
-///   fixed64 | shard count fixed64 | per shard: key fixed64 | rows
-///   fixed64 | min/max user fixed64 | min/max time fixed64 | bbox
-///   4 x double (IEEE-754 bits, fixed64) | delta count fixed64 | per
-///   delta: born generation fixed64 | seq fixed64 | rows fixed64 |
+///   fixed64 | shard count fixed64 | per shard: key fixed64 | blocks
+///   fixed64 | rows fixed64 | min/max user fixed64 | min/max time fixed64
+///   | bbox 4 x double (IEEE-754 bits, fixed64) | delta count fixed64 |
+///   per delta: born generation fixed64 | seq fixed64 | rows fixed64 |
 ///   min/max user fixed64 | min/max time fixed64 | bbox 4 x double |
-///   trailing CRC32C fixed32 over all preceding bytes.
+///   compacted_from fixed64 | merged_below_seq fixed64 | trailing CRC32C
+///   fixed32 over all preceding bytes.
 /// Shards must appear in strictly ascending key order and deltas in
-/// strictly ascending seq order (every seq below next_delta_seq);
-/// duplicates and disorder are decode errors.
+/// strictly ascending seq order (every seq in [merged_below_seq,
+/// next_delta_seq)); duplicates, disorder, a compacted_from that is not an
+/// earlier generation and a merged_below_seq past the cursor are decode
+/// errors.
 
 /// Serialises a manifest into a byte string.
 std::string EncodeManifest(const Manifest& manifest);
@@ -186,9 +198,16 @@ std::vector<std::string> ManifestFileSetDifference(
 Status WriteDatasetFiles(TweetDataset& dataset, const std::string& path,
                          Env* env = nullptr, const WriteOptions& options = {});
 
+/// The accounting a strict ReadDatasetFiles gives `shard` when its file
+/// reads back intact: every row and block of the manifest record recovered,
+/// nothing dropped. Built from the manifest alone (v8 records the block
+/// count), it is what a rebased snapshot reports for shards it never read.
+ShardRecovery IntactShardRecovery(const ShardSummary& shard);
+
 /// Reads a dataset previously written by WriteDatasetFiles (and possibly
 /// appended to by tweetdb::IngestWriter). Under RecoveryPolicy::kStrict
-/// any mismatch, corruption, truncation, version skew or duplicate key is
+/// any mismatch (a shard's row count or its header's block count against
+/// the manifest), corruption, truncation, version skew or duplicate key is
 /// a Status error — never a crash. Under kSalvage, damaged blocks and
 /// unreadable shards/deltas are dropped and the remainder is returned;
 /// `report` (optional under either policy) receives per-shard and

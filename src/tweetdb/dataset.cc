@@ -187,6 +187,7 @@ Manifest TweetDataset::BuildManifest() const {
     ShardSummary summary;
     summary.key = s.key;
     summary.num_rows = s.table.num_rows();
+    summary.num_blocks = s.table.num_blocks();
     bool first = true;
     for (size_t b = 0; b < s.table.num_blocks(); ++b) {
       const BlockStats& stats = s.table.block_stats(b);

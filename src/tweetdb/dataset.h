@@ -37,12 +37,15 @@ struct PartitionSpec {
   }
 };
 
-/// Manifest entry for one shard: its partition key, row count, and the
-/// shard-level zone map (the union of the shard's block zone maps), which
-/// lets readers prune whole shard files without opening them.
+/// Manifest entry for one shard: its partition key, row and block counts,
+/// and the shard-level zone map (the union of the shard's block zone maps),
+/// which lets readers prune whole shard files without opening them. A
+/// strict read checks `num_blocks` against the shard file's header, so the
+/// manifest alone states what a clean strict open of the shard reports.
 struct ShardSummary {
   int64_t key = 0;
   uint64_t num_rows = 0;
+  uint64_t num_blocks = 0;
   uint64_t min_user = 0;
   uint64_t max_user = 0;
   int64_t min_time = 0;
@@ -83,6 +86,14 @@ struct DeltaSummary {
 /// use. It only ever grows (compaction preserves it), so the pair
 /// (generation, next_delta_seq) is a monotonic commit version — the serve
 /// layer compares it to decide whether anything new was committed.
+///
+/// `compacted_from` and `merged_below_seq` (since v8) are a generation's
+/// provenance: an IngestWriter::Compact commit names the generation it
+/// merged and the cursor below which every delta seq is folded into its
+/// shards; the shards hold exactly the source generation's rows plus those
+/// deltas'. Appends keep both, so they describe the generation for its
+/// whole life. Both are 0 for a WriteDatasetFiles rewrite and a fresh
+/// dataset, whose shards derive from nothing the manifest can name.
 struct Manifest {
   uint32_t format_version = 0;  ///< kBinaryFormatVersion at write time
   uint64_t generation = 1;      ///< monotonic per dataset path, starts at 1
@@ -90,6 +101,8 @@ struct Manifest {
   PartitionSpec partition;
   std::vector<ShardSummary> shards;
   std::vector<DeltaSummary> deltas;  ///< ascending seq order
+  uint64_t compacted_from = 0;    ///< generation a compaction merged, or 0
+  uint64_t merged_below_seq = 0;  ///< delta seqs below it are in the shards
 };
 
 /// How ReadDatasetFiles treats a damaged dataset.

@@ -101,7 +101,7 @@ Status IngestWriter::AppendBatch(const std::vector<Tweet>& batch) {
   // The commit sequence (delta file, then manifest) runs under the commit
   // mutex so appends serialise with each other and with a compaction's
   // commit phase — never with its merge.
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   DeltaSummary summary;
   summary.generation = manifest_.generation;
   summary.seq = manifest_.next_delta_seq;
@@ -134,10 +134,12 @@ Status IngestWriter::AppendBatch(const std::vector<Tweet>& batch) {
     ++health_.probe_successes;
   }
   // Sweep files whose removal an earlier commit deferred and whose pins
-  // have since been released.
-  for (const std::string& f : TakeUnpinnedDeferredFiles(path_)) {
-    (void)env().RemoveFile(f);
-  }
+  // have since been released — after the commit mutex is dropped: file
+  // names are generation- and seq-qualified and never reused, so the
+  // removals cannot race a later commit, and a slow unlink delays no one.
+  std::vector<std::string> sweep = TakeUnpinnedDeferredFiles(path_);
+  lock.unlock();
+  for (const std::string& f : sweep) (void)env().RemoveFile(f);
   return Status::OK();
 }
 
@@ -216,15 +218,19 @@ Result<bool> IngestWriter::Compact(ThreadPool* pool) {
 
   // Commit phase: install the compacted manifest, carrying forward every
   // delta committed after the snapshot, then GC the files the new manifest
-  // no longer references (pin-aware, like WriteDatasetFiles).
-  std::lock_guard<std::mutex> lock(mu_);
+  // no longer references (pin-aware, like WriteDatasetFiles). The
+  // manifest records where its shards came from: the snapshot's
+  // generation and cursor (every seq below it is merged), which lets a
+  // reader holding those rows rebase instead of re-reading them.
+  std::unique_lock<std::mutex> lock(mu_);
   Manifest next = merged.BuildManifest();
   next.format_version = kBinaryFormatVersion;
   next.generation = new_generation;
   next.next_delta_seq = manifest_.next_delta_seq;
-  const uint64_t last_merged_seq = base.deltas.back().seq;
+  next.compacted_from = base.generation;
+  next.merged_below_seq = base.next_delta_seq;
   for (const DeltaSummary& d : manifest_.deltas) {
-    if (d.seq > last_merged_seq) next.deltas.push_back(d);
+    if (d.seq >= next.merged_below_seq) next.deltas.push_back(d);
   }
   if (Status s = AtomicWriteFile(env(), path_, EncodeManifest(next), options_.write);
       !s.ok()) {
@@ -237,13 +243,16 @@ Result<bool> IngestWriter::Compact(ThreadPool* pool) {
       ManifestFileSetDifference(path_, manifest_, next);
   if (IsGenerationPinned(path_, base.generation)) {
     DeferGenerationRemoval(path_, base.generation, std::move(removable));
-  } else {
-    for (const std::string& f : removable) (void)env().RemoveFile(f);
+    removable.clear();
   }
   manifest_ = std::move(next);
-  for (const std::string& f : TakeUnpinnedDeferredFiles(path_)) {
-    (void)env().RemoveFile(f);
+  for (std::string& f : TakeUnpinnedDeferredFiles(path_)) {
+    removable.push_back(std::move(f));
   }
+  // The removals run after the commit mutex is dropped, as in AppendBatch:
+  // an append commits while the GC unlinks.
+  lock.unlock();
+  for (const std::string& f : removable) (void)env().RemoveFile(f);
   return true;
 }
 

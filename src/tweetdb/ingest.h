@@ -63,7 +63,11 @@ struct IngestOptions {
 /// the new manifest carries forward any delta appended while the merge was
 /// running. The merge output depends only on the committed row set — never
 /// on thread count or append/compact interleaving — so compacted shard
-/// files are byte-identical at any pool size.
+/// files are byte-identical at any pool size. The compacted manifest
+/// records its provenance (format v8): the generation it merged
+/// (`compacted_from`) and the cursor below which every delta is folded in
+/// (`merged_below_seq`), which lets a serving catalog that already holds
+/// those rows rebase onto the new generation without reading it.
 ///
 /// Concurrency contract (single writer process, many threads):
 ///   * `AppendBatch` may be called from one thread while `Compact` runs on
@@ -76,6 +80,10 @@ struct IngestOptions {
 ///     generation-pin aware exactly like WriteDatasetFiles' (a pinned
 ///     generation's shard and delta files are deferred, never deleted
 ///     under a reader).
+///   * GC never holds the commit mutex across a removal: the file list is
+///     taken under it and unlinked after it is released (file names are
+///     generation- and seq-qualified and never reused), so an append
+///     commits while a compaction's GC is still unlinking.
 ///
 /// Crash consistency: an interrupted append leaves at most an orphaned
 /// delta file the installed manifest never references (the retried append

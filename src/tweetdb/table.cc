@@ -104,7 +104,11 @@ CompactionReport TweetTable::CompactByUserTime() {
 
   // Pass 2: merge the sorted side list into the kept stream, releasing each
   // input block once walked so the table is held about once, not twice.
-  std::sort(side.begin(), side.end(), KeyLess);
+  // Sorted inputs laid end to end (Merge of compacted tables) leave a
+  // sorted side list, so their merge stays linear.
+  if (!std::is_sorted(side.begin(), side.end(), KeyLess)) {
+    std::sort(side.begin(), side.end(), KeyLess);
+  }
   std::vector<StoredBlock> input = std::move(blocks_);
   blocks_.clear();
   std::vector<uint64_t> users;

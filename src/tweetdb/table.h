@@ -114,7 +114,8 @@ class TweetTable {
   /// multi-collection ingestion path (e.g. combining monthly corpora): the
   /// inputs' blocks are adopted in order, then CompactByUserTime() runs
   /// once. Input tables are consumed. Duplicate rows are kept (callers
-  /// dedupe if their collections overlap).
+  /// dedupe if their collections overlap). Two inputs that are each in
+  /// (user, time) order merge in linear time.
   static TweetTable Merge(std::vector<TweetTable> tables,
                           size_t block_capacity = kDefaultBlockCapacity);
 

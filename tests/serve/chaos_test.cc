@@ -28,6 +28,7 @@
 #include "serve/query_service.h"
 #include "serve/refresh_supervisor.h"
 #include "serve/snapshot_catalog.h"
+#include "serve/snapshot_dump.h"
 #include "serve/whatif_service.h"
 #include "synth/tweet_generator.h"
 #include "tweetdb/binary_codec.h"
@@ -378,6 +379,83 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "seed" + std::to_string(std::get<0>(info.param)) + "_" + kind;
     });
+
+// A rebase refresh that fails — transient faults past the read retry
+// budget from each of its env operations on, the delta read included — is
+// an error that leaves the installed snapshot serving untouched and
+// pinned; once the faults clear, the next refresh rebases and serves
+// exactly the committed rows.
+TEST(RebaseChaosTest, FailedRebaseDeltaReadKeepsTheInstalledSnapshotServing) {
+  const core::PipelineConfig config = ChaosConfig();
+  const std::string path = testing::TempDir() + "/twimob_chaos_rebase.twdb";
+  const std::string scratch = path + ".ref";
+  std::remove(path.c_str());
+  tweetdb::FaultInjectionEnv fault_env(tweetdb::Env::Default(), 7);
+  tweetdb::TweetDataset corpus = GenerateCorpus(config);
+  const std::vector<Tweet> base = SortedRows(corpus);
+  ASSERT_TRUE(tweetdb::WriteDatasetFiles(corpus, path).ok());
+  auto writer = tweetdb::IngestWriter::Open(path);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  CatalogOptions options;
+  options.analysis = config;
+  options.env = &fault_env;
+  options.num_threads = 2;
+  auto catalog = SnapshotCatalog::Open(path, options);
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+
+  // Arms a rebase: a delta the catalog reads, a compaction, a new delta.
+  uint64_t seed = 1000;
+  std::vector<std::vector<Tweet>> batches;
+  auto arm = [&] {
+    fault_env.set_schedule({});
+    batches.push_back(BatchRows(config, seed++, 60));
+    ASSERT_TRUE((*writer)->AppendBatch(batches.back()).ok());
+    auto refreshed = (*catalog)->Refresh();
+    ASSERT_TRUE(refreshed.ok() && *refreshed);
+    ASSERT_TRUE(RanDeltaPath(*(*catalog)->Current()));
+    auto compacted = (*writer)->Compact();
+    ASSERT_TRUE(compacted.ok() && *compacted);
+    batches.push_back(BatchRows(config, seed++, 40));
+    ASSERT_TRUE((*writer)->AppendBatch(batches.back()).ok());
+  };
+  auto expect_rebased = [&](const std::string& where) {
+    const auto served = (*catalog)->Current();
+    EXPECT_TRUE(RanDeltaPath(*served, /*rebased=*/true)) << where;
+    EXPECT_EQ(SortedRows(*served),
+              ReferenceRows(config, scratch, base, batches, batches.size()))
+        << where;
+  };
+
+  // The gated operations of one clean rebase refresh.
+  ASSERT_NO_FATAL_FAILURE(arm());
+  fault_env.set_schedule({});
+  auto clean = (*catalog)->Refresh();
+  ASSERT_TRUE(clean.ok() && *clean);
+  const uint64_t refresh_ops = fault_env.operations();
+  ASSERT_GT(refresh_ops, 0u);
+  expect_rebased("clean rebase");
+
+  for (uint64_t at = 0; at < refresh_ops; ++at) {
+    const std::string where = "faults from op " + std::to_string(at);
+    ASSERT_NO_FATAL_FAILURE(arm()) << where;
+    const auto before = (*catalog)->Current();
+    FaultSchedule schedule;
+    schedule.windows.push_back({FaultKind::kTransient, at, at + 1000});
+    fault_env.set_schedule(schedule);
+    auto refreshed = (*catalog)->Refresh();
+    EXPECT_FALSE(refreshed.ok()) << where;
+    EXPECT_EQ((*catalog)->Current().get(), before.get()) << where;
+    EXPECT_TRUE(tweetdb::IsGenerationPinned(path, before->generation())) << where;
+    auto answer = QueryService(before).Population(geo::LatLon{-33.87, 151.21}, 20000.0);
+    EXPECT_TRUE(answer.ok()) << where;
+
+    fault_env.set_schedule({});
+    auto recovered = (*catalog)->Refresh();
+    ASSERT_TRUE(recovered.ok()) << where << ": " << recovered.status();
+    EXPECT_TRUE(*recovered) << where;
+    expect_rebased(where);
+  }
+}
 
 }  // namespace
 }  // namespace twimob::serve

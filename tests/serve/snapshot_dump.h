@@ -136,11 +136,14 @@ inline std::string DumpSnapshot(const std::shared_ptr<const core::AnalysisSnapsh
          DumpRecovery(snapshot->recovery()) + DumpQueries(snapshot, probes);
 }
 
-/// True when the snapshot's trace shows the delta path ran: a `delta`
-/// stage and no `compact` stage.
-inline bool RanDeltaPath(const core::AnalysisSnapshot& snapshot) {
+/// True when the snapshot's trace shows the delta path ran — a `delta`
+/// stage and no `compact` stage — and, with `rebased`, that it ran after a
+/// rebase onto a compacted generation (a `rebase` stage); without, that
+/// no rebase ran.
+inline bool RanDeltaPath(const core::AnalysisSnapshot& snapshot, bool rebased = false) {
   const core::PipelineTrace& trace = snapshot.result().trace;
-  return trace.Find("delta") != nullptr && trace.Find("compact") == nullptr;
+  return trace.Find("delta") != nullptr && trace.Find("compact") == nullptr &&
+         (trace.Find("rebase") != nullptr) == rebased;
 }
 
 }  // namespace twimob::serve

@@ -298,16 +298,72 @@ TEST(ManifestCorruptionTest, V4ManifestRejectedWithVersionMessage) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
 
-  // A v6 manifest has the current layout under the previous version
-  // number; it is rejected by version, never read.
-  std::string v6 = SmallManifestBytes(15);
-  v6[4] = 6;
-  PatchManifestCrc(&v6);
-  auto decoded_v6 = DecodeManifest(v6);
-  ASSERT_FALSE(decoded_v6.ok());
-  EXPECT_NE(decoded_v6.status().message().find("format version 6 (expected 7)"),
+  // A v7 manifest (no block counts, no compaction provenance) is rejected
+  // by version, never read against the v8 layout.
+  std::string v7 = SmallManifestBytes(15);
+  v7[4] = 7;
+  PatchManifestCrc(&v7);
+  auto decoded_v7 = DecodeManifest(v7);
+  ASSERT_FALSE(decoded_v7.ok());
+  EXPECT_NE(decoded_v7.status().message().find("format version 7 (expected 8)"),
             std::string::npos)
-      << decoded_v6.status().message();
+      << decoded_v7.status().message();
+}
+
+TEST(ManifestCorruptionTest, V7ManifestIsATypedVersionError) {
+  // A v7 manifest byte for byte: the v8 layout minus each shard's block
+  // count and the trailing provenance. Every reader of the path fails with
+  // the typed IOError, the writer too.
+  const std::string path = testing::TempDir() + "/twimob_manifest_v7.twdb";
+  std::string v7 = "TWDM";
+  PutFixed32(&v7, 7);
+  PutFixed64(&v7, 3);     // generation
+  PutFixed64(&v7, 0);     // next delta seq
+  PutFixed64(&v7, 0);     // partition origin
+  PutFixed64(&v7, 1000);  // partition width
+  PutFixed64(&v7, 0);     // shard count
+  PutFixed64(&v7, 0);     // delta count
+  PutFixed32(&v7, Crc32c(v7.data(), v7.size()));
+  auto decoded = DecodeManifest(v7);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsIOError()) << decoded.status();
+  EXPECT_NE(decoded.status().message().find("format version 7 (expected 8)"),
+            std::string::npos)
+      << decoded.status().message();
+
+  ASSERT_TRUE(AtomicWriteFile(*Env::Default(), path, v7).ok());
+  auto read = ReadDatasetFiles(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsIOError()) << read.status();
+  auto writer = IngestWriter::Open(path);
+  ASSERT_FALSE(writer.ok());
+  EXPECT_TRUE(writer.status().IsIOError()) << writer.status();
+  std::remove(path.c_str());
+}
+
+TEST(ManifestCorruptionTest, CompactionProvenanceRoundTripsAndIsValidated) {
+  Manifest manifest = ManifestWithDelta();
+  manifest.generation = 5;
+  manifest.compacted_from = 4;
+  manifest.merged_below_seq = 0;
+  auto decoded = DecodeManifest(EncodeManifest(manifest));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->compacted_from, 4u);
+  EXPECT_EQ(decoded->merged_below_seq, 0u);
+
+  // A compaction names an earlier generation...
+  Manifest forged = manifest;
+  forged.compacted_from = 5;
+  EXPECT_FALSE(DecodeManifest(EncodeManifest(forged)).ok());
+  // ...and every delta it lists is one it did not merge.
+  forged = manifest;
+  forged.merged_below_seq = 1;
+  EXPECT_FALSE(DecodeManifest(EncodeManifest(forged)).ok());
+  // The merge boundary never passes the cursor.
+  forged = manifest;
+  forged.deltas.clear();
+  forged.merged_below_seq = 3;
+  EXPECT_FALSE(DecodeManifest(EncodeManifest(forged)).ok());
 }
 
 TEST(ManifestCorruptionTest, ShardRowCountMismatchRejectedOnRead) {
@@ -330,6 +386,40 @@ TEST(ManifestCorruptionTest, ShardRowCountMismatchRejectedOnRead) {
   auto reread = ReadDatasetFiles(path);
   ASSERT_FALSE(reread.ok());
   EXPECT_NE(reread.status().message().find("mismatch"), std::string::npos);
+}
+
+TEST(ManifestCorruptionTest, ShardBlockCountMismatchFailsAStrictRead) {
+  const std::string path = testing::TempDir() + "/twimob_manifest_blocks.twdb";
+  std::remove(path.c_str());  // fresh path -> deterministic generation 1
+  TweetDataset dataset = SmallDataset(13);
+  ASSERT_TRUE(WriteDatasetFiles(dataset, path).ok());
+  RecoveryReport clean;
+  ASSERT_TRUE(ReadDatasetFiles(path, RecoveryPolicy::kStrict, &clean).ok());
+  // An intact shard reports what its manifest record says.
+  Manifest manifest = dataset.BuildManifest();
+  ASSERT_EQ(clean.shards.size(), manifest.shards.size());
+  for (size_t i = 0; i < manifest.shards.size(); ++i) {
+    const ShardRecovery expected = IntactShardRecovery(manifest.shards[i]);
+    EXPECT_EQ(clean.shards[i].blocks_total, expected.blocks_total);
+    EXPECT_EQ(clean.shards[i].rows_recovered, expected.rows_recovered);
+    EXPECT_EQ(clean.shards[i].key, expected.key);
+  }
+
+  // Tamper the manifest: the rows agree, the header's block count does not.
+  manifest.generation = 1;
+  manifest.shards[0].num_blocks += 1;
+  ASSERT_TRUE(AtomicWriteFile(*Env::Default(), path, EncodeManifest(manifest)).ok());
+  auto reread = ReadDatasetFiles(path);
+  ASSERT_FALSE(reread.ok());
+  EXPECT_TRUE(reread.status().IsIOError()) << reread.status();
+  EXPECT_NE(reread.status().message().find("block count mismatch"), std::string::npos)
+      << reread.status().message();
+  // Salvage keeps the rows and records the disagreement.
+  RecoveryReport salvaged;
+  auto salvage = ReadDatasetFiles(path, RecoveryPolicy::kSalvage, &salvaged);
+  ASSERT_TRUE(salvage.ok()) << salvage.status();
+  EXPECT_EQ(salvage->num_rows(), dataset.num_rows());
+  EXPECT_FALSE(salvaged.shards[0].status.ok());
 }
 
 TEST(ManifestCorruptionTest, MissingShardFileIsAnError) {
@@ -366,7 +456,7 @@ TEST(CorruptionTest, V3TableRejectedWithVersionMessage) {
   auto decoded_v6 = DecodeTable(v6);
   ASSERT_FALSE(decoded_v6.ok());
   EXPECT_NE(decoded_v6.status().message().find(
-                "unsupported format version 6 (expected 7)"),
+                "unsupported format version 6 (expected 8)"),
             std::string::npos)
       << decoded_v6.status().message();
 }

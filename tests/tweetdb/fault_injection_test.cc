@@ -677,6 +677,115 @@ TEST(FaultInjectionIngestTest, CrashedCompactionNeverLosesDeltaRows) {
   }
 }
 
+// Compaction followed by Refresh, both on the fault env: whatever env
+// operation of the two a crash hits, the dataset is exactly the old
+// generation (every delta listed) or exactly the new one (the merged
+// shards, with the provenance a rebase reads), and the catalog serves the
+// old snapshot untouched or a rebased one equal to a from-scratch open —
+// once revived, the rebased one whenever the compaction committed.
+
+TEST(FaultInjectionServeTest, CrashedCompactionThenRefreshServesOldOrRebased) {
+  FaultInjectionEnv fault_env(Env::Default(), 111);
+  const serve::CatalogOptions options = ServeOptions(&fault_env);
+  const std::vector<Tweet> b0 = BatchRows(901, 150);
+  const std::vector<Tweet> b1 = BatchRows(902, 90);
+
+  // Base state: history and two deltas the catalog has read.
+  std::unique_ptr<IngestWriter> writer;
+  std::unique_ptr<serve::SnapshotCatalog> catalog;
+  auto make_base = [&](const std::string& path) {
+    catalog.reset();
+    writer.reset();
+    fault_env.set_plan({});
+    StartLiveDataset(path, options, &writer, &catalog);
+    ASSERT_TRUE(writer->AppendBatch(b0).ok());
+    ASSERT_TRUE(writer->AppendBatch(b1).ok());
+    auto refreshed = catalog->Refresh();
+    ASSERT_TRUE(refreshed.ok() && *refreshed);
+    writer.reset();
+  };
+  // A writer on the fault env compacts; then the catalog refreshes.
+  auto compact_then_refresh = [&](const std::string& path) {
+    {
+      auto faulty = IngestWriter::Open(path, {}, &fault_env);
+      if (faulty.ok()) (void)(*faulty)->Compact();
+    }
+    return catalog->Refresh();
+  };
+
+  // The gated operations of one writer open, compaction and refresh.
+  ASSERT_NO_FATAL_FAILURE(make_base(testing::TempDir() + "/twimob_fault_rebase.twdb"));
+  fault_env.set_plan({});
+  auto counted = compact_then_refresh(testing::TempDir() + "/twimob_fault_rebase.twdb");
+  ASSERT_TRUE(counted.ok() && *counted);
+  ASSERT_TRUE(serve::RanDeltaPath(*catalog->Current(), /*rebased=*/true));
+  const uint64_t total_ops = fault_env.operations();
+  ASSERT_GT(total_ops, 0u);
+
+  for (const auto kind : {FaultInjectionEnv::FaultKind::kCrash,
+                          FaultInjectionEnv::FaultKind::kTornWrite}) {
+    const bool crash = kind == FaultInjectionEnv::FaultKind::kCrash;
+    uint64_t committed_crashes = 0;
+    for (uint64_t at = 0; at < total_ops; ++at) {
+      // A path per crash point: superseded generations' deferred removals
+      // never reach a later iteration's files.
+      const std::string where =
+          std::string(crash ? "crash" : "torn write") + " at op " + std::to_string(at);
+      const std::string path = testing::TempDir() + "/twimob_fault_rebase_" +
+                               (crash ? "c" : "t") + std::to_string(at) + ".twdb";
+      ASSERT_NO_FATAL_FAILURE(make_base(path)) << where;
+      const auto before = catalog->Current();
+      auto old_peek = serve::PeekManifest(*Env::Default(), path);
+      ASSERT_TRUE(old_peek.ok()) << where;
+      const Manifest old_manifest = *old_peek;
+      fault_env.set_plan({kind, at});
+      auto refreshed = compact_then_refresh(path);
+      ASSERT_TRUE(fault_env.crashed()) << where << " did not fire";
+
+      // Old or new: the old generation with every delta, or the next one
+      // with none, merged from it.
+      auto peek = serve::PeekManifest(*Env::Default(), path);
+      ASSERT_TRUE(peek.ok()) << where << ": " << peek.status().message();
+      const Manifest survived = *peek;
+      const bool committed = survived.generation != old_manifest.generation;
+      if (committed) {
+        ++committed_crashes;
+        EXPECT_EQ(survived.generation, old_manifest.generation + 1) << where;
+        EXPECT_EQ(survived.compacted_from, old_manifest.generation) << where;
+        EXPECT_EQ(survived.merged_below_seq, old_manifest.next_delta_seq) << where;
+        EXPECT_TRUE(survived.deltas.empty()) << where;
+      } else {
+        EXPECT_EQ(survived.deltas.size(), old_manifest.deltas.size()) << where;
+      }
+      EXPECT_EQ(survived.next_delta_seq, old_manifest.next_delta_seq) << where;
+      EXPECT_EQ(ReopenRowsSorted(path).size(), before->num_rows()) << where;
+
+      // The catalog serves the old snapshot or a rebased one; revived, it
+      // rebases whenever the compaction committed.
+      if (refreshed.ok() && *refreshed) {
+        EXPECT_TRUE(committed) << where;
+        EXPECT_TRUE(serve::RanDeltaPath(*catalog->Current(), /*rebased=*/true)) << where;
+      } else {
+        EXPECT_EQ(catalog->Current().get(), before.get()) << where;
+      }
+      fault_env.set_plan({});
+      auto revived = catalog->Refresh();
+      ASSERT_TRUE(revived.ok()) << where << ": " << revived.status().message();
+      if (committed) {
+        EXPECT_TRUE(serve::RanDeltaPath(*catalog->Current(), /*rebased=*/true)) << where;
+      } else {
+        EXPECT_FALSE(*revived) << where;
+        EXPECT_EQ(catalog->Current().get(), before.get()) << where;
+      }
+      ExpectMatchesFreshOpen(*catalog, options, where);
+    }
+    // The sweep reaches the refresh: some crash points fall after the
+    // compaction's commit.
+    EXPECT_GT(committed_crashes, 0u);
+  }
+  catalog.reset();
+}
+
 TEST(FaultInjectionDatasetTest, ShortReadOnManifestIsCaughtNotMisread) {
   const std::string path = testing::TempDir() + "/twimob_fault_shortread_ds.twdb";
   std::remove(path.c_str());

@@ -5,8 +5,13 @@
 // rewrites, and pin-aware GC of superseded shard and delta files.
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <future>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -325,6 +330,117 @@ TEST(IngestWriterTest, PinnedGenerationFilesSurviveCompactionUntilRelease) {
     EXPECT_FALSE(env->FileExists(ShardFilePath(path, 2, s.key)));
   }
   EXPECT_FALSE(env->FileExists(DeltaFilePath(path, 2, 1)));
+}
+
+/// The default env, except that RemoveFile waits at a gate until the test
+/// opens it.
+class GatedRemoveEnv : public Env {
+ public:
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(const std::string& path) override {
+    return Env::Default()->NewWritableFile(path);
+  }
+  Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    return Env::Default()->NewRandomAccessFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return Env::Default()->RenameFile(from, to);
+  }
+  bool FileExists(const std::string& path) override {
+    return Env::Default()->FileExists(path);
+  }
+  Status RemoveFile(const std::string& path) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++blocked_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    return Env::Default()->RemoveFile(path);
+  }
+
+  /// Waits until some RemoveFile call is parked at the gate.
+  void WaitForBlockedRemove() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return blocked_ > 0; });
+  }
+  void OpenGate() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t blocked_ = 0;
+  bool open_ = false;
+};
+
+TEST(IngestWriterTest, AppendCommitsWhileCompactionGcIsRemovingFiles) {
+  // Compact's GC unlinks superseded files after its commit, outside the
+  // commit mutex: with the GC parked inside RemoveFile, an append commits.
+  const std::string path = FreshPath("twimob_ingest_gc_unlocked.twdb");
+  GatedRemoveEnv env;
+  auto writer = IngestWriter::Open(path, SmallShardOptions(), &env);
+  ASSERT_TRUE(writer.ok());
+  const std::vector<Tweet> first = RandomTweets(300, 90, 40, 1'000'000);
+  const std::vector<Tweet> second = RandomTweets(200, 91, 40, 1'000'000);
+  ASSERT_TRUE((*writer)->AppendBatch(first).ok());
+
+  Result<bool> compacted = false;
+  std::thread compactor([&] { compacted = (*writer)->Compact(); });
+  env.WaitForBlockedRemove();
+  EXPECT_EQ((*writer)->manifest().generation, 2u);
+  auto append = std::async(std::launch::async,
+                           [&] { return (*writer)->AppendBatch(second); });
+  const bool committed =
+      append.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  EXPECT_TRUE(committed) << "append blocked behind the compaction's GC";
+  env.OpenGate();
+  compactor.join();
+  ASSERT_TRUE(append.get().ok());
+  ASSERT_TRUE(compacted.ok()) << compacted.status();
+  EXPECT_TRUE(*compacted);
+
+  const Manifest manifest = (*writer)->manifest();
+  EXPECT_EQ(manifest.next_delta_seq, 2u);
+  ASSERT_EQ(manifest.deltas.size(), 1u);
+  EXPECT_EQ(manifest.deltas[0].seq, 1u);
+  EXPECT_FALSE(Env::Default()->FileExists(DeltaFilePath(path, 1, 0)));
+  std::vector<Tweet> all = first;
+  all.insert(all.end(), second.begin(), second.end());
+  EXPECT_EQ(SortedStoredRows(path).size(), all.size());
+}
+
+TEST(IngestWriterTest, CompactionRecordsItsProvenance) {
+  // A fresh dataset and a full rewrite name no source; a compaction names
+  // the generation it merged and the cursor below which it merged every
+  // delta, and appends keep both.
+  const std::string path = FreshPath("twimob_ingest_provenance.twdb");
+  auto writer = IngestWriter::Open(path, SmallShardOptions());
+  ASSERT_TRUE(writer.ok());
+  EXPECT_EQ((*writer)->manifest().compacted_from, 0u);
+  ASSERT_TRUE((*writer)->AppendBatch(RandomTweets(300, 95, 40, 1'000'000)).ok());
+  ASSERT_TRUE((*writer)->AppendBatch(RandomTweets(100, 96, 40, 1'000'000)).ok());
+  ASSERT_TRUE((*writer)->Compact().ok());
+  Manifest manifest = (*writer)->manifest();
+  EXPECT_EQ(manifest.generation, 2u);
+  EXPECT_EQ(manifest.compacted_from, 1u);
+  EXPECT_EQ(manifest.merged_below_seq, 2u);
+  for (const ShardSummary& s : manifest.shards) EXPECT_GT(s.num_blocks, 0u) << s.key;
+  ASSERT_TRUE((*writer)->AppendBatch(RandomTweets(50, 97, 40, 1'000'000)).ok());
+  manifest = (*writer)->manifest();
+  EXPECT_EQ(manifest.compacted_from, 1u);
+  EXPECT_EQ(manifest.merged_below_seq, 2u);
+
+  auto rows = ReadDatasetFiles(path);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_TRUE(WriteDatasetFiles(*rows, path).ok());
+  auto reopened = IngestWriter::Open(path, SmallShardOptions());
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->manifest().compacted_from, 0u);
+  EXPECT_EQ((*reopened)->manifest().merged_below_seq, 0u);
 }
 
 TEST(IngestWriterTest, IngestMatchesBulkWriteForAnyBatchSlicing) {
