@@ -74,15 +74,14 @@ std::shared_ptr<const epi::ScenarioSweep> BuildScenarioSweep(
 }
 
 /// What a full run leaves behind for later snapshots: its per-scale
-/// context (specs, and each scale's assigner and distances), and its rows
-/// as the first run (the compacted dataset, its index, and the population
-/// stage's per-area user lists and tweet counts).
+/// context (specs, each scale's assigner and, with mobility, distances),
+/// and its rows as the first run (the compacted dataset, its index, and the
+/// population stage's per-area user lists and tweet counts).
 void SealFullRun(PipelineState& state) {
   auto scales = std::make_shared<AnalysisScales>();
   scales->specs = std::move(state.specs);
+  scales->assigners = std::move(state.assigners);
   for (ScaleWork& work : state.scale_work) {
-    if (!work.assigner.has_value()) break;
-    scales->assigners.push_back(std::move(*work.assigner));
     scales->distances.push_back(std::move(work.distances));
   }
   auto run = std::make_shared<AnalysisRun>();

@@ -59,9 +59,11 @@ struct ScaleServingTables {
 struct AnalysisScales {
   /// The analysed scales (paper order, with the metro override applied).
   std::vector<ScaleSpec> specs;
-  /// Per scale, when the analysis ran mobility (else empty): the trip
-  /// assigner and the flat row-major pairwise centre distances.
+  /// Per scale: the one map from a point to its area. Trip extraction, the
+  /// delta path's trip replays and served point queries all assign by it.
   std::vector<mobility::AreaAssigner> assigners;
+  /// Per scale, when the analysis ran mobility (else empty): the flat
+  /// row-major pairwise centre distances.
   std::vector<std::vector<double>> distances;
 };
 

@@ -13,10 +13,15 @@ namespace twimob::core {
 
 namespace {
 
-/// Fills state.specs on first use with ResolveScaleSpecs(state.config).
+/// Fills state.specs on first use with ResolveScaleSpecs(state.config), and
+/// state.assigners with each scale's assigner.
 void EnsureSpecs(PipelineState& state) {
   if (!state.specs.empty()) return;
   state.specs = ResolveScaleSpecs(state.config);
+  state.assigners.reserve(state.specs.size());
+  for (const ScaleSpec& spec : state.specs) {
+    state.assigners.emplace_back(spec.areas, spec.radius_m);
+  }
 }
 
 Result<ModelSummary> SummarizeGravity(
@@ -222,7 +227,7 @@ class TripsStage : public Stage {
     ScaleMobilityResult scale_result;
     ScaleWork work;
     TWIMOB_RETURN_IF_ERROR(ExtractScaleTrips(
-        state.dataset, state.specs[scale_pos_],
+        state.dataset, state.specs[scale_pos_], state.assigners[scale_pos_],
         state.result.population[scale_pos_], ctx.pool(), &scale_result, &work));
 
     // The extraction is itself a full storage scan; surface it alongside
@@ -364,7 +369,7 @@ class DeltaStage : public Stage {
     }
 
     TWIMOB_RETURN_IF_ERROR(EstimatePopulation(runs, state));
-    if (!scales.assigners.empty()) {
+    if (!installed.trips().empty()) {
       TWIMOB_RETURN_IF_ERROR(ReplayTrips(ctx, installed, runs, touched, state));
     }
     TWIMOB_RETURN_IF_ERROR(MergeRunsBySize(ctx, state.specs, &runs));
@@ -444,8 +449,9 @@ class DeltaStage : public Stage {
                             const std::vector<std::shared_ptr<const AnalysisRun>>& runs,
                             const std::vector<uint64_t>& touched, PipelineState& state) {
     const AnalysisScales& scales = *installed.scales();
-    if (installed.trips().size() != scales.assigners.size() ||
-        installed.result().mobility.size() != scales.assigners.size()) {
+    const size_t num_scales = scales.specs.size();
+    if (installed.trips().size() != num_scales ||
+        installed.result().mobility.size() != num_scales) {
       return Status::FailedPrecondition(
           "delta stage: installed snapshot has no trips to update");
     }
@@ -464,7 +470,6 @@ class DeltaStage : public Stage {
       mobility::GatherUserRows(user, new_layers, &new_rows);
     }
 
-    const size_t num_scales = scales.assigners.size();
     state.result.mobility.resize(num_scales);
     state.scale_work.resize(num_scales);
     ctx.pool().ParallelFor(num_scales, [&](size_t s) {
@@ -729,6 +734,7 @@ Result<std::vector<ModelSummary>> FitPaperModels(
 
 Status ExtractScaleTrips(const tweetdb::TweetDataset& dataset,
                          const ScaleSpec& spec,
+                         const mobility::AreaAssigner& assigner,
                          const PopulationEstimateResult& population,
                          ThreadPool& pool, ScaleMobilityResult* scale,
                          ScaleWork* work) {
@@ -738,7 +744,6 @@ Status ExtractScaleTrips(const tweetdb::TweetDataset& dataset,
   }
   scale->scale_name = spec.name;
   scale->radius_m = spec.radius_m;
-  mobility::AreaAssigner assigner(spec.areas, spec.radius_m);
   auto od = mobility::ExtractTrips(dataset, assigner, pool, &scale->extraction);
   if (!od.ok()) return od.status();
 
@@ -756,7 +761,6 @@ Status ExtractScaleTrips(const tweetdb::TweetDataset& dataset,
     work->observed.push_back(o.flow);
   }
   work->od = std::move(*od);
-  work->assigner = std::move(assigner);
   return Status::OK();
 }
 
@@ -765,10 +769,11 @@ Result<ScaleMobilityResult> AnalyzeScaleMobility(
     const PopulationEstimator& estimator, ThreadPool& pool) {
   auto population = estimator.Estimate(spec, &pool);
   if (!population.ok()) return population.status();
+  const mobility::AreaAssigner assigner(spec.areas, spec.radius_m);
   ScaleMobilityResult result;
   ScaleWork work;
-  TWIMOB_RETURN_IF_ERROR(
-      ExtractScaleTrips(dataset, spec, *population, pool, &result, &work));
+  TWIMOB_RETURN_IF_ERROR(ExtractScaleTrips(dataset, spec, assigner, *population,
+                                           pool, &result, &work));
   auto models = FitPaperModels(result.observations, spec.areas, work.masses,
                                work.observed, pool);
   if (!models.ok()) return models.status();

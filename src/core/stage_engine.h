@@ -19,15 +19,14 @@ class AnalysisSnapshot;
 
 /// The per-scale intermediates of one mobility analysis, handed from trip
 /// extraction to the model fits and, in a full run, kept by the sealed
-/// snapshot (the OD matrix) and its shared per-scale context (assigner and
-/// distances) for the delta path.
+/// snapshot (the OD matrix) and its shared per-scale context (distances)
+/// for the delta path.
 struct ScaleWork {
   std::vector<double> masses;     ///< per-area Twitter population
   std::vector<double> distances;  ///< flat row-major pairwise matrix
   std::vector<double> observed;   ///< observed flows, parallel to the
                                   ///< scale result's observations
   std::optional<mobility::OdMatrix> od;  ///< the extracted trips
-  std::optional<mobility::AreaAssigner> assigner;  ///< full runs only
 };
 
 /// Mutable state shared by the stages of one pipeline run. Create one per
@@ -60,6 +59,11 @@ struct PipelineState {
   /// The paper scales (with the config's metro override applied), filled on
   /// first use by any stage that needs them.
   std::vector<ScaleSpec> specs;
+  /// A full run's per-scale area assigners (parallel to `specs`), built
+  /// with them: every trip of the run is assigned by these, and sealing
+  /// hands them to the snapshot, whose point queries and delta replays
+  /// assign by them too. A delta run reads the installed snapshot's.
+  std::vector<mobility::AreaAssigner> assigners;
 
   /// Intermediates handed from `trips@<scale>` to `fit@<scale>`, one entry
   /// per completed trips stage (parallel to `result.mobility`).
@@ -155,14 +159,16 @@ Result<std::vector<ModelSummary>> FitPaperModels(
     double* per_model_seconds = nullptr);
 
 /// Trip extraction of one scale — the `trips@<scale>` stage's work: extracts
-/// the OD matrix from the compacted `dataset`, then builds the off-diagonal
+/// the OD matrix from the compacted `dataset`, assigning every tweet with
+/// `assigner` (built from `spec`), then builds the off-diagonal
 /// observations with `population`'s unique users as the per-area masses
 /// (the paper's Twitter population) and the pairwise centre distances.
 /// `population` must be the estimate of `spec`. Fills `scale` (name,
 /// radius, extraction counters, observations) and `work` (the OD matrix
-/// and the scale's assigner included).
+/// included).
 Status ExtractScaleTrips(const tweetdb::TweetDataset& dataset,
                          const ScaleSpec& spec,
+                         const mobility::AreaAssigner& assigner,
                          const PopulationEstimateResult& population,
                          ThreadPool& pool, ScaleMobilityResult* scale,
                          ScaleWork* work);

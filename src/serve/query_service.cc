@@ -1,18 +1,18 @@
 #include "serve/query_service.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/time_util.h"
+#include "geo/geodesic.h"
 
 namespace twimob::serve {
 
 namespace {
 
-/// Points per block between deadline checks in PointEstimateBatch. Blocks
-/// are whole SIMD-kernel batches, so blocked answers stay bit-identical to
-/// single-shot ones (per-point independence; see PointBatchAssigner).
+/// Points per block between deadline checks in PointEstimateBatch.
 constexpr size_t kDeadlineBlockPoints = 256;
 
 }  // namespace
@@ -92,20 +92,21 @@ Result<PopulationAnswer> QueryService::Population(
   return answer;
 }
 
-void QueryService::FillPointAnswer(const core::AnalysisSnapshot& snapshot,
-                                   size_t scale,
-                                   const PointAssignment& assignment,
-                                   PointAnswer* answer) {
-  answer->area = assignment.area;
-  answer->distance_m = assignment.distance_m;
-  if (assignment.area == PointAssignment::kNoArea) return;
-  const auto& population = snapshot.result().population;
-  if (scale >= population.size()) return;
-  const auto& areas = population[scale].areas;
-  const size_t idx = static_cast<size_t>(assignment.area);
-  if (idx >= areas.size()) return;
-  answer->census_population = areas[idx].census_population;
-  answer->rescaled_estimate = areas[idx].rescaled_estimate;
+PointAnswer QueryService::AnswerPoint(const core::AnalysisSnapshot& snapshot,
+                                      size_t scale, const geo::LatLon& pos) {
+  PointAnswer answer;
+  const std::optional<size_t> area = snapshot.scales()->assigners[scale].Assign(pos);
+  if (!area.has_value()) return answer;
+  answer.area = static_cast<int32_t>(*area);
+  // The distance Assign compared with ε, bit for bit: its haversine repeats
+  // HaversineMeters' operations in order, point first.
+  answer.distance_m =
+      geo::HaversineMeters(pos, snapshot.specs()[scale].areas[*area].center);
+  const core::AreaPopulationEstimate& estimate =
+      snapshot.result().population[scale].areas[*area];
+  answer.census_population = estimate.census_population;
+  answer.rescaled_estimate = estimate.rescaled_estimate;
+  return answer;
 }
 
 Result<PointAnswer> QueryService::PointEstimate(size_t scale,
@@ -122,13 +123,7 @@ Result<PointAnswer> QueryService::PointEstimate(size_t scale,
   if (scale >= snapshot->specs().size()) {
     return Status::InvalidArgument("point query: no such scale");
   }
-  const core::ScaleSpec& spec = snapshot->specs()[scale];
-  // ~20 centres per scale, so building the assigner per request is a
-  // handful of trig evaluations — cheap enough to keep the path stateless
-  // (and therefore lock-free under concurrent Refresh()).
-  const PointBatchAssigner assigner(spec.areas, spec.radius_m);
-  PointAnswer answer;
-  FillPointAnswer(*snapshot, scale, assigner.AssignScalar(pos), &answer);
+  const PointAnswer answer = AnswerPoint(*snapshot, scale, pos);
   point_queries_.fetch_add(1, std::memory_order_relaxed);
   return answer;
 }
@@ -138,28 +133,26 @@ Result<std::vector<PointAnswer>> QueryService::PointEstimateBatch(
     const QueryOptions& options) const {
   const AdmissionSlot slot(*this);
   if (!slot.admitted()) return ShedStatus();
+  for (size_t i = 0; i < n; ++i) {
+    const geo::LatLon pos{lats[i], lons[i]};
+    if (!pos.IsValid()) {
+      return Status::InvalidArgument("point batch query: invalid position " +
+                                     pos.ToString() + " at index " +
+                                     std::to_string(i));
+    }
+  }
   if (options.deadline.HasExpired()) return DeadlinePassed("point batch");
   const std::shared_ptr<const core::AnalysisSnapshot> snapshot = Acquire();
   if (scale >= snapshot->specs().size()) {
     return Status::InvalidArgument("point batch query: no such scale");
   }
-  const core::ScaleSpec& spec = snapshot->specs()[scale];
-  const PointBatchAssigner assigner(spec.areas, spec.radius_m);
-  std::vector<PointAssignment> assignments(n);
-  if (options.deadline.unbounded()) {
-    assigner.AssignBatch(lats, lons, n, assignments.data());
-  } else {
-    // Block-granular deadline checks; each block is a whole kernel batch,
-    // so the assignments equal the single-shot call's bit for bit.
-    for (size_t off = 0; off < n; off += kDeadlineBlockPoints) {
-      if (options.deadline.HasExpired()) return DeadlinePassed("point batch");
-      const size_t len = std::min(kDeadlineBlockPoints, n - off);
-      assigner.AssignBatch(lats + off, lons + off, len, assignments.data() + off);
-    }
-  }
   std::vector<PointAnswer> answers(n);
-  for (size_t i = 0; i < n; ++i) {
-    FillPointAnswer(*snapshot, scale, assignments[i], &answers[i]);
+  for (size_t off = 0; off < n; off += kDeadlineBlockPoints) {
+    if (options.deadline.HasExpired()) return DeadlinePassed("point batch");
+    const size_t end = std::min(n, off + kDeadlineBlockPoints);
+    for (size_t i = off; i < end; ++i) {
+      answers[i] = AnswerPoint(*snapshot, scale, geo::LatLon{lats[i], lons[i]});
+    }
   }
   point_queries_.fetch_add(n, std::memory_order_relaxed);
   return answers;

@@ -11,7 +11,6 @@
 #include "common/result.h"
 #include "core/analysis_snapshot.h"
 #include "geo/latlon.h"
-#include "serve/point_batch.h"
 #include "serve/snapshot_catalog.h"
 
 namespace twimob::serve {
@@ -23,12 +22,16 @@ struct PopulationAnswer {
 };
 
 /// Answer to a point-estimate query: the area the point maps to at the
-/// requested scale, plus that area's served population numbers.
+/// requested scale — the nearest centre within the scale's ε, exactly the
+/// area the snapshot's trip extraction assigns a tweet there — plus that
+/// area's served population numbers.
 struct PointAnswer {
-  /// Assigned area index, or PointAssignment::kNoArea.
-  int32_t area = PointAssignment::kNoArea;
+  static constexpr int32_t kNoArea = -1;
+
+  /// Assigned area index, or kNoArea when no centre is within ε.
+  int32_t area = kNoArea;
   /// Distance to the assigned centre, metres (+inf when unassigned).
-  double distance_m = 0.0;
+  double distance_m = std::numeric_limits<double>::infinity();
   /// Census resident population of the area (0 when unassigned).
   double census_population = 0.0;
   /// Rescaled Twitter-population estimate of the area (0 when unassigned).
@@ -115,9 +118,9 @@ struct ServiceLimits {
 /// thread counts and across concurrent Refresh() swaps of
 /// content-equivalent generations (serving_stress_test.cc proves both).
 ///
-/// Point queries come in an unbatched form and a SoA-batched form; the
-/// batched form routes through the SIMD geodesic kernels and is
-/// bit-identical to the unbatched one (see PointBatchAssigner).
+/// Point queries come in an unbatched form and a SoA-batched form; both
+/// assign through the snapshot's per-scale mobility::AreaAssigner, so a
+/// batch answers each point exactly as the unbatched form does.
 ///
 /// Overload protection: a ServiceLimits admission cap sheds excess
 /// concurrent queries with kUnavailable, and a per-request Deadline
@@ -146,16 +149,19 @@ class QueryService {
   Result<PopulationAnswer> Population(const geo::LatLon& center, double radius_m,
                                       const QueryOptions& options = {}) const;
 
-  /// Maps one point to its area at scale `scale` (index into specs()). An
-  /// invalid position is InvalidArgument.
+  /// Maps one point to its area at scale `scale` (index into specs()) with
+  /// the snapshot's assigner for that scale; `distance_m` is
+  /// geo::HaversineMeters(pos, centre), the distance the assigner compared
+  /// with ε. An invalid position is InvalidArgument.
   Result<PointAnswer> PointEstimate(size_t scale, const geo::LatLon& pos,
                                     const QueryOptions& options = {}) const;
 
-  /// Batched point queries in SoA form: the request-batching fast path.
-  /// Bit-identical to PointEstimate on each point. With a bounded deadline
-  /// the batch runs in fixed-size blocks with a deadline check between
-  /// them; per-point independence (see PointBatchAssigner) keeps the
-  /// blocked answers bit-identical to the single-shot ones.
+  /// Batched point queries in SoA form, bit-identical to PointEstimate on
+  /// each point. Every position is validated before any is assigned: an
+  /// invalid one is InvalidArgument naming the first bad index, with no
+  /// partial answer. The points are assigned in fixed-size blocks with a
+  /// deadline check between them; each point's answer depends on that
+  /// point alone, so the blocking never changes an answer.
   Result<std::vector<PointAnswer>> PointEstimateBatch(
       size_t scale, const double* lats, const double* lons, size_t n,
       const QueryOptions& options = {}) const;
@@ -207,11 +213,9 @@ class QueryService {
   /// Records and returns the kDeadlineExceeded error for `what`.
   Status DeadlinePassed(const char* what) const;
 
-  /// Fills the population fields of `answer` from the snapshot's served
-  /// estimates when the point was assigned.
-  static void FillPointAnswer(const core::AnalysisSnapshot& snapshot,
-                              size_t scale, const PointAssignment& assignment,
-                              PointAnswer* answer);
+  /// The answer for valid position `pos` at valid scale `scale`.
+  static PointAnswer AnswerPoint(const core::AnalysisSnapshot& snapshot,
+                                 size_t scale, const geo::LatLon& pos);
 
   std::shared_ptr<const core::AnalysisSnapshot> fixed_;
   const SnapshotCatalog* catalog_ = nullptr;

@@ -237,6 +237,36 @@ std::optional<size_t> BruteAssign(const geo::LatLon& pos,
   return best_idx;
 }
 
+TEST(AreaAssignerTest, EmptyAreaListAssignsNothing) {
+  const AreaAssigner assigner({}, 1000.0);
+  EXPECT_EQ(assigner.num_areas(), 0u);
+  EXPECT_FALSE(assigner.Assign(geo::LatLon{-33.8, 151.2}).has_value());
+}
+
+TEST(AreaAssignerTest, IdenticalCentresTieToTheLowestIndex) {
+  // Every point is exactly equidistant from two centres at the same
+  // coordinates, so the strict `d < best` keeps the first.
+  std::vector<census::Area> areas(2);
+  areas[0] = census::Area{0, "First", geo::LatLon{-33.9, 151.1}, 1.0};
+  areas[1] = census::Area{1, "Second", geo::LatLon{-33.9, 151.1}, 1.0};
+  const AreaAssigner assigner(areas, 500000.0);
+  EXPECT_EQ(assigner.Assign(geo::LatLon{-33.8, 151.2}), std::optional<size_t>(0));
+  EXPECT_EQ(assigner.Assign(areas[1].center), std::optional<size_t>(0));
+}
+
+TEST(AreaAssignerTest, CentresAssignToThemselves) {
+  for (const census::Scale scale : census::kAllScales) {
+    const std::vector<census::Area>& areas = census::AreasForScale(scale);
+    for (const double radius_m : {2000.0, 25000.0, 50000.0}) {
+      const AreaAssigner assigner(areas, radius_m);
+      for (size_t i = 0; i < areas.size(); ++i) {
+        EXPECT_EQ(assigner.Assign(areas[i].center), std::optional<size_t>(i))
+            << areas[i].name << " at " << radius_m << " m";
+      }
+    }
+  }
+}
+
 TEST(AreaAssignerTest, PrefiltersNeverChangeTheAssignment) {
   random::Xoshiro256 rng(99);
   std::vector<census::Area> areas;

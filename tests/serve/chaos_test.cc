@@ -14,11 +14,14 @@
 // job runs it under ASan across the fixed seed matrix below.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -455,6 +458,95 @@ TEST(RebaseChaosTest, FailedRebaseDeltaReadKeepsTheInstalledSnapshotServing) {
     EXPECT_TRUE(*recovered) << where;
     expect_rebased(where);
   }
+}
+
+// A refresh brownout under query load: every storage operation of the
+// catalog's env fails while four threads hammer an admission-limited
+// service. Queries keep serving the installed snapshot — every answer is
+// OK or a typed kUnavailable shed — the supervisor's breaker opens, and
+// once the faults clear the supervisor reports fresh within 20 steps.
+TEST(SupervisorBrownoutTest, QueriesStayTypedWhileTheBreakerOpensThenRecovers) {
+  const core::PipelineConfig config = ChaosConfig();
+  const std::string path = testing::TempDir() + "/twimob_chaos_brownout.twdb";
+  std::remove(path.c_str());
+  tweetdb::TweetDataset corpus = GenerateCorpus(config);
+  ASSERT_TRUE(tweetdb::WriteDatasetFiles(corpus, path).ok());
+  tweetdb::FaultInjectionEnv fault_env(tweetdb::Env::Default(), 11);
+  CatalogOptions options;
+  options.analysis = config;
+  options.env = &fault_env;
+  options.num_threads = 2;
+  auto catalog = SnapshotCatalog::Open(path, options);
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  const auto installed = (*catalog)->Current();
+
+  SupervisorOptions sup_options;
+  sup_options.backoff.jitter_seed = 11;
+  sup_options.poll_interval_ms = 2.0;
+  RefreshSupervisor supervisor(catalog->get(), sup_options);
+  FaultSchedule brownout;
+  brownout.windows.push_back({FaultKind::kTransient, 0, ~uint64_t{0}, 0.0});
+  fault_env.set_schedule(brownout);
+  ServiceLimits limits;
+  limits.max_inflight = 2;
+  const QueryService limited(catalog->get(), limits);
+  const auto breaker_opened = [](const HealthSnapshot& h) {
+    return h.breaker != BreakerState::kClosed || h.skipped_steps > 0;
+  };
+
+  // Each thread runs its full load, and keeps querying until the breaker
+  // has opened (or 30 s pass), so the breaker always trips under load.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 8000;
+  std::atomic<bool> load_done{false};
+  std::atomic<uint64_t> served{0};
+  std::atomic<uint64_t> shed{0};
+  std::atomic<uint64_t> untyped{0};
+  supervisor.Start();
+  std::vector<std::thread> queriers;
+  for (int t = 0; t < kThreads; ++t) {
+    queriers.emplace_back([&, t] {
+      random::Xoshiro256 rng(6000 + t);
+      for (int i = 0; i < kPerThread || !load_done.load(std::memory_order_acquire); ++i) {
+        const geo::LatLon center{rng.NextUniform(-44.0, -10.0),
+                                 rng.NextUniform(113.0, 154.0)};
+        const auto answer = limited.Population(center, rng.NextUniform(1000.0, 20000.0));
+        if (answer.ok()) {
+          served.fetch_add(1, std::memory_order_relaxed);
+        } else if (answer.status().IsUnavailable()) {
+          shed.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          untyped.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!breaker_opened(supervisor.health()) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  load_done.store(true, std::memory_order_release);
+  for (std::thread& q : queriers) q.join();
+  supervisor.Stop();
+
+  const HealthSnapshot under_brownout = supervisor.health();
+  EXPECT_EQ(untyped.load(), 0u);
+  EXPECT_GE(served.load() + shed.load(), static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(limited.stats().shed_queries, shed.load());
+  EXPECT_TRUE(breaker_opened(under_brownout)) << under_brownout.ToString();
+  EXPECT_GT(under_brownout.failures, 0u);
+  EXPECT_EQ((*catalog)->Current().get(), installed.get());
+
+  // The brownout clears: the supervisor reports fresh within 20 steps.
+  fault_env.set_schedule({});
+  int steps = 0;
+  while (steps < 20 && !supervisor.health().fresh()) {
+    (void)supervisor.Step();
+    ++steps;
+  }
+  EXPECT_TRUE(supervisor.health().fresh())
+      << "after " << steps << " steps: " << supervisor.health().ToString();
 }
 
 }  // namespace

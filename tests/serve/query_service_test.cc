@@ -1,19 +1,23 @@
 // QueryService: every answer must equal the corresponding lookup on the
-// snapshot's immutable analysis results, the batched point path must be
-// bit-identical to the unbatched one, and invalid requests must be typed
-// errors, never crashes.
+// snapshot's immutable analysis results, a served point must name the area
+// the snapshot's own assigner gives it (the area its tweet's trip was
+// counted in), the batched point path must be bit-identical to the
+// unbatched one, and invalid requests must be typed errors, never crashes.
 
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/analysis_snapshot.h"
+#include "geo/geodesic.h"
 #include "random/rng.h"
 #include "serve/query_service.h"
 
@@ -105,7 +109,8 @@ TEST_F(QueryServiceTest, PointEstimateReturnsAreaAndServedPopulations) {
     for (size_t a = 0; a < spec.areas.size(); ++a) {
       auto answer = service.PointEstimate(scale, spec.areas[a].center);
       ASSERT_TRUE(answer.ok());
-      ASSERT_NE(answer->area, PointAssignment::kNoArea);
+      ASSERT_EQ(answer->area, static_cast<int32_t>(a)) << spec.areas[a].name;
+      EXPECT_EQ(answer->distance_m, 0.0);
       const size_t idx = static_cast<size_t>(answer->area);
       EXPECT_EQ(answer->census_population, estimates[idx].census_population);
       EXPECT_EQ(answer->rescaled_estimate, estimates[idx].rescaled_estimate);
@@ -115,7 +120,8 @@ TEST_F(QueryServiceTest, PointEstimateReturnsAreaAndServedPopulations) {
   for (size_t scale = 0; scale < snapshot().specs().size(); ++scale) {
     auto answer = service.PointEstimate(scale, geo::LatLon{-20.0, 90.0});
     ASSERT_TRUE(answer.ok());
-    EXPECT_EQ(answer->area, PointAssignment::kNoArea);
+    EXPECT_EQ(answer->area, PointAnswer::kNoArea);
+    EXPECT_EQ(answer->distance_m, std::numeric_limits<double>::infinity());
     EXPECT_EQ(answer->census_population, 0.0);
   }
   EXPECT_FALSE(service.PointEstimate(99, geo::LatLon{0, 0}).ok());
@@ -144,6 +150,173 @@ TEST_F(QueryServiceTest, BatchedPointsAreBitIdenticalToUnbatched) {
     }
   }
   EXPECT_FALSE(service.PointEstimateBatch(99, lats.data(), lons.data(), 1).ok());
+}
+
+/// The served point paths at one paper scale (the parameter indexes
+/// specs()), on the shared snapshot.
+class PointBatchScaleTest : public QueryServiceTest,
+                            public ::testing::WithParamInterface<size_t> {
+ protected:
+  /// `n` query points for `spec`: every fifth jittered around a centre,
+  /// every fifth exactly ε from one (the assignment's boundary), the rest
+  /// uniform over the continent's box.
+  static void QueryPoints(const core::ScaleSpec& spec, uint64_t seed, size_t n,
+                          std::vector<double>* lats, std::vector<double>* lons) {
+    random::Xoshiro256 rng(seed);
+    for (size_t i = 0; i < n; ++i) {
+      const geo::LatLon& c = spec.areas[i % spec.areas.size()].center;
+      geo::LatLon p{rng.NextUniform(-44.0, -10.0), rng.NextUniform(113.0, 154.0)};
+      if (i % 5 == 0) {
+        p = geo::LatLon{c.lat + rng.NextUniform(-0.01, 0.01),
+                        c.lon + rng.NextUniform(-0.01, 0.01)};
+      } else if (i % 5 == 1) {
+        p = geo::DestinationPoint(c, rng.NextUniform(0.0, 360.0), spec.radius_m);
+      }
+      lats->push_back(p.lat);
+      lons->push_back(p.lon);
+    }
+  }
+
+  /// The nearest centre within ε by a plain scan, lowest index on ties.
+  static std::optional<size_t> BruteAssign(const core::ScaleSpec& spec,
+                                           const geo::LatLon& pos) {
+    double best = std::numeric_limits<double>::infinity();
+    std::optional<size_t> best_idx;
+    for (size_t i = 0; i < spec.areas.size(); ++i) {
+      const double d = geo::HaversineMeters(pos, spec.areas[i].center);
+      if (d <= spec.radius_m && d < best) {
+        best = d;
+        best_idx = i;
+      }
+    }
+    return best_idx;
+  }
+};
+
+/// The batch runs in 256-point deadline blocks; at sizes on both sides of a
+/// block edge it still answers every point as PointEstimate does.
+TEST_P(PointBatchScaleTest, BatchMatchesScalarBitForBit) {
+  const size_t scale = GetParam();
+  const core::ScaleSpec& spec = snapshot().specs()[scale];
+  const QueryService service(shared());
+  QueryOptions generous;
+  generous.deadline = Deadline::After(60.0);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{255}, size_t{256}, size_t{257},
+                         size_t{1000}}) {
+    std::vector<double> lats;
+    std::vector<double> lons;
+    QueryPoints(spec, 777 + scale, n, &lats, &lons);
+    auto batch = service.PointEstimateBatch(scale, lats.data(), lons.data(), n, generous);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    ASSERT_EQ(batch->size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      auto one = service.PointEstimate(scale, geo::LatLon{lats[i], lons[i]});
+      ASSERT_TRUE(one.ok());
+      const PointAnswer& got = (*batch)[i];
+      ASSERT_EQ(got.area, one->area) << "n=" << n << " i=" << i;
+      ASSERT_TRUE(BitEq(got.distance_m, one->distance_m)) << "n=" << n << " i=" << i;
+      ASSERT_TRUE(BitEq(got.census_population, one->census_population));
+      ASSERT_TRUE(BitEq(got.rescaled_estimate, one->rescaled_estimate));
+    }
+  }
+}
+
+TEST_P(PointBatchScaleTest, CentresAssignToThemselves) {
+  const size_t scale = GetParam();
+  const core::ScaleSpec& spec = snapshot().specs()[scale];
+  const QueryService service(shared());
+  std::vector<double> lats;
+  std::vector<double> lons;
+  for (const census::Area& area : spec.areas) {
+    lats.push_back(area.center.lat);
+    lons.push_back(area.center.lon);
+  }
+  auto batch = service.PointEstimateBatch(scale, lats.data(), lons.data(), lats.size());
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  for (size_t i = 0; i < spec.areas.size(); ++i) {
+    auto one = service.PointEstimate(scale, spec.areas[i].center);
+    ASSERT_TRUE(one.ok());
+    for (const PointAnswer& got : {*one, (*batch)[i]}) {
+      EXPECT_EQ(got.area, static_cast<int32_t>(i)) << spec.areas[i].name;
+      EXPECT_EQ(got.distance_m, 0.0) << spec.areas[i].name;
+    }
+  }
+}
+
+/// A served point names the area the snapshot's assigner for its scale —
+/// the one the trips were counted with — gives it, which is the nearest
+/// centre within ε by a plain scan, and carries the distance bits of
+/// HaversineMeters(pos, centre). Points exactly ε from a centre included.
+TEST_P(PointBatchScaleTest, AgreesWithMobilityAssignerOnRandomPoints) {
+  const size_t scale = GetParam();
+  const core::ScaleSpec& spec = snapshot().specs()[scale];
+  const mobility::AreaAssigner& assigner = snapshot().scales()->assigners[scale];
+  const QueryService service(shared());
+  constexpr size_t kPoints = 3000;
+  std::vector<double> lats;
+  std::vector<double> lons;
+  QueryPoints(spec, 4242 + scale, kPoints, &lats, &lons);
+  auto batch = service.PointEstimateBatch(scale, lats.data(), lons.data(), kPoints);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  size_t assigned = 0;
+  for (size_t i = 0; i < kPoints; ++i) {
+    const geo::LatLon pos{lats[i], lons[i]};
+    const std::optional<size_t> want = assigner.Assign(pos);
+    ASSERT_EQ(want, BruteAssign(spec, pos)) << "i=" << i;
+    auto one = service.PointEstimate(scale, pos);
+    ASSERT_TRUE(one.ok());
+    for (const PointAnswer& got : {*one, (*batch)[i]}) {
+      if (want.has_value()) {
+        ASSERT_EQ(got.area, static_cast<int32_t>(*want)) << "i=" << i;
+        ASSERT_TRUE(BitEq(got.distance_m,
+                          geo::HaversineMeters(pos, spec.areas[*want].center)))
+            << "i=" << i;
+      } else {
+        ASSERT_EQ(got.area, PointAnswer::kNoArea) << "i=" << i;
+        ASSERT_EQ(got.distance_m, std::numeric_limits<double>::infinity());
+      }
+    }
+    if (want.has_value()) ++assigned;
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(assigned, 0u);
+  EXPECT_LT(assigned, kPoints);
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperScales, PointBatchScaleTest,
+                         ::testing::Values(size_t{0}, size_t{1}, size_t{2}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return core::PaperScales()[info.param].name;
+                         });
+
+/// Point-batch request validation, on the shared snapshot.
+class PointBatchTest : public QueryServiceTest {};
+
+/// An invalid position is InvalidArgument on both point paths: the batch
+/// checks every position before it assigns any, names the first bad index
+/// and returns no partial answer.
+TEST_F(PointBatchTest, NanLatitudeIsHandledIdentically) {
+  const QueryService service(shared());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const geo::LatLon c = snapshot().specs()[0].areas[0].center;
+  const std::vector<geo::LatLon> bad = {
+      {nan, c.lon}, {c.lat, nan}, {95.0, c.lon}, {c.lat, 200.0}};
+  for (const geo::LatLon& p : bad) {
+    EXPECT_TRUE(service.PointEstimate(0, p).status().IsInvalidArgument())
+        << p.ToString();
+    // A valid point first, then the bad one, then another bad one.
+    const double lats[] = {c.lat, p.lat, nan};
+    const double lons[] = {c.lon, p.lon, c.lon};
+    const auto batch = service.PointEstimateBatch(0, lats, lons, 3);
+    ASSERT_TRUE(batch.status().IsInvalidArgument()) << p.ToString();
+    EXPECT_NE(batch.status().message().find("at index 1"), std::string::npos)
+        << batch.status();
+  }
+  EXPECT_EQ(service.stats().point_queries, 0u);
+  // The same valid point alone is served.
+  const auto good = service.PointEstimateBatch(0, &c.lat, &c.lon, 1);
+  ASSERT_TRUE(good.ok());
+  EXPECT_EQ((*good)[0].area, 0);
 }
 
 TEST_F(QueryServiceTest, OdFlowMatchesObservations) {

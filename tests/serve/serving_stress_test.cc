@@ -75,6 +75,7 @@ std::vector<double> RunWorkload(const QueryService& service, uint64_t seed,
       EXPECT_TRUE(batch.ok());
       for (const PointAnswer& a : *batch) {
         answers.push_back(static_cast<double>(a.area));
+        answers.push_back(a.distance_m);
         answers.push_back(a.rescaled_estimate);
       }
     } else if (kind == 2) {
