@@ -144,43 +144,73 @@ size_t PopulationEstimator::CollectLayerUsers(size_t first, const geo::LatLon& c
   return tweets;
 }
 
+Result<std::vector<PopulationEstimateResult>> PopulationEstimator::EstimateScales(
+    std::span<const ScaleSpec> specs, ThreadPool* pool,
+    std::vector<std::vector<std::vector<uint64_t>>>* area_users) const {
+  std::vector<std::pair<size_t, size_t>> pairs;  // (scale, area)
+  for (size_t s = 0; s < specs.size(); ++s) {
+    if (specs[s].areas.empty()) {
+      return Status::InvalidArgument("Estimate: scale spec has no areas");
+    }
+    if (!(specs[s].radius_m > 0.0)) {
+      return Status::InvalidArgument("Estimate: radius must be positive");
+    }
+    for (size_t i = 0; i < specs[s].areas.size(); ++i) pairs.emplace_back(s, i);
+  }
+  // Longest walks first: a wider disc around a more populous centre holds
+  // more tweets. The order only schedules; each pair writes its own slot.
+  std::stable_sort(pairs.begin(), pairs.end(), [&specs](const auto& a, const auto& b) {
+    const ScaleSpec& sa = specs[a.first];
+    const ScaleSpec& sb = specs[b.first];
+    if (sa.radius_m != sb.radius_m) return sa.radius_m > sb.radius_m;
+    return sa.areas[a.second].population > sb.areas[b.second].population;
+  });
+
+  std::vector<std::vector<size_t>> unique_users(specs.size());
+  std::vector<std::vector<size_t>> tweet_counts(specs.size());
+  if (area_users != nullptr) area_users->assign(specs.size(), {});
+  for (size_t s = 0; s < specs.size(); ++s) {
+    unique_users[s].assign(specs[s].areas.size(), 0);
+    tweet_counts[s].assign(specs[s].areas.size(), 0);
+    if (area_users != nullptr) (*area_users)[s].resize(specs[s].areas.size());
+  }
+  const auto count_area = [&](size_t k) {
+    const auto [s, i] = pairs[k];
+    const geo::LatLon& center = specs[s].areas[i].center;
+    if (area_users != nullptr) {
+      std::vector<uint64_t>& users = (*area_users)[s][i];
+      tweet_counts[s][i] = CollectUsers(center, specs[s].radius_m, &users);
+      unique_users[s][i] = users.size();
+      return;
+    }
+    const geo::RadiusCounts counts = CountTweetsAndUsers(center, specs[s].radius_m);
+    unique_users[s][i] = counts.distinct_ids;
+    tweet_counts[s][i] = counts.points;
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(pairs.size(), count_area);
+  } else {
+    for (size_t k = 0; k < pairs.size(); ++k) count_area(k);
+  }
+
+  std::vector<PopulationEstimateResult> results;
+  for (size_t s = 0; s < specs.size(); ++s) {
+    auto result = AssemblePopulationEstimate(specs[s], unique_users[s], tweet_counts[s]);
+    if (!result.ok()) return result.status();
+    results.push_back(std::move(*result));
+  }
+  return results;
+}
+
 Result<PopulationEstimateResult> PopulationEstimator::Estimate(
     const ScaleSpec& spec, ThreadPool* pool,
     std::vector<std::vector<uint64_t>>* area_users) const {
-  if (spec.areas.empty()) {
-    return Status::InvalidArgument("Estimate: scale spec has no areas");
-  }
-  if (!(spec.radius_m > 0.0)) {
-    return Status::InvalidArgument("Estimate: radius must be positive");
-  }
-
-  // Per-area counts, into per-area slots when a pool is supplied; the
-  // aggregation below runs in area order either way, so the parallel and
-  // serial paths agree exactly.
-  const size_t n = spec.areas.size();
-  std::vector<size_t> unique_users(n, 0);
-  std::vector<size_t> tweet_counts(n, 0);
-  if (area_users != nullptr) area_users->assign(n, {});
-  auto count_area = [this, &spec, &unique_users, &tweet_counts,
-                     area_users](size_t i) {
-    if (area_users != nullptr) {
-      std::vector<uint64_t>& users = (*area_users)[i];
-      tweet_counts[i] = CollectUsers(spec.areas[i].center, spec.radius_m, &users);
-      unique_users[i] = users.size();
-      return;
-    }
-    const geo::RadiusCounts counts =
-        CountTweetsAndUsers(spec.areas[i].center, spec.radius_m);
-    unique_users[i] = counts.distinct_ids;
-    tweet_counts[i] = counts.points;
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(n, count_area);
-  } else {
-    for (size_t i = 0; i < n; ++i) count_area(i);
-  }
-
-  return AssemblePopulationEstimate(spec, unique_users, tweet_counts);
+  std::vector<std::vector<std::vector<uint64_t>>> users;
+  auto results = EstimateScales(std::span<const ScaleSpec>(&spec, 1), pool,
+                                area_users != nullptr ? &users : nullptr);
+  if (!results.ok()) return results.status();
+  if (area_users != nullptr) *area_users = std::move(users.front());
+  return std::move(results->front());
 }
 
 Result<PopulationEstimateResult> AssemblePopulationEstimate(

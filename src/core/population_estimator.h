@@ -2,6 +2,7 @@
 #define TWIMOB_CORE_POPULATION_ESTIMATOR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,8 +70,8 @@ class PopulationEstimator {
       const std::vector<const PopulationEstimator*>& layers);
 
   /// Distinct users with at least one tweet within radius_m of `center`.
-  /// Backed by the sealed index's hash-free interior-cell merge; boundary
-  /// cells fall back to sort-and-unique.
+  /// Backed by the sealed index's rank marks: interior cells mark their
+  /// unique-user lists, boundary cells their accepted tweets.
   size_t CountUniqueUsers(const geo::LatLon& center, double radius_m) const;
 
   /// Tweets within radius_m of `center`.
@@ -89,11 +90,19 @@ class PopulationEstimator {
   size_t CollectUsers(const geo::LatLon& center, double radius_m,
                       std::vector<uint64_t>* users) const;
 
-  /// Full estimate for one scale spec. With a `pool`, the per-area radius
-  /// queries run data-parallel into per-area slots; aggregation stays in
-  /// area order, so the result matches the serial path exactly.
-  /// `area_users`, when non-null, receives each area's sorted distinct
-  /// user ids (parallel to spec.areas) from the same walks.
+  /// Full estimates for every scale of `specs` from one loop over all
+  /// (scale, area) pairs. With a `pool` the pairs run data-parallel into
+  /// per-pair slots, largest radius and census population first so the
+  /// longest walks do not trail; aggregation stays in scale and area
+  /// order, so the result matches the serial path exactly. `area_users`,
+  /// when non-null, receives each area's sorted distinct user ids (per
+  /// scale, parallel to its areas) from the same walks.
+  Result<std::vector<PopulationEstimateResult>> EstimateScales(
+      std::span<const ScaleSpec> specs, ThreadPool* pool = nullptr,
+      std::vector<std::vector<std::vector<uint64_t>>>* area_users = nullptr) const;
+
+  /// EstimateScales for the one scale `spec`; `area_users` is parallel to
+  /// spec.areas.
   Result<PopulationEstimateResult> Estimate(
       const ScaleSpec& spec, ThreadPool* pool = nullptr,
       std::vector<std::vector<uint64_t>>* area_users = nullptr) const;

@@ -187,15 +187,15 @@ class PopulationStage : public Stage {
           "population stage requires the index stage to run first");
     }
     EnsureSpecs(state);
+    // One loop over every (scale, area) pair. The walks keep each area's
+    // users: the base the delta path unites new rows' users with.
+    auto pops = state.estimator->EstimateScales(state.specs, &ctx.pool(),
+                                                &state.area_users);
+    if (!pops.ok()) return pops.status();
     size_t samples = 0;
-    for (const ScaleSpec& spec : state.specs) {
-      // The walks keep each area's users: the base the delta path unites
-      // new rows' users with.
-      auto pop = state.estimator->Estimate(spec, &ctx.pool(),
-                                           &state.area_users.emplace_back());
-      if (!pop.ok()) return pop.status();
-      samples += pop->areas.size();
-      state.result.population.push_back(std::move(*pop));
+    for (PopulationEstimateResult& pop : *pops) {
+      samples += pop.areas.size();
+      state.result.population.push_back(std::move(pop));
     }
     auto pooled = PooledPopulationCorrelation(state.result.population);
     if (!pooled.ok()) return pooled.status();

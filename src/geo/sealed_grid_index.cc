@@ -1,8 +1,9 @@
 #include "geo/sealed_grid_index.h"
 
+#include <bit>
 #include <iterator>
 #include <limits>
-#include <queue>
+#include <numeric>
 #include <utility>
 
 namespace twimob::geo {
@@ -19,6 +20,8 @@ static_assert(kBuildChunkPoints <= 65536);
 struct ChunkCells {
   std::vector<int64_t> keys;
   std::vector<uint32_t> counts;  ///< points per cell
+  /// The chunk-local cell indices in ascending key order.
+  std::vector<uint16_t> by_key;
   /// Global cell index per cell, then the cell's next scatter slot.
   std::vector<size_t> next;
 };
@@ -64,23 +67,108 @@ class ChunkCellTable {
   int shift_ = 0;
 };
 
-/// Number of distinct values in the union of `merged` (sorted unique) and
-/// `extra` (sorted unique), via a two-pointer sweep.
-size_t CountUnion(const uint64_t* merged, size_t merged_size, const uint64_t* extra,
-                  size_t extra_size) {
-  size_t i = 0, j = 0, n = 0;
-  while (i < merged_size && j < extra_size) {
-    if (merged[i] < extra[j]) {
-      ++i;
-    } else if (extra[j] < merged[i]) {
-      ++j;
-    } else {
-      ++i;
-      ++j;
-    }
-    ++n;
+/// The sorted-unique values of `values[0, n)`, a sequence of ascending runs,
+/// into `out`: a natural merge sort. Each run is copied with its repeats
+/// dropped, then adjacent runs are set-unioned pairwise until one is left —
+/// O(n log k) for k runs, so a cell fed by a few user-ascending shards costs
+/// a few linear passes. `scratch` and `bounds` are caller-owned buffers
+/// reused across calls.
+template <typename T>
+void UniqueOfRuns(const T* values, size_t n, std::vector<T>* out,
+                  std::vector<T>* scratch, std::vector<size_t>* bounds) {
+  out->clear();
+  bounds->clear();
+  for (size_t i = 0; i < n; ++i) {
+    const T v = values[i];
+    if (!out->empty() && v == out->back()) continue;
+    if (out->empty() || v < out->back()) bounds->push_back(out->size());
+    out->push_back(v);
   }
-  return n + (merged_size - i) + (extra_size - j);
+  bounds->push_back(out->size());
+  // bounds holds each run's start, then the end. A merge pass writes its
+  // runs' starts over the front of bounds: pair r/2 lands at or before the
+  // slots it reads.
+  for (size_t runs = bounds->size() - 1; runs > 1; runs = (runs + 1) / 2) {
+    scratch->clear();
+    for (size_t r = 0; r < runs; r += 2) {
+      const T* first = out->data() + (*bounds)[r];
+      const T* mid = out->data() + (*bounds)[r + 1];
+      const T* last = r + 1 < runs ? out->data() + (*bounds)[r + 2] : mid;
+      (*bounds)[r / 2] = scratch->size();
+      std::set_union(first, mid, mid, last, std::back_inserter(*scratch));
+    }
+    (*bounds)[(runs + 1) / 2] = scratch->size();
+    out->swap(*scratch);
+  }
+}
+
+/// At most this many value ranges per sorted union, each for about
+/// kUnionRangeValues input values, so a large union's merges run in
+/// parallel with no serial final level and a small one runs as one task.
+/// Constants, never derived from the pool size (the union is the same for
+/// any cut).
+constexpr size_t kUnionRanges = 64;
+constexpr size_t kUnionRangeValues = 4096;
+
+/// The sorted union of the sorted-unique `lists` (values never negative).
+/// The span of the values is cut into equal ranges; each range, on `run`,
+/// gathers its piece of every list and merges the pieces with
+/// UniqueOfRuns, and the ranges are concatenated in order.
+template <typename T, typename Run>
+std::vector<T> UnionOfSorted(const std::vector<std::vector<T>>& lists, const Run& run) {
+  bool any = false;
+  T lo = 0;
+  T hi = 0;
+  size_t values = 0;
+  for (const std::vector<T>& list : lists) {
+    values += list.size();
+    if (list.empty()) continue;
+    lo = any ? std::min(lo, list.front()) : list.front();
+    hi = any ? std::max(hi, list.back()) : list.back();
+    any = true;
+  }
+  if (!any) return {};
+  const size_t num_ranges = std::clamp<size_t>(values / kUnionRangeValues, 1, kUnionRanges);
+  const auto range_start = [lo, hi, num_ranges](size_t r) {
+    const unsigned __int128 span = static_cast<uint64_t>(hi - lo);
+    return static_cast<T>(lo + static_cast<T>(span * r / num_ranges));
+  };
+  std::vector<std::vector<T>> ranges(num_ranges);
+  run(num_ranges, [&](size_t r) {
+    std::vector<T> pieces;
+    for (const std::vector<T>& list : lists) {
+      const auto first = r == 0 ? list.begin()
+                                : std::lower_bound(list.begin(), list.end(), range_start(r));
+      const auto last = r + 1 == num_ranges
+                            ? list.end()
+                            : std::lower_bound(first, list.end(), range_start(r + 1));
+      pieces.insert(pieces.end(), first, last);
+    }
+    std::vector<T> scratch;
+    std::vector<size_t> bounds;
+    UniqueOfRuns(pieces.data(), pieces.size(), &ranges[r], &scratch, &bounds);
+  });
+  std::vector<T> all;
+  for (const std::vector<T>& range : ranges) all.insert(all.end(), range.begin(), range.end());
+  return all;
+}
+
+/// This thread's rank marks for an index of `num_ranks` ranks: one bit per
+/// rank, all clear between queries (every query clears the words as it
+/// reads its marks back).
+uint64_t* ThreadRankMarks(size_t num_ranks) {
+  thread_local std::vector<uint64_t> marks;
+  const size_t words = (num_ranks + 63) / 64;
+  if (marks.size() < words) marks.resize(words, 0);
+  return marks.data();
+}
+
+void Mark(uint64_t* marks, uint32_t rank) {
+  marks[rank >> 6] |= uint64_t{1} << (rank & 63);
+}
+
+bool Marked(const uint64_t* marks, size_t rank) {
+  return ((marks[rank >> 6] >> (rank & 63)) & 1) != 0;
 }
 
 }  // namespace
@@ -183,10 +271,11 @@ Result<SealedGridIndex> SealedGridIndex::Build(const BoundingBox& bounds,
   };
 
   // 1. Every point's cell, counted per input chunk; each chunk also sorts
-  // a copy of its cell keys for phase 2.
+  // its cells by key and takes its sorted-unique ids for phase 2.
   std::vector<ChunkCells> chunks(num_chunks);
   std::vector<std::vector<int64_t>> key_lists(num_chunks);
-  std::vector<uint16_t> local_cell(n);
+  std::vector<std::vector<uint64_t>> chunk_ids(num_chunks);
+  NoFillVector<uint16_t> local_cell(n);
   run(num_chunks, [&](size_t c) {
     const size_t begin = c * kBuildChunkPoints;
     const size_t len = chunk_size(c);
@@ -194,44 +283,46 @@ Result<SealedGridIndex> SealedGridIndex::Build(const BoundingBox& bounds,
     read(begin, begin + len, points.data());
     ChunkCellTable table(len);
     ChunkCells& cells = chunks[c];
+    std::vector<uint64_t> ids(len);
     for (size_t i = 0; i < len; ++i) {
       const uint16_t cell = table.FindOrAdd(
           grid_internal::CellKeyFor(bounds, cell_deg, cols, points[i].pos), cells);
       ++cells.counts[cell];
       local_cell[begin + i] = cell;
+      ids[i] = points[i].id;
     }
-    key_lists[c] = cells.keys;
-    std::sort(key_lists[c].begin(), key_lists[c].end());
+    cells.by_key.resize(cells.keys.size());
+    std::iota(cells.by_key.begin(), cells.by_key.end(), uint16_t{0});
+    std::sort(cells.by_key.begin(), cells.by_key.end(),
+              [&cells](uint16_t a, uint16_t b) { return cells.keys[a] < cells.keys[b]; });
+    key_lists[c].reserve(cells.keys.size());
+    for (const uint16_t k : cells.by_key) key_lists[c].push_back(cells.keys[k]);
+    std::vector<uint64_t> scratch;
+    std::vector<size_t> runs;
+    UniqueOfRuns(ids.data(), len, &chunk_ids[c], &scratch, &runs);
   });
 
-  // 2. The non-empty cells: the union of the chunks' sorted keys, merged
-  // pairwise level by level.
-  while (key_lists.size() > 1) {
-    std::vector<std::vector<int64_t>> merged((key_lists.size() + 1) / 2);
-    run(merged.size(), [&](size_t i) {
-      if (2 * i + 1 == key_lists.size()) {
-        merged[i] = std::move(key_lists[2 * i]);
-        return;
-      }
-      const std::vector<int64_t>& a = key_lists[2 * i];
-      const std::vector<int64_t>& b = key_lists[2 * i + 1];
-      merged[i].reserve(a.size() + b.size());
-      std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                     std::back_inserter(merged[i]));
-    });
-    key_lists = std::move(merged);
+  // 2. The non-empty cells and the distinct ids (rank r is the r-th
+  // smallest id): the unions of the chunks' sorted lists. Each chunk's
+  // cells then map to the cell list.
+  index.cell_keys_ = UnionOfSorted(key_lists, run);
+  index.rank_ids_ = UnionOfSorted(chunk_ids, run);
+  if (index.rank_ids_.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("SealedGridIndex::Build: more than 2^32 - 1 ids");
   }
-  if (!key_lists.empty()) index.cell_keys_ = std::move(key_lists.front());
   const std::vector<int64_t>& keys = index.cell_keys_;
   const size_t num_cells = keys.size();
   run(num_chunks, [&](size_t c) {
+    // In key order, each cell's search starts where the last one ended.
     ChunkCells& cells = chunks[c];
     cells.next.resize(cells.keys.size());
-    for (size_t k = 0; k < cells.keys.size(); ++k) {
-      cells.next[k] = static_cast<size_t>(
-          std::lower_bound(keys.begin(), keys.end(), cells.keys[k]) - keys.begin());
+    auto from = keys.begin();
+    for (size_t j = 0; j < cells.by_key.size(); ++j) {
+      from = std::lower_bound(from, keys.end(), key_lists[c][j]);
+      cells.next[cells.by_key[j]] = static_cast<size_t>(from - keys.begin());
     }
   });
+  key_lists.clear();
 
   // 3. Cell offsets, then each chunk's first slot in each of its cells.
   // Chunks take their slots in input order, so every cell holds its points
@@ -254,27 +345,49 @@ Result<SealedGridIndex> SealedGridIndex::Build(const BoundingBox& bounds,
     }
   }
 
-  // 4. Scatter into the SoA arrays; chunks write disjoint slots and
-  // together every slot.
+  // 4. Scatter coordinates and ranks into the SoA arrays; chunks write
+  // disjoint slots and together every slot, once.
   index.lats_.resize(n);
   index.lons_.resize(n);
-  index.ids_.resize(n);
+  index.ranks_.resize(n);
+  const std::vector<uint64_t>& rank_ids = index.rank_ids_;
   run(num_chunks, [&](size_t c) {
     const size_t begin = c * kBuildChunkPoints;
     const size_t len = chunk_size(c);
     std::vector<IndexedPoint> points(len);
     read(begin, begin + len, points.data());
+    // The chunk's ids are ascending, so each one's rank is searched for
+    // from the last one's.
+    const std::vector<uint64_t>& ids = chunk_ids[c];
+    std::vector<uint32_t> id_rank(ids.size());
+    auto from = rank_ids.begin();
+    for (size_t k = 0; k < ids.size(); ++k) {
+      from = std::lower_bound(from, rank_ids.end(), ids[k]);
+      id_rank[k] = static_cast<uint32_t>(from - rank_ids.begin());
+    }
     std::vector<size_t>& next = chunks[c].next;
+    size_t k = 0;  // the chunk id of the previous point; in a user-ascending
+                   // run, the next new id is the next chunk id
     for (size_t i = 0; i < len; ++i) {
+      const uint64_t id = points[i].id;
+      if (ids[k] != id) {
+        k = k + 1 < ids.size() && ids[k + 1] == id
+                ? k + 1
+                : static_cast<size_t>(std::lower_bound(ids.begin(), ids.end(), id) -
+                                      ids.begin());
+      }
       const size_t slot = next[local_cell[begin + i]]++;
       index.lats_[slot] = points[i].pos.lat;
       index.lons_[slot] = points[i].pos.lon;
-      index.ids_[slot] = points[i].id;
+      index.ranks_[slot] = id_rank[k];
     }
   });
+  chunk_ids.clear();
 
-  // 5. Per-cell point bounding boxes and sorted-unique id lists, over
-  // ranges of whole cells holding about kBuildChunkPoints points each.
+  // 5. Per-cell point bounding boxes and unique-rank lists, over ranges of
+  // whole cells holding about kBuildChunkPoints points each. A cell's
+  // ranks are a few ascending runs (one per input run that reached it), so
+  // its list is their merge.
   std::vector<size_t> range_begin;
   for (size_t cell = 0, points = kBuildChunkPoints; cell < num_cells; ++cell) {
     if (points >= kBuildChunkPoints) {
@@ -289,11 +402,13 @@ Result<SealedGridIndex> SealedGridIndex::Build(const BoundingBox& bounds,
   index.cell_max_lat_.resize(num_cells);
   index.cell_min_lon_.resize(num_cells);
   index.cell_max_lon_.resize(num_cells);
-  index.id_offsets_.assign(num_cells + 1, 0);
-  std::vector<std::vector<uint64_t>> range_ids(num_ranges);
+  index.rank_offsets_.assign(num_cells + 1, 0);
+  std::vector<std::vector<uint32_t>> range_ranks(num_ranges);
   run(num_ranges, [&](size_t r) {
-    std::vector<uint64_t>& ids = range_ids[r];
-    ids.reserve(index.offsets_[range_begin[r + 1]] - index.offsets_[range_begin[r]]);
+    std::vector<uint32_t>& ranks = range_ranks[r];
+    std::vector<uint32_t> cell_ranks;
+    std::vector<uint32_t> scratch;
+    std::vector<size_t> runs;
     for (size_t cell = range_begin[r]; cell < range_begin[r + 1]; ++cell) {
       const size_t begin = index.offsets_[cell];
       const size_t end = index.offsets_[cell + 1];
@@ -311,20 +426,20 @@ Result<SealedGridIndex> SealedGridIndex::Build(const BoundingBox& bounds,
       index.cell_max_lat_[cell] = max_lat;
       index.cell_min_lon_[cell] = min_lon;
       index.cell_max_lon_[cell] = max_lon;
-      const size_t first = ids.size();
-      ids.insert(ids.end(), index.ids_.begin() + begin, index.ids_.begin() + end);
-      std::sort(ids.begin() + first, ids.end());
-      ids.erase(std::unique(ids.begin() + first, ids.end()), ids.end());
-      index.id_offsets_[cell + 1] = ids.size() - first;
+      UniqueOfRuns(index.ranks_.data() + begin, end - begin, &cell_ranks, &scratch,
+                   &runs);
+      ranks.insert(ranks.end(), cell_ranks.begin(), cell_ranks.end());
+      index.rank_offsets_[cell + 1] = cell_ranks.size();
     }
   });
   for (size_t cell = 0; cell < num_cells; ++cell) {
-    index.id_offsets_[cell + 1] += index.id_offsets_[cell];
+    index.rank_offsets_[cell + 1] += index.rank_offsets_[cell];
   }
-  index.unique_ids_.reserve(index.id_offsets_[num_cells]);
-  for (const std::vector<uint64_t>& ids : range_ids) {
-    index.unique_ids_.insert(index.unique_ids_.end(), ids.begin(), ids.end());
-  }
+  index.unique_ranks_.resize(index.rank_offsets_[num_cells]);
+  run(num_ranges, [&](size_t r) {
+    std::copy(range_ranks[r].begin(), range_ranks[r].end(),
+              index.unique_ranks_.begin() + index.rank_offsets_[range_begin[r]]);
+  });
   return index;
 }
 
@@ -332,9 +447,8 @@ size_t SealedGridIndex::CountDistinctIds(const LatLon& center, double radius_m) 
   return CountRadiusAndDistinctIds(center, radius_m).distinct_ids;
 }
 
-size_t SealedGridIndex::WalkDistinct(const LatLon& center, double radius_m,
-                                     std::vector<size_t>* interior_cells,
-                                     std::vector<uint64_t>* boundary_ids) const {
+size_t SealedGridIndex::MarkRanks(const LatLon& center, double radius_m,
+                                  uint64_t* marks) const {
   const BoundingBox box = BoundingBoxForRadius(center, radius_m);
   const bool use_equirect = radius_m < kEquirectPrefilterMaxRadiusMeters;
   const double lat_band_deg = LatitudeBandDegrees(radius_m);
@@ -349,102 +463,59 @@ size_t SealedGridIndex::WalkDistinct(const LatLon& center, double radius_m,
     const size_t end = offsets_[cell + 1];
     if (CellInsideCircle(cell, center, radius_m)) {
       points += end - begin;
-      interior_cells->push_back(cell);
+      for (size_t i = rank_offsets_[cell]; i < rank_offsets_[cell + 1]; ++i) {
+        Mark(marks, unique_ranks_[i]);
+      }
       return;
     }
     FilterBoundaryCell(begin, end, center, radius_m, use_equirect, lat_band_deg,
                        prefilter_m, batch, band_scratch, nullptr, accepted);
     points += accepted.size();
-    for (const uint32_t rel : accepted) boundary_ids->push_back(ids_[begin + rel]);
+    for (const uint32_t rel : accepted) Mark(marks, ranks_[begin + rel]);
   });
-
-  std::sort(boundary_ids->begin(), boundary_ids->end());
-  boundary_ids->erase(std::unique(boundary_ids->begin(), boundary_ids->end()),
-                      boundary_ids->end());
   return points;
-}
-
-void SealedGridIndex::MergeCellIds(const std::vector<size_t>& cells,
-                                   std::vector<uint64_t>* merged) const {
-  size_t total_len = 0;
-  for (const size_t cell : cells) {
-    total_len += id_offsets_[cell + 1] - id_offsets_[cell];
-  }
-  merged->reserve(total_len);
-  std::vector<size_t> cursor(cells.size());
-  using HeapEntry = std::pair<uint64_t, size_t>;  // (id value, list idx)
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> heap;
-  for (size_t k = 0; k < cells.size(); ++k) {
-    cursor[k] = id_offsets_[cells[k]];
-    if (cursor[k] < id_offsets_[cells[k] + 1]) {
-      heap.emplace(unique_ids_[cursor[k]], k);
-    }
-  }
-  while (!heap.empty()) {
-    const auto [value, k] = heap.top();
-    heap.pop();
-    if (merged->empty() || merged->back() != value) merged->push_back(value);
-    if (++cursor[k] < id_offsets_[cells[k] + 1]) {
-      heap.emplace(unique_ids_[cursor[k]], k);
-    }
-  }
 }
 
 RadiusCounts SealedGridIndex::CountRadiusAndDistinctIds(
     const LatLon& center, double radius_m,
     const std::vector<uint64_t>* also_ids) const {
-  std::vector<size_t> interior_cells;
-  std::vector<uint64_t> boundary_ids;
+  uint64_t* marks = ThreadRankMarks(rank_ids_.size());
   RadiusCounts counts;
-  counts.points = WalkDistinct(center, radius_m, &interior_cells, &boundary_ids);
-  if (also_ids != nullptr && !also_ids->empty()) {
-    std::vector<uint64_t> both;
-    both.reserve(boundary_ids.size() + also_ids->size());
-    std::set_union(boundary_ids.begin(), boundary_ids.end(), also_ids->begin(),
-                   also_ids->end(), std::back_inserter(both));
-    boundary_ids = std::move(both);
+  counts.points = MarkRanks(center, radius_m, marks);
+  if (also_ids != nullptr) {
+    // Ascending ids: each search starts where the last one ended.
+    auto from = rank_ids_.begin();
+    for (const uint64_t id : *also_ids) {
+      from = std::lower_bound(from, rank_ids_.end(), id);
+      const size_t rank = static_cast<size_t>(from - rank_ids_.begin());
+      if (from == rank_ids_.end() || *from != id || !Marked(marks, rank)) {
+        ++counts.distinct_ids;
+      }
+    }
   }
-
-  if (interior_cells.empty()) {
-    counts.distinct_ids = boundary_ids.size();
-    return counts;
+  const size_t words = (rank_ids_.size() + 63) / 64;
+  for (size_t w = 0; w < words; ++w) {
+    counts.distinct_ids += static_cast<size_t>(std::popcount(marks[w]));
+    marks[w] = 0;
   }
-  if (interior_cells.size() == 1) {
-    const size_t cell = interior_cells.front();
-    counts.distinct_ids = CountUnion(unique_ids_.data() + id_offsets_[cell],
-                                     id_offsets_[cell + 1] - id_offsets_[cell],
-                                     boundary_ids.data(), boundary_ids.size());
-    return counts;
-  }
-  std::vector<uint64_t> merged;
-  MergeCellIds(interior_cells, &merged);
-  counts.distinct_ids = CountUnion(merged.data(), merged.size(),
-                                   boundary_ids.data(), boundary_ids.size());
   return counts;
 }
 
 size_t SealedGridIndex::CollectDistinctIds(const LatLon& center, double radius_m,
                                            std::vector<uint64_t>* ids) const {
-  std::vector<size_t> interior_cells;
-  std::vector<uint64_t> boundary_ids;
-  const size_t points =
-      WalkDistinct(center, radius_m, &interior_cells, &boundary_ids);
+  uint64_t* marks = ThreadRankMarks(rank_ids_.size());
+  const size_t points = MarkRanks(center, radius_m, marks);
+  const size_t words = (rank_ids_.size() + 63) / 64;
+  size_t marked = 0;
+  for (size_t w = 0; w < words; ++w) marked += static_cast<size_t>(std::popcount(marks[w]));
   ids->clear();
-  if (interior_cells.empty()) {
-    *ids = std::move(boundary_ids);
-    return points;
+  ids->reserve(marked);
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
+      ids->push_back(rank_ids_[w * 64 + static_cast<size_t>(std::countr_zero(bits))]);
+    }
+    marks[w] = 0;
   }
-  std::vector<uint64_t> merged;
-  if (interior_cells.size() == 1) {
-    const size_t cell = interior_cells.front();
-    merged.assign(unique_ids_.begin() + id_offsets_[cell],
-                  unique_ids_.begin() + id_offsets_[cell + 1]);
-  } else {
-    MergeCellIds(interior_cells, &merged);
-  }
-  ids->reserve(merged.size() + boundary_ids.size());
-  std::set_union(merged.begin(), merged.end(), boundary_ids.begin(),
-                 boundary_ids.end(), std::back_inserter(*ids));
   return points;
 }
 

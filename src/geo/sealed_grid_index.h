@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -15,6 +17,26 @@
 #include "geo/latlon.h"
 
 namespace twimob::geo {
+
+/// Vector allocator that default-initialises: `resize` leaves trivial
+/// elements unwritten, so a slot's first write (and its page's first touch)
+/// is the one the parallel build makes.
+template <typename T>
+struct NoFillAllocator : std::allocator<T> {
+  NoFillAllocator() = default;
+  template <typename U>
+  NoFillAllocator(const NoFillAllocator<U>& /*other*/) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+template <typename T>
+using NoFillVector = std::vector<T, NoFillAllocator<T>>;
 
 /// Per-query cell/point breakdown of a sealed radius query — exposed so the
 /// spatial bench and the tests can assert that the interior-cell fast path
@@ -37,7 +59,7 @@ struct RadiusCounts {
 /// sequence by `Build`.
 ///
 /// The points live in a CSR (compressed-sparse-row) layout: one
-/// structure-of-arrays point store (lat / lon / id) sorted by cell key, an
+/// structure-of-arrays point store (lat / lon / user rank) sorted by cell key, an
 /// ascending array of the non-empty cell keys, and an offsets array mapping
 /// each cell to its point range. Input order is preserved within each cell
 /// (the build is a stable counting sort by cell key), so every query
@@ -58,9 +80,14 @@ struct RadiusCounts {
 /// Both filters are conservative (they can only skip points the haversine
 /// test would reject), so results stay byte-identical to `GridIndex`.
 ///
-/// Each cell also carries its sorted-unique payload-id list, letting
-/// `CountDistinctIds` merge interior cells without hashing — the
-/// population estimator's unique-user counts ride on this.
+/// Payload ids are stored as dense ranks: the build maps the distinct ids,
+/// in ascending order, to `uint32_t` ranks [0, U) and keeps the one sorted
+/// rank → id array. Each cell carries its ascending unique-rank list, so a
+/// distinct count marks ranks in a per-thread bitset — interior cells mark
+/// their list, boundary cells the points they accept — and counts the
+/// marks: O(points) with no hashing, heap or sort. Rank order is id order,
+/// so reading the marks back yields ids already sorted. The population
+/// estimator's unique-user counts ride on this.
 class SealedGridIndex {
  public:
   /// Copies input points [begin, end), in input order, into `out`. Called
@@ -71,14 +98,18 @@ class SealedGridIndex {
   /// Builds the index over `bounds` with `cell_deg`-degree cells from
   /// `num_points` input points, read through `read` twice (once to count
   /// cells, once to scatter). The build is a stable counting sort: per-point
-  /// cell keys over fixed ranges of the input, cell counts with a prefix
-  /// sum in input order, a scatter into the SoA arrays, then per-cell
-  /// bounding boxes and sorted-unique id lists. Every phase is chunked by
-  /// a constant, never by the thread count, and each writes disjoint
-  /// slots, so the index is byte-identical with or without `pool` and for
-  /// any pool size, and answers every query exactly as a `GridIndex`
-  /// loaded in the same order does. Fails like GridIndex::Create on
-  /// invalid bounds or cell size.
+  /// cell keys and each range's sorted-unique ids over fixed ranges of the
+  /// input, the union of those keys and of those ids (the rank → id array),
+  /// cell counts with a prefix sum in input order, a scatter of
+  /// coordinates and ranks into the SoA arrays (their first write), then
+  /// per-cell bounding boxes and unique-rank lists, each merged from the
+  /// cell's ascending runs. No phase sorts a cell or walks every point
+  /// serially. Every phase is chunked by a constant, never by the thread
+  /// count, and each writes disjoint slots, so the index is byte-identical
+  /// with or without `pool` and for any pool size, and answers every query
+  /// exactly as a `GridIndex` loaded in the same order does. Fails like
+  /// GridIndex::Create on invalid bounds or cell size, and with
+  /// InvalidArgument past 2^32 - 1 distinct ids.
   static Result<SealedGridIndex> Build(const BoundingBox& bounds, double cell_deg,
                                        size_t num_points, const PointReader& read,
                                        ThreadPool* pool = nullptr);
@@ -105,21 +136,22 @@ class SealedGridIndex {
   size_t CountDistinctIds(const LatLon& center, double radius_m) const;
 
   /// Points and distinct payload ids within the radius from one walk over
-  /// the candidate cells: interior cells add their size and merge their
-  /// pre-sorted unique id lists (no hashing); boundary cells are filtered
-  /// once and their survivors feed both counts. Equal to the pair
-  /// (CountRadius, CountDistinctIds) on every query. `also_ids`, when
-  /// non-null, is a sorted-unique id list counted into `distinct_ids` as
-  /// well (ids found both ways count once) — how indexes over disjoint
-  /// points (a snapshot's runs) answer one distinct count together.
+  /// the candidate cells: interior cells add their size and mark their
+  /// unique-rank lists; boundary cells are filtered once and their
+  /// survivors feed both counts. Equal to the pair (CountRadius,
+  /// CountDistinctIds) on every query. `also_ids`, when non-null, is a
+  /// sorted-unique id list counted into `distinct_ids` as well (ids found
+  /// both ways count once: each is looked up in the rank → id array and
+  /// counted unless its rank is marked) — how indexes over disjoint points
+  /// (a snapshot's runs) answer one distinct count together.
   RadiusCounts CountRadiusAndDistinctIds(
       const LatLon& center, double radius_m,
       const std::vector<uint64_t>* also_ids = nullptr) const;
 
   /// The walk of CountRadiusAndDistinctIds, keeping the ids: `ids`
   /// receives the sorted-unique payload ids within the radius (its size is
-  /// the `distinct_ids` count), and the number of points within the radius
-  /// is returned.
+  /// the `distinct_ids` count), read from the marks in rank order, and the
+  /// number of points within the radius is returned.
   size_t CollectDistinctIds(const LatLon& center, double radius_m,
                             std::vector<uint64_t>* ids) const;
 
@@ -128,12 +160,19 @@ class SealedGridIndex {
   template <typename Fn>
   void ForEachInRadius(const LatLon& center, double radius_m, Fn&& fn) const;
 
-  size_t size() const { return ids_.size(); }
+  size_t size() const { return ranks_.size(); }
   const BoundingBox& bounds() const { return bounds_; }
   double cell_deg() const { return cell_deg_; }
 
   /// Number of non-empty cells (diagnostics / bench).
   size_t num_nonempty_cells() const { return cell_keys_.size(); }
+
+  /// Number of distinct payload ids: the rank space [0, U).
+  size_t num_distinct_ids() const { return rank_ids_.size(); }
+
+  /// Member-wise equality: the same bounds, cells, points in the same slots,
+  /// ranks and per-cell rank lists. The build's determinism tests use it.
+  bool operator==(const SealedGridIndex& other) const = default;
 
  private:
   SealedGridIndex() = default;
@@ -179,18 +218,12 @@ class SealedGridIndex {
   template <typename CellFn>
   void VisitCandidateCells(const BoundingBox& box, CellFn&& fn) const;
 
-  /// The shared walk of the distinct-id queries: returns the points within
-  /// the radius, fills `interior_cells` with the cells consumed whole and
-  /// `boundary_ids` with the sorted-unique ids of the boundary cells'
-  /// accepted points.
-  size_t WalkDistinct(const LatLon& center, double radius_m,
-                      std::vector<size_t>* interior_cells,
-                      std::vector<uint64_t>* boundary_ids) const;
-
-  /// Heap-merges the sorted-unique id lists of `cells` (two or more) into
-  /// `merged`: O(M log k) with no hashing, M the total list length.
-  void MergeCellIds(const std::vector<size_t>& cells,
-                    std::vector<uint64_t>* merged) const;
+  /// The shared walk of the distinct-id queries: sets bit r of `marks`
+  /// (one bit per rank, all clear on entry) for the rank r of every point
+  /// within the radius — interior cells mark their unique-rank lists,
+  /// boundary cells their accepted points — and returns the points within
+  /// the radius.
+  size_t MarkRanks(const LatLon& center, double radius_m, uint64_t* marks) const;
 
   /// Boundary-cell point filter over the SoA rows [begin, end): runs the
   /// SIMD-dispatched latitude-band select, then the equirectangular
@@ -215,11 +248,15 @@ class SealedGridIndex {
 
   /// CSR over grid cells: cell_keys_ ascending; points of cell i live at
   /// [offsets_[i], offsets_[i+1]) of the SoA arrays below, in input order.
+  /// A point's id is rank_ids_[ranks_[slot]].
   std::vector<int64_t> cell_keys_;
   std::vector<size_t> offsets_;
-  std::vector<double> lats_;
-  std::vector<double> lons_;
-  std::vector<uint64_t> ids_;
+  NoFillVector<double> lats_;
+  NoFillVector<double> lons_;
+  NoFillVector<uint32_t> ranks_;
+
+  /// The distinct payload ids, ascending: rank r is id rank_ids_[r].
+  std::vector<uint64_t> rank_ids_;
 
   /// True point bounding box per cell (not the cell rectangle: clamped
   /// points keep out-of-bounds coordinates).
@@ -228,10 +265,10 @@ class SealedGridIndex {
   std::vector<double> cell_min_lon_;
   std::vector<double> cell_max_lon_;
 
-  /// Sorted-unique payload ids per cell, CSR again: cell i's ids live at
-  /// [id_offsets_[i], id_offsets_[i+1]) of unique_ids_.
-  std::vector<size_t> id_offsets_;
-  std::vector<uint64_t> unique_ids_;
+  /// Ascending unique ranks per cell, CSR again: cell i's ranks live at
+  /// [rank_offsets_[i], rank_offsets_[i+1]) of unique_ranks_.
+  std::vector<size_t> rank_offsets_;
+  NoFillVector<uint32_t> unique_ranks_;
 };
 
 template <typename CellFn>
@@ -265,7 +302,7 @@ void SealedGridIndex::ForEachInRadius(const LatLon& center, double radius_m,
     const size_t end = offsets_[cell + 1];
     if (CellInsideCircle(cell, center, radius_m)) {
       for (size_t i = begin; i < end; ++i) {
-        fn(IndexedPoint{LatLon{lats_[i], lons_[i]}, ids_[i]});
+        fn(IndexedPoint{LatLon{lats_[i], lons_[i]}, rank_ids_[ranks_[i]]});
       }
       return;
     }
@@ -273,7 +310,7 @@ void SealedGridIndex::ForEachInRadius(const LatLon& center, double radius_m,
                        prefilter_m, batch, band_scratch, nullptr, accepted);
     for (const uint32_t rel : accepted) {
       const size_t i = begin + rel;
-      fn(IndexedPoint{LatLon{lats_[i], lons_[i]}, ids_[i]});
+      fn(IndexedPoint{LatLon{lats_[i], lons_[i]}, rank_ids_[ranks_[i]]});
     }
   });
 }

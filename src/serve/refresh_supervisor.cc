@@ -86,14 +86,23 @@ void RefreshSupervisor::PublishLocked() {
   h.last_error = last_error_;
   if (breaker_ != BreakerState::kClosed) {
     h.state = ServingState::kDegraded;
-  } else if (h.served_generation != h.head_generation ||
+  } else if (!last_error_.ok() || h.served_generation != h.head_generation ||
              h.served_ingest_seq != h.head_ingest_seq) {
+    // A failed last attempt never reads fresh: it has not confirmed the
+    // head, whatever was last observed.
     h.state = ServingState::kStale;
   } else {
     h.state = ServingState::kFresh;
   }
   std::lock_guard<std::mutex> lock(health_mu_);
   published_ = std::move(h);
+}
+
+void RefreshSupervisor::PeekHeadLocked() {
+  if (auto head = PeekManifest(catalog_->storage_env(), catalog_->path()); head.ok()) {
+    head_generation_ = head->generation;
+    head_ingest_seq_ = head->next_delta_seq;
+  }
 }
 
 Status RefreshSupervisor::Step() {
@@ -107,11 +116,7 @@ Status RefreshSupervisor::Step() {
       // head observation current (best effort) so staleness stays honest.
       --cooldown_remaining_;
       ++skipped_steps_;
-      if (auto head = PeekManifest(catalog_->storage_env(), catalog_->path());
-          head.ok()) {
-        head_generation_ = head->generation;
-        head_ingest_seq_ = head->next_delta_seq;
-      }
+      PeekHeadLocked();
       PublishLocked();
       return last_error_;
     }
@@ -136,6 +141,7 @@ Status RefreshSupervisor::Step() {
   ++failures_;
   ++consecutive_failures_;
   last_error_ = swapped.status();
+  PeekHeadLocked();
   if (breaker_ == BreakerState::kHalfOpen) {
     breaker_ = BreakerState::kOpen;  // the probe failed: re-open
     cooldown_remaining_ = options_.open_cooldown_steps;

@@ -26,10 +26,12 @@ enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 /// Freshness classification the supervisor exports:
 ///
-///   fresh    — the served (generation, ingest_seq) matches the last
-///              observed manifest head and the breaker is closed.
-///   stale    — serving an older commit than the observed head (a refresh
-///              failed or has not run yet) but the breaker is closed.
+///   fresh    — the last refresh attempt, if any, succeeded, the served
+///              (generation, ingest_seq) matches the last observed manifest
+///              head and the breaker is closed.
+///   stale    — the breaker is closed but the last refresh attempt failed,
+///              or the served commit is older than the observed head (a
+///              refresh has not run yet).
 ///   degraded — the breaker is open or half-open: refresh is failing
 ///              persistently; the catalog keeps serving its snapshot.
 enum class ServingState { kFresh, kStale, kDegraded };
@@ -127,10 +129,14 @@ class RefreshSupervisor {
   HealthSnapshot health() const;
 
  private:
-  /// Re-reads the manifest head (best effort) and served commit version,
-  /// classifies freshness, and stores the published snapshot. Requires
-  /// `step_mu_` held.
+  /// Reads the served commit version, classifies freshness, and stores the
+  /// published snapshot. Requires `step_mu_` held.
   void PublishLocked();
+
+  /// Re-reads the manifest head into the last observed head, best effort
+  /// (a failed read keeps the previous observation). Requires `step_mu_`
+  /// held.
+  void PeekHeadLocked();
 
   SnapshotCatalog* const catalog_;
   const SupervisorOptions options_;

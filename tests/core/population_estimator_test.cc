@@ -1,8 +1,14 @@
 #include "core/population_estimator.h"
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "geo/geodesic.h"
+#include "random/rng.h"
 
 namespace twimob::core {
 namespace {
@@ -112,6 +118,107 @@ TEST(PopulationEstimatorTest, PooledCorrelationAcrossScales) {
 
 TEST(PopulationEstimatorTest, PooledCorrelationNeedsData) {
   EXPECT_FALSE(PooledPopulationCorrelation({}).ok());
+}
+
+/// Tweets by users [first, first + count) around Sydney, in random order.
+tweetdb::TweetDataset UserRange(uint64_t first, uint64_t count, uint64_t seed) {
+  random::Xoshiro256 rng(seed);
+  std::vector<tweetdb::Tweet> tweets;
+  for (uint64_t user = first; user < first + count; ++user) {
+    const geo::LatLon home{-33.87 + rng.NextGaussian() * 0.4,
+                           151.21 + rng.NextGaussian() * 0.4};
+    for (int t = 0; t < 4; ++t) {
+      tweets.push_back(At(user * 0x9E3779B97F4A7C15ULL,
+                          geo::LatLon{home.lat + rng.NextGaussian() * 0.05,
+                                      home.lon + rng.NextGaussian() * 0.05},
+                          static_cast<int64_t>(rng.NextUint64(100000))));
+    }
+  }
+  for (size_t i = tweets.size(); i > 1; --i) {
+    std::swap(tweets[i - 1], tweets[rng.NextUint64(i)]);
+  }
+  tweetdb::TweetTable table;
+  for (const tweetdb::Tweet& t : tweets) EXPECT_TRUE(table.Append(t).ok());
+  return tweetdb::TweetDataset::FromTable(std::move(table));
+}
+
+// A layered estimator (a snapshot's runs) whose later layers hold both new
+// users and users an earlier layer already holds: its counts and user
+// lists equal a std::set over every stored row within the radius.
+TEST(PopulationEstimatorTest, LayeredCountsMatchSetOverAllLayers) {
+  std::vector<tweetdb::TweetDataset> rows;
+  rows.push_back(UserRange(1, 400, 1));    // the base
+  rows.push_back(UserRange(350, 100, 2));  // 50 seen, 50 new
+  rows.push_back(UserRange(420, 60, 3));   // seen in the base and layer 1, new
+  ThreadPool pool(3);
+  std::vector<PopulationEstimator> layers;
+  for (const tweetdb::TweetDataset& r : rows) {
+    auto built = PopulationEstimator::Build(r, &pool);
+    ASSERT_TRUE(built.ok());
+    layers.push_back(std::move(*built));
+  }
+  const PopulationEstimator layered =
+      PopulationEstimator::Layered({&layers[0], &layers[1], &layers[2]});
+  random::Xoshiro256 rng(9);
+  for (int trial = 0; trial < 40; ++trial) {
+    const geo::LatLon center{-33.87 + rng.NextUniform(-0.6, 0.6),
+                             151.21 + rng.NextUniform(-0.6, 0.6)};
+    const double radius_m = rng.NextUniform(200.0, 60000.0);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::set<uint64_t> users;
+    size_t tweets = 0;
+    for (const tweetdb::TweetDataset& r : rows) {
+      r.ForEachRow([&](const tweetdb::Tweet& t) {
+        if (geo::HaversineMeters(center, t.pos) > radius_m) return;
+        ++tweets;
+        users.insert(t.user_id);
+      });
+    }
+    const geo::RadiusCounts counts = layered.CountTweetsAndUsers(center, radius_m);
+    EXPECT_EQ(counts.points, tweets);
+    EXPECT_EQ(counts.distinct_ids, users.size());
+    EXPECT_EQ(layered.CountUniqueUsers(center, radius_m), users.size());
+    std::vector<uint64_t> collected;
+    EXPECT_EQ(layered.CollectUsers(center, radius_m, &collected), tweets);
+    EXPECT_EQ(collected, std::vector<uint64_t>(users.begin(), users.end()));
+  }
+}
+
+// The single-scale Estimate is EstimateScales over one scale: the one loop
+// over every (scale, area) pair gives each scale's per-scale answer, with
+// and without a pool.
+TEST(PopulationEstimatorTest, EstimateScalesMatchesEachScaleAlone) {
+  auto est = PopulationEstimator::Build(UserRange(1, 2000, 4));
+  ASSERT_TRUE(est.ok());
+  std::vector<ScaleSpec> specs;
+  for (const census::Scale scale : census::kAllScales) {
+    specs.push_back(MakeScaleSpec(scale));
+  }
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<std::vector<std::vector<uint64_t>>> all_users;
+    auto all = est->EstimateScales(specs, p, &all_users);
+    ASSERT_TRUE(all.ok());
+    ASSERT_EQ(all->size(), specs.size());
+    ASSERT_EQ(all_users.size(), specs.size());
+    for (size_t s = 0; s < specs.size(); ++s) {
+      std::vector<std::vector<uint64_t>> users;
+      auto one = est->Estimate(specs[s], nullptr, &users);
+      ASSERT_TRUE(one.ok());
+      EXPECT_EQ(users, all_users[s]);
+      ASSERT_EQ((*all)[s].areas.size(), one->areas.size());
+      for (size_t i = 0; i < one->areas.size(); ++i) {
+        EXPECT_EQ((*all)[s].areas[i].unique_users, one->areas[i].unique_users);
+        EXPECT_EQ((*all)[s].areas[i].tweet_count, one->areas[i].tweet_count);
+        EXPECT_EQ((*all)[s].areas[i].unique_users, users[i].size());
+      }
+      EXPECT_EQ((*all)[s].rescale_factor, one->rescale_factor);
+      EXPECT_EQ((*all)[s].median_users, one->median_users);
+    }
+  }
+  std::vector<ScaleSpec> with_empty = specs;
+  with_empty.push_back(ScaleSpec{});
+  EXPECT_TRUE(est->EstimateScales(with_empty).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "geo/sealed_grid_index.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <tuple>
@@ -175,7 +177,8 @@ TEST(SealedGridIndexTest, DistinctIdsMergesAcrossInteriorCells) {
 
 // ---------------------------------------------------------------------------
 // The direct build (SealedGridIndex::Build) against the GridIndex reference
-// loaded in the same order, at several pool sizes.
+// loaded in the same order, at several pool sizes, each build member-wise
+// equal to the serial one.
 
 struct BuildInput {
   std::string name;
@@ -221,6 +224,35 @@ std::vector<BuildInput> BuildInputs() {
   inputs.push_back(std::move(duplicates));
 
   inputs.push_back({"empty", box, 0.05, {}});
+
+  // Four user-ascending "shards" of wide 64-bit ids, as compacted storage
+  // hands them over: each cell's ids arrive as a few ascending runs, and
+  // runs cross build-chunk boundaries.
+  BuildInput shards{"user-ascending shards", box, 0.05, {}};
+  for (int shard = 0; shard < 4; ++shard) {
+    std::vector<uint64_t> users;
+    for (int u = 0; u < 900; ++u) users.push_back(rng.Next() >> (shard == 0 ? 0 : 8));
+    std::sort(users.begin(), users.end());
+    for (const uint64_t user : users) {
+      const LatLon home{-33.87 + rng.NextGaussian() * 0.3, 151.21 + rng.NextGaussian() * 0.3};
+      for (uint64_t t = 0; t < 1 + user % 13; ++t) {
+        shards.points.push_back(IndexedPoint{
+            LatLon{home.lat + rng.NextGaussian() * 0.02, home.lon + rng.NextGaussian() * 0.02},
+            user});
+      }
+    }
+  }
+  inputs.push_back(std::move(shards));
+
+  // Enough distinct ids and cells that both sorted unions split into
+  // several value ranges.
+  BuildInput wide{"many ids and cells", box, 0.02, {}};
+  for (int i = 0; i < 40000; ++i) {
+    wide.points.push_back(IndexedPoint{
+        LatLon{rng.NextUniform(-36.0, -32.0), rng.NextUniform(148.0, 153.0)},
+        rng.NextUint64(40000) * 0x9E3779B97F4A7C15ULL});
+  }
+  inputs.push_back(std::move(wide));
 
   BuildInput one_cell{"single cell", box, 0.5, {}};
   for (size_t i = 0; i < 20000; ++i) {
@@ -273,8 +305,147 @@ TEST(SealedBuildTest, DirectBuildMatchesGridIndexAtEveryPoolSize) {
       ASSERT_TRUE(built.ok()) << input.name;
       ExpectSameIndex(*reference, *built,
                       input.name + ", " + std::to_string(threads) + " threads");
+      EXPECT_TRUE(*built == *serial) << input.name << ", " << threads << " threads";
     }
   }
+}
+
+TEST(SealedBuildTest, CellFedByDescendingRunsAndAnUnsortedTail) {
+  // One cell, six ascending runs whose starts descend, then a shuffled
+  // tail: the cell's unique list is merged from runs, never sorted.
+  const BoundingBox box{-36.0, 148.0, -32.0, 153.0};
+  random::Xoshiro256 rng(31);
+  std::vector<IndexedPoint> pts;
+  const auto in_cell = [&rng] {
+    return LatLon{-33.9 + rng.NextUniform(0.0, 0.04), 151.0 + rng.NextUniform(0.0, 0.04)};
+  };
+  for (uint64_t run = 0; run < 6; ++run) {
+    for (uint64_t id = 0; id < 40; ++id) {
+      pts.push_back(IndexedPoint{in_cell(), (5 - run) * 30 + id * 3});
+      pts.push_back(IndexedPoint{in_cell(), (5 - run) * 30 + id * 3});
+    }
+  }
+  for (int i = 0; i < 300; ++i) pts.push_back(IndexedPoint{in_cell(), rng.NextUint64(400)});
+  const SealedGridIndex sealed = MustBuild(box, 0.05, pts);
+  ASSERT_EQ(sealed.num_nonempty_cells(), 1u);
+  std::set<uint64_t> all;
+  for (const IndexedPoint& p : pts) all.insert(p.id);
+  EXPECT_EQ(sealed.num_distinct_ids(), all.size());
+  std::vector<uint64_t> ids;
+  EXPECT_EQ(sealed.CollectDistinctIds(LatLon{-33.88, 151.02}, 20000.0, &ids), pts.size());
+  EXPECT_EQ(ids, std::vector<uint64_t>(all.begin(), all.end()));
+  EXPECT_EQ(sealed.CountDistinctIds(LatLon{-33.88, 151.02}, 20000.0), all.size());
+}
+
+TEST(SealedBuildTest, ExtremeIdsAndASingleUser) {
+  const BoundingBox box{-36.0, 148.0, -32.0, 153.0};
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const LatLon a{-33.87, 151.21};
+  const LatLon b{-33.5, 150.5};
+  const SealedGridIndex extremes = MustBuild(
+      box, 0.05, {IndexedPoint{a, kMax}, IndexedPoint{a, 0}, IndexedPoint{b, kMax}});
+  EXPECT_EQ(extremes.num_distinct_ids(), 2u);
+  std::vector<uint64_t> ids;
+  EXPECT_EQ(extremes.CollectDistinctIds(a, 100000.0, &ids), 3u);
+  EXPECT_EQ(ids, (std::vector<uint64_t>{0, kMax}));
+  const std::vector<IndexedPoint> near_a = extremes.QueryRadius(a, 10.0);
+  ASSERT_EQ(near_a.size(), 2u);
+  EXPECT_EQ(near_a[0].id, kMax);  // input order within the cell
+  EXPECT_EQ(near_a[1].id, 0u);
+  EXPECT_EQ(extremes.CountRadiusAndDistinctIds(b, 10.0).distinct_ids, 1u);
+  const std::vector<uint64_t> also{0, 5, kMax};
+  EXPECT_EQ(extremes.CountRadiusAndDistinctIds(b, 10.0, &also).distinct_ids, 3u);
+
+  std::vector<IndexedPoint> one_user;
+  random::Xoshiro256 rng(47);
+  for (int i = 0; i < 40000; ++i) {
+    one_user.push_back(IndexedPoint{
+        LatLon{rng.NextUniform(-36.0, -32.0), rng.NextUniform(148.0, 153.0)}, 42});
+  }
+  ThreadPool pool(3);
+  auto single = SealedGridIndex::Build(box, 0.05, one_user, &pool);
+  ASSERT_TRUE(single.ok());
+  EXPECT_EQ(single->num_distinct_ids(), 1u);
+  EXPECT_EQ(single->CountDistinctIds(a, 80000.0), 1u);
+  EXPECT_EQ(single->CollectDistinctIds(a, 80000.0, &ids),
+            single->CountRadius(a, 80000.0));
+  EXPECT_EQ(ids, std::vector<uint64_t>{42});
+}
+
+// ---------------------------------------------------------------------------
+// Dense ranks: every distinct answer against a std::set over QueryRadius.
+
+/// CountDistinctIds, the fused walk and CollectDistinctIds of `index` at
+/// (center, radius_m) all equal the std::set of QueryRadius's ids.
+void ExpectDistinctMatchesSet(const SealedGridIndex& index, const LatLon& center,
+                              double radius_m, const std::string& where) {
+  SCOPED_TRACE(where);
+  const std::vector<IndexedPoint> points = index.QueryRadius(center, radius_m);
+  std::set<uint64_t> expected;
+  for (const IndexedPoint& p : points) expected.insert(p.id);
+  EXPECT_EQ(index.CountDistinctIds(center, radius_m), expected.size());
+  const RadiusCounts fused = index.CountRadiusAndDistinctIds(center, radius_m);
+  EXPECT_EQ(fused.points, points.size());
+  EXPECT_EQ(fused.distinct_ids, expected.size());
+  std::vector<uint64_t> ids;
+  EXPECT_EQ(index.CollectDistinctIds(center, radius_m, &ids), points.size());
+  EXPECT_EQ(ids, std::vector<uint64_t>(expected.begin(), expected.end()));
+}
+
+/// RandomPoints with wide 64-bit ids: 12,000 users, in random order.
+std::vector<IndexedPoint> WideIdPoints(size_t n, uint64_t seed, const BoundingBox& box) {
+  std::vector<IndexedPoint> pts = RandomPoints(n, seed, box);
+  random::Xoshiro256 rng(seed + 1);
+  std::vector<uint64_t> users(12000);
+  for (uint64_t& user : users) user = rng.Next();
+  for (IndexedPoint& p : pts) p.id = users[rng.NextUint64(users.size())];
+  return pts;
+}
+
+TEST(RankPropertyTest, DistinctAnswersMatchSetAtRandomRadii) {
+  const BoundingBox box{-36.0, 148.0, -32.0, 153.0};
+  const std::vector<IndexedPoint> pts = WideIdPoints(30000, 61, box);
+  ThreadPool pool(3);
+  auto sealed = SealedGridIndex::Build(box, 0.05, pts, &pool);
+  ASSERT_TRUE(sealed.ok());
+  random::Xoshiro256 rng(62);
+  for (int trial = 0; trial < 60; ++trial) {
+    const LatLon center{rng.NextUniform(-36.5, -31.5), rng.NextUniform(147.5, 153.5)};
+    const double radius_m = rng.NextUniform(100.0, 120000.0);
+    ExpectDistinctMatchesSet(*sealed, center, radius_m,
+                             "trial " + std::to_string(trial));
+  }
+}
+
+TEST(RankPropertyTest, EpsilonOnAPointEmptyOneCellAndManyCellDiscs) {
+  const BoundingBox box{-36.0, 148.0, -32.0, 153.0};
+  const std::vector<IndexedPoint> pts = WideIdPoints(30000, 71, box);
+  const SealedGridIndex sealed = MustBuild(box, 0.05, pts);
+  const LatLon sydney{-33.87, 151.21};
+
+  // ε exactly on a point: the point is inside (inclusive radius).
+  for (size_t k = 0; k < pts.size(); k += 5000) {
+    const double radius_m = HaversineMeters(sydney, pts[k].pos);
+    ExpectDistinctMatchesSet(sealed, sydney, radius_m, "on point " + std::to_string(k));
+    std::vector<uint64_t> ids;
+    sealed.CollectDistinctIds(sydney, radius_m, &ids);
+    EXPECT_TRUE(std::binary_search(ids.begin(), ids.end(), pts[k].id)) << k;
+  }
+
+  // An empty disc, outside every point.
+  ExpectDistinctMatchesSet(sealed, LatLon{-20.0, 130.0}, 1000.0, "empty");
+  EXPECT_EQ(sealed.CountDistinctIds(LatLon{-20.0, 130.0}, 1000.0), 0u);
+
+  // One cell, then many interior cells.
+  RadiusQueryProfile one_cell;
+  const LatLon mid_cell{-33.875, 151.225};
+  sealed.CountRadiusProfiled(mid_cell, 300.0, &one_cell);
+  EXPECT_EQ(one_cell.cells_candidate, 1u);
+  ExpectDistinctMatchesSet(sealed, mid_cell, 300.0, "one cell");
+  RadiusQueryProfile many;
+  sealed.CountRadiusProfiled(sydney, 60000.0, &many);
+  EXPECT_GT(many.cells_interior, 10u);
+  ExpectDistinctMatchesSet(sealed, sydney, 60000.0, "many cells");
 }
 
 TEST(SealedBuildTest, RejectsInvalidGrids) {

@@ -549,5 +549,54 @@ TEST(SupervisorBrownoutTest, QueriesStayTypedWhileTheBreakerOpensThenRecovers) {
       << "after " << steps << " steps: " << supervisor.health().ToString();
 }
 
+// Health under an outage that faults every refresh, breaker threshold 3:
+// no step reads fresh — the closed-breaker failures read stale, then the
+// breaker degrades — and once the faults clear one step reads fresh again.
+TEST(SupervisorHealthTest, FailedRefreshIsNeverFresh) {
+  const core::PipelineConfig config = ChaosConfig();
+  const std::string path = testing::TempDir() + "/twimob_chaos_health.twdb";
+  std::remove(path.c_str());
+  tweetdb::TweetDataset corpus = GenerateCorpus(config);
+  ASSERT_TRUE(tweetdb::WriteDatasetFiles(corpus, path).ok());
+  tweetdb::FaultInjectionEnv fault_env(tweetdb::Env::Default(), 13);
+  CatalogOptions options;
+  options.analysis = config;
+  options.env = &fault_env;
+  options.num_threads = 2;
+  auto catalog = SnapshotCatalog::Open(path, options);
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+
+  SupervisorOptions sup_options;
+  sup_options.breaker_threshold = 3;
+  sup_options.backoff.jitter_seed = 13;
+  RefreshSupervisor supervisor(catalog->get(), sup_options);
+  ASSERT_TRUE(supervisor.health().fresh()) << supervisor.health().ToString();
+  FaultSchedule outage;
+  outage.windows.push_back({FaultKind::kTransient, 0, ~uint64_t{0}, 0.0});
+  fault_env.set_schedule(outage);
+
+  for (int step = 1; step <= 20; ++step) {
+    EXPECT_FALSE(supervisor.Step().ok()) << "step " << step;
+    const HealthSnapshot h = supervisor.health();
+    EXPECT_FALSE(h.fresh()) << "step " << step << ": " << h.ToString();
+    if (step < sup_options.breaker_threshold) {
+      EXPECT_EQ(h.state, ServingState::kStale) << "step " << step << ": " << h.ToString();
+      EXPECT_EQ(h.breaker, BreakerState::kClosed) << "step " << step;
+    } else {
+      EXPECT_EQ(h.state, ServingState::kDegraded) << "step " << step << ": " << h.ToString();
+    }
+  }
+  EXPECT_GT(supervisor.health().failures, 0u);
+
+  fault_env.set_schedule({});
+  int steps = 0;
+  while (steps < sup_options.open_cooldown_steps + 2 && !supervisor.health().fresh()) {
+    (void)supervisor.Step();
+    ++steps;
+  }
+  EXPECT_TRUE(supervisor.health().fresh())
+      << "after " << steps << " steps: " << supervisor.health().ToString();
+}
+
 }  // namespace
 }  // namespace twimob::serve
