@@ -4,7 +4,7 @@
 // crosses) and the log-binned means (the red dots).
 //
 // Runs on the staged execution engine; the per-stage trace (including the
-// trips@<scale> and fit@<scale>/<model> breakdown) goes to stderr.
+// trips@all/<scale> and fit@<scale>/<model> breakdown) goes to stderr.
 
 #include <algorithm>
 #include <cstdio>

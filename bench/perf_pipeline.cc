@@ -1,5 +1,5 @@
 // Staged-engine performance profile: runs the full analysis stage list
-// (compact → index → population → trips@scale → fit@scale) twice on the
+// (compact → index → population → trips@all → fit@scale) twice on the
 // bench corpus — once on a 1-thread pool, once at the default thread count
 // (override with TWIMOB_THREADS) — and prints the per-stage wall-time
 // breakdown with speedups, plus two determinism verdicts enforced by the

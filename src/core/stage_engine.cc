@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -14,13 +15,14 @@ namespace twimob::core {
 namespace {
 
 /// Fills state.specs on first use with ResolveScaleSpecs(state.config), and
-/// state.assigners with each scale's assigner.
-void EnsureSpecs(PipelineState& state) {
+/// state.assigners with each scale's assigner (its verdicts refined on
+/// `pool`).
+void EnsureSpecs(PipelineState& state, ThreadPool& pool) {
   if (!state.specs.empty()) return;
   state.specs = ResolveScaleSpecs(state.config);
   state.assigners.reserve(state.specs.size());
   for (const ScaleSpec& spec : state.specs) {
-    state.assigners.emplace_back(spec.areas, spec.radius_m);
+    state.assigners.emplace_back(spec.areas, spec.radius_m, &pool);
   }
 }
 
@@ -186,7 +188,7 @@ class PopulationStage : public Stage {
       return Status::FailedPrecondition(
           "population stage requires the index stage to run first");
     }
-    EnsureSpecs(state);
+    EnsureSpecs(state, ctx.pool());
     // One loop over every (scale, area) pair. The walks keep each area's
     // users: the base the delta path unites new rows' users with.
     auto pops = state.estimator->EstimateScales(state.specs, &ctx.pool(),
@@ -206,52 +208,60 @@ class PopulationStage : public Stage {
   }
 };
 
+/// Every scale's trips from one walk over the rows (ExtractScaleTrips). The
+/// record carries the walk's scan; one sub-record per scale carries what
+/// that scale did — its rows, trips and observation pairs — and what its
+/// assigner's verdicts hold (bytes, leaves, build time).
 class TripsStage : public Stage {
  public:
-  explicit TripsStage(size_t scale_pos)
-      : scale_pos_(scale_pos),
-        name_("trips@" + census::ScaleName(census::kAllScales[scale_pos])) {}
-
-  const std::string& name() const override { return name_; }
+  const std::string& name() const override {
+    static const std::string kName = "trips@all";
+    return kName;
+  }
 
   Status Run(AnalysisContext& ctx, PipelineState& state,
              StageRecord& record) override {
-    EnsureSpecs(state);
-    if (scale_pos_ >= state.specs.size()) {
-      return Status::InvalidArgument("trips stage: no such scale");
-    }
-    if (scale_pos_ >= state.result.population.size()) {
+    EnsureSpecs(state, ctx.pool());
+    if (state.result.population.size() < state.specs.size()) {
       return Status::FailedPrecondition(
           "trips stage requires the population stage to run first");
     }
-    ScaleMobilityResult scale_result;
-    ScaleWork work;
+    std::vector<ScaleMobilityResult> scales;
+    std::vector<ScaleWork> works;
     TWIMOB_RETURN_IF_ERROR(ExtractScaleTrips(
-        state.dataset, state.specs[scale_pos_], state.assigners[scale_pos_],
-        state.result.population[scale_pos_], ctx.pool(), &scale_result, &work));
+        state.dataset, state.specs, state.assigners,
+        std::span<const PopulationEstimateResult>(state.result.population)
+            .first(state.specs.size()),
+        ctx.pool(), &scales, &works));
 
-    // The extraction is itself a full storage scan; surface it alongside
-    // the extraction counters.
+    // The extraction is itself a full storage scan, fed every row.
     tweetdb::ScanStatistics scan;
     scan.blocks_total = state.dataset.num_blocks();
-    scan.rows_scanned = scale_result.extraction.tweets_seen;
-    scan.rows_matched = scale_result.extraction.tweets_in_some_area;
+    scan.rows_scanned = state.dataset.num_rows();
+    scan.rows_matched = state.dataset.num_rows();
     record.SetScan(scan);
-    record.AddCounter("rows", static_cast<int64_t>(
-                                  scale_result.extraction.tweets_seen));
-    record.AddCounter("trips", static_cast<int64_t>(
-                                   scale_result.extraction.inter_area_trips));
-    record.AddCounter("pairs",
-                      static_cast<int64_t>(scale_result.observations.size()));
-
-    state.result.mobility.push_back(std::move(scale_result));
-    state.scale_work.push_back(std::move(work));
+    record.AddCounter("rows", static_cast<int64_t>(state.dataset.num_rows()));
+    record.AddCounter("scales", static_cast<int64_t>(scales.size()));
+    for (size_t s = 0; s < scales.size(); ++s) {
+      const mobility::AssignerVerdictStats& verdicts = state.assigners[s].verdict_stats();
+      StageRecord sub;
+      sub.name = name() + "/" + state.specs[s].name;
+      sub.degraded = record.degraded;
+      sub.AddCounter("rows", static_cast<int64_t>(scales[s].extraction.tweets_seen));
+      sub.AddCounter("trips", static_cast<int64_t>(scales[s].extraction.inter_area_trips));
+      sub.AddCounter("pairs", static_cast<int64_t>(scales[s].observations.size()));
+      sub.AddCounter("verdict_bytes", static_cast<int64_t>(verdicts.bytes));
+      sub.AddCounter("area_leaves", static_cast<int64_t>(verdicts.area_leaves));
+      sub.AddCounter("empty_leaves", static_cast<int64_t>(verdicts.empty_leaves));
+      sub.AddCounter("test_leaves", static_cast<int64_t>(verdicts.test_leaves));
+      sub.AddCounter("verdict_build_us", verdicts.build_us);
+      ctx.trace().Append(sub);
+      state.result.trace.Append(std::move(sub));
+      state.result.mobility.push_back(std::move(scales[s]));
+      state.scale_work.push_back(std::move(works[s]));
+    }
     return Status::OK();
   }
-
- private:
-  size_t scale_pos_;
-  std::string name_;
 };
 
 class FitStage : public Stage {
@@ -267,9 +277,9 @@ class FitStage : public Stage {
     if (scale_pos_ >= state.result.mobility.size() ||
         scale_pos_ >= state.scale_work.size()) {
       return Status::FailedPrecondition(
-          "fit stage requires the matching trips stage to run first");
+          "fit stage requires the trips stage to run first");
     }
-    EnsureSpecs(state);
+    EnsureSpecs(state, ctx.pool());
     ScaleMobilityResult& scale_result = state.result.mobility[scale_pos_];
     const ScaleWork& work = state.scale_work[scale_pos_];
 
@@ -470,33 +480,51 @@ class DeltaStage : public Stage {
       mobility::GatherUserRows(user, new_layers, &new_rows);
     }
 
+    // Each row list feeds once through every scale's trip machine: the
+    // old rows on one task, the new rows on another.
+    std::vector<mobility::OdMatrix> removed;
+    std::vector<mobility::OdMatrix> added;
+    for (size_t s = 0; s < num_scales; ++s) {
+      const size_t n = state.specs[s].areas.size();
+      removed.push_back(*mobility::OdMatrix::Create(n));  // cannot fail: the installed
+      added.push_back(*mobility::OdMatrix::Create(n));    // snapshot has n > 0 areas
+    }
+    const mobility::TripOptions options;
+    std::vector<mobility::TripAccumulator> old_trips;
+    std::vector<mobility::TripAccumulator> new_trips;
+    old_trips.reserve(num_scales);
+    new_trips.reserve(num_scales);
+    for (size_t s = 0; s < num_scales; ++s) {
+      old_trips.emplace_back(scales.assigners[s], options, &removed[s]);
+      new_trips.emplace_back(scales.assigners[s], options, &added[s]);
+    }
+    ctx.pool().ParallelFor(2, [&](size_t side) {
+      const std::vector<tweetdb::Tweet>& rows = side == 0 ? old_rows : new_rows;
+      std::vector<mobility::TripAccumulator>& accs = side == 0 ? old_trips : new_trips;
+      for (const tweetdb::Tweet& t : rows) {
+        for (mobility::TripAccumulator& acc : accs) acc.Process(t.user_id, t.timestamp, t.pos);
+      }
+    });
+
     state.result.mobility.resize(num_scales);
     state.scale_work.resize(num_scales);
-    ctx.pool().ParallelFor(num_scales, [&](size_t s) {
+    for (size_t s = 0; s < num_scales; ++s) {
       const ScaleSpec& spec = state.specs[s];
       const size_t n = spec.areas.size();
-      auto removed = mobility::OdMatrix::Create(n);  // cannot fail: the installed
-      auto added = mobility::OdMatrix::Create(n);    // snapshot has n > 0 areas
-      const mobility::TripOptions options;
-      mobility::TripAccumulator old_trips(scales.assigners[s], options, &*removed);
-      for (const tweetdb::Tweet& t : old_rows) old_trips.Process(t.user_id, t.timestamp, t.pos);
-      mobility::TripAccumulator new_trips(scales.assigners[s], options, &*added);
-      for (const tweetdb::Tweet& t : new_rows) new_trips.Process(t.user_id, t.timestamp, t.pos);
-
       ScaleWork& work = state.scale_work[s];
       work.od = installed.trips()[s];
       for (size_t i = 0; i < n; ++i) {
         for (size_t j = 0; j < n; ++j) {
           work.od->SetFlow(i, j,
-                           work.od->Flow(i, j) - removed->Flow(i, j) + added->Flow(i, j));
+                           work.od->Flow(i, j) - removed[s].Flow(i, j) + added[s].Flow(i, j));
         }
       }
       ScaleMobilityResult& scale = state.result.mobility[s];
       scale.scale_name = spec.name;
       scale.radius_m = spec.radius_m;
       scale.extraction = installed.result().mobility[s].extraction;
-      scale.extraction -= old_trips.stats();
-      scale.extraction += new_trips.stats();
+      scale.extraction -= old_trips[s].stats();
+      scale.extraction += new_trips[s].stats();
 
       // The masses are the new population's unique users, as the trips
       // stage takes them from the population stage.
@@ -508,7 +536,7 @@ class DeltaStage : public Stage {
       for (const mobility::FlowObservation& o : scale.observations) {
         work.observed.push_back(o.flow);
       }
-    });
+    }
     return Status::OK();
   }
 
@@ -610,8 +638,8 @@ StageList StageEngine::AnalysisStages(const PipelineConfig& config) {
   stages.push_back(std::make_unique<IndexStage>());
   stages.push_back(std::make_unique<PopulationStage>());
   if (config.run_mobility) {
+    stages.push_back(std::make_unique<TripsStage>());
     for (size_t s = 0; s < std::size(census::kAllScales); ++s) {
-      stages.push_back(std::make_unique<TripsStage>(s));
       stages.push_back(std::make_unique<FitStage>(s));
     }
   }
@@ -733,34 +761,46 @@ Result<std::vector<ModelSummary>> FitPaperModels(
 }
 
 Status ExtractScaleTrips(const tweetdb::TweetDataset& dataset,
-                         const ScaleSpec& spec,
-                         const mobility::AreaAssigner& assigner,
-                         const PopulationEstimateResult& population,
-                         ThreadPool& pool, ScaleMobilityResult* scale,
-                         ScaleWork* work) {
-  if (population.areas.size() != spec.areas.size()) {
+                         std::span<const ScaleSpec> specs,
+                         std::span<const mobility::AreaAssigner> assigners,
+                         std::span<const PopulationEstimateResult> populations,
+                         ThreadPool& pool, std::vector<ScaleMobilityResult>* scales,
+                         std::vector<ScaleWork>* works) {
+  if (assigners.size() != specs.size() || populations.size() != specs.size()) {
     return Status::InvalidArgument(
-        "ExtractScaleTrips: population estimate must parallel spec.areas");
+        "ExtractScaleTrips: specs, assigners and populations must be parallel");
   }
-  scale->scale_name = spec.name;
-  scale->radius_m = spec.radius_m;
-  auto od = mobility::ExtractTrips(dataset, assigner, pool, &scale->extraction);
-  if (!od.ok()) return od.status();
+  for (size_t s = 0; s < specs.size(); ++s) {
+    if (populations[s].areas.size() != specs[s].areas.size()) {
+      return Status::InvalidArgument(
+          "ExtractScaleTrips: population estimate must parallel spec.areas");
+    }
+  }
+  std::vector<mobility::ExtractionStats> extraction;
+  auto ods = mobility::ExtractTrips(dataset, assigners, pool, &extraction);
+  if (!ods.ok()) return ods.status();
 
-  work->masses.clear();
-  work->masses.reserve(population.areas.size());
-  for (const AreaPopulationEstimate& area : population.areas) {
-    work->masses.push_back(static_cast<double>(area.unique_users));
+  scales->clear();
+  works->clear();
+  for (size_t s = 0; s < specs.size(); ++s) {
+    ScaleMobilityResult& scale = scales->emplace_back();
+    ScaleWork& work = works->emplace_back();
+    scale.scale_name = specs[s].name;
+    scale.radius_m = specs[s].radius_m;
+    scale.extraction = extraction[s];
+    work.masses.reserve(populations[s].areas.size());
+    for (const AreaPopulationEstimate& area : populations[s].areas) {
+      work.masses.push_back(static_cast<double>(area.unique_users));
+    }
+    work.distances = PairwiseDistances(specs[s].areas, pool);
+    scale.observations =
+        mobility::BuildObservations((*ods)[s], work.masses, work.distances);
+    work.observed.reserve(scale.observations.size());
+    for (const mobility::FlowObservation& o : scale.observations) {
+      work.observed.push_back(o.flow);
+    }
+    work.od = std::move((*ods)[s]);
   }
-  work->distances = PairwiseDistances(spec.areas, pool);
-  scale->observations =
-      mobility::BuildObservations(*od, work->masses, work->distances);
-  work->observed.clear();
-  work->observed.reserve(scale->observations.size());
-  for (const mobility::FlowObservation& o : scale->observations) {
-    work->observed.push_back(o.flow);
-  }
-  work->od = std::move(*od);
   return Status::OK();
 }
 
@@ -770,15 +810,18 @@ Result<ScaleMobilityResult> AnalyzeScaleMobility(
   auto population = estimator.Estimate(spec, &pool);
   if (!population.ok()) return population.status();
   const mobility::AreaAssigner assigner(spec.areas, spec.radius_m);
-  ScaleMobilityResult result;
-  ScaleWork work;
-  TWIMOB_RETURN_IF_ERROR(ExtractScaleTrips(dataset, spec, assigner, *population,
-                                           pool, &result, &work));
-  auto models = FitPaperModels(result.observations, spec.areas, work.masses,
-                               work.observed, pool);
+  std::vector<ScaleMobilityResult> results;
+  std::vector<ScaleWork> works;
+  TWIMOB_RETURN_IF_ERROR(ExtractScaleTrips(
+      dataset, std::span<const ScaleSpec>(&spec, 1),
+      std::span<const mobility::AreaAssigner>(&assigner, 1),
+      std::span<const PopulationEstimateResult>(&*population, 1), pool, &results, &works));
+  ScaleMobilityResult& result = results[0];
+  auto models = FitPaperModels(result.observations, spec.areas, works[0].masses,
+                               works[0].observed, pool);
   if (!models.ok()) return models.status();
   result.models = std::move(*models);
-  return result;
+  return std::move(result);
 }
 
 }  // namespace twimob::core

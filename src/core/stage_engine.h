@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,8 +66,8 @@ struct PipelineState {
   /// assign by them too. A delta run reads the installed snapshot's.
   std::vector<mobility::AreaAssigner> assigners;
 
-  /// Intermediates handed from `trips@<scale>` to `fit@<scale>`, one entry
-  /// per completed trips stage (parallel to `result.mobility`).
+  /// Intermediates handed from `trips@all` to `fit@<scale>`, one entry per
+  /// scale (parallel to `result.mobility`).
   std::vector<ScaleWork> scale_work;
 
   /// Each scale's per-area sorted distinct user ids, kept by the
@@ -98,7 +99,7 @@ class Stage {
  public:
   virtual ~Stage() = default;
 
-  /// Stable stage name, e.g. "compact" or "trips@National".
+  /// Stable stage name, e.g. "compact" or "fit@National".
   virtual const std::string& name() const = 0;
 
   /// Runs the stage. `record` is this stage's trace record (wall time is
@@ -119,8 +120,8 @@ class StageEngine {
   static StageList FullPipeline(const PipelineConfig& config);
 
   /// The analysis stages for an existing dataset: `compact`, `index`,
-  /// `population`, and (when config.run_mobility) `trips@<scale>` +
-  /// `fit@<scale>` per paper scale.
+  /// `population`, and (when config.run_mobility) `trips@all` — every
+  /// scale's trips from one walk — then `fit@<scale>` per paper scale.
   static StageList AnalysisStages(const PipelineConfig& config);
 
   /// The delta run of state.installed's successor: with `rebase`, a
@@ -158,24 +159,26 @@ Result<std::vector<ModelSummary>> FitPaperModels(
     const std::vector<double>& observed, ThreadPool& pool,
     double* per_model_seconds = nullptr);
 
-/// Trip extraction of one scale — the `trips@<scale>` stage's work: extracts
-/// the OD matrix from the compacted `dataset`, assigning every tweet with
-/// `assigner` (built from `spec`), then builds the off-diagonal
-/// observations with `population`'s unique users as the per-area masses
+/// Trip extraction of every scale in one walk — the `trips@all` stage's
+/// work: extracts each scale's OD matrix from the compacted `dataset` in
+/// one mobility::ExtractTrips walk, assigning every tweet with the scale's
+/// assigner (built from its spec), then builds each scale's off-diagonal
+/// observations with its population's unique users as the per-area masses
 /// (the paper's Twitter population) and the pairwise centre distances.
-/// `population` must be the estimate of `spec`. Fills `scale` (name,
-/// radius, extraction counters, observations) and `work` (the OD matrix
-/// included).
+/// `specs`, `assigners` and `populations` are parallel, each population the
+/// estimate of its spec. Fills `scales` and `works` with one entry per
+/// scale: name, radius, extraction counters and observations, and the
+/// intermediates (the OD matrix included).
 Status ExtractScaleTrips(const tweetdb::TweetDataset& dataset,
-                         const ScaleSpec& spec,
-                         const mobility::AreaAssigner& assigner,
-                         const PopulationEstimateResult& population,
-                         ThreadPool& pool, ScaleMobilityResult* scale,
-                         ScaleWork* work);
+                         std::span<const ScaleSpec> specs,
+                         std::span<const mobility::AreaAssigner> assigners,
+                         std::span<const PopulationEstimateResult> populations,
+                         ThreadPool& pool, std::vector<ScaleMobilityResult>* scales,
+                         std::vector<ScaleWork>* works);
 
 /// The mobility analysis of one scale outside a staged run (custom scales,
 /// experiments): `estimator`'s estimate of `spec`, then ExtractScaleTrips
-/// and FitPaperModels — the helpers the `population`, `trips@<scale>` and
+/// and FitPaperModels — the helpers the `population`, `trips@all` and
 /// `fit@<scale>` stages run, so the result equals the staged run's for the
 /// same dataset and spec. `estimator` must index `dataset`.
 Result<ScaleMobilityResult> AnalyzeScaleMobility(

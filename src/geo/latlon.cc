@@ -23,8 +23,4 @@ int32_t DegreesToFixed(double degrees) {
   return static_cast<int32_t>(std::lround(degrees * kFixedPointScale));
 }
 
-double FixedToDegrees(int32_t fixed) {
-  return static_cast<double>(fixed) / kFixedPointScale;
-}
-
 }  // namespace twimob::geo

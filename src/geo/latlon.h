@@ -44,8 +44,11 @@ inline constexpr double kFixedPointScale = 1e6;
 /// nearest).
 int32_t DegreesToFixed(double degrees);
 
-/// Converts the store's fixed-point representation back to degrees.
-double FixedToDegrees(int32_t fixed);
+/// Converts the store's fixed-point representation back to degrees (inline:
+/// the row walks decode every row with it).
+inline double FixedToDegrees(int32_t fixed) {
+  return static_cast<double>(fixed) / kFixedPointScale;
+}
 
 }  // namespace twimob::geo
 

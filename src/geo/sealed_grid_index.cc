@@ -210,6 +210,7 @@ size_t SealedGridIndex::CountRadiusProfiled(const LatLon& center, double radius_
   const double lat_band_deg = LatitudeBandDegrees(radius_m);
   const double prefilter_m = radius_m * kEquirectPrefilterMargin;
   const HaversineBatch batch(center);
+  const DiscCertificate disc(center, radius_m);
   std::vector<uint32_t> band_scratch;
   std::vector<uint32_t> accepted;
   size_t n = 0;
@@ -217,7 +218,8 @@ size_t SealedGridIndex::CountRadiusProfiled(const LatLon& center, double radius_
     const size_t begin = offsets_[cell];
     const size_t end = offsets_[cell + 1];
     if (profile != nullptr) ++profile->cells_candidate;
-    if (CellInsideCircle(cell, center, radius_m)) {
+    const BoxDisc verdict = CellVerdict(cell, disc);
+    if (verdict == BoxDisc::kInside) {
       n += end - begin;  // no per-point work: the whole cell is inside
       if (profile != nullptr) {
         ++profile->cells_interior;
@@ -226,6 +228,7 @@ size_t SealedGridIndex::CountRadiusProfiled(const LatLon& center, double radius_
       return;
     }
     if (profile != nullptr) ++profile->cells_boundary;
+    if (verdict == BoxDisc::kOutside) return;  // no point is within the radius
     FilterBoundaryCell(begin, end, center, radius_m, use_equirect, lat_band_deg,
                        prefilter_m, batch, band_scratch,
                        profile != nullptr ? &profile->points_tested : nullptr,
@@ -455,19 +458,22 @@ size_t SealedGridIndex::MarkRanks(const LatLon& center, double radius_m,
   const double prefilter_m = radius_m * kEquirectPrefilterMargin;
 
   const HaversineBatch batch(center);
+  const DiscCertificate disc(center, radius_m);
   std::vector<uint32_t> band_scratch;
   std::vector<uint32_t> accepted;
   size_t points = 0;
   VisitCandidateCells(box, [&](size_t cell) {
     const size_t begin = offsets_[cell];
     const size_t end = offsets_[cell + 1];
-    if (CellInsideCircle(cell, center, radius_m)) {
+    const BoxDisc verdict = CellVerdict(cell, disc);
+    if (verdict == BoxDisc::kInside) {
       points += end - begin;
       for (size_t i = rank_offsets_[cell]; i < rank_offsets_[cell + 1]; ++i) {
         Mark(marks, unique_ranks_[i]);
       }
       return;
     }
+    if (verdict == BoxDisc::kOutside) return;
     FilterBoundaryCell(begin, end, center, radius_m, use_equirect, lat_band_deg,
                        prefilter_m, batch, band_scratch, nullptr, accepted);
     points += accepted.size();

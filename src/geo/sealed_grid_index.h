@@ -12,6 +12,7 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "geo/bbox.h"
+#include "geo/disc_certificate.h"
 #include "geo/geodesic.h"
 #include "geo/grid_index.h"
 #include "geo/latlon.h"
@@ -44,7 +45,9 @@ using NoFillVector = std::vector<T, NoFillAllocator<T>>;
 struct RadiusQueryProfile {
   size_t cells_candidate = 0;  ///< non-empty cells inside the coarse box
   size_t cells_interior = 0;   ///< cells consumed without per-point checks
-  size_t cells_boundary = 0;   ///< cells filtered point by point
+  size_t cells_boundary = 0;   ///< cells not interior: filtered point by
+                               ///< point, or skipped whole when proved
+                               ///< exterior
   size_t points_interior = 0;  ///< points accepted via the interior path
   size_t points_tested = 0;    ///< boundary points that reached a distance check
 };
@@ -71,9 +74,11 @@ struct RadiusCounts {
 /// keep their real coordinates, so the stored cell rectangle cannot be
 /// used):
 ///
-/// * *interior* — a rigorous spherical upper bound on the distance from the
-///   centre to any point of the cell is within the radius: the cell is
-///   consumed with no per-point distance check (counting is O(1) per cell);
+/// * *interior* — the box–disc certificate (geo/disc_certificate.h) proves
+///   every point of the cell within the radius: the cell is consumed with
+///   no per-point distance check (counting is O(1) per cell);
+/// * *exterior* — the certificate proves every point beyond the radius:
+///   the cell is skipped without touching a point;
 /// * *boundary* — points run an exact latitude-band reject and a cheap
 ///   equirectangular prefilter before the exact haversine test.
 ///
@@ -192,24 +197,13 @@ class SealedGridIndex {
     return radius_m / MetersPerDegreeLat() * (1.0 + 1e-9);
   }
 
-  /// True iff every point of cell `cell` is provably within `radius_m` of
-  /// `center`: upper-bounds the distance by a meridian leg plus a parallel
-  /// leg (triangle inequality on the sphere) over the cell's true point
-  /// bounding box. The 1e-9 slack keeps the bound safe against rounding in
-  /// the haversine the boundary path would have computed.
-  bool CellInsideCircle(size_t cell, const LatLon& center, double radius_m) const {
-    const double dlat = std::max(std::fabs(cell_min_lat_[cell] - center.lat),
-                                 std::fabs(cell_max_lat_[cell] - center.lat));
-    const double dlon = std::max(std::fabs(cell_min_lon_[cell] - center.lon),
-                                 std::fabs(cell_max_lon_[cell] - center.lon));
-    // cos(lat) is maximised at the cell latitude closest to the equator.
-    const double lo = cell_min_lat_[cell], hi = cell_max_lat_[cell];
-    const double eq_lat = (lo <= 0.0 && hi >= 0.0)
-                              ? 0.0
-                              : std::min(std::fabs(lo), std::fabs(hi));
-    const double upper =
-        dlat * MetersPerDegreeLat() + dlon * MetersPerDegreeLon(eq_lat);
-    return upper <= radius_m * (1.0 - 1e-9);
+  /// Whether every point of cell `cell` is provably within the query disc
+  /// (interior: consumed whole), provably beyond it (exterior: skipped
+  /// whole), or neither (boundary: filtered point by point) — the geo
+  /// box–disc certificate on the cell's true point bounding box.
+  BoxDisc CellVerdict(size_t cell, const DiscCertificate& disc) const {
+    return disc.Classify(BoundingBox{cell_min_lat_[cell], cell_min_lon_[cell],
+                                     cell_max_lat_[cell], cell_max_lon_[cell]});
   }
 
   /// Invokes `fn(cell_index)` for every non-empty cell intersecting `box`,
@@ -295,17 +289,20 @@ void SealedGridIndex::ForEachInRadius(const LatLon& center, double radius_m,
   const double lat_band_deg = LatitudeBandDegrees(radius_m);
   const double prefilter_m = radius_m * kEquirectPrefilterMargin;
   const HaversineBatch batch(center);
+  const DiscCertificate disc(center, radius_m);
   std::vector<uint32_t> band_scratch;
   std::vector<uint32_t> accepted;
   VisitCandidateCells(box, [&](size_t cell) {
     const size_t begin = offsets_[cell];
     const size_t end = offsets_[cell + 1];
-    if (CellInsideCircle(cell, center, radius_m)) {
+    const BoxDisc verdict = CellVerdict(cell, disc);
+    if (verdict == BoxDisc::kInside) {
       for (size_t i = begin; i < end; ++i) {
         fn(IndexedPoint{LatLon{lats_[i], lons_[i]}, rank_ids_[ranks_[i]]});
       }
       return;
     }
+    if (verdict == BoxDisc::kOutside) return;
     FilterBoundaryCell(begin, end, center, radius_m, use_equirect, lat_band_deg,
                        prefilter_m, batch, band_scratch, nullptr, accepted);
     for (const uint32_t rel : accepted) {

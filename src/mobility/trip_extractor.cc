@@ -1,29 +1,42 @@
 #include "mobility/trip_extractor.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <memory>
+#include <span>
 #include <utility>
 
+#include "geo/disc_certificate.h"
 #include "geo/geodesic.h"
 
 namespace twimob::mobility {
 
 namespace {
 
-/// Feeds rows [begin, end) of `block` into `acc` straight from the column
-/// vectors — the coordinate decode matches Block::GetRow bit for bit.
+// Relative and absolute (degrees) slack on every bound of the candidate
+// grid and the verdicts, far above the rounding of the tests they cover: a
+// grid too generous costs a test, never an answer.
+constexpr double kSlack = 1e-6;
+constexpr double kSlackDeg = 1e-9;
+/// Deepest verdict refinement (a cell split 2^10 ways per side): far below
+/// any depth the byte cap admits, it keeps the table-size arithmetic far
+/// from overflow for any cell and radius.
+constexpr int kMaxVerdictDepth = 10;
+
+/// Feeds rows [begin, end) of `block` into every accumulator straight from
+/// the column vectors, decoding each row's coordinates once — the decode
+/// matches Block::GetRow bit for bit.
 void FeedBlockRows(const tweetdb::Block& block, size_t begin, size_t end,
-                   TripAccumulator& acc) {
+                   std::span<TripAccumulator> accs) {
   const uint64_t* users = block.user_ids().data();
   const int64_t* times = block.timestamps().data();
   const int32_t* lats = block.lat_fixed().data();
   const int32_t* lons = block.lon_fixed().data();
   for (size_t i = begin; i < end; ++i) {
-    acc.Process(users[i], times[i],
-                geo::LatLon{geo::FixedToDegrees(lats[i]),
-                            geo::FixedToDegrees(lons[i])});
+    const geo::LatLon pos{geo::FixedToDegrees(lats[i]), geo::FixedToDegrees(lons[i])};
+    for (TripAccumulator& acc : accs) acc.Process(users[i], times[i], pos);
   }
 }
 
@@ -50,14 +63,14 @@ class ShardCursor {
   bool done() const { return std::make_pair(block_, row_) >= end_; }
   uint64_t user() const { return current_->user_ids()[row_]; }
 
-  /// Feeds the current user's run into `acc`, across block boundaries, and
-  /// steps past it. A run never crosses the end position: the row there
-  /// belongs to the next unit's first user.
-  void FeedRun(TripAccumulator& acc) {
+  /// Feeds the current user's run into every accumulator, across block
+  /// boundaries, and steps past it. A run never crosses the end position:
+  /// the row there belongs to the next unit's first user.
+  void FeedRun(std::span<TripAccumulator> accs) {
     const uint64_t run_user = user();
     do {
       const size_t end = UserRunEnd(*current_, row_, run_user);
-      FeedBlockRows(*current_, row_, end, acc);
+      FeedBlockRows(*current_, row_, end, accs);
       row_ = end;
       if (row_ == current_->num_rows()) {
         ++block_;
@@ -96,7 +109,8 @@ double HaversineWithCos(const geo::LatLon& a, double cos_lat_a, const geo::LatLo
 
 }  // namespace
 
-AreaAssigner::AreaAssigner(const std::vector<census::Area>& areas, double radius_m)
+AreaAssigner::AreaAssigner(const std::vector<census::Area>& areas, double radius_m,
+                           ThreadPool* pool)
     : radius_m_(radius_m),
       prefilter_m_(radius_m * 1.01),
       lat_band_deg_(radius_m / geo::MetersPerDegreeLat() * (1.0 + 1e-9)) {
@@ -109,14 +123,10 @@ AreaAssigner::AreaAssigner(const std::vector<census::Area>& areas, double radius
     cos_lats_.push_back(std::cos(a.center.lat * geo::kDegToRad));
   }
   BuildGrid();
+  BuildVerdicts(pool);
 }
 
 void AreaAssigner::BuildGrid() {
-  // Relative and absolute (degrees) slack on every bound below, far above
-  // the rounding of the tests they cover: a grid too generous costs a
-  // test, never an answer.
-  constexpr double kSlack = 1e-6;
-  constexpr double kSlackDeg = 1e-9;
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   // Where the prefilter is redundant. With Δφ, Δλ the coordinate
@@ -254,22 +264,179 @@ void AreaAssigner::BuildGrid() {
     if (grid_bytes() <= kMaxAssignerGridBytes || nx_ * ny_ == 1) break;
     cell *= 2.0;
   }
+  cell_deg_ = cell;
   inv_cell_ = 1.0 / cell;
 }
 
-std::optional<size_t> AreaAssigner::Assign(const geo::LatLon& pos) const {
-  // No centre's band or prefilter accepts a point outside the box; the
-  // negated form also rejects a NaN coordinate, which no haversine test
-  // would accept either.
-  if (!(pos.lat >= lat_lo_ && pos.lat <= lat_hi_ && pos.lon >= lon_lo_ &&
-        pos.lon <= lon_hi_)) {
-    return std::nullopt;
+geo::BoundingBox AreaAssigner::LeafBox(size_t y, size_t x, int level, size_t j,
+                                       size_t i) const {
+  const double sub = cell_deg_ / static_cast<double>(size_t{1} << level);
+  const double lat = lat_lo_ + static_cast<double>(y) * cell_deg_ + static_cast<double>(j) * sub;
+  const double lon = lon_lo_ + static_cast<double>(x) * cell_deg_ + static_cast<double>(i) * sub;
+  return geo::BoundingBox{lat, lon, lat + sub, lon + sub};
+}
+
+void AreaAssigner::BuildVerdicts(ThreadPool* pool) {
+  const auto t0 = std::chrono::steady_clock::now();
+  // Verdicts only where Assign's rule is pure haversine over a bounded
+  // grid: elsewhere the prefilter could reject a point the certificate
+  // proves within ε.
+  if (!skip_prefilter_ || !std::isfinite(lat_lo_) || !std::isfinite(lat_hi_) ||
+      !std::isfinite(lon_lo_) || !std::isfinite(lon_hi_) || lats_.size() >= kNone ||
+      nx_ * ny_ * sizeof(uint32_t) > kMaxAssignerGridBytes) {
+    return;
   }
-  const size_t y =
-      ny_ == 1 ? 0 : std::min(ny_ - 1, static_cast<size_t>((pos.lat - lat_lo_) * inv_cell_));
-  const size_t x =
-      nx_ == 1 ? 0 : std::min(nx_ - 1, static_cast<size_t>((pos.lon - lon_lo_) * inv_cell_));
-  const size_t c = y * nx_ + x;
+  std::vector<geo::DiscCertificate> discs;
+  discs.reserve(lats_.size());
+  for (size_t i = 0; i < lats_.size(); ++i) {
+    discs.emplace_back(geo::LatLon{lats_[i], lons_[i]}, radius_m_);
+  }
+  // Every box is widened by the rounding margin of Assign's cell index, as
+  // the candidate lists are: a point whose index lands in a box lies in
+  // the widened box.
+  const double margin = kSlack * cell_deg_ + kSlackDeg;
+  // Classifies a box against candidates, appending to `reach` those not
+  // proved beyond it; returns the box's code (kTest: undecided).
+  const auto decide = [&](geo::BoundingBox box, std::span<const uint32_t> cand,
+                          std::vector<uint32_t>& reach) -> uint32_t {
+    box.min_lat -= margin;
+    box.min_lon -= margin;
+    box.max_lat += margin;
+    box.max_lon += margin;
+    const size_t first = reach.size();
+    bool inside = false;
+    for (const uint32_t i : cand) {
+      const geo::BoxDisc v = discs[i].Classify(box);
+      if (v == geo::BoxDisc::kOutside) continue;
+      reach.push_back(i);
+      inside = v == geo::BoxDisc::kInside;
+    }
+    if (reach.size() == first) return kNone;
+    if (reach.size() == first + 1 && inside) return reach[first];
+    return kTest;
+  };
+
+  // Cells first; the undecided ones get a table each, as deep as the byte
+  // cap allows (down to the leaf edge).
+  roots_.assign(nx_ * ny_, kNone);
+  std::vector<size_t> refine;                  // the undecided cells
+  std::vector<std::vector<uint32_t>> reaches;  // their candidates that reach
+  AssignerVerdictStats& stats = verdict_stats_;
+  for (size_t c = 0; c < roots_.size(); ++c) {
+    const std::span<const uint32_t> cand(candidates_.data() + cell_begin_[c],
+                                         cell_begin_[c + 1] - cell_begin_[c]);
+    if (cand.empty()) continue;
+    std::vector<uint32_t> reach;
+    roots_[c] = decide(LeafBox(c / nx_, c % nx_, 0, 0, 0), cand, reach);
+    if (roots_[c] != kTest) {
+      ++(roots_[c] == kNone ? stats.empty_leaves : stats.area_leaves);
+    } else {
+      refine.push_back(c);
+      reaches.push_back(std::move(reach));
+    }
+  }
+  const double leaf_deg = std::min(kVerdictLeafDeg, lat_band_deg_ / 4.0);
+  while (depth_ < kMaxVerdictDepth &&
+         cell_deg_ / static_cast<double>(size_t{1} << depth_) > leaf_deg) {
+    ++depth_;
+  }
+  const auto table_bytes = [&](int depth) {
+    return refine.size() * (size_t{1} << (2 * depth)) * sizeof(uint8_t);
+  };
+  while (depth_ > 0 && roots_.size() * sizeof(uint32_t) + table_bytes(depth_) >
+                           kMaxAssignerGridBytes) {
+    --depth_;
+  }
+  side_ = size_t{1} << depth_;
+  if (depth_ == 0) {
+    stats.test_leaves += refine.size();
+    refine.clear();
+  }
+  const size_t table = side_ * side_;
+  leaves_.assign(refine.size() * table, static_cast<uint8_t>(kTest));
+
+  // Each undecided cell refines on its own: quadrant by quadrant, each
+  // decided box filling its block of the cell's table.
+  std::vector<AssignerVerdictStats> cell_stats(refine.size());
+  const auto refine_cell = [&](size_t t) {
+    const size_t c = refine[t];
+    uint8_t* cells = leaves_.data() + t * table;
+    AssignerVerdictStats& counts = cell_stats[t];
+    std::vector<std::vector<uint32_t>> scratch(depth_ + 1);
+    const std::function<void(int, size_t, size_t, std::span<const uint32_t>)> split =
+        [&](int level, size_t j, size_t i, std::span<const uint32_t> cand) {
+          std::vector<uint32_t>& reach = scratch[level + 1];
+          for (size_t q = 0; q < 4; ++q) {
+            const size_t cj = 2 * j + (q >> 1);
+            const size_t ci = 2 * i + (q & 1);
+            reach.clear();
+            const uint32_t code = decide(LeafBox(c / nx_, c % nx_, level + 1, cj, ci), cand, reach);
+            if (code == kTest && level + 1 < depth_) {
+              split(level + 1, cj, ci, reach);
+              continue;
+            }
+            ++(code == kTest ? counts.test_leaves
+                             : code == kNone ? counts.empty_leaves : counts.area_leaves);
+            const size_t block = side_ >> (level + 1);
+            for (size_t r = cj * block; r < (cj + 1) * block; ++r) {
+              std::fill_n(cells + r * side_ + ci * block, block, static_cast<uint8_t>(code));
+            }
+          }
+        };
+    split(0, 0, 0, reaches[t]);
+    roots_[c] = kTableBase + static_cast<uint32_t>(t * table);
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(refine.size(), refine_cell);
+  } else {
+    for (size_t t = 0; t < refine.size(); ++t) refine_cell(t);
+  }
+  for (const AssignerVerdictStats& counts : cell_stats) {
+    stats.area_leaves += counts.area_leaves;
+    stats.empty_leaves += counts.empty_leaves;
+    stats.test_leaves += counts.test_leaves;
+  }
+  stats.bytes = roots_.size() * sizeof(uint32_t) + leaves_.size() * sizeof(uint8_t);
+  stats.build_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+}
+
+void AreaAssigner::ForEachDecidedLeaf(
+    const std::function<void(const geo::BoundingBox&, std::optional<size_t>)>& fn) const {
+  const auto emit = [&](size_t c, int level, size_t j, size_t i, uint32_t code) {
+    fn(LeafBox(c / nx_, c % nx_, level, j, i),
+       code == kNone ? std::nullopt : std::optional<size_t>(code));
+  };
+  for (size_t c = 0; c < roots_.size(); ++c) {
+    if (cell_begin_[c] == cell_begin_[c + 1]) continue;
+    if (roots_[c] < kTableBase) {
+      if (roots_[c] != kTest) emit(c, 0, 0, 0, roots_[c]);
+      continue;
+    }
+    // The table's largest uniform quadtree blocks.
+    const uint8_t* cells = leaves_.data() + (roots_[c] - kTableBase);
+    const std::function<void(int, size_t, size_t)> visit = [&](int level, size_t j,
+                                                                size_t i) {
+      const size_t block = side_ >> level;
+      const uint8_t code = cells[j * block * side_ + i * block];
+      bool uniform = true;
+      for (size_t r = j * block; r < (j + 1) * block && uniform; ++r) {
+        for (size_t k = i * block; k < (i + 1) * block; ++k) {
+          uniform = uniform && cells[r * side_ + k] == code;
+        }
+      }
+      if (uniform) {
+        if (code != kTest) emit(c, level, j, i, code);
+        return;
+      }
+      for (size_t q = 0; q < 4; ++q) visit(level + 1, 2 * j + (q >> 1), 2 * i + (q & 1));
+    };
+    visit(0, 0, 0);
+  }
+}
+
+std::optional<size_t> AreaAssigner::AssignInCell(const geo::LatLon& pos, size_t c) const {
   const uint32_t end = cell_begin_[c + 1];
   // Exact reject: great-circle distance is at least the meridian leg, so a
   // centre more than radius/MetersPerDegreeLat degrees of latitude away can
@@ -326,18 +493,35 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
                               const std::vector<census::Area>& areas,
                               double radius_m, ThreadPool& pool,
                               ExtractionStats* stats, const TripOptions& options) {
-  // One assigner for the scale, shared read-only by every unit.
   return ExtractTrips(dataset, AreaAssigner(areas, radius_m), pool, stats, options);
 }
 
 Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
                               const AreaAssigner& assigner, ThreadPool& pool,
                               ExtractionStats* stats, const TripOptions& options) {
-  if (assigner.num_areas() == 0) {
-    return Status::InvalidArgument("ExtractTrips requires at least one area");
+  std::vector<ExtractionStats> one_stats;
+  auto ods = ExtractTrips(dataset, std::span<const AreaAssigner>(&assigner, 1), pool,
+                          &one_stats, options);
+  if (!ods.ok()) return ods.status();
+  if (stats != nullptr) *stats = one_stats[0];
+  return std::move((*ods)[0]);
+}
+
+Result<std::vector<OdMatrix>> ExtractTrips(const tweetdb::TweetDataset& dataset,
+                                           std::span<const AreaAssigner> assigners,
+                                           ThreadPool& pool,
+                                           std::vector<ExtractionStats>* stats,
+                                           const TripOptions& options) {
+  if (assigners.empty()) {
+    return Status::InvalidArgument("ExtractTrips requires at least one assigner");
   }
-  if (!(assigner.radius_m() > 0.0)) {
-    return Status::InvalidArgument("ExtractTrips requires a positive radius");
+  for (const AreaAssigner& assigner : assigners) {
+    if (assigner.num_areas() == 0) {
+      return Status::InvalidArgument("ExtractTrips requires at least one area");
+    }
+    if (!(assigner.radius_m() > 0.0)) {
+      return Status::InvalidArgument("ExtractTrips requires a positive radius");
+    }
   }
   if (options.max_gap_seconds < 0) {
     return Status::InvalidArgument("ExtractTrips requires max_gap_seconds >= 0");
@@ -365,9 +549,12 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
-  const size_t n = assigner.num_areas();
-  std::vector<std::unique_ptr<OdMatrix>> partial(cuts.size());
-  std::vector<ExtractionStats> partial_stats(cuts.size());
+  // Per unit and scale, the nonzero flows as (row-major cell, flow) — a
+  // unit holds a few trips, so its dense matrices are dropped as it ends —
+  // and the counters.
+  const size_t num_scales = assigners.size();
+  std::vector<std::vector<std::vector<std::pair<size_t, double>>>> partial(cuts.size());
+  std::vector<std::vector<ExtractionStats>> partial_stats(cuts.size());
   pool.ParallelFor(cuts.size(), [&](size_t u) {
     std::vector<ShardCursor> cursors;
     cursors.reserve(num_shards);
@@ -378,8 +565,14 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
                               : std::pair<size_t, size_t>{table.num_blocks(), 0};
       cursors.emplace_back(table, table.LowerBoundUser(cuts[u]), end);
     }
-    auto od = OdMatrix::Create(n);  // cannot fail: n > 0
-    TripAccumulator acc(assigner, options, &*od);
+    std::vector<OdMatrix> ods;
+    ods.reserve(num_scales);
+    for (const AreaAssigner& assigner : assigners) {
+      ods.push_back(*OdMatrix::Create(assigner.num_areas()));  // cannot fail: n > 0
+    }
+    std::vector<TripAccumulator> accs;
+    accs.reserve(num_scales);
+    for (size_t s = 0; s < num_scales; ++s) accs.emplace_back(assigners[s], options, &ods[s]);
     while (true) {
       // The smallest user left in any shard; their runs feed in shard-key
       // order, which is their global time order.
@@ -392,28 +585,33 @@ Result<OdMatrix> ExtractTrips(const tweetdb::TweetDataset& dataset,
       }
       if (!any) break;
       for (ShardCursor& c : cursors) {
-        if (!c.done() && c.user() == user) c.FeedRun(acc);
+        if (!c.done() && c.user() == user) c.FeedRun(accs);
       }
     }
-    partial_stats[u] = acc.stats();
-    partial[u] = std::make_unique<OdMatrix>(std::move(*od));
+    for (size_t s = 0; s < num_scales; ++s) {
+      partial_stats[u].push_back(accs[s].stats());
+      std::vector<std::pair<size_t, double>>& flows = partial[u].emplace_back();
+      const size_t n = assigners[s].num_areas();
+      for (size_t k = 0; k < n * n; ++k) {
+        const double flow = ods[s].Flow(k / n, k % n);
+        if (flow > 0.0) flows.emplace_back(k, flow);
+      }
+    }
   });
 
   // Ordered merge in unit order — identical totals for any thread count.
-  auto merged = OdMatrix::Create(n);
-  if (!merged.ok()) return merged.status();
-  ExtractionStats total;
-  for (size_t u = 0; u < cuts.size(); ++u) {
-    total += partial_stats[u];
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        const double flow = partial[u]->Flow(i, j);
-        if (flow > 0.0) merged->AddFlow(i, j, flow);
-      }
+  std::vector<OdMatrix> merged;
+  std::vector<ExtractionStats> totals(num_scales);
+  for (size_t s = 0; s < num_scales; ++s) {
+    const size_t n = assigners[s].num_areas();
+    merged.push_back(*OdMatrix::Create(n));
+    for (size_t u = 0; u < cuts.size(); ++u) {
+      totals[s] += partial_stats[u][s];
+      for (const auto& [k, flow] : partial[u][s]) merged[s].AddFlow(k / n, k % n, flow);
     }
   }
-  if (stats != nullptr) *stats = total;
-  return std::move(*merged);
+  if (stats != nullptr) *stats = std::move(totals);
+  return merged;
 }
 
 void GatherUserRows(uint64_t user,

@@ -35,10 +35,8 @@ TEST_F(StageEngineTest, TraceListsStagesInExecutionOrder) {
     if (r.name.find('/') == std::string::npos) top_level.push_back(r.name);
   }
   const std::vector<std::string> expected = {
-      "synthesize",   "compact",       "index",
-      "population",   "trips@National", "fit@National",
-      "trips@State",  "fit@State",     "trips@Metropolitan",
-      "fit@Metropolitan"};
+      "synthesize", "compact",   "index",           "population",
+      "trips@all",  "fit@National", "fit@State", "fit@Metropolitan"};
   EXPECT_EQ(top_level, expected);
 }
 
@@ -73,23 +71,38 @@ TEST_F(StageEngineTest, TraceCountersAndScanArePopulated) {
   EXPECT_EQ(index->Counter("indexed_tweets"),
             static_cast<int64_t>(result.generation.num_tweets));
 
-  const StageRecord* trips = trace.Find("trips@National");
-  ASSERT_NE(trips, nullptr);
-  ASSERT_TRUE(trips->has_scan);
-  EXPECT_EQ(trips->Counter("rows"),
-            static_cast<int64_t>(result.generation.num_tweets));
-  EXPECT_EQ(trips->Counter("trips"),
-            static_cast<int64_t>(result.mobility[0].extraction.inter_area_trips));
-  EXPECT_EQ(trips->Counter("pairs"),
-            static_cast<int64_t>(result.mobility[0].observations.size()));
-  // A counter a stage never set reads as zero.
-  EXPECT_EQ(trips->Counter("no_such_counter"), 0);
+  // One walk feeds every scale: the stage scans the rows once, and each
+  // scale's sub-record says what that scale did.
+  const StageRecord* walk = trace.Find("trips@all");
+  ASSERT_NE(walk, nullptr);
+  ASSERT_TRUE(walk->has_scan);
+  EXPECT_EQ(walk->scan.rows_scanned, result.generation.num_tweets);
+  EXPECT_EQ(walk->Counter("scales"), 3);
+  const char* kScales[] = {"National", "State", "Metropolitan"};
+  for (size_t s = 0; s < 3; ++s) {
+    const StageRecord* trips = trace.Find(std::string("trips@all/") + kScales[s]);
+    ASSERT_NE(trips, nullptr) << kScales[s];
+    EXPECT_EQ(trips->Counter("rows"),
+              static_cast<int64_t>(result.generation.num_tweets));
+    EXPECT_EQ(trips->Counter("trips"),
+              static_cast<int64_t>(result.mobility[s].extraction.inter_area_trips));
+    EXPECT_EQ(trips->Counter("pairs"),
+              static_cast<int64_t>(result.mobility[s].observations.size()));
+    EXPECT_GT(trips->Counter("verdict_bytes"), 0) << kScales[s];
+    EXPECT_LE(trips->Counter("verdict_bytes"),
+              static_cast<int64_t>(mobility::kMaxAssignerGridBytes));
+    EXPECT_GT(trips->Counter("area_leaves"), 0) << kScales[s];
+    EXPECT_GT(trips->Counter("empty_leaves"), 0) << kScales[s];
+    // A counter a stage never set reads as zero.
+    EXPECT_EQ(trips->Counter("no_such_counter"), 0);
+  }
 }
 
 TEST_F(StageEngineTest, RenderTraceTableShowsEveryStage) {
   const std::string rendered = RenderTraceTable(SharedResult().trace);
   for (const char* name : {"synthesize", "compact", "index", "population",
-                           "trips@National", "fit@Metropolitan/Radiation"}) {
+                           "trips@all", "trips@all/Metropolitan",
+                           "fit@Metropolitan/Radiation"}) {
     EXPECT_NE(rendered.find(name), std::string::npos) << name;
   }
 }

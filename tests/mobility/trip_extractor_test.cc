@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -269,20 +270,25 @@ TEST(AreaAssignerTest, CentresAssignToThemselves) {
 
 TEST(AreaAssignerTest, PrefiltersNeverChangeTheAssignment) {
   random::Xoshiro256 rng(99);
-  std::vector<census::Area> areas;
-  for (size_t i = 0; i < 40; ++i) {
-    areas.push_back(census::Area{static_cast<uint32_t>(i), "A",
-                                 geo::LatLon{rng.NextUniform(-38.0, -30.0),
-                                             rng.NextUniform(145.0, 153.0)},
-                                 100.0});
-  }
-  for (const double radius_m : {2000.0, 50000.0, 400000.0}) {
-    const AreaAssigner assigner(areas, radius_m);
-    for (int trial = 0; trial < 300; ++trial) {
-      const geo::LatLon p{rng.NextUniform(-40.0, -28.0),
-                          rng.NextUniform(143.0, 155.0)};
-      EXPECT_EQ(assigner.Assign(p), BruteAssign(p, areas, radius_m))
-          << p.ToString() << " r=" << radius_m;
+  // 300 areas are too many for one-byte verdicts: every point takes the
+  // exact path.
+  for (const size_t num_areas : {40, 300}) {
+    std::vector<census::Area> areas;
+    for (size_t i = 0; i < num_areas; ++i) {
+      areas.push_back(census::Area{static_cast<uint32_t>(i), "A",
+                                   geo::LatLon{rng.NextUniform(-38.0, -30.0),
+                                               rng.NextUniform(145.0, 153.0)},
+                                   100.0});
+    }
+    for (const double radius_m : {2000.0, 50000.0, 400000.0}) {
+      const AreaAssigner assigner(areas, radius_m);
+      EXPECT_EQ(assigner.verdict_stats().bytes == 0, num_areas == 300);
+      for (int trial = 0; trial < 300; ++trial) {
+        const geo::LatLon p{rng.NextUniform(-40.0, -28.0),
+                            rng.NextUniform(143.0, 155.0)};
+        EXPECT_EQ(assigner.Assign(p), BruteAssign(p, areas, radius_m))
+            << p.ToString() << " r=" << radius_m << " areas=" << num_areas;
+      }
     }
   }
 }
@@ -389,6 +395,88 @@ TEST(AreaAssignerTest, CandidateGridMatchesBruteForce) {
     }
   }
   EXPECT_GT(checked, 30000u);
+}
+
+/// The last double along `step` (a unit change of latitude or longitude
+/// from `c`) whose point is still within `radius_m` of `c`, and the next
+/// one, which is not: the exact ε threshold of HaversineMeters.
+std::pair<geo::LatLon, geo::LatLon> ThresholdPair(const geo::LatLon& c, double radius_m,
+                                                  double dlat, double dlon) {
+  const auto at = [&](double t) { return geo::LatLon{c.lat + dlat * t, c.lon + dlon * t}; };
+  double in = 0.0;
+  double out = 2.0 * radius_m / geo::MetersPerDegreeLon(std::fabs(c.lat) + 2.0);
+  while (std::nextafter(in, out) < out) {
+    const double mid = in + (out - in) / 2.0;
+    if (mid <= in || mid >= out) break;
+    (geo::HaversineMeters(at(mid), c) <= radius_m ? in : out) = mid;
+  }
+  return {at(in), at(out)};
+}
+
+/// Every verdict the assigner decides without a distance holds on its whole
+/// leaf: at the three paper scales and at 500 m and 400 km, a lattice of
+/// points of every decided leaf — its corners, edge midpoints and centre —
+/// and points one ulp outside its corners assign as BruteAssign does, and
+/// as the leaf says. Points exactly at ε from a centre (the last double
+/// within and the first beyond), equidistant centres and NaN match too.
+TEST(AreaAssignerTest, DecidedLeavesMatchBruteForce) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  size_t leaves = 0;
+  for (const census::Scale scale : census::kAllScales) {
+    std::vector<census::Area> areas = census::AreasForScale(scale);
+    const geo::LatLon first = areas[0].center;
+    const geo::LatLon mid{areas[1].center.lat, areas[1].center.lon + 0.3};
+    areas.push_back(census::Area{900, "Copy", first, 1.0});
+    areas.push_back(census::Area{901, "West", geo::LatLon{mid.lat, mid.lon - 0.003}, 1.0});
+    areas.push_back(census::Area{902, "East", geo::LatLon{mid.lat, mid.lon + 0.003}, 1.0});
+    for (const double radius_m :
+         {census::DefaultSearchRadiusMeters(scale), 500.0, 400000.0}) {
+      const AreaAssigner assigner(areas, radius_m);
+      const AssignerVerdictStats& stats = assigner.verdict_stats();
+      EXPECT_LE(stats.bytes, kMaxAssignerGridBytes);
+      EXPECT_GT(stats.area_leaves, 0u) << census::ScaleName(scale) << " r=" << radius_m;
+      EXPECT_GT(stats.empty_leaves, 0u) << census::ScaleName(scale) << " r=" << radius_m;
+      const auto check = [&](const geo::LatLon& p, std::optional<size_t> want) {
+        ASSERT_EQ(BruteAssign(p, areas, radius_m), want)
+            << census::ScaleName(scale) << " r=" << radius_m << " at " << p.ToString();
+        ASSERT_EQ(assigner.Assign(p), want)
+            << census::ScaleName(scale) << " r=" << radius_m << " at " << p.ToString();
+      };
+      assigner.ForEachDecidedLeaf([&](const geo::BoundingBox& box, std::optional<size_t> area) {
+        ++leaves;
+        const double lat_mid = box.min_lat + (box.max_lat - box.min_lat) / 2.0;
+        const double lon_mid = box.min_lon + (box.max_lon - box.min_lon) / 2.0;
+        for (const double lat : {box.min_lat, lat_mid, box.max_lat}) {
+          for (const double lon : {box.min_lon, lon_mid, box.max_lon}) {
+            check(geo::LatLon{lat, lon}, area);
+          }
+        }
+        for (const double lat :
+             {std::nextafter(box.min_lat, -kInf), std::nextafter(box.max_lat, kInf)}) {
+          for (const double lon :
+               {std::nextafter(box.min_lon, -kInf), std::nextafter(box.max_lon, kInf)}) {
+            check(geo::LatLon{lat, lon}, area);
+          }
+        }
+      });
+      // The ε threshold of every centre, along its meridian and parallel.
+      for (const census::Area& a : areas) {
+        for (const auto& [dlat, dlon] : {std::pair{1.0, 0.0}, std::pair{-1.0, 0.0},
+                                         std::pair{0.0, 1.0}, std::pair{0.0, -1.0}}) {
+          const auto [in, out] = ThresholdPair(a.center, radius_m, dlat, dlon);
+          ASSERT_LE(geo::HaversineMeters(in, a.center), radius_m);
+          ASSERT_GT(geo::HaversineMeters(out, a.center), radius_m);
+          for (const geo::LatLon& p : {in, out}) check(p, BruteAssign(p, areas, radius_m));
+        }
+      }
+      check(first, 0);                     // on two identical centres
+      check(mid, areas.size() - 2);        // equidistant from West and East
+      check(geo::LatLon{kNaN, first.lon}, std::nullopt);
+      check(geo::LatLon{first.lat, kNaN}, std::nullopt);
+    }
+  }
+  EXPECT_GT(leaves, 10000u);
 }
 
 TEST(AreaAssignerTest, CentresAcrossTheEquatorMatchBruteForce) {
