@@ -22,6 +22,9 @@ uint64_t EnvOr(const char* name, uint64_t fallback) {
   return static_cast<uint64_t>(*parsed);
 }
 
+/// Corpus seed; override with TWIMOB_BENCH_SEED.
+uint64_t BenchSeed() { return EnvOr("TWIMOB_BENCH_SEED", 20150413); }
+
 }  // namespace
 
 JsonWriter& JsonWriter::BeginObject(const std::string& key) {
@@ -91,8 +94,6 @@ JsonWriter& JsonWriter::Field(const std::string& key, const std::string& value) 
 }
 
 JsonWriter& JsonWriter::Value(double v) { return Field("", v); }
-JsonWriter& JsonWriter::Value(uint64_t v) { return Field("", v); }
-JsonWriter& JsonWriter::Value(const std::string& v) { return Field("", v); }
 
 void JsonWriter::Prefix(const std::string& key) {
   if (!has_elements_.empty()) {
@@ -116,8 +117,6 @@ size_t BenchUserCount() {
   // Paper scale by default (Table I: 473,956 unique users).
   return static_cast<size_t>(EnvOr("TWIMOB_BENCH_USERS", 473956));
 }
-
-uint64_t BenchSeed() { return EnvOr("TWIMOB_BENCH_SEED", 20150413); }
 
 synth::CorpusConfig BenchCorpusConfig() {
   synth::CorpusConfig config;

@@ -1,11 +1,14 @@
 #ifndef TWIMOB_BENCH_BENCH_UTIL_H_
 #define TWIMOB_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "common/time_util.h"
 #include "core/analysis_snapshot.h"
 #include "core/stage_engine.h"
 #include "synth/tweet_generator.h"
@@ -14,7 +17,8 @@
 namespace twimob::bench {
 
 /// Streaming writer for the machine-readable bench artifacts
-/// (`BENCH_pipeline.json`, `BENCH_spatial.json` — uploaded by CI). Emits
+/// (`BENCH_spatial.json`, `BENCH_tweetdb.json`, `BENCH_epi.json` — uploaded
+/// by CI — and `ext_epidemic --json`). Emits
 /// one JSON document: open containers with BeginObject/BeginArray, add
 /// scalars with Field/Value, close with EndObject/EndArray; commas and
 /// string escaping are handled internally. Numbers print with enough
@@ -28,9 +32,6 @@ class JsonWriter {
 
   JsonWriter& Field(const std::string& key, double value);
   JsonWriter& Field(const std::string& key, uint64_t value);
-  JsonWriter& Field(const std::string& key, int value) {
-    return Field(key, static_cast<uint64_t>(value));
-  }
   JsonWriter& Field(const std::string& key, bool value);
   JsonWriter& Field(const std::string& key, const std::string& value);
   JsonWriter& Field(const std::string& key, const char* value) {
@@ -39,8 +40,6 @@ class JsonWriter {
 
   /// Bare array element (no key).
   JsonWriter& Value(double v);
-  JsonWriter& Value(uint64_t v);
-  JsonWriter& Value(const std::string& v);
 
   /// The document so far (valid JSON once every container is closed).
   const std::string& ToString() const { return out_; }
@@ -59,9 +58,6 @@ class JsonWriter {
 /// (473,956 users ≈ 6.3M tweets); override with the environment variable
 /// TWIMOB_BENCH_USERS (e.g. =50000 for a quick pass).
 size_t BenchUserCount();
-
-/// Corpus seed; override with TWIMOB_BENCH_SEED.
-uint64_t BenchSeed();
 
 /// The bench corpus config at the chosen scale.
 synth::CorpusConfig BenchCorpusConfig();
@@ -83,6 +79,22 @@ std::string CorpusCachePath();
 Result<core::AnalysisSnapshot> AnalyzeCorpus(core::AnalysisContext& ctx,
                                              tweetdb::TweetTable table,
                                              const core::PipelineConfig& config);
+
+/// Timed results are folded in here, so the timed work is never dead code.
+inline volatile uint64_t timing_sink = 0;
+
+/// The fastest of `repeats` calls of `fn`, in seconds. `fn` returns a
+/// value derived from its work (a checksum, a count, a size).
+template <typename Fn>
+double BestOfSeconds(int repeats, Fn&& fn) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < repeats; ++i) {
+    const double t0 = MonotonicSeconds();
+    timing_sink = timing_sink + static_cast<uint64_t>(fn());
+    best = std::min(best, MonotonicSeconds() - t0);
+  }
+  return best;
+}
 
 }  // namespace twimob::bench
 

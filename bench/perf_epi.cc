@@ -1,22 +1,15 @@
-// Epidemic what-if sweep performance profile (PR 10 tentpole): builds an
-// analysed snapshot, expands a >= 1000-scenario grid over its fitted OD
-// matrices, and reports
-//   * parallel sweep throughput (scenarios/s) and the serial-vs-pool
-//     speedup, with the byte-identical determinism verdict across thread
-//     counts (serial, 1-thread pool, 4-thread pool);
-//   * the SoA batched stepper vs the legacy per-scenario
-//     MetapopulationSeir loop (wall ratio + bitwise-equality verdict);
-//   * the AVX2 coupling kernel vs its scalar reference (microbenchmark
-//     ratio + bit-identity verdict);
-//   * serve::WhatIfService cache hit/miss latency percentiles and the
-//     cached-vs-uncached bitwise verdict;
-//   * stochastic sweep determinism across thread counts.
-// Any failed verdict exits non-zero — CI's perf-smoke job runs this with
-// `--json BENCH_epi.json` and asserts determinism plus a >= 2x 4-thread
-// speedup.
+// Epidemic what-if sweep scaling profile: builds an analysed snapshot,
+// expands a >= 1000-scenario grid over its fitted OD matrices, and reports
+//   * the sweep throughput (scenarios/s) and the 4-thread-pool-vs-serial
+//     speedup, the number CI's perf-smoke job gates at >= 2x;
+//   * the SIMD coupling kernel vs its scalar reference (micro-ratio).
+// The bitwise contracts behind these numbers are epi_test's
+// (ScenarioSweepThreadTest and SoaStepperMatchesLegacyModelBitwise run this
+// grid on the same 20k-user snapshot; SeirKernelDifferentialTest the
+// kernel); this binary only times them. `--json <path>` writes the profile
+// (`BENCH_epi.json`).
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -28,10 +21,8 @@
 #include "common/time_util.h"
 #include "core/analysis_snapshot.h"
 #include "epi/scenario_sweep.h"
-#include "epi/seir.h"
 #include "epi/seir_kernels.h"
 #include "random/rng.h"
-#include "serve/whatif_service.h"
 
 namespace twimob {
 namespace {
@@ -40,44 +31,6 @@ namespace {
 /// capped so huge TWIMOB_BENCH_USERS settings don't drown the measurement
 /// in pipeline time. The cap is logged, never silent.
 constexpr size_t kMaxEpiUsers = 150000;
-
-bool BitEqual(double a, double b) {
-  uint64_t ua = 0;
-  uint64_t ub = 0;
-  std::memcpy(&ua, &a, sizeof(ua));
-  std::memcpy(&ub, &b, sizeof(ub));
-  return ua == ub;
-}
-
-std::vector<double> Flatten(const std::vector<epi::ScenarioResult>& results) {
-  std::vector<double> flat;
-  for (const epi::ScenarioResult& r : results) {
-    flat.push_back(r.final_totals.t);
-    flat.push_back(r.final_totals.s);
-    flat.push_back(r.final_totals.e);
-    flat.push_back(r.final_totals.i);
-    flat.push_back(r.final_totals.r);
-    flat.push_back(r.peak_infectious);
-    flat.push_back(r.peak_day);
-    flat.push_back(r.attack_rate);
-    flat.insert(flat.end(), r.arrival_day.begin(), r.arrival_day.end());
-  }
-  return flat;
-}
-
-bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-double Percentile(std::vector<double>& sorted_in_place, double p) {
-  if (sorted_in_place.empty()) return 0.0;
-  std::sort(sorted_in_place.begin(), sorted_in_place.end());
-  const size_t idx = std::min(
-      sorted_in_place.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted_in_place.size())));
-  return sorted_in_place[idx];
-}
 
 /// The >= 1000-scenario profile grid (3 scales x 12 betas x 6 reductions x
 /// 5 seed areas = 1080 scenarios, 100 simulated days each).
@@ -89,75 +42,6 @@ epi::SweepGrid ProfileGrid() {
   grid.seed_count = 100.0;
   grid.steps = 400;
   return grid;
-}
-
-/// Rebuilds the sweep's per-scale inputs from the snapshot (census
-/// populations + observed extracted flows) for the legacy reference loop.
-struct ScaleInputs {
-  std::vector<double> populations;
-  mobility::OdMatrix flows;
-};
-
-std::vector<ScaleInputs> SnapshotInputs(const core::AnalysisSnapshot& snapshot) {
-  std::vector<ScaleInputs> inputs;
-  for (size_t s = 0; s < snapshot.serving_tables().size(); ++s) {
-    const core::ScaleServingTables& tables = snapshot.serving_tables()[s];
-    const size_t n = tables.num_areas;
-    std::vector<double> populations;
-    for (const census::Area& area : snapshot.specs()[s].areas) {
-      populations.push_back(area.population);
-    }
-    auto flows = mobility::OdMatrix::Create(n);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        flows->SetFlow(i, j, tables.observed[i * n + j]);
-      }
-    }
-    inputs.push_back(ScaleInputs{std::move(populations), std::move(*flows)});
-  }
-  return inputs;
-}
-
-/// The legacy dense per-scenario loop the SoA engine replaces: one
-/// MetapopulationSeir per scenario, same parameters, same summary.
-bool RunLegacySweep(const std::vector<ScaleInputs>& inputs,
-                    const epi::SweepGrid& grid,
-                    const std::vector<epi::ScenarioPoint>& points,
-                    std::vector<epi::ScenarioResult>* results) {
-  results->resize(points.size());
-  for (size_t idx = 0; idx < points.size(); ++idx) {
-    const epi::ScenarioPoint& point = points[idx];
-    epi::SeirParams params = grid.base;
-    params.beta = point.beta;
-    params.mobility_rate =
-        grid.base.mobility_rate * (1.0 - point.mobility_reduction);
-    auto model = epi::MetapopulationSeir::Create(
-        inputs[point.scale].populations, inputs[point.scale].flows, params);
-    if (!model.ok() ||
-        !model->SeedInfection(point.seed_area, grid.seed_count).ok()) {
-      return false;
-    }
-    const std::vector<epi::SeirTotals> trajectory = model->Run(grid.steps);
-    epi::ScenarioResult& out = (*results)[idx];
-    out.point = point;
-    out.final_totals = trajectory.back();
-    out.peak_infectious = trajectory.front().i;
-    out.peak_day = trajectory.front().t;
-    for (const epi::SeirTotals& totals : trajectory) {
-      if (totals.i > out.peak_infectious) {
-        out.peak_infectious = totals.i;
-        out.peak_day = totals.t;
-      }
-    }
-    double total_population = 0.0;
-    for (double p : inputs[point.scale].populations) total_population += p;
-    out.attack_rate = out.final_totals.r / total_population;
-    out.arrival_day.resize(inputs[point.scale].populations.size());
-    for (size_t a = 0; a < out.arrival_day.size(); ++a) {
-      out.arrival_day[a] = model->ArrivalTime(a, epi::kSweepArrivalThreshold);
-    }
-  }
-  return true;
 }
 
 /// Synthetic CSR microbench fixture for the coupling kernel.
@@ -201,14 +85,12 @@ int Run(const char* json_path) {
     config.corpus.num_users = kMaxEpiUsers;
   }
   config.num_shards = 2;
-  auto built = core::AnalysisSnapshot::Build(config);
-  if (!built.ok()) {
+  auto snapshot = core::AnalysisSnapshot::Build(config);
+  if (!snapshot.ok()) {
     std::fprintf(stderr, "[perf_epi] snapshot build failed: %s\n",
-                 built.status().ToString().c_str());
+                 snapshot.status().ToString().c_str());
     return 1;
   }
-  auto snapshot =
-      std::make_shared<const core::AnalysisSnapshot>(std::move(*built));
   const auto& sweep = snapshot->scenario_sweep();
   if (sweep == nullptr) {
     std::fprintf(stderr, "[perf_epi] snapshot has no sweep engine\n");
@@ -226,197 +108,50 @@ int Run(const char* json_path) {
     return 1;
   }
   const size_t num_scenarios = points->size();
-  if (num_scenarios < 1000) {
-    std::fprintf(stderr, "[perf_epi] grid expands to only %zu scenarios\n",
-                 num_scenarios);
-    return 1;
-  }
 
-  // --- Parallel sweep: serial vs 1-thread pool vs 4-thread pool. The
-  // 4-vs-serial speedup is the CI-gated number (runners have 4 vCPUs).
-  double serial_wall = 0.0;
-  std::vector<epi::ScenarioResult> serial_results;
-  {
+  // --- Sweep: serial vs a 4-thread pool. The 4-vs-serial speedup is the
+  // CI-gated number (runners have 4 vCPUs).
+  auto timed_sweep = [&](ThreadPool* pool) {
     const double t0 = MonotonicSeconds();
-    auto run = sweep->Run(grid, nullptr);
-    serial_wall = MonotonicSeconds() - t0;
-    if (!run.ok()) return 1;
-    serial_results = std::move(*run);
-  }
-  double pool1_wall = 0.0;
-  bool deterministic = true;
-  {
-    ThreadPool pool(1);
-    const double t0 = MonotonicSeconds();
-    auto run = sweep->Run(grid, &pool);
-    pool1_wall = MonotonicSeconds() - t0;
-    if (!run.ok()) return 1;
-    deterministic =
-        deterministic && BitwiseEqual(Flatten(serial_results), Flatten(*run));
-  }
-  double pool4_wall = 0.0;
-  {
-    ThreadPool pool(4);
-    const double t0 = MonotonicSeconds();
-    auto run = sweep->Run(grid, &pool);
-    pool4_wall = MonotonicSeconds() - t0;
-    if (!run.ok()) return 1;
-    deterministic =
-        deterministic && BitwiseEqual(Flatten(serial_results), Flatten(*run));
+    const bool ok = sweep->Run(grid, pool).ok();
+    return ok ? MonotonicSeconds() - t0 : -1.0;
+  };
+  const double serial_wall = timed_sweep(nullptr);
+  ThreadPool pool4(4);
+  const double pool4_wall = timed_sweep(&pool4);
+  if (serial_wall < 0.0 || pool4_wall < 0.0) {
+    std::fprintf(stderr, "[perf_epi] sweep failed\n");
+    return 1;
   }
   const double speedup = pool4_wall > 0.0 ? serial_wall / pool4_wall : 0.0;
   std::fprintf(stderr,
-               "[perf_epi] sweep %zu scenarios: serial %.2f s | pool1 %.2f s | "
-               "pool4 %.2f s | speedup %.2fx | deterministic=%s\n",
-               num_scenarios, serial_wall, pool1_wall, pool4_wall, speedup,
-               deterministic ? "yes" : "NO");
+               "[perf_epi] sweep %zu scenarios: serial %.2f s | pool4 %.2f s | "
+               "speedup %.2fx\n",
+               num_scenarios, serial_wall, pool4_wall, speedup);
 
-  // --- SoA vs the legacy dense loop (bit-equality + wall ratio).
-  const std::vector<ScaleInputs> inputs = SnapshotInputs(*snapshot);
-  double legacy_wall = 0.0;
-  bool soa_matches_legacy = false;
-  {
-    std::vector<epi::ScenarioResult> legacy_results;
-    const double t0 = MonotonicSeconds();
-    if (!RunLegacySweep(inputs, grid, *points, &legacy_results)) {
-      std::fprintf(stderr, "[perf_epi] legacy sweep failed\n");
-      return 1;
-    }
-    legacy_wall = MonotonicSeconds() - t0;
-    soa_matches_legacy =
-        BitwiseEqual(Flatten(serial_results), Flatten(legacy_results));
-  }
-  const double soa_ratio = serial_wall > 0.0 ? legacy_wall / serial_wall : 0.0;
-  std::fprintf(stderr,
-               "[perf_epi] legacy loop %.2f s vs SoA serial %.2f s: %.2fx | "
-               "bit-identical=%s\n",
-               legacy_wall, serial_wall, soa_ratio,
-               soa_matches_legacy ? "yes" : "NO");
-
-  // --- Coupling-kernel microbench: scalar reference vs the AVX2 path.
+  // --- Coupling-kernel microbench: scalar reference vs the SIMD path.
   const KernelFixture fixture = MakeKernelFixture(256);
   const size_t kernel_reps = 2000;
-  std::vector<double> scalar_out(fixture.state.size(), 0.0);
-  std::vector<double> simd_out(fixture.state.size(), 0.0);
-  double scalar_wall = 0.0;
-  {
+  std::vector<double> out(fixture.state.size(), 0.0);
+  auto timed_kernel = [&](epi::seir_internal::CouplingKernelFn kernel) {
     const double t0 = MonotonicSeconds();
     for (size_t rep = 0; rep < kernel_reps; ++rep) {
-      std::fill(scalar_out.begin(), scalar_out.end(), 0.0);
-      epi::AccumulateCouplingScalar(fixture.row_ptr.data(), fixture.col.data(),
-                                    fixture.vals.data(), fixture.num_areas,
-                                    fixture.lanes, 0.25, fixture.state.data(),
-                                    scalar_out.data());
+      std::fill(out.begin(), out.end(), 0.0);
+      kernel(fixture.row_ptr.data(), fixture.col.data(), fixture.vals.data(),
+             fixture.num_areas, fixture.lanes, 0.25, fixture.state.data(),
+             out.data());
     }
-    scalar_wall = MonotonicSeconds() - t0;
-  }
-  double simd_wall = 0.0;
-  bool kernel_bit_identical = true;
+    return MonotonicSeconds() - t0;
+  };
+  const double scalar_wall = timed_kernel(epi::AccumulateCouplingScalar);
   const epi::seir_internal::CouplingKernelFn simd_kernel =
       epi::seir_internal::SimdCouplingKernel();
-  if (simd_kernel != nullptr) {
-    const double t0 = MonotonicSeconds();
-    for (size_t rep = 0; rep < kernel_reps; ++rep) {
-      std::fill(simd_out.begin(), simd_out.end(), 0.0);
-      simd_kernel(fixture.row_ptr.data(), fixture.col.data(),
-                  fixture.vals.data(), fixture.num_areas, fixture.lanes, 0.25,
-                  fixture.state.data(), simd_out.data());
-    }
-    simd_wall = MonotonicSeconds() - t0;
-    for (size_t x = 0; x < scalar_out.size(); ++x) {
-      kernel_bit_identical =
-          kernel_bit_identical && BitEqual(scalar_out[x], simd_out[x]);
-    }
-  }
-  const double kernel_speedup =
-      simd_wall > 0.0 ? scalar_wall / simd_wall : 1.0;
+  const double simd_wall = simd_kernel != nullptr ? timed_kernel(simd_kernel) : 0.0;
+  const double kernel_speedup = simd_wall > 0.0 ? scalar_wall / simd_wall : 1.0;
   std::fprintf(stderr,
-               "[perf_epi] kernel (%s): scalar %.1f ms | simd %.1f ms | %.2fx "
-               "| bit-identical=%s\n",
+               "[perf_epi] kernel (%s): scalar %.1f ms | simd %.1f ms | %.2fx\n",
                epi::CouplingKernelImplementation(), scalar_wall * 1e3,
-               simd_wall * 1e3, kernel_speedup,
-               kernel_bit_identical ? "yes" : "NO");
-
-  // --- WhatIfService: miss vs hit latency, cached-vs-uncached bits.
-  serve::WhatIfOptions whatif_options;
-  whatif_options.num_threads = 4;
-  const serve::WhatIfService service(snapshot, whatif_options);
-  epi::SweepGrid query_grid;
-  query_grid.scales = {0};
-  query_grid.betas = {0.3, 0.4, 0.5, 0.6};
-  query_grid.mobility_reductions = {0.0, 0.2, 0.4};
-  query_grid.seed_areas = {0, 1};
-  query_grid.seed_count = 100.0;
-  query_grid.steps = 400;
-
-  std::vector<double> miss_ms;
-  for (int m = 0; m < 6; ++m) {
-    epi::SweepGrid distinct = query_grid;
-    distinct.betas[0] = 0.3 + 0.001 * m;  // distinct cache key, same cost
-    const double t0 = MonotonicSeconds();
-    auto answer = service.WhatIf(distinct);
-    if (!answer.ok()) return 1;
-    miss_ms.push_back((MonotonicSeconds() - t0) * 1e3);
-  }
-  // The m=0 miss used betas[0] == 0.3 and six misses fit in the default
-  // capacity-8 shelf, so that key is still cached: re-asking it is a hit.
-  std::vector<double> hit_us;
-  for (int h = 0; h < 512; ++h) {
-    epi::SweepGrid repeat = query_grid;
-    repeat.betas[0] = 0.3;  // the first miss's key
-    const double t0 = MonotonicSeconds();
-    auto answer = service.WhatIf(repeat);
-    if (!answer.ok()) return 1;
-    hit_us.push_back((MonotonicSeconds() - t0) * 1e6);
-  }
-  const serve::WhatIfService fresh(snapshot, whatif_options);
-  epi::SweepGrid first_grid = query_grid;
-  first_grid.betas[0] = 0.3;
-  auto uncached = fresh.WhatIf(first_grid);
-  auto rehit = service.WhatIf(first_grid);
-  if (!uncached.ok() || !rehit.ok()) return 1;
-  const bool cached_matches_uncached =
-      BitwiseEqual(Flatten((*uncached)->results), Flatten((*rehit)->results));
-  const double miss_p50 = Percentile(miss_ms, 0.5);
-  const double miss_p99 = Percentile(miss_ms, 0.99);
-  const double hit_p50 = Percentile(hit_us, 0.5);
-  const double hit_p99 = Percentile(hit_us, 0.99);
-  const serve::WhatIfStats stats = service.stats();
-  std::fprintf(stderr,
-               "[perf_epi] what-if: miss p50 %.1f ms p99 %.1f ms | hit p50 "
-               "%.1f us p99 %.1f us | hits %llu | cached==uncached=%s\n",
-               miss_p50, miss_p99, hit_p50, hit_p99,
-               static_cast<unsigned long long>(stats.cache_hits),
-               cached_matches_uncached ? "yes" : "NO");
-
-  // --- Stochastic sweep determinism across thread counts.
-  epi::SweepGrid stochastic_grid;
-  stochastic_grid.scales = {0};
-  stochastic_grid.betas = {0.4, 0.6};
-  stochastic_grid.mobility_reductions = {0.0, 0.3};
-  stochastic_grid.seed_areas = {0};
-  stochastic_grid.seed_count = 20.0;
-  stochastic_grid.steps = 200;
-  double stochastic_wall = 0.0;
-  bool stochastic_deterministic = false;
-  {
-    auto serial = sweep->RunStochastic(stochastic_grid, 20, 500, 7, nullptr);
-    ThreadPool pool(4);
-    const double t0 = MonotonicSeconds();
-    auto pooled = sweep->RunStochastic(stochastic_grid, 20, 500, 7, &pool);
-    stochastic_wall = MonotonicSeconds() - t0;
-    if (!serial.ok() || !pooled.ok()) return 1;
-    stochastic_deterministic = serial->size() == pooled->size();
-    for (size_t i = 0; stochastic_deterministic && i < serial->size(); ++i) {
-      stochastic_deterministic =
-          BitEqual((*serial)[i].outbreak_probability,
-                   (*pooled)[i].outbreak_probability) &&
-          BitEqual((*serial)[i].mean_attack_rate, (*pooled)[i].mean_attack_rate) &&
-          BitEqual((*serial)[i].extinction_rate, (*pooled)[i].extinction_rate);
-    }
-  }
-  std::fprintf(stderr, "[perf_epi] stochastic pool4 %.2f s | deterministic=%s\n",
-               stochastic_wall, stochastic_deterministic ? "yes" : "NO");
+               simd_wall * 1e3, kernel_speedup);
 
   if (json_path != nullptr) {
     bench::JsonWriter json;
@@ -428,39 +163,17 @@ int Run(const char* json_path) {
     json.Field("steps", static_cast<uint64_t>(grid.steps));
     json.BeginObject("sweep")
         .Field("serial_wall_s", serial_wall)
-        .Field("pool1_wall_s", pool1_wall)
         .Field("pool4_wall_s", pool4_wall)
         .Field("scenarios_per_s",
                pool4_wall > 0.0 ? static_cast<double>(num_scenarios) / pool4_wall
                                 : 0.0)
         .Field("speedup_4_vs_serial", speedup)
-        .Field("deterministic", deterministic)
-        .EndObject();
-    json.BeginObject("soa")
-        .Field("legacy_wall_s", legacy_wall)
-        .Field("soa_wall_s", serial_wall)
-        .Field("soa_vs_legacy", soa_ratio)
-        .Field("matches_legacy", soa_matches_legacy)
         .EndObject();
     json.BeginObject("kernels")
         .Field("implementation", epi::CouplingKernelImplementation())
         .Field("scalar_ms", scalar_wall * 1e3)
         .Field("simd_ms", simd_wall * 1e3)
         .Field("simd_vs_scalar", kernel_speedup)
-        .Field("bit_identical", kernel_bit_identical)
-        .EndObject();
-    json.BeginObject("whatif")
-        .Field("miss_p50_ms", miss_p50)
-        .Field("miss_p99_ms", miss_p99)
-        .Field("hit_p50_us", hit_p50)
-        .Field("hit_p99_us", hit_p99)
-        .Field("cache_hits", stats.cache_hits)
-        .Field("sweeps_run", stats.sweeps_run)
-        .Field("cached_matches_uncached", cached_matches_uncached)
-        .EndObject();
-    json.BeginObject("stochastic")
-        .Field("pool4_wall_s", stochastic_wall)
-        .Field("deterministic", stochastic_deterministic)
         .EndObject();
     json.EndObject();
     const Status written = json.WriteFile(json_path);
@@ -470,13 +183,6 @@ int Run(const char* json_path) {
       return 1;
     }
     std::fprintf(stderr, "[perf_epi] wrote %s\n", json_path);
-  }
-
-  // Verdict gates: any broken contract fails the bench.
-  if (!deterministic || !soa_matches_legacy || !kernel_bit_identical ||
-      !cached_matches_uncached || !stochastic_deterministic) {
-    std::fprintf(stderr, "[perf_epi] FAILED: a bitwise verdict is false\n");
-    return 1;
   }
   return 0;
 }

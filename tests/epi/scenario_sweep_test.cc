@@ -2,11 +2,14 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "core/analysis_snapshot.h"
 #include "epi/seir.h"
 #include "epi/seir_kernels.h"
 #include "random/rng.h"
@@ -57,6 +60,63 @@ ScenarioSweep TwoScaleSweep() {
   auto sweep = ScenarioSweep::Create(std::move(inputs));
   EXPECT_TRUE(sweep.ok()) << sweep.status().ToString();
   return std::move(*sweep);
+}
+
+/// A sweep engine and, per scale, the populations and flows the legacy
+/// single-scenario model re-runs it from.
+struct SweepInputs {
+  std::shared_ptr<const ScenarioSweep> sweep;
+  std::vector<std::vector<double>> populations;
+  std::vector<mobility::OdMatrix> flows;
+};
+
+SweepInputs TwoScaleInputs() {
+  return SweepInputs{std::make_shared<const ScenarioSweep>(TwoScaleSweep()),
+                     {kChainPop, RandomPopulations(12, 7)},
+                     {ChainFlows(), RandomFlows(12, 8)}};
+}
+
+/// The sweep of an analysed 20k-user, 2-shard snapshot (bench/perf_epi's),
+/// built once per process; the legacy side reads each scale's census
+/// populations and observed flows back from the serving tables.
+SweepInputs SnapshotInputs() {
+  static const SweepInputs* const inputs = [] {
+    core::PipelineConfig config;
+    config.corpus.num_users = 20000;
+    config.corpus.seed = 20150413;
+    config.num_shards = 2;
+    auto snapshot = core::AnalysisSnapshot::Build(config);
+    EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    auto* built = new SweepInputs{snapshot->scenario_sweep(), {}, {}};
+    for (size_t s = 0; s < snapshot->serving_tables().size(); ++s) {
+      const core::ScaleServingTables& tables = snapshot->serving_tables()[s];
+      std::vector<double>& populations = built->populations.emplace_back();
+      for (const census::Area& area : snapshot->specs()[s].areas) {
+        populations.push_back(area.population);
+      }
+      mobility::OdMatrix& flows =
+          built->flows.emplace_back(*mobility::OdMatrix::Create(tables.num_areas));
+      for (size_t i = 0; i < tables.num_areas; ++i) {
+        for (size_t j = 0; j < tables.num_areas; ++j) {
+          flows.SetFlow(i, j, tables.observed[i * tables.num_areas + j]);
+        }
+      }
+    }
+    return built;
+  }();
+  return *inputs;
+}
+
+/// bench/perf_epi's grid over the snapshot: 3 scales x 12 betas x 6
+/// reductions x 5 seed areas = 1080 scenarios of 400 steps.
+SweepGrid SnapshotGrid() {
+  SweepGrid grid;
+  for (int b = 0; b < 12; ++b) grid.betas.push_back(0.25 + 0.04 * b);
+  for (int m = 0; m < 6; ++m) grid.mobility_reductions.push_back(0.1 * m);
+  grid.seed_areas = {0, 1, 2, 3, 4};
+  grid.seed_count = 100.0;
+  grid.steps = 400;
+  return grid;
 }
 
 SweepGrid SmallGrid() {
@@ -178,18 +238,14 @@ TEST(ScenarioSweepExpandTest, ExpansionOrderIsScalesBetasReductionsSeeds) {
   EXPECT_EQ((*points)[12].scale, 1u);
 }
 
-/// The tentpole bit-compatibility contract: every scenario of the SoA
-/// batched stepper must be bitwise-equal to running the legacy
-/// single-scenario MetapopulationSeir with the scenario's parameters.
-TEST(ScenarioSweepTest, SoaStepperMatchesLegacyModelBitwise) {
-  const ScenarioSweep sweep = TwoScaleSweep();
-  const SweepGrid grid = SmallGrid();
-  auto results = sweep.Run(grid, nullptr);
+/// Every scenario of the SoA batched stepper must be bitwise-equal to
+/// running the legacy single-scenario MetapopulationSeir with the
+/// scenario's parameters.
+void ExpectSoaMatchesLegacy(const SweepInputs& inputs, const SweepGrid& grid) {
+  auto results = inputs.sweep->Run(grid, nullptr);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
-
-  const std::vector<std::vector<double>> populations = {
-      kChainPop, RandomPopulations(12, 7)};
-  const std::vector<mobility::OdMatrix> flows = {ChainFlows(), RandomFlows(12, 8)};
+  const std::vector<std::vector<double>>& populations = inputs.populations;
+  const std::vector<mobility::OdMatrix>& flows = inputs.flows;
 
   for (const ScenarioResult& result : *results) {
     SeirParams params = grid.base;
@@ -233,32 +289,69 @@ TEST(ScenarioSweepTest, SoaStepperMatchesLegacyModelBitwise) {
   }
 }
 
-class ScenarioSweepThreadTest : public ::testing::TestWithParam<size_t> {};
+TEST(ScenarioSweepTest, SoaStepperMatchesLegacyModelBitwise) {
+  {
+    SCOPED_TRACE("two-scale sweep");
+    ExpectSoaMatchesLegacy(TwoScaleInputs(), SmallGrid());
+  }
+  SCOPED_TRACE("20k-user snapshot sweep");
+  const SweepGrid grid = SnapshotGrid();
+  auto points = SnapshotInputs().sweep->ExpandGrid(grid);
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  EXPECT_EQ(points->size(), 1080u);
+  ExpectSoaMatchesLegacy(SnapshotInputs(), grid);
+}
+
+/// A pool size, and whether the sweep is the two-scale one or the 20k-user
+/// snapshot's.
+struct ThreadCase {
+  size_t threads;
+  bool snapshot;
+};
+
+// ctest names each case by its thread count; the instantiation prefix
+// tells the inputs apart.
+void PrintTo(const ThreadCase& c, std::ostream* os) { *os << c.threads; }
+
+class ScenarioSweepThreadTest : public ::testing::TestWithParam<ThreadCase> {};
 
 TEST_P(ScenarioSweepThreadTest, RunIsBitwiseInvariantAcrossThreadCounts) {
-  const ScenarioSweep sweep = TwoScaleSweep();
+  const SweepInputs inputs = GetParam().snapshot ? SnapshotInputs() : TwoScaleInputs();
   SweepGrid grid = SmallGrid();
   grid.betas = {0.2, 0.35, 0.8};  // 36 scenarios: several batches per scale
   grid.steps = 120;
-  auto serial = sweep.Run(grid, nullptr);
+  if (GetParam().snapshot) grid = SnapshotGrid();
+  auto serial = inputs.sweep->Run(grid, nullptr);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
-  ThreadPool pool(GetParam());
-  auto pooled = sweep.Run(grid, &pool);
+  ThreadPool pool(GetParam().threads);
+  auto pooled = inputs.sweep->Run(grid, &pool);
   ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
   ExpectResultsBitEqual(*serial, *pooled);
 }
 
 TEST_P(ScenarioSweepThreadTest, RunStochasticIsBitwiseInvariant) {
-  const ScenarioSweep sweep = TwoScaleSweep();
+  const SweepInputs inputs = GetParam().snapshot ? SnapshotInputs() : TwoScaleInputs();
   SweepGrid grid = SmallGrid();
   grid.steps = 80;
-  auto serial = sweep.RunStochastic(grid, /*trials=*/5, /*outbreak_threshold=*/500,
-                                    /*seed=*/99, nullptr);
+  size_t trials = 5;
+  uint64_t seed = 99;
+  if (GetParam().snapshot) {  // bench/perf_epi's stochastic grid
+    grid.scales = {0};
+    grid.betas = {0.4, 0.6};
+    grid.mobility_reductions = {0.0, 0.3};
+    grid.seed_areas = {0};
+    grid.seed_count = 20.0;
+    grid.steps = 200;
+    trials = 20;
+    seed = 7;
+  }
+  auto serial = inputs.sweep->RunStochastic(grid, trials, /*outbreak_threshold=*/500,
+                                            seed, nullptr);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
-  ThreadPool pool(GetParam());
-  auto pooled = sweep.RunStochastic(grid, 5, 500, 99, &pool);
+  ThreadPool pool(GetParam().threads);
+  auto pooled = inputs.sweep->RunStochastic(grid, trials, 500, seed, &pool);
   ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
   ASSERT_EQ(serial->size(), pooled->size());
   for (size_t i = 0; i < serial->size(); ++i) {
@@ -272,7 +365,10 @@ TEST_P(ScenarioSweepThreadTest, RunStochasticIsBitwiseInvariant) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ScenarioSweepThreadTest,
-                         ::testing::Values(1, 2, 3, 5));
+                         ::testing::Values(ThreadCase{1, false}, ThreadCase{2, false},
+                                           ThreadCase{3, false}, ThreadCase{5, false}));
+INSTANTIATE_TEST_SUITE_P(Snapshot20k, ScenarioSweepThreadTest,
+                         ::testing::Values(ThreadCase{1, true}, ThreadCase{4, true}));
 
 TEST(ScenarioSweepTest, CancellationAbandonsWithDeadlineExceeded) {
   const ScenarioSweep sweep = TwoScaleSweep();
@@ -301,16 +397,26 @@ TEST(ScenarioSweepTest, StochasticSeedChangesDraws) {
   EXPECT_TRUE(any_difference);
 }
 
+/// A random CSR graph's area count and the lanes per area.
+struct KernelCase {
+  size_t areas;
+  size_t lanes;
+};
+
+// ctest names each case by its lane count; the instantiation prefix tells
+// the graph sizes apart.
+void PrintTo(const KernelCase& c, std::ostream* os) { *os << c.lanes; }
+
 /// Differential harness for the coupling kernel: random CSR graphs and lane
 /// counts, scalar reference vs dispatched entry vs the raw AVX2 kernel.
-class SeirKernelDifferentialTest : public ::testing::TestWithParam<size_t> {};
+class SeirKernelDifferentialTest : public ::testing::TestWithParam<KernelCase> {};
 
 TEST_P(SeirKernelDifferentialTest, DispatchedKernelMatchesScalarBitwise) {
-  const size_t lanes = GetParam();
+  const size_t lanes = GetParam().lanes;
   random::Xoshiro256 rng(1234 + lanes);
-  const size_t n = 17;
+  const size_t n = GetParam().areas;
 
-  // Random CSR over 17 areas: ~60% dense rows, a few empty rows.
+  // Random CSR: ~60% dense rows, every sixth row empty.
   std::vector<uint32_t> row_ptr = {0};
   std::vector<uint32_t> col;
   for (size_t i = 0; i < n; ++i) {
@@ -350,7 +456,12 @@ TEST_P(SeirKernelDifferentialTest, DispatchedKernelMatchesScalarBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(LaneCounts, SeirKernelDifferentialTest,
-                         ::testing::Values(1, 3, 4, 8, 9));
+                         ::testing::Values(KernelCase{17, 1}, KernelCase{17, 3},
+                                           KernelCase{17, 4}, KernelCase{17, 8},
+                                           KernelCase{17, 9}));
+// bench/perf_epi's kernel shape: 256 areas at the sweep's batch width.
+INSTANTIATE_TEST_SUITE_P(SweepShape, SeirKernelDifferentialTest,
+                         ::testing::Values(KernelCase{256, kSweepLanes}));
 
 }  // namespace
 }  // namespace twimob::epi

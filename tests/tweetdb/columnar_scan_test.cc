@@ -13,6 +13,7 @@
 
 #include "common/thread_pool.h"
 #include "random/rng.h"
+#include "tweetdb/profile_table.h"
 #include "tweetdb/binary_codec.h"
 #include "tweetdb/dataset.h"
 #include "tweetdb/query.h"
@@ -209,6 +210,23 @@ INSTANTIATE_TEST_SUITE_P(RowCounts, FilterKernelDifferentialTest,
                                            17, 31, 63, 64, 100, 255, 256,
                                            1000));
 
+TEST(FilterKernelDifferentialTest, ProfileTableSelectionsEqualScalarSelections) {
+  const TweetTable table = ProfileTable();
+  std::vector<ScanSpec> specs = SpecZoo();
+  ScanSpec sydney;  // the pipeline's hot spatial predicate
+  sydney.bbox = geo::BoundingBox{-35.0, 150.0, -33.0, 152.0};
+  specs.push_back(sydney);
+  std::vector<uint32_t> simd_sel;
+  std::vector<uint32_t> scalar_sel;
+  for (size_t b = 0; b < table.num_blocks(); ++b) {
+    for (size_t spec_idx = 0; spec_idx < specs.size(); ++spec_idx) {
+      FilterBlockColumnar(table.block(b), specs[spec_idx], &simd_sel);
+      FilterBlockColumnarScalar(table.block(b), specs[spec_idx], &scalar_sel);
+      EXPECT_EQ(simd_sel, scalar_sel) << "block " << b << " spec " << spec_idx;
+    }
+  }
+}
+
 TEST(FilterKernelDifferentialTest, ImplementationNameIsKnown) {
   const std::string name = FilterKernelsImplementation();
   EXPECT_TRUE(name == "avx2" || name == "sse4.2" || name == "scalar") << name;
@@ -357,6 +375,29 @@ TEST(ScanPathsTest, DatasetScansMatchForEachRowReference) {
       }
     }
   }
+}
+
+TEST(ScanPathsTest, ProfileTableOnDiskCountsLikeInMemory) {
+  // A selective scan (one user of the compacted table) prunes blocks on the
+  // zone maps, and the table written as dataset files and reopened counts
+  // the same rows.
+  ScanSpec selective;
+  selective.user_id = 777;
+  const TweetDataset memory = TweetDataset::FromTable(ProfileTable());
+  size_t memory_count = 0;
+  const ScanStatistics stats = CountMatching(memory, selective, &memory_count);
+  EXPECT_GT(memory_count, 0u);
+  EXPECT_GT(stats.blocks_pruned, 0u);
+
+  TweetDataset written;
+  memory.ForEachRow([&written](const Tweet& t) { ASSERT_TRUE(written.Append(t).ok()); });
+  const std::string path = testing::TempDir() + "/twimob_profile_table.twdb";
+  ASSERT_TRUE(WriteDatasetFiles(written, path).ok());
+  auto disk = ReadDatasetFiles(path);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  size_t disk_count = 0;
+  CountMatching(*disk, selective, &disk_count);
+  EXPECT_EQ(disk_count, memory_count);
 }
 
 TEST(ScanPathsTest, PrunedAndEmptyBlocksContributeNothing) {
