@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -425,6 +426,7 @@ std::string EncodeManifest(const Manifest& manifest) {
   PutFixed64(&out, manifest.shards.size());
   for (const ShardSummary& s : manifest.shards) {
     PutFixed64(&out, static_cast<uint64_t>(s.key));
+    PutFixed64(&out, s.generation);
     PutFixed64(&out, s.num_blocks);
     EncodeSummaryTail(&out, s);
   }
@@ -489,12 +491,20 @@ Result<Manifest> DecodeManifest(std::string_view bytes) {
   for (uint64_t i = 0; i < shard_count; ++i) {
     ShardSummary s;
     uint64_t key;
-    if (!GetFixed64(&bytes, &key) || !GetFixed64(&bytes, &s.num_blocks) ||
-        !DecodeSummaryTail(&bytes, &s)) {
+    if (!GetFixed64(&bytes, &key) || !GetFixed64(&bytes, &s.generation) ||
+        !GetFixed64(&bytes, &s.num_blocks) || !DecodeSummaryTail(&bytes, &s)) {
       return Status::IOError("truncated manifest: shard " + std::to_string(i) +
                              " of " + std::to_string(shard_count));
     }
     s.key = static_cast<int64_t>(key);
+    if (s.generation == 0 || s.generation > manifest.generation) {
+      // A shard file is written by the commit that installs it or carried
+      // from an earlier one, never by a later one.
+      return Status::IOError("shard " + std::to_string(s.key) + " generation " +
+                             std::to_string(s.generation) +
+                             " is not a commit up to the manifest's generation " +
+                             std::to_string(manifest.generation));
+    }
     if (!manifest.shards.empty() && manifest.shards.back().key >= s.key) {
       if (manifest.shards.back().key == s.key) {
         return Status::IOError("duplicate shard key " + std::to_string(s.key));
@@ -574,32 +584,47 @@ std::string DeltaFilePath(const std::string& manifest_path, uint64_t generation,
 }
 
 namespace {
-std::vector<std::string> ManifestFiles(const std::string& manifest_path,
-                                       const Manifest& manifest) {
-  std::vector<std::string> files;
+/// One file a manifest references and the generation that wrote it.
+struct ManifestFile {
+  uint64_t generation = 0;
+  std::string path;
+};
+
+std::vector<ManifestFile> ManifestFiles(const std::string& manifest_path,
+                                        const Manifest& manifest) {
+  std::vector<ManifestFile> files;
   files.reserve(manifest.shards.size() + manifest.deltas.size());
   for (const ShardSummary& s : manifest.shards) {
-    files.push_back(ShardFilePath(manifest_path, manifest.generation, s.key));
+    files.push_back({s.generation, ShardFilePath(manifest_path, s.generation, s.key)});
   }
   for (const DeltaSummary& d : manifest.deltas) {
-    files.push_back(DeltaFilePath(manifest_path, d.generation, d.seq));
+    files.push_back({d.generation, DeltaFilePath(manifest_path, d.generation, d.seq)});
   }
   return files;
 }
 }  // namespace
 
-std::vector<std::string> ManifestFileSetDifference(
-    const std::string& manifest_path, const Manifest& old_manifest,
-    const Manifest& new_manifest) {
-  std::vector<std::string> keep = ManifestFiles(manifest_path, new_manifest);
+std::vector<std::string> RetireSupersededFiles(const std::string& manifest_path,
+                                               const Manifest& old_manifest,
+                                               const Manifest& new_manifest) {
+  std::vector<std::string> keep;
+  for (ManifestFile& f : ManifestFiles(manifest_path, new_manifest)) {
+    keep.push_back(std::move(f.path));
+  }
   std::sort(keep.begin(), keep.end());
+  // A file is referenced from the commit that wrote it up to the superseded
+  // generation, so the removal set's oldest birth generation bounds the
+  // generations whose pins must defer it.
+  uint64_t first = old_manifest.generation;
   std::vector<std::string> removable;
-  for (std::string& f : ManifestFiles(manifest_path, old_manifest)) {
-    if (!std::binary_search(keep.begin(), keep.end(), f)) {
-      removable.push_back(std::move(f));
+  for (ManifestFile& f : ManifestFiles(manifest_path, old_manifest)) {
+    if (!std::binary_search(keep.begin(), keep.end(), f.path)) {
+      first = std::min(first, f.generation);
+      removable.push_back(std::move(f.path));
     }
   }
-  return removable;
+  return RetireFiles(manifest_path, first, old_manifest.generation,
+                     std::move(removable));
 }
 
 Status WriteDatasetFiles(TweetDataset& dataset, const std::string& path,
@@ -637,9 +662,10 @@ Status WriteDatasetFiles(TweetDataset& dataset, const std::string& path,
     }
   }
 
-  // Shard files first...
+  // Shard files first, every one written by this commit...
   for (size_t i = 0; i < dataset.num_shards(); ++i) {
     dataset.mutable_shard(i).SealActive();
+    manifest.shards[i].generation = manifest.generation;
     TWIMOB_RETURN_IF_ERROR(AtomicWriteFile(
         env, ShardFilePath(path, manifest.generation, dataset.shard_key(i)),
         EncodeTable(dataset.shard(i)), options));
@@ -651,23 +677,13 @@ Status WriteDatasetFiles(TweetDataset& dataset, const std::string& path,
   // Garbage-collect by file-set difference: every file the old manifest
   // referenced (shards and deltas alike) that the new manifest no longer
   // references. Best effort: a leftover file wastes space but can never be
-  // read (no installed manifest names it). A generation pinned by a live
-  // snapshot (serve layer readers) is never deleted here — its files are
-  // deferred and swept by a later commit once the pin count drops to zero.
-  if (have_old && old_manifest.generation != manifest.generation) {
-    std::vector<std::string> old_files =
-        ManifestFileSetDifference(path, old_manifest, manifest);
-    if (IsGenerationPinned(path, old_manifest.generation)) {
-      DeferGenerationRemoval(path, old_manifest.generation, std::move(old_files));
-    } else {
-      for (const std::string& f : old_files) (void)env.RemoveFile(f);
-    }
-  }
-  // Sweep generations whose removal an earlier commit deferred and whose
-  // pins have since been released.
-  for (const std::string& f : TakeUnpinnedDeferredFiles(path)) {
-    (void)env.RemoveFile(f);
-  }
+  // read (no installed manifest names it). A file a generation pinned by a
+  // live snapshot (serve layer readers) references is never deleted here —
+  // it is deferred and swept by a later commit once those pins drop.
+  const std::vector<std::string> removable =
+      have_old ? RetireSupersededFiles(path, old_manifest, manifest)
+               : TakeUnpinnedDeferredFiles(path);
+  for (const std::string& f : removable) (void)env.RemoveFile(f);
   return Status::OK();
 }
 
@@ -768,14 +784,65 @@ Status AdoptTableFile(LoadedFile& loaded, const ShardSummary* shard,
   return strict ? append : Status::OK();
 }
 
-/// Strict read, decode and adopt of one delta file, for the delta reader.
-Status LoadDeltaFile(Env& env, const std::string& file, TweetDataset* dataset,
-                     ShardRecovery* rec) {
-  LoadedFile loaded;
-  (void)ReadTableFile(env, file, &loaded);
-  DecodeTableFile(RecoveryPolicy::kStrict, &loaded);
-  return AdoptTableFile(loaded, /*shard=*/nullptr, RecoveryPolicy::kStrict,
-                        dataset, rec);
+/// Reads `shards` (manifest shard records) and then `deltas` (delta
+/// records, ascending seq) of the dataset at `path`, and adopts them into
+/// `dataset`, accounting for each file in `r`. File reads are serial and
+/// in that order, so the env sees the same operation sequence with or
+/// without a pool; a strict read failure stops the reads there. Without a
+/// pool each file decodes right after its read, while its bytes are still
+/// in cache; with one, the payloads then decode concurrently, each into its
+/// own slot. Under kStrict the first file that fails to decode is the
+/// load's error, so no file after it is decoded: `first_failed` only ever
+/// drops to an index whose decode really failed, so every file before the
+/// first failure is always decoded.
+Status LoadTableFiles(Env& env, const std::string& path,
+                      std::span<const ShardSummary> shards,
+                      std::span<const DeltaSummary> deltas, RecoveryPolicy policy,
+                      ThreadPool* pool, TweetDataset* dataset, RecoveryReport* r) {
+  const size_t num_shards = shards.size();
+  std::vector<LoadedFile> files(num_shards + deltas.size());
+  const bool strict = policy == RecoveryPolicy::kStrict;
+  std::atomic<size_t> first_failed{files.size()};
+  auto decode = [strict, policy, &files, &first_failed](size_t i) {
+    if (strict && i > first_failed.load()) return;
+    DecodeTableFile(policy, &files[i]);
+    if (!strict || files[i].table.ok()) return;
+    size_t seen = first_failed.load();
+    while (i < seen && !first_failed.compare_exchange_weak(seen, i)) {
+    }
+  };
+  size_t num_read = 0;
+  while (num_read < files.size()) {
+    const size_t i = num_read++;
+    const std::string file =
+        i < num_shards
+            ? ShardFilePath(path, shards[i].generation, shards[i].key)
+            : DeltaFilePath(path, deltas[i - num_shards].generation,
+                            deltas[i - num_shards].seq);
+    if (!ReadTableFile(env, file, &files[i]).ok() && strict) break;
+    if (pool == nullptr) decode(i);
+  }
+  if (pool != nullptr) pool->ParallelFor(num_read, decode);
+
+  // Adoption and accounting run in file order, so the dataset, the report
+  // and the first strict error are the serial loader's. Appended deltas
+  // fold into their time shards in seq order — a fixed order, so the
+  // merged dataset is deterministic.
+  for (size_t i = 0; i < num_read; ++i) {
+    const bool is_delta = i >= num_shards;
+    ShardRecovery& rec =
+        is_delta ? r->deltas.emplace_back() : r->shards.emplace_back();
+    if (is_delta) {
+      rec.key = static_cast<int64_t>(deltas[i - num_shards].seq);
+      rec.rows_expected = deltas[i - num_shards].num_rows;
+    } else {
+      rec.key = shards[i].key;
+      rec.rows_expected = shards[i].num_rows;
+    }
+    TWIMOB_RETURN_IF_ERROR(AdoptTableFile(files[i], is_delta ? nullptr : &shards[i],
+                                          policy, dataset, &rec));
+  }
+  return Status::OK();
 }
 }  // namespace
 
@@ -807,63 +874,13 @@ Result<TweetDataset> ReadDatasetFiles(const std::string& path,
   r.generation = manifest.generation;
   r.next_delta_seq = manifest.next_delta_seq;
 
-  // Files in manifest order: shards by key, then deltas by seq. Reads stay
-  // serial and in that order, so the env sees the same operation sequence
-  // with or without a pool; a strict read failure stops the reads there.
-  // Without a pool each file decodes right after its read, while its bytes
-  // are still in cache; with one, the payloads then decode concurrently,
-  // each into its own slot. Under kStrict the first file that fails to
-  // decode is the load's error, so no file after it is decoded:
-  // `first_failed` only ever drops to an index whose decode really failed,
-  // so every file before the first failure is always decoded.
-  const size_t num_shards = manifest.shards.size();
-  std::vector<LoadedFile> files(num_shards + manifest.deltas.size());
-  const bool strict = policy == RecoveryPolicy::kStrict;
-  std::atomic<size_t> first_failed{files.size()};
-  auto decode = [strict, policy, &files, &first_failed](size_t i) {
-    if (strict && i > first_failed.load()) return;
-    DecodeTableFile(policy, &files[i]);
-    if (!strict || files[i].table.ok()) return;
-    size_t seen = first_failed.load();
-    while (i < seen && !first_failed.compare_exchange_weak(seen, i)) {
-    }
-  };
-  size_t num_read = 0;
-  while (num_read < files.size()) {
-    const size_t i = num_read++;
-    const std::string file =
-        i < num_shards
-            ? ShardFilePath(path, manifest.generation, manifest.shards[i].key)
-            : DeltaFilePath(path, manifest.deltas[i - num_shards].generation,
-                            manifest.deltas[i - num_shards].seq);
-    if (!ReadTableFile(env, file, &files[i]).ok() && strict) break;
-    if (pool == nullptr) decode(i);
-  }
-  if (pool != nullptr) pool->ParallelFor(num_read, decode);
-
-  // Adoption and accounting run in manifest order, so the dataset, the
-  // report and the first strict error are the serial loader's. Appended
-  // deltas fold into their time shards in seq order — a fixed order, so
-  // the merged dataset is deterministic. The shards end up unsorted
-  // whenever any delta carried rows; the analysis compact stage re-sorts,
-  // and the total-order sort makes the result identical to compacting a
-  // dataset that ingested the same rows directly.
+  // Files in manifest order: shards by key, then deltas by seq. The shards
+  // end up unsorted whenever any delta carried rows; the analysis compact
+  // stage re-sorts, and the total-order sort makes the result identical to
+  // compacting a dataset that ingested the same rows directly.
   TweetDataset dataset(manifest.partition);
-  for (size_t i = 0; i < num_read; ++i) {
-    const bool is_delta = i >= num_shards;
-    ShardRecovery& rec =
-        is_delta ? r.deltas.emplace_back() : r.shards.emplace_back();
-    if (is_delta) {
-      rec.key = static_cast<int64_t>(manifest.deltas[i - num_shards].seq);
-      rec.rows_expected = manifest.deltas[i - num_shards].num_rows;
-    } else {
-      rec.key = manifest.shards[i].key;
-      rec.rows_expected = manifest.shards[i].num_rows;
-    }
-    TWIMOB_RETURN_IF_ERROR(
-        AdoptTableFile(files[i], is_delta ? nullptr : &manifest.shards[i],
-                       policy, &dataset, &rec));
-  }
+  TWIMOB_RETURN_IF_ERROR(LoadTableFiles(env, path, manifest.shards, manifest.deltas,
+                                        policy, pool, &dataset, &r));
   // Delta rows land in active tails; hand back a fully sealed dataset so
   // the block-parallel scan paths stay available.
   if (!manifest.deltas.empty()) dataset.SealAll();
@@ -873,20 +890,29 @@ Result<TweetDataset> ReadDatasetFiles(const std::string& path,
 Result<TweetDataset> ReadDeltaFiles(const std::string& path,
                                     const Manifest& manifest, uint64_t from_seq,
                                     std::vector<ShardRecovery>* accounting,
-                                    Env* env_in) {
-  Env& env = ResolveEnv(env_in);
+                                    Env* env_in, ThreadPool* pool) {
+  // Deltas are in ascending seq order, so those from `from_seq` on are a
+  // suffix of the list.
+  const auto from = std::lower_bound(
+      manifest.deltas.begin(), manifest.deltas.end(), from_seq,
+      [](const DeltaSummary& d, uint64_t seq) { return d.seq < seq; });
   TweetDataset dataset(manifest.partition);
-  for (const DeltaSummary& d : manifest.deltas) {
-    if (d.seq < from_seq) continue;
-    ShardRecovery rec;
-    rec.key = static_cast<int64_t>(d.seq);
-    rec.rows_expected = d.num_rows;
-    TWIMOB_RETURN_IF_ERROR(LoadDeltaFile(env, DeltaFilePath(path, d.generation, d.seq),
-                                         &dataset, &rec));
-    if (accounting != nullptr) accounting->push_back(std::move(rec));
+  RecoveryReport r;
+  TWIMOB_RETURN_IF_ERROR(LoadTableFiles(
+      ResolveEnv(env_in), path, {}, std::span<const DeltaSummary>(from, manifest.deltas.end()),
+      RecoveryPolicy::kStrict, pool, &dataset, &r));
+  if (accounting != nullptr) {
+    for (ShardRecovery& rec : r.deltas) accounting->push_back(std::move(rec));
   }
   dataset.SealAll();
   return dataset;
+}
+
+Status ReadShardFiles(const std::string& path, std::span<const ShardSummary> shards,
+                      TweetDataset* dataset, Env* env, ThreadPool* pool) {
+  RecoveryReport unused;
+  return LoadTableFiles(ResolveEnv(env), path, shards, {}, RecoveryPolicy::kStrict,
+                        pool, dataset, &unused);
 }
 
 namespace {
@@ -910,10 +936,10 @@ Result<DatasetDescription> DescribeDataset(const std::string& path,
   for (const ShardSummary& s : manifest.shards) {
     DatasetDescription::FileEntry e;
     e.label = StrFormat("shard-%lld", static_cast<long long>(s.key));
-    e.generation = manifest.generation;
+    e.generation = s.generation;
     e.rows = s.num_rows;
     TWIMOB_ASSIGN_OR_RETURN(
-        e.bytes, SizeOfFile(env, ShardFilePath(path, manifest.generation, s.key)));
+        e.bytes, SizeOfFile(env, ShardFilePath(path, s.generation, s.key)));
     d.total_rows += e.rows;
     d.shard_bytes += e.bytes;
     d.shards.push_back(std::move(e));
@@ -974,8 +1000,8 @@ std::string DatasetDescription::ToString() const {
                        static_cast<unsigned long long>(e.bytes));
     }
   }
-  // Per-generation rollup (deltas may span older generations than the
-  // sealed shards after a compaction carried them forward).
+  // Per-generation rollup: a compaction carries untouched shard files and
+  // late deltas forward, so the files span several generations.
   std::map<uint64_t, uint64_t> rows_by_gen;
   for (const FileEntry& e : shards) rows_by_gen[e.generation] += e.rows;
   for (const FileEntry& e : deltas) rows_by_gen[e.generation] += e.rows;

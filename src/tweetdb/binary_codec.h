@@ -2,6 +2,7 @@
 #define TWIMOB_TWEETDB_BINARY_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,8 +74,15 @@ namespace twimob::tweetdb {
 /// `compacted_from` (the generation an IngestWriter::Compact merged, 0
 /// otherwise) and `merged_below_seq` (every delta seq below it is folded
 /// into the shards). Table files are unchanged apart from the version.
+///
+/// Version 9 lets a compaction carry shard files it did not rewrite: each
+/// shard record names the generation that wrote its file (the manifest's
+/// own generation for a file this commit wrote, an earlier one for a file
+/// carried forward), and every reader resolves the shard's file name from
+/// it. IngestWriter::Compact rewrites only the shards its deltas touch.
+/// Table files are unchanged apart from the version.
 
-inline constexpr uint32_t kBinaryFormatVersion = 8;
+inline constexpr uint32_t kBinaryFormatVersion = 9;
 
 /// Serialises the table into a byte string (active tail is NOT included;
 /// callers seal first — WriteBinaryFile does).
@@ -131,18 +139,18 @@ TableDescription DescribeTable(const TweetTable& table);
 /// Manifest file format (little-endian):
 ///   magic "TWDM" (4 bytes) | version fixed32 | generation fixed64 |
 ///   next delta seq fixed64 | partition origin fixed64 | partition width
-///   fixed64 | shard count fixed64 | per shard: key fixed64 | blocks
-///   fixed64 | rows fixed64 | min/max user fixed64 | min/max time fixed64
-///   | bbox 4 x double (IEEE-754 bits, fixed64) | delta count fixed64 |
-///   per delta: born generation fixed64 | seq fixed64 | rows fixed64 |
-///   min/max user fixed64 | min/max time fixed64 | bbox 4 x double |
-///   compacted_from fixed64 | merged_below_seq fixed64 | trailing CRC32C
-///   fixed32 over all preceding bytes.
+///   fixed64 | shard count fixed64 | per shard: key fixed64 | file
+///   generation fixed64 | blocks fixed64 | rows fixed64 | min/max user
+///   fixed64 | min/max time fixed64 | bbox 4 x double (IEEE-754 bits,
+///   fixed64) | delta count fixed64 | per delta: born generation fixed64
+///   | seq fixed64 | rows fixed64 | min/max user fixed64 | min/max time
+///   fixed64 | bbox 4 x double | compacted_from fixed64 | merged_below_seq
+///   fixed64 | trailing CRC32C fixed32 over all preceding bytes.
 /// Shards must appear in strictly ascending key order and deltas in
 /// strictly ascending seq order (every seq in [merged_below_seq,
-/// next_delta_seq)); duplicates, disorder, a compacted_from that is not an
-/// earlier generation and a merged_below_seq past the cursor are decode
-/// errors.
+/// next_delta_seq)); duplicates, disorder, a shard file generation of 0 or
+/// past the manifest's, a compacted_from that is not an earlier generation
+/// and a merged_below_seq past the cursor are decode errors.
 
 /// Serialises a manifest into a byte string.
 std::string EncodeManifest(const Manifest& manifest);
@@ -167,13 +175,17 @@ std::string ShardFilePath(const std::string& manifest_path, uint64_t generation,
 std::string DeltaFilePath(const std::string& manifest_path, uint64_t generation,
                           uint64_t seq);
 
-/// The GC removal set after a commit supersedes `old_manifest`: every file
+/// The GC step of a commit that superseded `old_manifest` with
+/// `new_manifest`: the files to remove now. Those are the files
 /// `old_manifest` references (shard and delta files alike) that
-/// `new_manifest` does not. Deltas a compaction carries forward appear in
-/// both manifests and are therefore never in the set.
-std::vector<std::string> ManifestFileSetDifference(
-    const std::string& manifest_path, const Manifest& old_manifest,
-    const Manifest& new_manifest);
+/// `new_manifest` does not, unless a pinned generation references one of
+/// them — then the set is deferred (generation_pins.h RetireFiles) — plus
+/// every earlier deferral whose pins have all been released. Shards and
+/// deltas a compaction carries forward appear in both manifests and are
+/// therefore never removed.
+std::vector<std::string> RetireSupersededFiles(const std::string& manifest_path,
+                                               const Manifest& old_manifest,
+                                               const Manifest& new_manifest);
 
 /// Seals the dataset, compacts every shard by (user, time) — so the files
 /// are stored in compaction order and a later open's compaction is an O(n)
@@ -184,13 +196,14 @@ std::vector<std::string> ManifestFileSetDifference(
 /// the new one fully installed — never a mix. `env` defaults to
 /// Env::Default().
 ///
-/// GC is refcount-aware and works on the file-set difference: every file
-/// the old manifest referenced (shards AND deltas) that the new manifest
-/// no longer references is removed. A superseded generation still pinned
-/// by a live `GenerationPin` (generation_pins.h — the serve layer pins the
-/// generation each AnalysisSnapshot was opened from) is deferred instead
-/// of deleted, and swept by a later commit once its pins are released, so
-/// a writer commit can never delete files under a reader.
+/// GC is refcount-aware and works on the file-set difference
+/// (RetireSupersededFiles): every file the old manifest referenced (shards
+/// AND deltas) that the new manifest no longer references is removed. A file
+/// that a generation still pinned by a live `GenerationPin` references
+/// (generation_pins.h — the serve layer pins the generation each
+/// AnalysisSnapshot was opened from) is deferred instead of deleted, and
+/// swept by a later commit once those pins are released, so a writer commit
+/// can never delete files under a reader.
 ///
 /// A full rewrite subsumes any pending deltas: the new manifest carries
 /// none, but the old manifest's append cursor (`next_delta_seq`) is
@@ -236,11 +249,23 @@ Result<TweetDataset> ReadDatasetFiles(
 /// equal to the entry ReadDatasetFiles' RecoveryReport::deltas holds for
 /// it. Any damage (an unreadable, torn or corrupt file, a row count that
 /// disagrees with the manifest) is the returned error. The result is
-/// sealed, in storage order (uncompacted).
+/// sealed, in storage order (uncompacted). Reads are serial; with a `pool`
+/// the payloads decode concurrently, as in ReadDatasetFiles.
 Result<TweetDataset> ReadDeltaFiles(const std::string& path,
                                     const Manifest& manifest, uint64_t from_seq,
                                     std::vector<ShardRecovery>* accounting = nullptr,
-                                    Env* env = nullptr);
+                                    Env* env = nullptr, ThreadPool* pool = nullptr);
+
+/// Reads, strictly, the shard files `shards` (records of the committed
+/// manifest of `path`, ascending key order) and adopts each whole into
+/// `dataset` under its key: ReadDatasetFiles' per-file read, decode and
+/// checks (row and block counts against the record) for a chosen subset
+/// of a generation's shards. Any damage is the returned error. Reads are
+/// serial; with a `pool` the payloads decode concurrently.
+/// IngestWriter::Compact reads the shards its deltas touch through it.
+Status ReadShardFiles(const std::string& path, std::span<const ShardSummary> shards,
+                      TweetDataset* dataset, Env* env = nullptr,
+                      ThreadPool* pool = nullptr);
 
 /// Storage accounting for one dataset as installed on disk.
 struct DatasetDescription {
@@ -248,7 +273,7 @@ struct DatasetDescription {
   uint64_t next_delta_seq = 0;
   struct FileEntry {
     std::string label;       ///< "shard-<key>" or "delta-<seq>"
-    uint64_t generation = 0; ///< generation the file was born under
+    uint64_t generation = 0; ///< generation that wrote the file
     uint64_t rows = 0;
     uint64_t bytes = 0;      ///< on-disk file size
   };

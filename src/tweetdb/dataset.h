@@ -37,13 +37,18 @@ struct PartitionSpec {
   }
 };
 
-/// Manifest entry for one shard: its partition key, row and block counts,
-/// and the shard-level zone map (the union of the shard's block zone maps),
-/// which lets readers prune whole shard files without opening them. A
-/// strict read checks `num_blocks` against the shard file's header, so the
-/// manifest alone states what a clean strict open of the shard reports.
+/// Manifest entry for one shard: its partition key, the generation that
+/// wrote its file, row and block counts, and the shard-level zone map (the
+/// union of the shard's block zone maps), which lets readers prune whole
+/// shard files without opening them. A strict read checks `num_blocks`
+/// against the shard file's header, so the manifest alone states what a
+/// clean strict open of the shard reports. `generation` (since v9) is the
+/// manifest's own generation for a file its commit wrote, or an earlier
+/// one for a file a compaction carried forward untouched; the file name
+/// (`<path>.g<generation>.shard-<key>`) is resolved from it.
 struct ShardSummary {
   int64_t key = 0;
+  uint64_t generation = 1;
   uint64_t num_rows = 0;
   uint64_t num_blocks = 0;
   uint64_t min_user = 0;

@@ -1,5 +1,6 @@
 #include "tweetdb/generation_pins.h"
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -14,8 +15,34 @@ struct PinRegistry {
   std::mutex mu;
   /// (path, generation) -> live pin count.
   std::map<std::pair<std::string, uint64_t>, uint64_t> pins;
-  /// (path, generation) -> shard files whose removal was deferred.
-  std::map<std::pair<std::string, uint64_t>, std::vector<std::string>> deferred;
+  /// Files whose removal a commit deferred, keyed by (path, the last
+  /// generation that references them).
+  struct Deferred {
+    uint64_t first = 0;  ///< the oldest generation that references them
+    std::vector<std::string> files;
+  };
+  std::map<std::pair<std::string, uint64_t>, Deferred> deferred;
+
+  /// True when a live pin names (path, g) for some g in [first, last]
+  /// (requires `mu` held).
+  bool AnyPinnedLocked(const std::string& path, uint64_t first, uint64_t last) const {
+    auto it = pins.lower_bound({path, first});
+    return it != pins.end() && it->first.first == path && it->first.second <= last;
+  }
+
+  /// Moves every deferral of `path` with no live pin in its range into
+  /// `out` (requires `mu` held).
+  void TakeUnpinnedLocked(const std::string& path, std::vector<std::string>* out) {
+    for (auto it = deferred.lower_bound({path, 0});
+         it != deferred.end() && it->first.first == path;) {
+      if (AnyPinnedLocked(path, it->second.first, it->first.second)) {
+        ++it;
+        continue;
+      }
+      for (std::string& f : it->second.files) out->push_back(std::move(f));
+      it = deferred.erase(it);
+    }
+  }
 
   static PinRegistry& Instance() {
     static PinRegistry* registry = new PinRegistry();  // never destructed
@@ -65,30 +92,31 @@ void GenerationPin::Release() {
 bool IsGenerationPinned(const std::string& path, uint64_t generation) {
   PinRegistry& r = PinRegistry::Instance();
   std::lock_guard<std::mutex> lock(r.mu);
-  return r.pins.count({path, generation}) != 0;
+  return r.AnyPinnedLocked(path, generation, generation);
 }
 
-void DeferGenerationRemoval(const std::string& path, uint64_t generation,
-                            std::vector<std::string> files) {
+std::vector<std::string> RetireFiles(const std::string& path, uint64_t first,
+                                     uint64_t last, std::vector<std::string> files) {
   PinRegistry& r = PinRegistry::Instance();
   std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<std::string>& slot = r.deferred[{path, generation}];
-  for (std::string& f : files) slot.push_back(std::move(f));
+  std::vector<std::string> out;
+  r.TakeUnpinnedLocked(path, &out);
+  if (files.empty()) return out;
+  if (!r.AnyPinnedLocked(path, first, last)) {
+    for (std::string& f : files) out.push_back(std::move(f));
+    return out;
+  }
+  PinRegistry::Deferred& slot = r.deferred[{path, last}];
+  slot.first = slot.files.empty() ? first : std::min(slot.first, first);
+  for (std::string& f : files) slot.files.push_back(std::move(f));
+  return out;
 }
 
 std::vector<std::string> TakeUnpinnedDeferredFiles(const std::string& path) {
   PinRegistry& r = PinRegistry::Instance();
   std::lock_guard<std::mutex> lock(r.mu);
   std::vector<std::string> out;
-  for (auto it = r.deferred.lower_bound({path, 0}); it != r.deferred.end();) {
-    if (it->first.first != path) break;
-    if (r.pins.count(it->first) != 0) {
-      ++it;
-      continue;
-    }
-    for (std::string& f : it->second) out.push_back(std::move(f));
-    it = r.deferred.erase(it);
-  }
+  r.TakeUnpinnedLocked(path, &out);
   return out;
 }
 

@@ -9,10 +9,12 @@ namespace twimob::tweetdb {
 
 /// RAII refcount on one (dataset path, generation) pair.
 ///
-/// A pinned generation's shard files are exempt from the best-effort GC
-/// that `WriteDatasetFiles` runs after committing a newer generation: the
-/// writer defers their removal instead of deleting them, and a later commit
-/// sweeps the deferred files once the pin count drops to zero. Readers that
+/// Every file a pinned generation references — its shard files, including
+/// those carried from an earlier generation, and its delta files — is
+/// exempt from the best-effort GC that `WriteDatasetFiles` and
+/// `IngestWriter::Compact` run after a commit: the writer defers their
+/// removal instead of deleting them, and a later commit sweeps the deferred
+/// files once the pin count drops to zero. Readers that
 /// keep a generation open across writer commits — the serve layer's
 /// `AnalysisSnapshot` — hold a pin for the snapshot's lifetime, so a commit
 /// can never delete shard files out from under a reader that is still
@@ -55,15 +57,21 @@ class GenerationPin {
 /// True when at least one live GenerationPin references (path, generation).
 bool IsGenerationPinned(const std::string& path, uint64_t generation);
 
-/// Records shard files of a superseded-but-pinned generation for later
-/// removal. `WriteDatasetFiles` calls this instead of deleting when the
-/// generation it would GC is pinned.
-void DeferGenerationRemoval(const std::string& path, uint64_t generation,
-                            std::vector<std::string> files);
+/// The GC decision for files a commit superseded: `files` are referenced
+/// by every generation of `path` from `first` (the oldest file's birth
+/// generation) to `last` (the superseded generation) and by none after.
+/// They are returned for removal now when none of those generations is
+/// pinned; otherwise their removal is deferred until every such pin is
+/// released. The result also holds every earlier deferral of `path` whose
+/// pins have all been released. The caller removes the returned files.
+/// `WriteDatasetFiles` and `IngestWriter::Compact` call this after each
+/// commit; nothing on the append path does.
+std::vector<std::string> RetireFiles(const std::string& path, uint64_t first,
+                                     uint64_t last, std::vector<std::string> files);
 
-/// Takes (and forgets) the deferred files of every generation of `path`
-/// whose pin count has dropped to zero. The caller removes them; files
-/// whose removal fails may be re-deferred via DeferGenerationRemoval.
+/// Takes (and forgets) every deferral of `path` whose pins have all been
+/// released (RetireFiles' sweep with nothing new to retire). The caller
+/// removes the returned files.
 std::vector<std::string> TakeUnpinnedDeferredFiles(const std::string& path);
 
 namespace internal {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/string_util.h"
 #include "tweetdb/binary_codec.h"
 #include "tweetdb/generation_pins.h"
 
@@ -35,23 +34,6 @@ void FillSummaryFromTable(const TweetTable& table, DeltaSummary* d) {
       d->bbox.ExtendToInclude(geo::LatLon{stats.bbox.max_lat, stats.bbox.max_lon});
     }
   }
-}
-
-/// Reads one committed "TWDB" blob and checks it against its manifest row
-/// count — compaction inputs are always verified before they are merged.
-Result<TweetTable> ReadCommittedTable(Env& env, const std::string& file_path,
-                                      uint64_t expected_rows,
-                                      const char* what) {
-  TWIMOB_ASSIGN_OR_RETURN(const std::string bytes,
-                          ReadFileToString(env, file_path));
-  TWIMOB_ASSIGN_OR_RETURN(TweetTable table, DecodeTable(bytes));
-  if (table.num_rows() != expected_rows) {
-    return Status::IOError(StrFormat(
-        "%s row count mismatch at %s: manifest says %llu, file has %zu", what,
-        file_path.c_str(), static_cast<unsigned long long>(expected_rows),
-        table.num_rows()));
-  }
-  return table;
 }
 
 }  // namespace
@@ -128,15 +110,15 @@ Status IngestWriter::AppendBatch(const std::vector<Tweet>& batch) {
     return s;
   }
   manifest_ = std::move(next);
-  if (health_.degraded) {
-    // The probe append landed: the disk has space again.
-    health_.degraded = false;
-    ++health_.probe_successes;
-  }
-  // Sweep files whose removal an earlier commit deferred and whose pins
-  // have since been released — after the commit mutex is dropped: file
-  // names are generation- and seq-qualified and never reused, so the
-  // removals cannot race a later commit, and a slow unlink delays no one.
+  // A healthy append unlinks nothing: superseded files are swept after
+  // compaction and rewrite commits, off the freshness path.
+  if (!health_.degraded) return Status::OK();
+  // The probe append landed: the disk has space again. Like the emergency
+  // sweep that parked the writer, the recovery reclaims every released
+  // deferral — after the commit mutex is dropped (file names are never
+  // reused, so the removals cannot race a later commit).
+  health_.degraded = false;
+  ++health_.probe_successes;
   std::vector<std::string> sweep = TakeUnpinnedDeferredFiles(path_);
   lock.unlock();
   for (const std::string& f : sweep) (void)env().RemoveFile(f);
@@ -161,32 +143,42 @@ Result<bool> IngestWriter::Compact(ThreadPool* pool) {
     }
     base = manifest_;
   }
-  if (base.deltas.empty()) return false;
+  if (base.deltas.empty()) {
+    // Nothing to merge; still sweep the deferrals whose pins have been
+    // released, so a caller can reclaim their disk.
+    for (const std::string& f : TakeUnpinnedDeferredFiles(path_)) {
+      (void)env().RemoveFile(f);
+    }
+    return false;
+  }
 
-  // Merge phase, outside the commit mutex: rebuild the dataset from the
-  // snapshot's immutable files, route every delta row into its time shard,
-  // and sort each shard by the (user, time, lat, lon) total order. The
-  // output depends only on the committed row set, so the compacted shard
-  // files are byte-identical at any thread count.
+  // Merge phase, outside the commit mutex. The snapshot's delta rows are
+  // routed into their time shards first; only the shards that received
+  // rows are then read, compacted by the (user, time, lat, lon) total order
+  // (pool-parallel across shards) and rewritten. Each touched shard is its
+  // committed rows followed by its delta rows in seq order — what a merge
+  // of every shard holds for it — so the output depends only on the
+  // committed row set and is byte-identical at any thread count. Reads are
+  // serial; decodes run on the pool.
+  TWIMOB_ASSIGN_OR_RETURN(
+      const TweetDataset routed,
+      ReadDeltaFiles(path_, base, /*from_seq=*/0, nullptr, &env(), pool));
+  std::vector<ShardSummary> touched;
+  for (size_t i = 0; i < routed.num_shards(); ++i) {
+    const auto it = std::lower_bound(
+        base.shards.begin(), base.shards.end(), routed.shard_key(i),
+        [](const ShardSummary& s, int64_t key) { return s.key < key; });
+    if (it != base.shards.end() && it->key == routed.shard_key(i)) {
+      touched.push_back(*it);
+    }
+  }
   TweetDataset merged(base.partition, options_.block_capacity);
-  for (const ShardSummary& s : base.shards) {
-    TWIMOB_ASSIGN_OR_RETURN(
-        TweetTable table,
-        ReadCommittedTable(env(), ShardFilePath(path_, base.generation, s.key),
-                           s.num_rows, "shard"));
-    TWIMOB_RETURN_IF_ERROR(merged.AdoptShard(s.key, std::move(table)));
-  }
-  for (const DeltaSummary& d : base.deltas) {
-    TWIMOB_ASSIGN_OR_RETURN(
-        TweetTable table,
-        ReadCommittedTable(env(), DeltaFilePath(path_, d.generation, d.seq),
-                           d.num_rows, "delta"));
-    Status append = Status::OK();
-    table.ForEachRow([&merged, &append](const Tweet& t) {
-      if (append.ok()) append = merged.Append(t);
-    });
-    TWIMOB_RETURN_IF_ERROR(append);
-  }
+  TWIMOB_RETURN_IF_ERROR(ReadShardFiles(path_, touched, &merged, &env(), pool));
+  Status append = Status::OK();
+  routed.ForEachRow([&merged, &append](const Tweet& t) {
+    if (append.ok()) append = merged.Append(t);
+  });
+  TWIMOB_RETURN_IF_ERROR(append);
   merged.SealAll();
   merged.CompactShards(pool);
 
@@ -216,14 +208,27 @@ Result<bool> IngestWriter::Compact(ThreadPool* pool) {
     written.push_back(shard_path);
   }
 
+  // The rewritten shards' records replace theirs; every untouched record,
+  // and so its file, carries forward verbatim.
+  Manifest next = merged.BuildManifest();
+  for (ShardSummary& s : next.shards) s.generation = new_generation;
+  for (const ShardSummary& s : base.shards) {
+    if (std::none_of(next.shards.begin(), next.shards.end(),
+                     [&s](const ShardSummary& t) { return t.key == s.key; })) {
+      next.shards.push_back(s);
+    }
+  }
+  std::sort(next.shards.begin(), next.shards.end(),
+            [](const ShardSummary& a, const ShardSummary& b) { return a.key < b.key; });
+
   // Commit phase: install the compacted manifest, carrying forward every
   // delta committed after the snapshot, then GC the files the new manifest
-  // no longer references (pin-aware, like WriteDatasetFiles). The
-  // manifest records where its shards came from: the snapshot's
-  // generation and cursor (every seq below it is merged), which lets a
-  // reader holding those rows rebase instead of re-reading them.
+  // no longer references (pin-aware, like WriteDatasetFiles) along with
+  // every released earlier deferral. The manifest records where its
+  // shards came from: the snapshot's generation and cursor (every seq below
+  // it is merged), which lets a reader holding those rows rebase instead of
+  // re-reading them.
   std::unique_lock<std::mutex> lock(mu_);
-  Manifest next = merged.BuildManifest();
   next.format_version = kBinaryFormatVersion;
   next.generation = new_generation;
   next.next_delta_seq = manifest_.next_delta_seq;
@@ -238,19 +243,11 @@ Result<bool> IngestWriter::Compact(ThreadPool* pool) {
     if (s.IsResourceExhausted()) EnterDegradedLocked(s, std::move(written));
     return s;
   }
-
-  std::vector<std::string> removable =
-      ManifestFileSetDifference(path_, manifest_, next);
-  if (IsGenerationPinned(path_, base.generation)) {
-    DeferGenerationRemoval(path_, base.generation, std::move(removable));
-    removable.clear();
-  }
+  const std::vector<std::string> removable =
+      RetireSupersededFiles(path_, manifest_, next);
   manifest_ = std::move(next);
-  for (std::string& f : TakeUnpinnedDeferredFiles(path_)) {
-    removable.push_back(std::move(f));
-  }
-  // The removals run after the commit mutex is dropped, as in AppendBatch:
-  // an append commits while the GC unlinks.
+  // The removals run after the commit mutex is dropped: an append commits
+  // while the GC unlinks.
   lock.unlock();
   for (const std::string& f : removable) (void)env().RemoveFile(f);
   return true;

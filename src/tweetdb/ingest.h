@@ -56,14 +56,16 @@ struct IngestOptions {
 /// header/block CRC32C discipline) and then commits it by atomically
 /// rewriting the manifest with the new delta record — the manifest rename
 /// stays the single commit point, so a crash anywhere leaves exactly the
-/// old dataset or exactly the new one. `Compact` merges the sealed base
-/// shards and every committed delta into the next generation: rows are
-/// routed to their time shards, each shard is compacted by the
-/// (user, time, lat, lon) total order (pool-parallel across shards), and
-/// the new manifest carries forward any delta appended while the merge was
-/// running. The merge output depends only on the committed row set — never
-/// on thread count or append/compact interleaving — so compacted shard
-/// files are byte-identical at any pool size. The compacted manifest
+/// old dataset or exactly the new one. `Compact` merges every committed
+/// delta into the next generation: delta rows are routed to their time
+/// shards, only the shards that received rows are read, compacted by the
+/// (user, time, lat, lon) total order (pool-parallel across shards) and
+/// rewritten, and every other shard's file carries forward by reference
+/// (format v9 records each shard file's generation). The new manifest also
+/// carries forward any delta appended while the merge was running. The
+/// merge output depends only on the committed row set — never on thread
+/// count or append/compact interleaving — so compacted shard files are
+/// byte-identical at any pool size. The compacted manifest
 /// records its provenance (format v8): the generation it merged
 /// (`compacted_from`) and the cursor below which every delta is folded in
 /// (`merged_below_seq`), which lets a serving catalog that already holds
@@ -77,13 +79,16 @@ struct IngestOptions {
 ///   * Concurrent `Compact` calls serialise among themselves.
 ///   * Readers (`ReadDatasetFiles`, serve::SnapshotCatalog) never block:
 ///     every commit is atomic, and the GC of superseded files is
-///     generation-pin aware exactly like WriteDatasetFiles' (a pinned
-///     generation's shard and delta files are deferred, never deleted
-///     under a reader).
-///   * GC never holds the commit mutex across a removal: the file list is
-///     taken under it and unlinked after it is released (file names are
-///     generation- and seq-qualified and never reused), so an append
-///     commits while a compaction's GC is still unlinking.
+///     generation-pin aware exactly like WriteDatasetFiles' (a file that a
+///     pinned generation references — carried shard files included — is
+///     deferred, never deleted under a reader).
+///   * GC runs only after a compaction's commit (a compaction with nothing
+///     to merge still sweeps released deferrals): a healthy append unlinks
+///     nothing, so no superseded file's removal lands on the freshness
+///     path. GC never holds the commit mutex across a removal: the file
+///     list is taken under it and unlinked after it is released (file
+///     names are generation- and seq-qualified and never reused), so an
+///     append commits while a compaction's GC is still unlinking.
 ///
 /// Crash consistency: an interrupted append leaves at most an orphaned
 /// delta file the installed manifest never references (the retried append
@@ -98,7 +103,8 @@ struct IngestOptions {
 /// operation's partial output and every *unpinned* superseded file (pinned
 /// generations are never touched; their removal stays deferred).
 /// `AppendBatch` keeps attempting and doubles as the recovery probe: the
-/// first append that commits returns the writer to healthy. See health().
+/// first append that commits returns the writer to healthy and sweeps the
+/// deferrals released meanwhile. See health().
 class IngestWriter {
  public:
   /// Opens the dataset at `path` for appending. A missing path is
@@ -110,16 +116,21 @@ class IngestWriter {
                                                     Env* env = nullptr);
 
   /// Appends one batch of validated rows as a delta: writes the delta file,
-  /// then commits the manifest recording it. An empty batch is a no-op.
-  /// While degraded this is also the recovery probe: a successful commit
-  /// re-enters healthy mode.
+  /// then commits the manifest recording it. An empty batch is a no-op. A
+  /// healthy append removes no file. While degraded this is also the
+  /// recovery probe: a successful commit re-enters healthy mode and sweeps
+  /// the deferrals whose pins have been released.
   Status AppendBatch(const std::vector<Tweet>& batch);
 
-  /// Merges every committed delta into the next sealed generation. With a
-  /// `pool` the per-shard sorts run in parallel (byte-identical output for
-  /// any thread count); submit `Compact` itself to a pool for background
-  /// compaction. Returns false (without touching storage) when there is
-  /// nothing to compact.
+  /// Merges every committed delta into the next sealed generation,
+  /// rewriting only the shards the deltas touch. With a `pool` the file
+  /// decodes and the per-shard sorts run in parallel (byte-identical output
+  /// for any thread count); submit `Compact` itself to a pool for
+  /// background compaction. After the commit it removes the files the new
+  /// manifest no longer references, unless a pinned generation references
+  /// them, plus every deferral whose pins have been released. Returns false
+  /// (committing nothing, but still sweeping released deferrals) when there
+  /// is nothing to compact.
   Result<bool> Compact(ThreadPool* pool = nullptr);
 
   /// Snapshot of the writer's degraded-mode health (copy; taken under the

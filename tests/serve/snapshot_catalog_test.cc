@@ -15,6 +15,7 @@
 #include "tweetdb/binary_codec.h"
 #include "tweetdb/generation_pins.h"
 #include "tweetdb/ingest.h"
+#include "serve/snapshot_dump.h"
 
 namespace twimob::serve {
 namespace {
@@ -24,9 +25,9 @@ using tweetdb::TweetDataset;
 /// Tweets cluster near census area centres (jitter well inside the finest
 /// 2 km search radius) so every scale's per-area counts vary and the
 /// population stage's Pearson correlation is well defined.
-TweetDataset MakeDataset(uint64_t seed, size_t num_rows) {
+TweetDataset MakeDataset(uint64_t seed, size_t num_rows, size_t num_shards = 2) {
   random::Xoshiro256 rng(seed);
-  TweetDataset dataset(tweetdb::PartitionSpec::ForWindow(0, 1000000, 2), 128);
+  TweetDataset dataset(tweetdb::PartitionSpec::ForWindow(0, 1000000, num_shards), 128);
   for (size_t i = 0; i < num_rows; ++i) {
     const auto& areas =
         census::AreasForScale(census::kAllScales[rng.NextUint64(3)]);
@@ -41,6 +42,35 @@ TweetDataset MakeDataset(uint64_t seed, size_t num_rows) {
   }
   dataset.SealAll();
   return dataset;
+}
+
+/// `n` tweets near census area centres with timestamps in [begin, end):
+/// an append batch that lands in that window's shards only.
+std::vector<tweetdb::Tweet> WindowBatch(uint64_t seed, size_t n, int64_t begin,
+                                        int64_t end) {
+  random::Xoshiro256 rng(seed);
+  std::vector<tweetdb::Tweet> batch;
+  for (size_t i = 0; i < n; ++i) {
+    const auto& areas = census::AreasForScale(census::kAllScales[rng.NextUint64(3)]);
+    const census::Area& area = areas[rng.NextUint64(areas.size())];
+    batch.push_back(tweetdb::Tweet{
+        rng.NextUint64(50) + 1,
+        begin + static_cast<int64_t>(rng.NextUint64(static_cast<uint64_t>(end - begin))),
+        geo::LatLon{area.center.lat + rng.NextUniform(-0.004, 0.004),
+                    area.center.lon + rng.NextUniform(-0.004, 0.004)}});
+  }
+  return batch;
+}
+
+/// Every row of one committed shard file, in storage order.
+std::vector<tweetdb::Tweet> ShardFileRows(const std::string& path,
+                                          const tweetdb::ShardSummary& shard) {
+  auto table = tweetdb::ReadBinaryFile(
+      tweetdb::ShardFilePath(path, shard.generation, shard.key));
+  EXPECT_TRUE(table.ok()) << table.status();
+  std::vector<tweetdb::Tweet> rows;
+  if (table.ok()) table->ForEachRow([&rows](const tweetdb::Tweet& t) { rows.push_back(t); });
+  return rows;
 }
 
 CatalogOptions FastOptions() {
@@ -245,13 +275,113 @@ TEST(SnapshotCatalogTest, CompactionDefersPinnedDeltaFilesUntilReadersDrop) {
   EXPECT_EQ((*catalog)->Current()->num_rows(), 500u);
   EXPECT_TRUE(env.FileExists(delta_file));
 
-  // Last reader drops → pin released; the next commit sweeps the deferred
-  // delta and shard files.
+  // Last reader drops → pin released. An append unlinks nothing; the next
+  // compaction's commit sweeps the deferred delta and shard files.
   reader.reset();
   EXPECT_FALSE(tweetdb::IsGenerationPinned(path, 1));
   ASSERT_TRUE((*writer)->AppendBatch(batch).ok());
+  EXPECT_TRUE(env.FileExists(delta_file));
+  EXPECT_TRUE(env.FileExists(tweetdb::ShardFilePath(path, 1, 0)));
+  ASSERT_TRUE((*writer)->Compact().ok());
   EXPECT_FALSE(env.FileExists(delta_file));
   EXPECT_FALSE(env.FileExists(tweetdb::ShardFilePath(path, 1, 0)));
+}
+
+TEST(SnapshotCatalogTest, TouchedShardCompactionMatchesAFullRewrite) {
+  // The same history and deltas, merged two ways: a compaction that
+  // rewrites only the shard its deltas touch, and a full rewrite of every
+  // shard. Per shard, both hold the same rows in the same order, and a
+  // cold open of each serves the same answers.
+  const std::string touched_path = testing::TempDir() + "/twimob_catalog_touched.twdb";
+  const std::string full_path = testing::TempDir() + "/twimob_catalog_full.twdb";
+  const std::vector<std::vector<tweetdb::Tweet>> batches = {
+      WindowBatch(80, 150, 500000, 750000), WindowBatch(81, 90, 500000, 750000)};
+  for (const std::string& path : {touched_path, full_path}) {
+    std::remove(path.c_str());
+    TweetDataset history = MakeDataset(45, 900, 4);
+    ASSERT_TRUE(tweetdb::WriteDatasetFiles(history, path).ok());
+    auto writer = tweetdb::IngestWriter::Open(path);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (const auto& batch : batches) ASSERT_TRUE((*writer)->AppendBatch(batch).ok());
+  }
+  {
+    auto writer = tweetdb::IngestWriter::Open(touched_path);
+    ASSERT_TRUE(writer.ok());
+    auto compacted = (*writer)->Compact();
+    ASSERT_TRUE(compacted.ok() && *compacted);
+  }
+  auto full = tweetdb::ReadDatasetFiles(full_path);
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(tweetdb::WriteDatasetFiles(*full, full_path).ok());
+
+  auto touched_manifest = PeekManifest(*tweetdb::Env::Default(), touched_path);
+  auto full_manifest = PeekManifest(*tweetdb::Env::Default(), full_path);
+  ASSERT_TRUE(touched_manifest.ok() && full_manifest.ok());
+  ASSERT_EQ(touched_manifest->shards.size(), 4u);
+  ASSERT_EQ(full_manifest->shards.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    const tweetdb::ShardSummary& t = touched_manifest->shards[i];
+    const tweetdb::ShardSummary& f = full_manifest->shards[i];
+    EXPECT_EQ(t.generation, t.key == 2 ? 2u : 1u) << t.key;
+    EXPECT_EQ(t.key, f.key);
+    EXPECT_EQ(t.num_rows, f.num_rows) << t.key;
+    EXPECT_TRUE(ShardFileRows(touched_path, t) == ShardFileRows(full_path, f))
+        << "shard " << t.key;
+  }
+
+  CatalogOptions options;
+  options.num_threads = 2;
+  auto touched_open = SnapshotCatalog::Open(touched_path, options);
+  auto full_open = SnapshotCatalog::Open(full_path, options);
+  ASSERT_TRUE(touched_open.ok()) << touched_open.status();
+  ASSERT_TRUE(full_open.ok()) << full_open.status();
+  EXPECT_EQ(DumpResult((*touched_open)->Current()->result()),
+            DumpResult((*full_open)->Current()->result()));
+}
+
+TEST(SnapshotCatalogTest, PinnedReaderKeepsACarriedShardFileItsShardRewriteSupersedes) {
+  // Generation 2 rewrites shard 0 and carries shards 1-3 from generation 1.
+  // A reader serving generation 2 names the carried generation-1 file of
+  // shard 1; the compaction that rewrites shard 1 defers its removal until
+  // that reader drops.
+  const std::string path = testing::TempDir() + "/twimob_catalog_carried_pin.twdb";
+  std::remove(path.c_str());
+  tweetdb::Env& env = *tweetdb::Env::Default();
+  TweetDataset gen1 = MakeDataset(46, 800, 4);
+  ASSERT_TRUE(tweetdb::WriteDatasetFiles(gen1, path).ok());
+  auto writer = tweetdb::IngestWriter::Open(path);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->AppendBatch(WindowBatch(82, 100, 0, 250000)).ok());
+  ASSERT_TRUE(*(*writer)->Compact());
+  const std::string carried = tweetdb::ShardFilePath(path, 1, 1);
+  ASSERT_EQ((*writer)->manifest().shards[1].generation, 1u);
+
+  auto catalog = SnapshotCatalog::Open(path, FastOptions());
+  ASSERT_TRUE(catalog.ok());
+  auto reader = (*catalog)->Current();
+  ASSERT_EQ(reader->generation(), 2u);
+  ASSERT_FALSE(tweetdb::IsGenerationPinned(path, 1));
+
+  ASSERT_TRUE((*writer)->AppendBatch(WindowBatch(83, 100, 250000, 500000)).ok());
+  ASSERT_TRUE(*(*writer)->Compact());
+  ASSERT_EQ((*writer)->manifest().shards[1].generation, 3u);
+  EXPECT_TRUE(env.FileExists(carried));
+  // The files shard 1's rewrite did not touch are still carried.
+  for (const int64_t key : {2, 3}) {
+    EXPECT_TRUE(env.FileExists(tweetdb::ShardFilePath(path, 1, key))) << key;
+  }
+
+  // The catalog rebases onto generation 3; the reader still serves 2.
+  ASSERT_TRUE(*(*catalog)->Refresh());
+  EXPECT_EQ((*catalog)->current_generation(), 3u);
+  EXPECT_TRUE(env.FileExists(carried));
+  reader.reset();
+  EXPECT_FALSE(tweetdb::IsGenerationPinned(path, 2));
+  EXPECT_FALSE(*(*writer)->Compact());
+  EXPECT_FALSE(env.FileExists(carried));
+  for (const int64_t key : {2, 3}) {
+    EXPECT_TRUE(env.FileExists(tweetdb::ShardFilePath(path, 1, key))) << key;
+  }
 }
 
 TEST(SnapshotCatalogTest, PeekManifestReadsGenerationWithoutShardData) {

@@ -298,22 +298,26 @@ TEST(ManifestCorruptionTest, V4ManifestRejectedWithVersionMessage) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
 
-  // A v7 manifest (no block counts, no compaction provenance) is rejected
-  // by version, never read against the v8 layout.
-  std::string v7 = SmallManifestBytes(15);
-  v7[4] = 7;
-  PatchManifestCrc(&v7);
-  auto decoded_v7 = DecodeManifest(v7);
-  ASSERT_FALSE(decoded_v7.ok());
-  EXPECT_NE(decoded_v7.status().message().find("format version 7 (expected 8)"),
-            std::string::npos)
-      << decoded_v7.status().message();
+  // A v7 manifest (no block counts, no compaction provenance) and a v8 one
+  // (no shard file generations) are rejected by version, never read
+  // against the v9 layout.
+  for (const uint32_t old_version : {7u, 8u}) {
+    std::string old = SmallManifestBytes(15);
+    old[4] = static_cast<char>(old_version);
+    PatchManifestCrc(&old);
+    auto decoded_old = DecodeManifest(old);
+    ASSERT_FALSE(decoded_old.ok());
+    EXPECT_NE(decoded_old.status().message().find(
+                  "format version " + std::to_string(old_version) + " (expected 9)"),
+              std::string::npos)
+        << decoded_old.status().message();
+  }
 }
 
 TEST(ManifestCorruptionTest, V7ManifestIsATypedVersionError) {
-  // A v7 manifest byte for byte: the v8 layout minus each shard's block
-  // count and the trailing provenance. Every reader of the path fails with
-  // the typed IOError, the writer too.
+  // A v7 manifest byte for byte: the v9 layout minus each shard's file
+  // generation and block count and the trailing provenance. Every reader
+  // of the path fails with the typed IOError, the writer too.
   const std::string path = testing::TempDir() + "/twimob_manifest_v7.twdb";
   std::string v7 = "TWDM";
   PutFixed32(&v7, 7);
@@ -327,7 +331,7 @@ TEST(ManifestCorruptionTest, V7ManifestIsATypedVersionError) {
   auto decoded = DecodeManifest(v7);
   ASSERT_FALSE(decoded.ok());
   EXPECT_TRUE(decoded.status().IsIOError()) << decoded.status();
-  EXPECT_NE(decoded.status().message().find("format version 7 (expected 8)"),
+  EXPECT_NE(decoded.status().message().find("format version 7 (expected 9)"),
             std::string::npos)
       << decoded.status().message();
 
@@ -364,6 +368,34 @@ TEST(ManifestCorruptionTest, CompactionProvenanceRoundTripsAndIsValidated) {
   forged.deltas.clear();
   forged.merged_below_seq = 3;
   EXPECT_FALSE(DecodeManifest(EncodeManifest(forged)).ok());
+}
+
+TEST(ManifestCorruptionTest, ShardFileGenerationsRoundTripAndAreValidated) {
+  // A compaction's manifest names an older generation for a shard file it
+  // carried and its own for one it wrote.
+  Manifest manifest;
+  manifest.generation = 4;
+  manifest.partition = PartitionSpec{0, 1000};
+  ShardSummary carried;
+  carried.key = 0;
+  carried.generation = 2;
+  ShardSummary written = carried;
+  written.key = 1;
+  written.generation = 4;
+  manifest.shards = {carried, written};
+  auto decoded = DecodeManifest(EncodeManifest(manifest));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->shards[0].generation, 2u);
+  EXPECT_EQ(decoded->shards[1].generation, 4u);
+
+  // No file is written by generation 0 or by a commit after the manifest's.
+  for (const uint64_t bad : {uint64_t{0}, uint64_t{5}}) {
+    Manifest forged = manifest;
+    forged.shards[0].generation = bad;
+    auto rejected = DecodeManifest(EncodeManifest(forged));
+    ASSERT_FALSE(rejected.ok()) << "shard generation " << bad;
+    EXPECT_TRUE(rejected.status().IsIOError()) << rejected.status();
+  }
 }
 
 TEST(ManifestCorruptionTest, ShardRowCountMismatchRejectedOnRead) {
@@ -456,7 +488,7 @@ TEST(CorruptionTest, V3TableRejectedWithVersionMessage) {
   auto decoded_v6 = DecodeTable(v6);
   ASSERT_FALSE(decoded_v6.ok());
   EXPECT_NE(decoded_v6.status().message().find(
-                "unsupported format version 6 (expected 8)"),
+                "unsupported format version 6 (expected 9)"),
             std::string::npos)
       << decoded_v6.status().message();
 }

@@ -178,6 +178,61 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+std::vector<Tweet> BatchRows(uint64_t seed, size_t n);
+std::vector<Tweet> InWindow(std::vector<Tweet> rows, int64_t begin, int64_t end);
+bool AllManifestFilesExist(const std::string& path, const Manifest& manifest);
+
+TEST(FaultSweepCarriedTest, RewriteOverCarriedShardsLeavesOldOrNew) {
+  // The old dataset's last compaction rewrote one of four shards and
+  // carried three generation-1 files; a full rewrite then supersedes them
+  // all. Crash (and tear) every operation of the rewrite.
+  const std::string path = testing::TempDir() + "/twimob_fault_sweep_carried.twdb";
+  FaultInjectionEnv fault_env(Env::Default(), 303);
+  TweetDataset new_dataset = MakeDataset(1303, 4);
+  const std::vector<Tweet> new_rows = DatasetRows(new_dataset);
+  auto make_old = [&] {
+    std::remove(path.c_str());
+    TweetDataset history = MakeDataset(303, 4);
+    ASSERT_TRUE(WriteDatasetFiles(history, path).ok());
+    auto writer = IngestWriter::Open(path);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->AppendBatch(InWindow(BatchRows(304, 200), 250000, 500000)).ok());
+    auto compacted = (*writer)->Compact();
+    ASSERT_TRUE(compacted.ok() && *compacted);
+    const Manifest manifest = (*writer)->manifest();
+    ASSERT_EQ(manifest.shards.size(), 4u);
+    for (const ShardSummary& s : manifest.shards) {
+      ASSERT_EQ(s.generation, s.key == 1 ? 2u : 1u) << s.key;
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(make_old());
+  const std::vector<Tweet> old_rows = ReopenRows(path);
+  ASSERT_NE(old_rows, new_rows);
+  fault_env.set_plan({});
+  ASSERT_TRUE(WriteDatasetFiles(new_dataset, path, &fault_env).ok());
+  const uint64_t total_ops = fault_env.operations();
+  ASSERT_GT(total_ops, 0u);
+
+  for (const auto kind : {FaultInjectionEnv::FaultKind::kCrash,
+                          FaultInjectionEnv::FaultKind::kTornWrite}) {
+    for (uint64_t at = 0; at < total_ops; ++at) {
+      ASSERT_NO_FATAL_FAILURE(make_old());
+      fault_env.set_plan({kind, at});
+      const Status write = WriteDatasetFiles(new_dataset, path, &fault_env);
+      ASSERT_TRUE(fault_env.crashed()) << "fault at op " << at << " did not fire";
+      const std::vector<Tweet>& expected = write.ok() ? new_rows : old_rows;
+      EXPECT_EQ(ReopenRows(path), expected) << "crash at op " << at;
+      auto survived = serve::PeekManifest(*Env::Default(), path);
+      ASSERT_TRUE(survived.ok()) << "crash at op " << at;
+      EXPECT_TRUE(AllManifestFilesExist(path, *survived)) << "crash at op " << at;
+      RecoveryReport report;
+      ASSERT_TRUE(ReadDatasetFiles(path, RecoveryPolicy::kSalvage, &report).ok());
+      EXPECT_FALSE(report.degraded()) << "crash at op " << at;
+      EXPECT_EQ(report.rows_recovered(), expected.size()) << "crash at op " << at;
+    }
+  }
+}
+
 TEST(FaultInjectionDatasetTest, NoSpaceDuringShardWriteLeavesOldDataset) {
   const std::string path = testing::TempDir() + "/twimob_fault_enospc_ds.twdb";
   std::remove(path.c_str());
@@ -344,15 +399,14 @@ TEST(FaultInjectionServeTest, ReadFaultDuringRefreshLeavesServingIntact) {
 // that leaves the installed snapshot serving, and the next clean refresh
 // equals a from-scratch open. A kSalvage catalog never takes it.
 
-std::vector<Tweet> BatchRows(uint64_t seed, size_t n);
-
-/// A committed history at `path` (removed first), a writer on it with the
-/// real env and a catalog opened with `options`.
+/// A committed history of `num_shards` shards at `path` (removed first), a
+/// writer on it with the real env and a catalog opened with `options`.
 void StartLiveDataset(const std::string& path, const serve::CatalogOptions& options,
                       std::unique_ptr<IngestWriter>* writer,
-                      std::unique_ptr<serve::SnapshotCatalog>* catalog) {
+                      std::unique_ptr<serve::SnapshotCatalog>* catalog,
+                      size_t num_shards = 2) {
   std::remove(path.c_str());
-  TweetDataset history = MakeDatasetRows(501, 2, 1500);
+  TweetDataset history = MakeDatasetRows(501, num_shards, 1500);
   ASSERT_TRUE(WriteDatasetFiles(history, path).ok());
   auto opened_writer = IngestWriter::Open(path);
   ASSERT_TRUE(opened_writer.ok()) << opened_writer.status().message();
@@ -504,6 +558,25 @@ std::vector<Tweet> BatchRows(uint64_t seed, size_t n) {
   return rows;
 }
 
+/// `rows` with every timestamp folded into [begin, end): a batch that
+/// lands in the shards of that window only.
+std::vector<Tweet> InWindow(std::vector<Tweet> rows, int64_t begin, int64_t end) {
+  for (Tweet& t : rows) t.timestamp = begin + t.timestamp % (end - begin);
+  return rows;
+}
+
+/// True when every shard and delta file `manifest` names exists at `path`
+/// — the files a compaction carried forward included.
+bool AllManifestFilesExist(const std::string& path, const Manifest& manifest) {
+  for (const ShardSummary& s : manifest.shards) {
+    if (!Env::Default()->FileExists(ShardFilePath(path, s.generation, s.key))) return false;
+  }
+  for (const DeltaSummary& d : manifest.deltas) {
+    if (!Env::Default()->FileExists(DeltaFilePath(path, d.generation, d.seq))) return false;
+  }
+  return true;
+}
+
 IngestOptions SweepIngestOptions() {
   IngestOptions options;
   options.partition = PartitionSpec::ForWindow(0, 1000000, 2);
@@ -607,35 +680,43 @@ TEST(FaultInjectionIngestTest, CrashedAppendLeavesOldOrNewAndRetryLandsOnce) {
   }
 }
 
-TEST(FaultInjectionIngestTest, CrashedCompactionNeverLosesDeltaRows) {
-  const std::string path = testing::TempDir() + "/twimob_fault_compact.twdb";
+/// Crashes (then tears) every env operation of one writer open and
+/// compaction of a base state — `batches[0]` appended and compacted, the
+/// rest appended — with the writer on `options`. After each fault the
+/// dataset is the old generation with every delta or the next one with
+/// none, every committed row survives, every file the surviving manifest
+/// names exists (the shard files a compaction carries included), and a
+/// healthy retry completes the merge.
+void SweepCompactionCrashes(const std::string& path, const IngestOptions& options,
+                            const std::vector<std::vector<Tweet>>& batches,
+                            uint64_t seed) {
   const std::string scratch = path + ".ref";
-  FaultInjectionEnv fault_env(Env::Default(), 66);
+  FaultInjectionEnv fault_env(Env::Default(), seed);
+  const std::vector<Tweet> all_rows = QuantisedSortedRows(scratch, batches);
 
-  const std::vector<Tweet> b0 = BatchRows(601, 250);
-  const std::vector<Tweet> b1 = BatchRows(602, 180);
-  const std::vector<Tweet> b2 = BatchRows(603, 120);
-  const std::vector<Tweet> all_rows = QuantisedSortedRows(scratch, {b0, b1, b2});
-
-  // Base state: generation 2 shards (one compaction already ran) plus two
-  // committed deltas pending — the merge reads shards AND deltas.
+  // Base state: the next generation's shards (one compaction already ran)
+  // plus the later batches' deltas pending — the merge reads shards AND
+  // deltas.
+  Manifest base;
   auto make_base = [&] {
     std::remove(path.c_str());
-    auto writer = IngestWriter::Open(path, SweepIngestOptions());
+    auto writer = IngestWriter::Open(path, options);
     ASSERT_TRUE(writer.ok()) << writer.status().message();
-    ASSERT_TRUE((*writer)->AppendBatch(b0).ok());
+    ASSERT_TRUE((*writer)->AppendBatch(batches[0]).ok());
     auto compacted = (*writer)->Compact();
     ASSERT_TRUE(compacted.ok());
     ASSERT_TRUE(*compacted);
-    ASSERT_TRUE((*writer)->AppendBatch(b1).ok());
-    ASSERT_TRUE((*writer)->AppendBatch(b2).ok());
+    for (size_t i = 1; i < batches.size(); ++i) {
+      ASSERT_TRUE((*writer)->AppendBatch(batches[i]).ok());
+    }
+    base = (*writer)->manifest();
   };
 
   // Count the gated operations of one open + compaction of the base state.
-  make_base();
+  ASSERT_NO_FATAL_FAILURE(make_base());
   fault_env.set_plan({});
   {
-    auto writer = IngestWriter::Open(path, SweepIngestOptions(), &fault_env);
+    auto writer = IngestWriter::Open(path, options, &fault_env);
     ASSERT_TRUE(writer.ok());
     auto compacted = (*writer)->Compact();
     ASSERT_TRUE(compacted.ok());
@@ -647,14 +728,25 @@ TEST(FaultInjectionIngestTest, CrashedCompactionNeverLosesDeltaRows) {
   for (const auto kind : {FaultInjectionEnv::FaultKind::kCrash,
                           FaultInjectionEnv::FaultKind::kTornWrite}) {
     for (uint64_t at = 0; at < total_ops; ++at) {
-      make_base();
+      ASSERT_NO_FATAL_FAILURE(make_base());
       fault_env.set_plan({kind, at});
       {
-        auto writer = IngestWriter::Open(path, SweepIngestOptions(), &fault_env);
+        auto writer = IngestWriter::Open(path, options, &fault_env);
         if (writer.ok()) (void)(*writer)->Compact();
       }
       ASSERT_TRUE(fault_env.crashed())
           << "fault at op " << at << "/" << total_ops << " did not fire";
+
+      // Old or new, with every file it names on disk.
+      auto survived = serve::PeekManifest(*Env::Default(), path);
+      ASSERT_TRUE(survived.ok()) << "crash at op " << at;
+      if (survived->generation == base.generation) {
+        EXPECT_EQ(survived->deltas.size(), base.deltas.size()) << "crash at op " << at;
+      } else {
+        EXPECT_EQ(survived->generation, base.generation + 1) << "crash at op " << at;
+        EXPECT_TRUE(survived->deltas.empty()) << "crash at op " << at;
+      }
+      EXPECT_TRUE(AllManifestFilesExist(path, *survived)) << "crash at op " << at;
 
       // The cardinal invariant: whatever the crash point, EVERY committed
       // row survives — the old manifest keeps its deltas until the new
@@ -664,17 +756,37 @@ TEST(FaultInjectionIngestTest, CrashedCompactionNeverLosesDeltaRows) {
 
       // Retry with a healthy env: the compaction completes, the cursor is
       // preserved, and the dataset is fully merged.
-      auto retry = IngestWriter::Open(path, SweepIngestOptions());
+      auto retry = IngestWriter::Open(path, options);
       ASSERT_TRUE(retry.ok()) << "crash at op " << at;
       auto compacted = (*retry)->Compact();
       ASSERT_TRUE(compacted.ok()) << "crash at op " << at << ": "
                                   << compacted.status().message();
       const Manifest manifest = (*retry)->manifest();
       EXPECT_TRUE(manifest.deltas.empty()) << "crash at op " << at;
-      EXPECT_EQ(manifest.next_delta_seq, 3u) << "crash at op " << at;
+      EXPECT_EQ(manifest.next_delta_seq, batches.size()) << "crash at op " << at;
+      EXPECT_TRUE(AllManifestFilesExist(path, manifest)) << "crash at op " << at;
       EXPECT_EQ(ReopenRowsSorted(path), all_rows) << "crash at op " << at;
     }
   }
+}
+
+TEST(FaultInjectionIngestTest, CrashedCompactionNeverLosesDeltaRows) {
+  SweepCompactionCrashes(testing::TempDir() + "/twimob_fault_compact.twdb",
+                         SweepIngestOptions(),
+                         {BatchRows(601, 250), BatchRows(602, 180), BatchRows(603, 120)},
+                         66);
+}
+
+TEST(FaultInjectionIngestTest, CrashedTouchedShardCompactionKeepsCarriedFiles) {
+  // Four shards; the pending deltas all land in shard 2, so the compaction
+  // rewrites one shard and carries three.
+  IngestOptions options = SweepIngestOptions();
+  options.partition = PartitionSpec::ForWindow(0, 1000000, 4);
+  SweepCompactionCrashes(testing::TempDir() + "/twimob_fault_compact_touched.twdb",
+                         options,
+                         {BatchRows(611, 400), InWindow(BatchRows(612, 180), 500000, 750000),
+                          InWindow(BatchRows(613, 120), 500000, 750000)},
+                         67);
 }
 
 // Compaction followed by Refresh, both on the fault env: whatever env
@@ -684,11 +796,14 @@ TEST(FaultInjectionIngestTest, CrashedCompactionNeverLosesDeltaRows) {
 // old snapshot untouched or a rebased one equal to a from-scratch open —
 // once revived, the rebased one whenever the compaction committed.
 
-TEST(FaultInjectionServeTest, CrashedCompactionThenRefreshServesOldOrRebased) {
+/// The sweep above over a history of `num_shards` shards at paths named
+/// after `name`, with `b0` and `b1` the deltas the catalog has read before
+/// the compaction.
+void SweepCompactionThenRefreshCrashes(const std::string& name, size_t num_shards,
+                                       const std::vector<Tweet>& b0,
+                                       const std::vector<Tweet>& b1) {
   FaultInjectionEnv fault_env(Env::Default(), 111);
   const serve::CatalogOptions options = ServeOptions(&fault_env);
-  const std::vector<Tweet> b0 = BatchRows(901, 150);
-  const std::vector<Tweet> b1 = BatchRows(902, 90);
 
   // Base state: history and two deltas the catalog has read.
   std::unique_ptr<IngestWriter> writer;
@@ -697,7 +812,7 @@ TEST(FaultInjectionServeTest, CrashedCompactionThenRefreshServesOldOrRebased) {
     catalog.reset();
     writer.reset();
     fault_env.set_plan({});
-    StartLiveDataset(path, options, &writer, &catalog);
+    StartLiveDataset(path, options, &writer, &catalog, num_shards);
     ASSERT_TRUE(writer->AppendBatch(b0).ok());
     ASSERT_TRUE(writer->AppendBatch(b1).ok());
     auto refreshed = catalog->Refresh();
@@ -714,9 +829,10 @@ TEST(FaultInjectionServeTest, CrashedCompactionThenRefreshServesOldOrRebased) {
   };
 
   // The gated operations of one writer open, compaction and refresh.
-  ASSERT_NO_FATAL_FAILURE(make_base(testing::TempDir() + "/twimob_fault_rebase.twdb"));
+  const std::string counting_path = testing::TempDir() + "/" + name + ".twdb";
+  ASSERT_NO_FATAL_FAILURE(make_base(counting_path));
   fault_env.set_plan({});
-  auto counted = compact_then_refresh(testing::TempDir() + "/twimob_fault_rebase.twdb");
+  auto counted = compact_then_refresh(counting_path);
   ASSERT_TRUE(counted.ok() && *counted);
   ASSERT_TRUE(serve::RanDeltaPath(*catalog->Current(), /*rebased=*/true));
   const uint64_t total_ops = fault_env.operations();
@@ -731,7 +847,7 @@ TEST(FaultInjectionServeTest, CrashedCompactionThenRefreshServesOldOrRebased) {
       // never reach a later iteration's files.
       const std::string where =
           std::string(crash ? "crash" : "torn write") + " at op " + std::to_string(at);
-      const std::string path = testing::TempDir() + "/twimob_fault_rebase_" +
+      const std::string path = testing::TempDir() + "/" + name + "_" +
                                (crash ? "c" : "t") + std::to_string(at) + ".twdb";
       ASSERT_NO_FATAL_FAILURE(make_base(path)) << where;
       const auto before = catalog->Current();
@@ -758,6 +874,7 @@ TEST(FaultInjectionServeTest, CrashedCompactionThenRefreshServesOldOrRebased) {
         EXPECT_EQ(survived.deltas.size(), old_manifest.deltas.size()) << where;
       }
       EXPECT_EQ(survived.next_delta_seq, old_manifest.next_delta_seq) << where;
+      EXPECT_TRUE(AllManifestFilesExist(path, survived)) << where;
       EXPECT_EQ(ReopenRowsSorted(path).size(), before->num_rows()) << where;
 
       // The catalog serves the old snapshot or a rebased one; revived, it
@@ -784,6 +901,19 @@ TEST(FaultInjectionServeTest, CrashedCompactionThenRefreshServesOldOrRebased) {
     EXPECT_GT(committed_crashes, 0u);
   }
   catalog.reset();
+}
+
+TEST(FaultInjectionServeTest, CrashedCompactionThenRefreshServesOldOrRebased) {
+  SweepCompactionThenRefreshCrashes("twimob_fault_rebase", 2, BatchRows(901, 150),
+                                    BatchRows(902, 90));
+}
+
+TEST(FaultInjectionServeTest, CrashedTouchedShardCompactionThenRefreshServesOldOrRebased) {
+  // Four shards; both deltas land in shard 1, so the compaction carries
+  // three shard files the rebased snapshot and a fresh open both name.
+  SweepCompactionThenRefreshCrashes("twimob_fault_rebase_touched", 4,
+                                    InWindow(BatchRows(903, 150), 250000, 500000),
+                                    InWindow(BatchRows(904, 90), 250000, 500000));
 }
 
 TEST(FaultInjectionDatasetTest, ShortReadOnManifestIsCaughtNotMisread) {

@@ -74,6 +74,13 @@ std::string FreshPath(const std::string& name) {
   return path;
 }
 
+/// `n` random tweets whose timestamps fall in [begin, end).
+std::vector<Tweet> WindowTweets(size_t n, uint64_t seed, int64_t begin, int64_t end) {
+  std::vector<Tweet> tweets = RandomTweets(n, seed, 40, end - begin);
+  for (Tweet& t : tweets) t.timestamp += begin;
+  return tweets;
+}
+
 IngestOptions SmallShardOptions() {
   IngestOptions options;
   options.partition = PartitionSpec::ForWindow(0, 1'000'000, 4);
@@ -324,12 +331,178 @@ TEST(IngestWriterTest, PinnedGenerationFilesSurviveCompactionUntilRelease) {
     }
     EXPECT_TRUE(env->FileExists(DeltaFilePath(path, 2, 1)));
   }
-  // The pin is gone; the next commit sweeps the deferred files.
+  // The pin is gone. An append unlinks nothing; the next compaction's
+  // commit sweeps the deferred files.
   ASSERT_TRUE((*writer)->AppendBatch(RandomTweets(50, 72, 40, 1'000'000)).ok());
+  for (const ShardSummary& s : pinned_manifest.shards) {
+    EXPECT_TRUE(env->FileExists(ShardFilePath(path, 2, s.key)));
+  }
+  EXPECT_TRUE(env->FileExists(DeltaFilePath(path, 2, 1)));
+  ASSERT_TRUE((*writer)->Compact().ok());
   for (const ShardSummary& s : pinned_manifest.shards) {
     EXPECT_FALSE(env->FileExists(ShardFilePath(path, 2, s.key)));
   }
   EXPECT_FALSE(env->FileExists(DeltaFilePath(path, 2, 1)));
+}
+
+TEST(IngestWriterTest, CompactionRewritesOnlyTouchedShardsAndCarriesTheRest) {
+  // Four 250k-second shards; the second cycle's deltas all land in shard 1.
+  const std::string path = FreshPath("twimob_ingest_touched.twdb");
+  auto writer = IngestWriter::Open(path, SmallShardOptions());
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->AppendBatch(RandomTweets(800, 100, 40, 1'000'000)).ok());
+  ASSERT_TRUE((*writer)->Compact().ok());
+  const Manifest gen2 = (*writer)->manifest();
+  ASSERT_EQ(gen2.shards.size(), 4u);
+  for (const ShardSummary& s : gen2.shards) EXPECT_EQ(s.generation, 2u) << s.key;
+  const std::vector<Tweet> before = SortedStoredRows(path);
+  ASSERT_TRUE((*writer)->AppendBatch(WindowTweets(150, 101, 250'000, 500'000)).ok());
+  ASSERT_TRUE((*writer)->AppendBatch(WindowTweets(120, 102, 250'000, 500'000)).ok());
+  ASSERT_TRUE((*writer)->Compact().ok());
+
+  // Shard 1 is rewritten under generation 3; the rest carry their records
+  // (and so their generation-2 files) verbatim.
+  const Manifest gen3 = (*writer)->manifest();
+  ASSERT_EQ(gen3.generation, 3u);
+  ASSERT_EQ(gen3.shards.size(), 4u);
+  Env* env = Env::Default();
+  for (size_t i = 0; i < 4; ++i) {
+    const ShardSummary& s = gen3.shards[i];
+    const bool touched = s.key == 1;
+    EXPECT_EQ(s.generation, touched ? 3u : 2u) << s.key;
+    EXPECT_EQ(env->FileExists(ShardFilePath(path, 2, s.key)), !touched) << s.key;
+    EXPECT_EQ(env->FileExists(ShardFilePath(path, 3, s.key)), touched) << s.key;
+    if (!touched) {
+      EXPECT_EQ(s.num_rows, gen2.shards[i].num_rows);
+      EXPECT_EQ(s.num_blocks, gen2.shards[i].num_blocks);
+    }
+  }
+  EXPECT_EQ(gen3.shards[1].num_rows, gen2.shards[1].num_rows + 270);
+  EXPECT_EQ(SortedStoredRows(path).size(), before.size() + 270);
+
+  // The on-disk description names each shard file's own generation, so the
+  // per-generation rollup shows the carried files.
+  auto described = DescribeDataset(path);
+  ASSERT_TRUE(described.ok()) << described.status();
+  ASSERT_EQ(described->shards.size(), 4u);
+  uint64_t carried_rows = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(described->shards[i].generation, gen3.shards[i].generation);
+    if (gen3.shards[i].generation == 2) carried_rows += gen3.shards[i].num_rows;
+  }
+  const std::string text = described->ToString();
+  EXPECT_NE(text.find("g2.shard-0"), std::string::npos) << text;
+  EXPECT_NE(text.find("g3.shard-1"), std::string::npos) << text;
+  EXPECT_NE(text.find("rows by generation: g2=" + std::to_string(carried_rows) +
+                      " g3=" + std::to_string(gen3.shards[1].num_rows) + "\n"),
+            std::string::npos)
+      << text;
+}
+
+TEST(IngestWriterTest, PinOnACarriedFilesBirthGenerationDefersItsRemoval) {
+  // Shard 0's generation-2 file is carried into generation 3, then rewritten
+  // by the compaction to generation 4. A reader of generation 2 — which
+  // names that file too — keeps it on disk, though generation 3 is unpinned.
+  const std::string path = FreshPath("twimob_ingest_carried_pin.twdb");
+  auto writer = IngestWriter::Open(path, SmallShardOptions());
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->AppendBatch(RandomTweets(600, 110, 40, 1'000'000)).ok());
+  ASSERT_TRUE((*writer)->Compact().ok());
+  const std::string carried = ShardFilePath(path, 2, 0);
+  GenerationPin reader(path, 2);
+  ASSERT_TRUE((*writer)->AppendBatch(WindowTweets(100, 111, 500'000, 750'000)).ok());
+  ASSERT_TRUE((*writer)->Compact().ok());
+  ASSERT_EQ((*writer)->manifest().shards[0].generation, 2u);
+  ASSERT_TRUE((*writer)->AppendBatch(WindowTweets(100, 112, 0, 250'000)).ok());
+  ASSERT_TRUE((*writer)->Compact().ok());
+  ASSERT_EQ((*writer)->manifest().shards[0].generation, 4u);
+
+  Env* env = Env::Default();
+  EXPECT_TRUE(env->FileExists(carried));
+  EXPECT_FALSE(IsGenerationPinned(path, 3));
+  // Released, the deferral goes with the next compaction (here a no-op).
+  reader.Release();
+  auto swept = (*writer)->Compact();
+  ASSERT_TRUE(swept.ok());
+  EXPECT_FALSE(*swept);
+  EXPECT_FALSE(env->FileExists(carried));
+  EXPECT_EQ(internal::DeferredGenerationCount(path), 0u);
+}
+
+/// The default env, except that RemoveFile fails the test while `forbid`
+/// is set.
+class NoRemoveEnv : public Env {
+ public:
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(const std::string& path) override {
+    return Env::Default()->NewWritableFile(path);
+  }
+  Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    return Env::Default()->NewRandomAccessFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return Env::Default()->RenameFile(from, to);
+  }
+  bool FileExists(const std::string& path) override {
+    return Env::Default()->FileExists(path);
+  }
+  Status RemoveFile(const std::string& path) override {
+    if (forbid) ADD_FAILURE() << "removed " << path << " during an append";
+    return Env::Default()->RemoveFile(path);
+  }
+
+  bool forbid = false;
+};
+
+TEST(IngestWriterTest, AppendNeverUnlinksAndANoOpCompactionSweeps) {
+  const std::string path = FreshPath("twimob_ingest_append_no_unlink.twdb");
+  NoRemoveEnv env;
+  auto writer = IngestWriter::Open(path, SmallShardOptions(), &env);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->AppendBatch(RandomTweets(300, 120, 40, 1'000'000)).ok());
+  ASSERT_TRUE((*writer)->Compact().ok());
+  ASSERT_TRUE((*writer)->AppendBatch(RandomTweets(200, 121, 40, 1'000'000)).ok());
+  const Manifest gen2 = (*writer)->manifest();
+  {
+    GenerationPin reader(path, 2);
+    ASSERT_TRUE((*writer)->Compact().ok());
+  }
+  // Generation 2's files wait, unpinned, for a sweep.
+  ASSERT_EQ(internal::DeferredGenerationCount(path), 1u);
+
+  env.forbid = true;
+  for (uint64_t seed = 122; seed < 125; ++seed) {
+    ASSERT_TRUE((*writer)->AppendBatch(RandomTweets(50, seed, 40, 1'000'000)).ok());
+  }
+  env.forbid = false;
+  EXPECT_EQ(internal::DeferredGenerationCount(path), 1u);
+  for (const ShardSummary& s : gen2.shards) {
+    EXPECT_TRUE(env.FileExists(ShardFilePath(path, 2, s.key))) << s.key;
+  }
+
+  // Merging the appends sweeps generation 2 and — pinned now — defers
+  // generation 3; once released, a compaction with nothing to merge sweeps
+  // that too.
+  {
+    GenerationPin reader(path, 3);
+    ASSERT_TRUE((*writer)->Compact().ok());
+  }
+  for (const ShardSummary& s : gen2.shards) {
+    EXPECT_FALSE(env.FileExists(ShardFilePath(path, 2, s.key))) << s.key;
+  }
+  EXPECT_FALSE(env.FileExists(DeltaFilePath(path, 2, 1)));
+  ASSERT_EQ(internal::DeferredGenerationCount(path), 1u);
+  const Manifest gen4 = (*writer)->manifest();
+  ASSERT_TRUE(gen4.deltas.empty());
+  auto noop = (*writer)->Compact();
+  ASSERT_TRUE(noop.ok());
+  EXPECT_FALSE(*noop);
+  EXPECT_EQ((*writer)->manifest().generation, gen4.generation);
+  EXPECT_EQ(internal::DeferredGenerationCount(path), 0u);
+  for (uint64_t seq = 2; seq < 5; ++seq) {
+    EXPECT_FALSE(env.FileExists(DeltaFilePath(path, 3, seq))) << seq;
+  }
+  EXPECT_EQ(SortedStoredRows(path).size(), 650u);
 }
 
 /// The default env, except that RemoveFile waits at a gate until the test
